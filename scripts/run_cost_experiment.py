@@ -13,8 +13,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from cdle.cli import classify_costs
-from cdle.corpus import COST_CLASSES, load_checked_corpus, synth_input_nf
-from cdle.reduction import apply_and_count, normalize
+from cdle.corpus import COST_CLASSES, cost_rows, load_checked_corpus
 
 EXPERIMENTS = [
     ("v2l", [8, 16, 32, 64]),
@@ -37,17 +36,14 @@ def main() -> int:
     lines = ["name,n,beta_steps,eta_steps,fuel_exhausted"]
     failures = 0
     for name, sizes in EXPERIMENTS:
-        expected, kind = COST_CLASSES[name]
-        fn = normalize(ck.pure_env[name]).result
-        rows = []
+        expected = COST_CLASSES[name][0]
+        rows = cost_rows(ck, name, sizes)
         print(f"\n{name}  (expected: {expected})")
         print(f"  {'n':>6} {'beta':>8} {'eta':>5}")
-        for n in sizes:
-            out = apply_and_count(fn, [synth_input_nf(ck, kind, n)])
-            rows.append((n, out.beta_steps, out.fuel_exhausted))
-            lines.append(f"{name},{n},{out.beta_steps},{out.eta_steps},{str(out.fuel_exhausted).lower()}")
-            print(f"  {n:>6} {out.beta_steps:>8} {out.eta_steps:>5}")
-        verdict = classify_costs(rows)
+        for n, beta, eta, exhausted in rows:
+            lines.append(f"{name},{n},{beta},{eta},{str(exhausted).lower()}")
+            print(f"  {n:>6} {beta:>8} {eta:>5}")
+        verdict = classify_costs([(n, beta, ex) for n, beta, _, ex in rows])
         marker = "ok" if verdict == expected else "MISMATCH"
         failures += verdict != expected
         print(f"  classification: {verdict} [{marker}]")

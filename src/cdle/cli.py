@@ -19,13 +19,13 @@ import sys
 
 from .corpus import (
     COST_CLASSES,
+    cost_rows,
     default_corpus_root,
     load_checked_corpus,
-    synth_input_nf,
 )
 from .loader import LoadError, load_program
 from .pretty import pretty
-from .reduction import Fuel, FuelExhaustedError, apply_and_count, beta_eta_eq, normalize
+from .reduction import Fuel, FuelExhaustedError, beta_eta_eq, normalize
 from .surface import ParseError, parse_term
 from .typecheck import Checker, check_defs
 from .erasure import erase
@@ -73,7 +73,7 @@ def _checked_def_nf(args, name):
         for r in report.results:
             if not r.ok:
                 print(f"error: {r.line()}", file=sys.stderr)
-        return None, None, EXIT_USAGE
+        return None, None, EXIT_SEMANTIC
     if name not in ck.pure_env:
         print(f"error: no definition named {name!r}", file=sys.stderr)
         return None, None, EXIT_SEMANTIC
@@ -128,7 +128,7 @@ def cmd_eq(args) -> int:
         return EXIT_USAGE
     if not report.ok:
         print("error: module does not typecheck", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_SEMANTIC
     for n in (args.name1, args.name2):
         if n not in ck.pure_env:
             print(f"error: no definition named {n!r}", file=sys.stderr)
@@ -186,7 +186,7 @@ def cmd_cost(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    expected, kind = COST_CLASSES[args.name]
+    expected = COST_CLASSES[args.name][0]
     try:
         ck, report = load_checked_corpus(args.root, _fuel(args))
     except (ParseError, LoadError) as e:
@@ -195,16 +195,11 @@ def cmd_cost(args) -> int:
     if not report.ok:
         print("error: corpus does not typecheck", file=sys.stderr)
         return EXIT_USAGE
-    fn = normalize(ck.pure_env[args.name], _fuel(args))
-    if fn.fuel_exhausted:
+    try:
+        rows = cost_rows(ck, args.name, sizes, _fuel(args))
+    except FuelExhaustedError:
         print("error: fuel exhausted normalizing the conversion", file=sys.stderr)
         return EXIT_SEMANTIC
-
-    rows = []
-    for n in sorted(sizes):
-        inp = synth_input_nf(ck, kind, n, _fuel(args))
-        out = apply_and_count(fn.result, [inp], _fuel(args))
-        rows.append((n, out.beta_steps, out.eta_steps, out.fuel_exhausted))
     verdict = classify_costs([(n, b, ex) for n, b, _, ex in rows])
 
     if args.csv:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .loader import load_program
-from .reduction import Fuel, beta_eta_eq, normalize
-from .syntax import EApp, PureTerm, Term, TVar, Var
+from .reduction import Fuel, FuelExhaustedError, apply_and_count, beta_eta_eq, normalize
+from .syntax import App, PureTerm, Term, Var
 from .typecheck import Checker, CheckReport, check_defs
 
 CORPUS_FILE_ORDER = [
@@ -212,20 +212,10 @@ def corpus_manifest(root: Optional[str] = None) -> list[CorpusEntry]:
     return entries
 
 
-_checked_cache: dict[str, tuple[Checker, CheckReport]] = {}
-
-
-def load_checked_corpus(root: Optional[str] = None, fuel: Optional[Fuel] = None) -> tuple[Checker, CheckReport]:
-    """Parse and check the full corpus (cached per root for the default
-    fuel)."""
-    key = root or default_corpus_root()
-    if fuel is None and key in _checked_cache:
-        return _checked_cache[key]
-    defs = load_program(corpus_paths(root))
-    ck, report = check_defs(defs, Checker(fuel or Fuel()))
-    if fuel is None:
-        _checked_cache[key] = (ck, report)
-    return ck, report
+def load_checked_corpus(root: Optional[str] = None, fuel: Fuel = Fuel()) -> tuple[Checker, CheckReport]:
+    """Parse and check the full corpus under ``root`` (default: the repo
+    corpus), afresh on every call."""
+    return check_defs(load_program(corpus_paths(root)), Checker(fuel))
 
 
 @dataclass
@@ -263,46 +253,39 @@ def verify_goldens(manifest: list[CorpusEntry], checker: Checker, fuel: Fuel = F
 
 
 # ---------------------------------------------------------------------------
-# cost-harness input synthesis
+# cost harness: input synthesis and step-counted runs
 # ---------------------------------------------------------------------------
 
 
-def nat_term(n: int) -> Term:
-    t: Term = Var("zero")
-    for _ in range(n):
-        t = _app(Var("suc"), t)
-    return t
-
-
-def _app(f: Term, a: Term) -> Term:
-    from .syntax import App
-
-    return App(f, a)
-
-
-def unit_list_term(n: int) -> Term:
-    """A list of n unit elements, as an annotated term."""
-    t: Term = EApp(Var("nilL"), TVar("Unit"))
-    for _ in range(n):
-        t = _app(_app(EApp(Var("consL"), TVar("Unit")), Var("unit")), t)
-    return t
-
-
-def unit_vec_term(n: int) -> Term:
-    """A vector of n unit elements with its erased index instantiations
-    restored."""
-    t: Term = EApp(Var("nilV"), TVar("Unit"))
-    for k in range(n):
-        t = _app(
-            _app(EApp(EApp(Var("consV"), TVar("Unit")), nat_term(k)), Var("unit")),
-            t,
-        )
-    return t
-
-
 def synth_input_nf(checker: Checker, kind: str, n: int, fuel: Fuel = Fuel()) -> PureTerm:
-    term = unit_vec_term(n) if kind == "vec" else unit_list_term(n)
+    """The normal form of a ``kind`` ("list" or "vec") of n unit elements.
+
+    Lists and vectors share one erasure, and the index arguments of
+    ``consV`` are erased, so the input is built directly as the erased
+    spine ``cons unit (… (cons unit nil))``."""
+    nil, cons = ("nilV", "consV") if kind == "vec" else ("nilL", "consL")
+    term: Term = Var(nil)
+    for _ in range(n):
+        term = App(App(Var(cons), Var("unit")), term)
     out = normalize(checker.pure_of(term), fuel)
     if out.fuel_exhausted:
         raise RuntimeError("input synthesis ran out of fuel")
     return out.result
+
+
+def cost_rows(
+    checker: Checker, name: str, sizes: list[int], fuel: Fuel = Fuel()
+) -> list[tuple[int, int, int, bool]]:
+    """Step-count the measured conversion ``name`` on a synthesized input
+    of each size: ``(n, beta_steps, eta_steps, fuel_exhausted)`` rows in
+    increasing ``n``.  Raises ``FuelExhaustedError`` when the conversion
+    itself does not normalize within fuel."""
+    kind = COST_CLASSES[name][1]
+    fn = normalize(checker.pure_env[name], fuel)
+    if fn.fuel_exhausted:
+        raise FuelExhaustedError(fn.beta_steps, fn.eta_steps)
+    rows = []
+    for n in sorted(sizes):
+        out = apply_and_count(fn.result, [synth_input_nf(checker, kind, n, fuel)], fuel)
+        rows.append((n, out.beta_steps, out.eta_steps, out.fuel_exhausted))
+    return rows

@@ -11,8 +11,7 @@ in ``t``).  Eta-contraction of a beta-normal form cannot create new
 beta-redexes, so the interleaving converges after the first eta pass.
 
 Step counters are per-call; the functions share nothing mutable and are
-safe to run concurrently.  Successful normal forms are cached, keyed by
-the exact input term so the cached form keeps that term's binder hints.
+safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -21,39 +20,9 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .syntax import PApp, PLam, PVar, PureTerm, de_bruijn, free_vars, pure_size
+from .syntax import PApp, PLam, PVar, PureTerm, de_bruijn, free_vars
 
 DEFAULT_MAX_STEPS = 1_000_000
-
-_CACHE_NODE_LIMIT = 60_000
-_nf_cache: dict[tuple, tuple[PureTerm, int, int]] = {}
-
-
-def _exact_key(t: PureTerm) -> tuple:
-    """Hashable encoding including binder names (unlike the de Bruijn
-    form used for alpha-equivalence)."""
-    out: list = []
-    stack: list[tuple[PureTerm, bool]] = [(t, False)]
-    while stack:
-        cur, done = stack.pop()
-        if isinstance(cur, PVar):
-            out.append((0, cur.name))
-        elif isinstance(cur, PLam):
-            if done:
-                out.append((1, cur.name, out.pop()))
-            else:
-                stack.append((cur, True))
-                stack.append((cur.body, False))
-        else:
-            if done:
-                arg = out.pop()
-                fn = out.pop()
-                out.append((2, fn, arg))
-            else:
-                stack.append((cur, True))
-                stack.append((cur.arg, False))
-                stack.append((cur.fn, False))
-    return out[0]
 
 
 class FuelExhaustedError(Exception):
@@ -323,13 +292,6 @@ def normalize(t: PureTerm, fuel: Fuel = Fuel()) -> NormalizeOutcome:
     input and fuel; returns a fuel-exhausted outcome rather than raising.
     """
     _ensure_recursion_room()
-    key = None
-    if pure_size(t) <= _CACHE_NODE_LIMIT:
-        key = _exact_key(t)
-        hit = _nf_cache.get(key)
-        if hit is not None and hit[1] + hit[2] <= fuel.max_steps:
-            return NormalizeOutcome(hit[0], hit[1], hit[2])
-
     ctr = _Counter(fuel.max_steps)
     try:
         value = _eval(t, None, ctr)
@@ -341,10 +303,7 @@ def normalize(t: PureTerm, fuel: Fuel = Fuel()) -> NormalizeOutcome:
                 break
     except FuelExhaustedError as e:
         return NormalizeOutcome(None, e.beta_steps, e.eta_steps)
-    nf = tidy_names(nf)
-    if key is not None:
-        _nf_cache[key] = (nf, ctr.beta, ctr.eta)
-    return NormalizeOutcome(nf, ctr.beta, ctr.eta)
+    return NormalizeOutcome(tidy_names(nf), ctr.beta, ctr.eta)
 
 
 def beta_eta_eq(a: PureTerm, b: PureTerm, fuel: Fuel = Fuel()) -> bool:
@@ -366,7 +325,3 @@ def apply_and_count(f: PureTerm, args: Sequence[PureTerm], fuel: Fuel = Fuel()) 
     for a in args:
         t = PApp(t, a)
     return normalize(t, fuel)
-
-
-def clear_cache() -> None:
-    _nf_cache.clear()

@@ -254,12 +254,6 @@ class Parser:
             raise ParseError("expected a type, found a kind", self._span_of(node))
         return node
 
-    def parse_kind(self) -> Kind:
-        sort, node = self._class_arrow()
-        if sort != "kind":
-            raise ParseError("expected a kind, found a type", self._span_of(node))
-        return node
-
     def _span_of(self, node) -> Span:
         return getattr(node, "span", None) or self.peek().span
 

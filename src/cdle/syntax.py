@@ -119,8 +119,7 @@ def de_bruijn(t: PureTerm) -> tuple:
     """Encode ``t`` as a nested tuple with de Bruijn indices.
 
     Free variables keep their names, so the encoding is a canonical
-    alpha-invariant (and hashable) form; it doubles as a cache key in the
-    reduction engine.
+    alpha-invariant (and hashable) form.
     """
     VAR, LAM, APP = 0, 1, 2
     # post-order iterative build

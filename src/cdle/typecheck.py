@@ -145,14 +145,11 @@ class Checker:
     # ------------------------------------------------------------------
 
     def pure_of(self, t: Term) -> PureTerm:
-        """Erasure of ``t`` with top-level definitions expanded."""
-        return substitute_many(erase(t), self.pure_env)
-
-    def nf_of(self, t: Term) -> PureTerm:
-        out = normalize(self.pure_of(t), self.fuel)
-        if out.fuel_exhausted:
-            raise CheckError(ErrorCode.FuelExhausted, "normalization ran out of fuel")
-        return out.result
+        """Erasure of ``t`` with the top-level definitions it mentions
+        expanded; the one place definitions are expanded."""
+        p = erase(t)
+        env = self.pure_env
+        return substitute_many(p, {n: env[n] for n in free_vars(p) if n in env})
 
     def terms_conv(self, a: Term, b: Term) -> bool:
         try:
@@ -968,5 +965,5 @@ def _check_one(ck: Checker, d) -> None:
         if not isinstance(d.body, Term):
             raise CheckError(ErrorCode.TypeMismatch, "a type-classified definition needs a term body", d.span)
         ck.check_term(d.body, d.classifier)
-        ck.pure_env[d.name] = substitute_many(erase(d.body), ck.pure_env)
+        ck.pure_env[d.name] = ck.pure_of(d.body)
     ck.ctx = ck.ctx.extend(Defn(d.name, d.classifier, d.body, d.span))

@@ -53,6 +53,18 @@ def test_check_json_deterministic(capsys):
     assert (code1, out1) == (code2, out2)
 
 
+@pytest.mark.parametrize("argv", [
+    ["erase", "bad"],
+    ["normalize", "bad"],
+    ["eq", "bad", "bad"],
+], ids=["erase", "normalize", "eq"])
+def test_ill_typed_module_exit_one(capsys, argv):
+    path = os.path.join(NEGATIVE, "erased_var.cdl")
+    code, _, err = run(capsys, argv[0], path, *argv[1:], "--root", CORPUS)
+    assert code == 1
+    assert "error" in err
+
+
 def test_erase_zero_cost_conversion(capsys):
     code, out, _ = run(capsys, "erase", os.path.join(CORPUS, "reuse.cdl"), "v2l!")
     assert code == 0

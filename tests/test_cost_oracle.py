@@ -10,7 +10,7 @@ import pytest
 
 from cdle.corpus import synth_input_nf
 from cdle.reduction import apply_and_count, normalize
-from cdle.syntax import PApp
+from cdle.syntax import PApp, alpha_eq
 
 from oracle import oracle_normalize
 
@@ -57,3 +57,9 @@ def test_constant_conversions_identical_counts_up_to_512(checked_corpus):
             for n in (8, 512)
         }
         assert steps == {1}
+
+
+@pytest.mark.parametrize("n", [1, 8, 64])
+def test_vec_and_list_inputs_share_one_erasure(n, checked_corpus):
+    ck, _ = checked_corpus
+    assert alpha_eq(synth_input_nf(ck, "vec", n), synth_input_nf(ck, "list", n))

@@ -377,3 +377,28 @@ def test_judgement_shape():
     assert j.mode == "check"
     with pytest.raises(AssertionError):
         Judgement(ck.ctx, parse_term("λ x. x"), "infer", parse_type_expr("∀ X : ★. X ➔ X"))
+
+
+def test_expansion_avoids_capturing_a_free_parameter():
+    """|f| mentions the parameter ``a``; expanding f under g's binder
+    ``a`` must rename the binder rather than capture the parameter."""
+    import os
+    import tempfile
+
+    from cdle.reduction import normalize
+    from cdle.syntax import PLam, PVar, alpha_eq
+
+    src = """
+import base.
+a ◂ Nat.
+f ◂ Nat ➔ Nat = λ x. a.
+g ◂ Nat ➔ Nat = λ a. f a.
+"""
+    with tempfile.TemporaryDirectory() as d:
+        p = os.path.join(d, "m.cdl")
+        with open(p, "w", encoding="utf-8") as fh:
+            fh.write(src)
+        ck, report = check_defs(load_program([p], root=CORPUS))
+    assert report.ok
+    nf = normalize(ck.pure_env["g"]).result
+    assert alpha_eq(nf, PLam("a1", PVar("a")))
