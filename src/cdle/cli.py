@@ -19,6 +19,7 @@ import sys
 
 from .corpus import (
     COST_CLASSES,
+    InputFuelExhaustedError,
     cost_rows,
     default_corpus_root,
     load_checked_corpus,
@@ -193,10 +194,14 @@ def cmd_cost(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     if not report.ok:
-        print("error: corpus does not typecheck", file=sys.stderr)
-        return EXIT_USAGE
+        first = next(r for r in report.results if not r.ok)
+        print(f"error: corpus does not typecheck: {first.line()}", file=sys.stderr)
+        return EXIT_SEMANTIC
     try:
         rows = cost_rows(ck, args.name, sizes, _fuel(args))
+    except InputFuelExhaustedError as e:
+        print(f"error: fuel exhausted synthesizing the n={e.n} input", file=sys.stderr)
+        return EXIT_SEMANTIC
     except FuelExhaustedError:
         print("error: fuel exhausted normalizing the conversion", file=sys.stderr)
         return EXIT_SEMANTIC

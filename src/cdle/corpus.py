@@ -257,19 +257,29 @@ def verify_goldens(manifest: list[CorpusEntry], checker: Checker, fuel: Fuel = F
 # ---------------------------------------------------------------------------
 
 
+class InputFuelExhaustedError(FuelExhaustedError):
+    """Raised when normalizing the synthesized input of size ``n`` runs
+    out of fuel."""
+
+    def __init__(self, n: int, beta_steps: int, eta_steps: int):
+        super().__init__(beta_steps, eta_steps)
+        self.n = n
+
+
 def synth_input_nf(checker: Checker, kind: str, n: int, fuel: Fuel = Fuel()) -> PureTerm:
     """The normal form of a ``kind`` ("list" or "vec") of n unit elements.
 
     Lists and vectors share one erasure, and the index arguments of
     ``consV`` are erased, so the input is built directly as the erased
-    spine ``cons unit (… (cons unit nil))``."""
+    spine ``cons unit (… (cons unit nil))``.  Raises
+    ``InputFuelExhaustedError`` when its normalization runs out of fuel."""
     nil, cons = ("nilV", "consV") if kind == "vec" else ("nilL", "consL")
     term: Term = Var(nil)
     for _ in range(n):
         term = App(App(Var(cons), Var("unit")), term)
     out = normalize(checker.pure_of(term), fuel)
     if out.fuel_exhausted:
-        raise RuntimeError("input synthesis ran out of fuel")
+        raise InputFuelExhaustedError(n, out.beta_steps, out.eta_steps)
     return out.result
 
 
@@ -279,7 +289,8 @@ def cost_rows(
     """Step-count the measured conversion ``name`` on a synthesized input
     of each size: ``(n, beta_steps, eta_steps, fuel_exhausted)`` rows in
     increasing ``n``.  Raises ``FuelExhaustedError`` when the conversion
-    itself does not normalize within fuel."""
+    itself does not normalize within fuel, and ``InputFuelExhaustedError``
+    when an input does not."""
     kind = COST_CLASSES[name][1]
     fn = normalize(checker.pure_env[name], fuel)
     if fn.fuel_exhausted:

@@ -6,13 +6,17 @@ alias-insensitive:
     ★ Star   Π Pi    ∀ All    λ \\    Λ /\\   ι iota   ➔ ->   ➾ =>
     ≃ ==     ◂ <|    ρ rho    φ phi   β beta  ς sigma-sym      · @
 
+The lexer reads each token with one match of one regular expression,
+which also skips the blanks and the comments (``//`` to end of line)
+before it; a dictionary of fixed lexemes and keywords gives its kind.
+
 A module is a sequence of ``import name.`` declarations followed by
 definitions ``name ◂ classifier = body .`` (parameters omit ``= body``).
 Bodies are parsed as terms or types according to the sort of the
 classifier.  Application binds tighter than ➔/➾; erased application
 ``-`` binds like application; ``·`` marks explicit type arguments while
-juxtaposed arguments of a type are terms.  Comments run ``//`` to end
-of line.
+juxtaposed arguments of a type are terms.  Binders and parentheses in a
+term nest on an explicit stack, up to a fixed depth.
 
 Grammar corner: an erased argument that is a bare name (or a plain
 application skeleton) is stored as a :class:`~cdle.syntax.DeferredArg`
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .syntax import (
     All,
@@ -58,6 +62,7 @@ from .syntax import (
     Term,
     Type,
     Var,
+    promote_skeleton,
 )
 
 
@@ -71,84 +76,75 @@ class ParseError(Exception):
         self.expected = expected or set()
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     lexeme: str
     span: Span
 
 
-_TOKEN_SPEC = [
-    ("COMMENT", r"//[^\n]*"),
-    ("WS", r"[ \t\r\n]+"),
-    ("PROJ1", r"\.1"),
-    ("PROJ2", r"\.2"),
-    ("ARROW", r"➔|->"),
-    ("EARROW", r"➾|=>"),
-    ("SIMEQ", r"≃|=="),
-    ("ASCRIBE", r"◂|<\|"),
-    ("ELAM", r"Λ|/\\"),
-    ("LAM", r"λ|\\"),
-    ("CDOT", r"·|@"),
-    ("SIGMA", r"ς|sigma-sym"),
-    ("STAR", r"★"),
-    ("PI", r"Π"),
-    ("ALL", r"∀"),
-    ("IOTA", r"ι"),
-    ("RHO", r"ρ"),
-    ("PHI", r"φ"),
-    ("BETA", r"β"),
-    ("IDENT", r"[A-Za-z_][A-Za-z0-9_'!]*"),
-    ("LPAREN", r"\("),
-    ("RPAREN", r"\)"),
-    ("LBRACK", r"\["),
-    ("RBRACK", r"\]"),
-    ("LBRACE", r"\{"),
-    ("RBRACE", r"\}"),
-    ("DOT", r"\."),
-    ("COMMA", r","),
-    ("COLON", r":"),
-    ("EQUALS", r"="),
-    ("DASH", r"-"),
-]
-
-_KEYWORDS = {
-    "Star": "STAR",
-    "Pi": "PI",
-    "All": "ALL",
-    "iota": "IOTA",
-    "rho": "RHO",
-    "phi": "PHI",
-    "beta": "BETA",
-    "import": "IMPORT",
+# Every token but an identifier, by lexeme.
+_FIXED = {
+    "➔": "ARROW", "->": "ARROW",
+    "➾": "EARROW", "=>": "EARROW",
+    "≃": "SIMEQ", "==": "SIMEQ",
+    "◂": "ASCRIBE", "<|": "ASCRIBE",
+    "Λ": "ELAM", "/\\": "ELAM",
+    "λ": "LAM", "\\": "LAM",
+    "·": "CDOT", "@": "CDOT",
+    "ς": "SIGMA", "sigma-sym": "SIGMA",
+    "★": "STAR", "Π": "PI", "∀": "ALL", "ι": "IOTA", "ρ": "RHO", "φ": "PHI", "β": "BETA",
+    ".1": "PROJ1", ".2": "PROJ2", ".": "DOT", ",": "COMMA", ":": "COLON", "=": "EQUALS", "-": "DASH",
+    "(": "LPAREN", ")": "RPAREN", "[": "LBRACK", "]": "RBRACK", "{": "LBRACE", "}": "RBRACE",
 }
 
-_MASTER_RE = re.compile("|".join(f"(?P<{name}>{pat})" for name, pat in _TOKEN_SPEC))
+# Identifiers that are tokens of their own.
+_KEYWORDS = {
+    "Star": "STAR", "Pi": "PI", "All": "ALL", "iota": "IOTA",
+    "rho": "RHO", "phi": "PHI", "beta": "BETA", "import": "IMPORT",
+}
+
+_KINDS = {**_FIXED, **_KEYWORDS}
+
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+
+# One match per token: the blanks and comments before it, then the token
+# itself in the only group.  A comment must end at a line end, so that
+# backtracking cannot cut it short and lex its tail as tokens.  Of two
+# fixed lexemes one of which extends the other (".1" and ".", "->" and
+# "-", "sigma-sym" and an identifier) the longer is tried first.  The
+# group is empty at the end of the input and holds a single character
+# that starts no token.
+_TOKEN_RE = re.compile(
+    r"(?:[ \t\r\n]|//[^\n]*(?![^\n]))*("
+    + "|".join(re.escape(lx) for lx in sorted(_FIXED, key=len, reverse=True))
+    + r"|[A-Za-z_][A-Za-z0-9_'!]*|\Z|.)"
+)
 
 
 def lex(text: str, filename: str = "<input>") -> list[Token]:
     tokens: list[Token] = []
     line, col = 1, 1
     pos = 0
-    n = len(text)
-    while pos < n:
-        m = _MASTER_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", Span(filename, line, col))
-        kind = m.lastgroup
-        lexeme = m.group()
-        span = Span(filename, line, col)
-        if kind == "IDENT" and lexeme in _KEYWORDS:
-            kind = _KEYWORDS[lexeme]
-        if kind not in ("WS", "COMMENT"):
-            tokens.append(Token(kind, lexeme, span))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        start, end = m.span(1)
+        if start != pos:
+            newlines = text.count("\n", pos, start)
+            if newlines:
+                line += newlines
+                col = start - text.rfind("\n", pos, start)
+            else:
+                col += start - pos
+        lexeme = m.group(1)
+        kind = _KINDS.get(lexeme)
+        if kind is None:
+            if not lexeme:
+                break
+            if lexeme[0] not in _IDENT_START:
+                raise ParseError(f"unexpected character {lexeme!r}", Span(filename, line, col))
+            kind = "IDENT"
+        tokens.append(Token(kind, lexeme, Span(filename, line, col)))
+        col += end - start
+        pos = end
     tokens.append(Token("EOF", "", Span(filename, line, col)))
     return tokens
 
@@ -174,7 +170,10 @@ class SourceModule:
 
 
 _TERM_ATOM_START = {"IDENT", "LPAREN", "LBRACK", "BETA"}
-_TERM_START = _TERM_ATOM_START | {"LAM", "ELAM", "RHO", "PHI", "SIGMA"}
+_TERM_PREFIX = {"LAM", "ELAM", "RHO", "PHI", "SIGMA"}
+
+# How deep a term may nest binders, ρ and parentheses (`exp 3 7`'s normal form: 2,188)
+_MAX_DEPTH = 2_500
 
 
 class Parser:
@@ -184,8 +183,8 @@ class Parser:
 
     # -- token plumbing ------------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.i]
 
     def next(self) -> Token:
         t = self.toks[self.i]
@@ -194,22 +193,22 @@ class Parser:
         return t
 
     def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.toks[self.i].kind == kind
 
     def eat(self, kind: str) -> Optional[Token]:
-        if self.at(kind):
-            return self.next()
-        return None
+        return self.next() if self.toks[self.i].kind == kind else None
 
     def expect(self, kind: str, what: str = "") -> Token:
-        t = self.peek()
+        t = self.toks[self.i]
         if t.kind != kind:
             raise ParseError(
                 f"unexpected {t.kind} {t.lexeme!r}" + (f" while parsing {what}" if what else ""),
                 t.span,
                 expected={kind},
             )
-        return self.next()
+        if kind != "EOF":
+            self.i += 1
+        return t
 
     # -- module --------------------------------------------------------------
 
@@ -333,8 +332,7 @@ class Parser:
         while self.eat("COMMA"):
             names.append(self.expect("IDENT", "binder").lexeme)
         self.expect("COLON", "binder")
-        dom = self.parse_classifier()
-        return names, dom
+        return names, self.parse_classifier()
 
     def _lam_binder_group(self):
         names = [self.expect("IDENT", "binder").lexeme]
@@ -412,7 +410,10 @@ class Parser:
             return node
         if isinstance(node, Kind):
             raise ParseError("expected a type, found a kind", span)
-        return promote_term_to_type(node, span)
+        try:
+            return promote_skeleton(node)
+        except TypeError:
+            raise ParseError("this expression is not usable as a type", span) from None
 
     def _as_term(self, node, span: Span) -> Term:
         if isinstance(node, Term):
@@ -424,113 +425,127 @@ class Parser:
     # -- terms ----------------------------------------------------------------
 
     def parse_term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "LAM":
-            self.next()
-            binders, domspec = self._lam_binder_group()
-            self.expect("DOT", "λ binder")
-            body = self.parse_term()
-            ann = None
-            if domspec is not None:
-                if domspec[0] != "type":
+        return self._term(prefixes=True)
+
+    def parse_term_app(self) -> Term:
+        """An application spine: a term without a leading binder, ρ, φ
+        or ς (those may still occur inside its parentheses)."""
+        return self._term(prefixes=False)
+
+    def _term(self, prefixes: bool) -> Term:
+        """Binder chains and parenthesized sub-terms nest on an explicit
+        stack, not on Python's, so a term may nest ``_MAX_DEPTH`` levels
+        whatever the interpreter's recursion limit."""
+        # open constructs, innermost last: ("(", token, spine head before
+        # it, None), or a binder or ρ waiting for its body
+        stack: list[tuple] = []
+        head: Optional[Term] = None  # the application spine read so far
+        while True:
+            if len(stack) > _MAX_DEPTH:
+                raise ParseError(f"term nested more than {_MAX_DEPTH} levels deep", stack[-1][1].span)
+            tok = self.toks[self.i]
+            kind = tok.kind
+            if kind == "LPAREN":
+                self.i += 1
+                stack.append(("(", tok, head, None))
+                head = None
+                continue
+            if head is not None:
+                if kind in _TERM_ATOM_START:
+                    head = App(head, self.parse_term_atom(), span=tok.span)
+                    continue
+                if kind == "DASH":
+                    self.i += 1
+                    head = EApp(head, self.parse_erased_arg(), span=tok.span)
+                    continue
+                t = head
+            elif kind not in _TERM_PREFIX or not (prefixes or stack):
+                head = self.parse_term_atom()
+                continue
+            else:
+                self.i += 1
+                if kind == "LAM" or kind == "ELAM":
+                    binders, domspec = self._lam_binder_group()
+                    self.expect("DOT", "λ binder" if kind == "LAM" else "Λ binder")
+                    stack.append((kind, tok, binders, domspec))
+                    continue
+                proof = self.parse_proof_spine()
+                if kind == "SIGMA":
+                    t = Sym(proof, span=tok.span)
+                elif kind == "PHI":
+                    self.expect("DASH", "φ")
+                    main = self.parse_term_app()
+                    self.expect("LBRACE", "φ")
+                    t = Phi(proof, main, self.parse_term(), span=tok.span)
+                    self.expect("RBRACE", "φ")
+                else:  # RHO
+                    guide = None
+                    if self.eat("LBRACE"):
+                        hole = self.expect("IDENT", "ρ guide").lexeme
+                        self.expect("DOT", "ρ guide")
+                        guide = (hole, self.parse_type())
+                        self.expect("RBRACE", "ρ guide")
+                    self.expect("DASH", "ρ")
+                    stack.append((kind, tok, proof, guide))
+                    continue
+            # t is a whole term: the body of each binder and ρ on top of
+            # the stack, then the contents of the innermost "("
+            while stack:
+                kind, tok, a, b = stack.pop()
+                if kind == "(":
+                    self.expect("RPAREN", "parenthesized term")
+                    t = self._postfix_proj(t)
+                    head = t if a is None else App(a, t, span=tok.span)
+                    break
+                if kind == "RHO":
+                    t = Rho(a, t, b, span=tok.span)
+                    continue
+                if kind == "LAM" and b is not None and b[0] != "type":
                     raise ParseError("explicit λ binder annotation must be a type", tok.span)
-                ann = domspec[1]
-            for name in reversed(binders):
-                body = Lam(name, body, ann, span=tok.span)
-            return body
-        if tok.kind == "ELAM":
-            self.next()
-            binders, domspec = self._lam_binder_group()
-            self.expect("DOT", "Λ binder")
-            body = self.parse_term()
-            ann = domspec[1] if domspec else None
-            for name in reversed(binders):
-                body = ELam(name, body, ann, span=tok.span)
-            return body
-        if tok.kind == "RHO":
-            self.next()
-            proof = self.parse_proof_spine()
-            guide = None
-            if self.eat("LBRACE"):
-                hole = self.expect("IDENT", "ρ guide").lexeme
-                self.expect("DOT", "ρ guide")
-                template = self.parse_type()
-                self.expect("RBRACE", "ρ guide")
-                guide = (hole, template)
-            self.expect("DASH", "ρ")
-            body = self.parse_term()
-            return Rho(proof, body, guide, span=tok.span)
-        if tok.kind == "PHI":
-            self.next()
-            proof = self.parse_proof_spine()
-            self.expect("DASH", "φ")
-            main = self.parse_term_app()
-            self.expect("LBRACE", "φ")
-            target = self.parse_term()
-            self.expect("RBRACE", "φ")
-            return Phi(proof, main, target, span=tok.span)
-        if tok.kind == "SIGMA":
-            self.next()
-            proof = self.parse_proof_spine()
-            return Sym(proof, span=tok.span)
-        return self.parse_term_app()
+                node = Lam if kind == "LAM" else ELam
+                for name in reversed(a):
+                    t = node(name, t, b and b[1], span=tok.span)
+            else:
+                return t
 
     def parse_proof_spine(self) -> Term:
         """Proof argument of ρ/φ/ς: a spine of atoms, so that the
         following ``-`` separator is unambiguous.  Parenthesize proofs
         that use erased application."""
         head = self.parse_term_atom()
-        while self.peek().kind in _TERM_ATOM_START:
+        while self.toks[self.i].kind in _TERM_ATOM_START:
             arg = self.parse_term_atom()
             head = App(head, arg, span=self._span_of(arg))
         return head
 
-    def parse_term_app(self) -> Term:
-        head = self.parse_term_atom()
-        while True:
-            nxt = self.peek()
-            if nxt.kind in _TERM_ATOM_START:
-                arg = self.parse_term_atom()
-                head = App(head, arg, span=nxt.span)
-            elif nxt.kind == "DASH":
-                self.next()
-                arg = self.parse_erased_arg()
-                head = EApp(head, arg, span=nxt.span)
-            else:
-                return head
-
     def parse_term_atom(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "IDENT":
-            self.next()
+        tok = self.toks[self.i]
+        kind = tok.kind
+        if kind == "IDENT":
+            self.i += 1
             return self._postfix_proj(Var(tok.lexeme, span=tok.span))
-        if tok.kind == "BETA":
-            self.next()
+        if kind == "BETA":
+            self.i += 1
             return self._postfix_proj(Beta(span=tok.span))
-        if tok.kind == "LBRACK":
-            self.next()
+        if kind == "LBRACK":
+            self.i += 1
             fst = self.parse_term()
             self.expect("COMMA", "intersection pair")
             snd = self.parse_term()
             self.expect("RBRACK", "intersection pair")
             return self._postfix_proj(IotaPair(fst, snd, span=tok.span))
-        if tok.kind == "LPAREN":
-            self.next()
+        if kind == "LPAREN":
+            self.i += 1
             inner = self.parse_term()
             self.expect("RPAREN", "parenthesized term")
             return self._postfix_proj(inner)
-        raise ParseError(f"unexpected {tok.kind} {tok.lexeme!r} in term", tok.span)
+        raise ParseError(f"unexpected {kind} {tok.lexeme!r} in term", tok.span)
 
     def _postfix_proj(self, t: Term) -> Term:
-        while True:
-            if self.at("PROJ1"):
-                sp = self.next().span
-                t = Proj(t, 1, span=sp)
-            elif self.at("PROJ2"):
-                sp = self.next().span
-                t = Proj(t, 2, span=sp)
-            else:
-                return t
+        while (tok := self.toks[self.i]).kind in ("PROJ1", "PROJ2"):
+            t = Proj(t, 1 if tok.kind == "PROJ1" else 2, span=tok.span)
+            self.i += 1
+        return t
 
     def parse_erased_arg(self) -> Union[Term, Type, DeferredArg]:
         tok = self.peek()
@@ -563,30 +578,14 @@ class Parser:
         raise ParseError(f"unexpected {tok.kind} {tok.lexeme!r} after '-'", tok.span)
 
 
-def _is_var_app_skeleton(t: Term) -> bool:
-    while isinstance(t, App):
-        t = t.fn
-    return isinstance(t, Var)
-
-
 def _is_promotable(t: Term) -> bool:
     """Shapes readable as either a term or a type: variables, application
     spines over them, and lambdas over such bodies."""
     while isinstance(t, Lam):
         t = t.body
-    return _is_var_app_skeleton(t)
-
-
-def promote_term_to_type(t: Term, span: Span) -> Type:
-    """Reinterpret a sort-ambiguous surface shape as a type (juxtaposed
-    application arguments stay terms; λ becomes a type-level λ)."""
-    if isinstance(t, Var):
-        return TVar(t.name, span=t.span or span)
-    if isinstance(t, App):
-        return TAppE(promote_term_to_type(t.fn, span), t.arg, span=t.span or span)
-    if isinstance(t, Lam):
-        return TLam(t.name, promote_term_to_type(t.body, span), t.ann, span=t.span or span)
-    raise ParseError("this expression is not usable as a type", span)
+    while isinstance(t, App):
+        t = t.fn
+    return isinstance(t, Var)
 
 
 def demote_type_to_term(ty: Type, span: Span) -> Term:
@@ -605,27 +604,29 @@ def demote_type_to_term(ty: Type, span: Span) -> Term:
 # ---------------------------------------------------------------------------
 
 
-def parse_module(text: str, path: str = "<input>") -> SourceModule:
+def _parse(text: str, path: str, what: str, rule):
+    """``rule`` applied to a parser over all of ``text``.  Types and the
+    rarer term forms are parsed by recursion: too deep, it is a ParseError."""
     parser = Parser(lex(text, path))
-    return parser.parse_module(path)
+    try:
+        node = rule(parser)
+        parser.expect("EOF", what)
+    except RecursionError:
+        raise ParseError("nested too deeply", parser.peek().span) from None
+    return node
+
+
+def parse_module(text: str, path: str = "<input>") -> SourceModule:
+    return _parse(text, path, "module", lambda p: p.parse_module(path))
 
 
 def parse_term(text: str, path: str = "<input>") -> Term:
-    parser = Parser(lex(text, path))
-    t = parser.parse_term()
-    parser.expect("EOF", "term")
-    return t
+    return _parse(text, path, "term", Parser.parse_term)
 
 
 def parse_type_expr(text: str, path: str = "<input>") -> Type:
-    parser = Parser(lex(text, path))
-    t = parser.parse_type()
-    parser.expect("EOF", "type")
-    return t
+    return _parse(text, path, "type", Parser.parse_type)
 
 
 def parse_classifier(text: str, path: str = "<input>") -> Union[Type, Kind]:
-    parser = Parser(lex(text, path))
-    _, c = parser.parse_classifier()
-    parser.expect("EOF", "classifier")
-    return c
+    return _parse(text, path, "classifier", lambda p: p.parse_classifier()[1])

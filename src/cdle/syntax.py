@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """Source position, for error reporting only (never compared)."""
 
     file: str = "<none>"

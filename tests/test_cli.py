@@ -101,6 +101,20 @@ def test_normalize_term(capsys):
     assert "beta_steps=2" in out
 
 
+def test_normalize_term_nested_too_deeply_exit_two(capsys):
+    code, _, err = run(capsys, "normalize", "--term", "(" * 10_000 + "x" + ")" * 10_000)
+    assert code == 2
+    assert err.startswith("error: <input>:1:2501: term nested more than 2500 levels deep")
+
+
+def test_check_lambda_chain_nested_too_deeply_exit_two(capsys, tmp_path):
+    path = tmp_path / "deep.cdl"
+    path.write_text("x ◂ T = " + "λ x. " * 10_000 + "x.\n", encoding="utf-8")
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert err.startswith(f"error: {path}:1:12509: term nested more than 2500 levels deep")
+
+
 def test_normalize_definition(capsys):
     code, out, _ = run(capsys, "normalize", os.path.join(CORPUS, "append.cdl"), "appL")
     assert code == 0
@@ -120,6 +134,19 @@ def test_cost_csv_schema(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "name,n,beta_steps,eta_steps,fuel_exhausted"
     assert lines[1].startswith("l2v!,4,")
+
+
+def test_cost_input_fuel_exhausted_exit_one(capsys):
+    code, _, err = run(capsys, "cost", "v2l!", "--sizes", "8,4000", "--max-steps", "10000", "--root", CORPUS)
+    assert code == 1
+    assert err == "error: fuel exhausted synthesizing the n=4000 input\n"
+
+
+def test_cost_corpus_not_checked_within_fuel_exit_one(capsys):
+    code, _, err = run(capsys, "cost", "v2l", "--sizes", "8,16", "--max-steps", "50", "--root", CORPUS)
+    assert code == 1
+    assert err.startswith("error: corpus does not typecheck: ")
+    assert "ERROR[FuelExhausted]" in err
 
 
 def test_cost_usage_errors(capsys):

@@ -1,13 +1,26 @@
-"""Surface syntax: parse/pretty round-trips, lexer alias invariance, and
-positioned parse errors."""
+"""Surface syntax: parse/pretty round-trips, lexer alias invariance, the
+lexer against a reference lexer, and positioned parse errors."""
 
+import glob
+import os
 import random
+import re
 
 import pytest
 
 from cdle.pretty import pretty
-from cdle.surface import ParseError, parse_classifier, parse_module, parse_term, parse_type_expr
-from cdle.syntax import Kind, Term, Type, syntax_alpha_eq
+from cdle.surface import (
+    _KEYWORDS,
+    ParseError,
+    Token,
+    lex,
+    parse_classifier,
+    parse_module,
+    parse_term,
+    parse_type_expr,
+)
+from cdle.syntax import Kind, Span, Term, Type, syntax_alpha_eq
+from conftest import CORPUS, NEGATIVE
 from gen import gen_kind, gen_term, gen_type
 
 
@@ -137,3 +150,141 @@ def test_arrow_resugaring():
     assert pretty(ty2) == "A ➾ B"
     dep = parse_type_expr("Π x : A. B x")
     assert pretty(dep).startswith("Π x")
+
+
+# -- the lexer against a reference lexer --------------------------------------
+
+# One regex alternative per token kind, tried in order at each position;
+# blanks and comments are lexed as tokens and dropped.
+_REFERENCE_SPEC = [
+    ("COMMENT", r"//[^\n]*"),
+    ("WS", r"[ \t\r\n]+"),
+    ("PROJ1", r"\.1"),
+    ("PROJ2", r"\.2"),
+    ("ARROW", r"➔|->"),
+    ("EARROW", r"➾|=>"),
+    ("SIMEQ", r"≃|=="),
+    ("ASCRIBE", r"◂|<\|"),
+    ("ELAM", r"Λ|/\\"),
+    ("LAM", r"λ|\\"),
+    ("CDOT", r"·|@"),
+    ("SIGMA", r"ς|sigma-sym"),
+    ("STAR", r"★"),
+    ("PI", r"Π"),
+    ("ALL", r"∀"),
+    ("IOTA", r"ι"),
+    ("RHO", r"ρ"),
+    ("PHI", r"φ"),
+    ("BETA", r"β"),
+    ("IDENT", r"[A-Za-z_][A-Za-z0-9_'!]*"),
+    ("LPAREN", r"\("),
+    ("RPAREN", r"\)"),
+    ("LBRACK", r"\["),
+    ("RBRACK", r"\]"),
+    ("LBRACE", r"\{"),
+    ("RBRACE", r"\}"),
+    ("DOT", r"\."),
+    ("COMMA", r","),
+    ("COLON", r":"),
+    ("EQUALS", r"="),
+    ("DASH", r"-"),
+]
+_REFERENCE_RE = re.compile("|".join(f"(?P<{name}>{pat})" for name, pat in _REFERENCE_SPEC))
+
+
+def reference_lex(text: str, filename: str = "<input>") -> list[Token]:
+    tokens = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", Span(filename, line, col))
+        kind = m.lastgroup
+        lexeme = m.group()
+        if kind == "IDENT" and lexeme in _KEYWORDS:
+            kind = _KEYWORDS[lexeme]
+        if kind not in ("WS", "COMMENT"):
+            tokens.append(Token(kind, lexeme, Span(filename, line, col)))
+        newlines = lexeme.count("\n")
+        if newlines:
+            line += newlines
+            col = len(lexeme) - lexeme.rfind("\n")
+        else:
+            col += len(lexeme)
+        pos = m.end()
+    tokens.append(Token("EOF", "", Span(filename, line, col)))
+    return tokens
+
+
+def _lexed(lexer, text):
+    """The tokens, or the error message when ``text`` does not lex."""
+    try:
+        return lexer(text, "<f>")
+    except ParseError as e:
+        return str(e)
+
+
+LEXER_EDGE_CASES = [
+    "x. // a ≃ b",
+    "x. // a ≃ b\n",
+    "x ◂ T\r\n  = λ y.\r\n y.\r\n",
+    "// only\n// comments",
+    "// only\n// comments\n",
+    "",
+    "  \n\t ",
+    "sigma-sym x",
+    "sigma -sym",
+    "sigma-symx sigma-sy sigma_x xsigma-sym",
+    "a.1.2",
+    "a.12",
+    "Star Pi All \\ /\\ iota -> => == <| rho phi beta sigma-sym @ import",
+    "★ Π ∀ λ Λ ι ➔ ➾ ≃ ◂ ρ φ β ς ·",
+    "==> -> - => = /\\x //\\",
+    "x %",
+    "f\n  (g é)",
+    "x\u00a0y",
+]
+
+
+def _lexer_inputs():
+    for path in sorted(glob.glob(os.path.join(CORPUS, "*.cdl")) + glob.glob(os.path.join(NEGATIVE, "*.cdl"))):
+        with open(path, encoding="utf-8") as fh:
+            yield fh.read()
+    rng = random.Random(4)
+    for _ in range(300):
+        t = gen_term(rng, 4)
+        yield pretty(t)
+        yield pretty(t, ascii_only=True)
+    yield from LEXER_EDGE_CASES
+
+
+def test_lexer_matches_reference_lexer():
+    texts = list(_lexer_inputs())
+    assert len(texts) == 21 + 600 + len(LEXER_EDGE_CASES)
+    for text in texts:
+        assert _lexed(lex, text) == _lexed(reference_lex, text), repr(text)
+
+
+def test_unexpected_character_is_positioned():
+    with pytest.raises(ParseError) as exc:
+        lex("x %", "<f>")
+    assert str(exc.value) == "<f>:1:3: unexpected character '%'"
+
+
+# -- nesting --------------------------------------------------------------------
+
+
+def test_deep_term_nesting_is_a_positioned_error():
+    parse_term("(" * 2000 + "x" + ")" * 2000)
+    parse_term("λ x. " * 2000 + "x")
+    with pytest.raises(ParseError) as exc:
+        parse_term("(" * 10_000 + "x" + ")" * 10_000)
+    assert str(exc.value).startswith("<input>:1:2501: term nested more than 2500 levels deep")
+
+
+def test_deep_type_nesting_is_a_positioned_error():
+    with pytest.raises(ParseError) as exc:
+        parse_type_expr("(" * 10_000 + "A" + ")" * 10_000)
+    assert str(exc.value).startswith("<input>:1:")
+    assert "nested too deeply" in str(exc.value)
