@@ -11,23 +11,15 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from cdle.corpus import corpus_manifest, default_corpus_root, load_checked_corpus, verify_goldens
+from cdle.corpus import (
+    corpus_manifest,
+    default_corpus_root,
+    load_checked_corpus,
+    negative_expectations,
+    verify_goldens,
+)
 from cdle.loader import load_program
 from cdle.typecheck import check_defs
-
-NEGATIVE_EXPECT = {
-    "erased_var": "ErasedVarOccursFree",
-    "intersection_mismatch": "IntersectionErasureMismatch",
-    "phi_mismatch": "PhiEqMismatch",
-    "rho_no_occurrence": "RhoNoOccurrence",
-    "unbound_name": "UnboundName",
-    "kind_mismatch": "KindMismatch",
-    "type_mismatch": "TypeMismatch",
-    "not_a_function": "NotAFunction",
-    "not_an_intersection": "NotAnIntersection",
-    "eq_sides_untypeable": "EqSidesUntypeable",
-    "beta_mismatch": "TypeMismatch",
-}
 
 
 def main() -> int:
@@ -49,8 +41,9 @@ def main() -> int:
     failures += bool(bad)
 
     print("negative suite:")
-    for stem, want in sorted(NEGATIVE_EXPECT.items()):
-        path = os.path.join(repo, "negative", f"{stem}.cdl")
+    negative = os.path.join(repo, "negative")
+    for stem, want in sorted(negative_expectations(negative).items()):
+        path = os.path.join(negative, f"{stem}.cdl")
         _, rep = check_defs(load_program([path], root=root))
         got = [r.code for r in rep.results if not r.ok]
         ok = got == [want]

@@ -28,7 +28,7 @@ from .loader import LoadError, load_program
 from .pretty import pretty
 from .reduction import Fuel, FuelExhaustedError, beta_eta_eq, normalize
 from .surface import ParseError, parse_term
-from .typecheck import Checker, check_defs
+from .typecheck import Checker, ModuleError, check_defs
 from .erasure import erase
 
 EXIT_OK = 0
@@ -49,11 +49,7 @@ def _load_and_check(paths, root, fuel):
 
 
 def cmd_check(args) -> int:
-    try:
-        ck, report = _load_and_check(args.paths, args.root, _fuel(args))
-    except (ParseError, LoadError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    ck, report = _load_and_check(args.paths, args.root, _fuel(args))
     if args.json:
         for r in report.results:
             rec = {"def": r.name, "status": "ok" if r.ok else "error"}
@@ -67,30 +63,26 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.ok else EXIT_SEMANTIC
 
 
-def _checked_def_nf(args, name):
-    """Load, check, and return (checker, normal form of |name|)."""
-    ck, report = _load_and_check(args.paths if hasattr(args, "paths") else [args.path], args.root, _fuel(args))
+def _checked_def_nf(args, paths, name):
+    """Load and check ``paths``; return (normal form of |name|, exit code)."""
+    ck, report = _load_and_check(paths, args.root, _fuel(args))
     if not report.ok:
         for r in report.results:
             if not r.ok:
                 print(f"error: {r.line()}", file=sys.stderr)
-        return None, None, EXIT_SEMANTIC
+        return None, EXIT_SEMANTIC
     if name not in ck.pure_env:
         print(f"error: no definition named {name!r}", file=sys.stderr)
-        return None, None, EXIT_SEMANTIC
+        return None, EXIT_SEMANTIC
     out = normalize(ck.pure_env[name], _fuel(args))
     if out.fuel_exhausted:
         print("error: fuel exhausted", file=sys.stderr)
-        return None, None, EXIT_SEMANTIC
-    return ck, out, EXIT_OK
+        return None, EXIT_SEMANTIC
+    return out, EXIT_OK
 
 
 def cmd_erase(args) -> int:
-    try:
-        ck, out, code = _checked_def_nf(args, args.name)
-    except (ParseError, LoadError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    out, code = _checked_def_nf(args, [args.path], args.name)
     if code != EXIT_OK:
         return code
     print(pretty(out.result))
@@ -98,35 +90,25 @@ def cmd_erase(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    try:
-        if args.term is not None:
-            t = erase(parse_term(args.term))
-            out = normalize(t, _fuel(args))
-            if out.fuel_exhausted:
-                print(f"fuel exhausted after {out.beta_steps} beta / {out.eta_steps} eta steps")
-                return EXIT_SEMANTIC
-        else:
-            if args.path is None or args.name is None:
-                print("error: normalize needs PATH NAME or --term", file=sys.stderr)
-                return EXIT_USAGE
-            args.paths = [args.path]
-            ck, out, code = _checked_def_nf(args, args.name)
-            if code != EXIT_OK:
-                return code
-    except (ParseError, LoadError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.term is not None:
+        out = normalize(erase(parse_term(args.term)), _fuel(args))
+        if out.fuel_exhausted:
+            print(f"fuel exhausted after {out.beta_steps} beta / {out.eta_steps} eta steps")
+            return EXIT_SEMANTIC
+    else:
+        if args.path is None or args.name is None:
+            print("error: normalize needs PATH NAME or --term", file=sys.stderr)
+            return EXIT_USAGE
+        out, code = _checked_def_nf(args, [args.path], args.name)
+        if code != EXIT_OK:
+            return code
     print(pretty(out.result))
     print(f"beta_steps={out.beta_steps} eta_steps={out.eta_steps}")
     return EXIT_OK
 
 
 def cmd_eq(args) -> int:
-    try:
-        ck, report = _load_and_check([args.path], args.root, _fuel(args))
-    except (ParseError, LoadError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    ck, report = _load_and_check([args.path], args.root, _fuel(args))
     if not report.ok:
         print("error: module does not typecheck", file=sys.stderr)
         return EXIT_SEMANTIC
@@ -188,11 +170,7 @@ def cmd_cost(args) -> int:
         )
         return EXIT_USAGE
     expected = COST_CLASSES[args.name][0]
-    try:
-        ck, report = load_checked_corpus(args.root, _fuel(args))
-    except (ParseError, LoadError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    ck, report = load_checked_corpus(args.root, _fuel(args))
     if not report.ok:
         first = next(r for r in report.results if not r.ok)
         print(f"error: corpus does not typecheck: {first.line()}", file=sys.stderr)
@@ -269,11 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.fn(args)
-    except (ParseError, LoadError) as e:
+        return args.fn(args)
+    except (ParseError, LoadError, ModuleError) as e:
         print(f"error: {e}", file=sys.stderr)
-        code = EXIT_USAGE
-    return code
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -95,6 +95,26 @@ SHARED_ERASURE_PAIRS = [
     ("consLF", "consVF"),
 ]
 
+
+def negative_expectations(directory: str) -> dict[str, str]:
+    """The error code each ``.cdl`` file in ``directory`` (the negative
+    suite) must be rejected with, by file stem, read from the file's
+    ``// expect: Code`` first line; raises ValueError for a file without
+    one."""
+    prefix = "// expect: "
+    out: dict[str, str] = {}
+    for name in sorted(os.listdir(directory)):
+        stem, ext = os.path.splitext(name)
+        if ext != ".cdl":
+            continue
+        with open(os.path.join(directory, name), encoding="utf-8") as fh:
+            first = fh.readline()
+        if not first.startswith(prefix):
+            raise ValueError(f"{name}: the first line must be '{prefix}Code'")
+        out[stem] = first[len(prefix):].strip()
+    return out
+
+
 COST_CLASSES: dict[str, tuple[str, str]] = {
     # name -> (cost class, synthesized input kind)
     "v2l": ("linear", "vec"),

@@ -10,8 +10,11 @@ then eta-contract exhaustively (``λx. t x → t`` when ``x`` is not free
 in ``t``).  Eta-contraction of a beta-normal form cannot create new
 beta-redexes, so the interleaving converges after the first eta pass.
 
-Step counters are per-call; the functions share nothing mutable and are
-safe to run concurrently.
+Step tallies and the binder names quote makes up live in a per-call
+counter, so the functions share no mutable state (beyond the recursion
+limit that ``normalize`` raises) and are safe to run concurrently.  The
+one global counter left in the kernel is the ``itertools.count`` behind
+``syntax.fresh_name``, whose names need only be distinct.
 """
 
 from __future__ import annotations
@@ -60,12 +63,16 @@ class NormalizeOutcome:
 
 
 class _Counter:
-    __slots__ = ("beta", "eta", "limit")
+    """Per-call state: step tallies against the budget, and the number of
+    binder names ``_quote`` has made up so far."""
+
+    __slots__ = ("beta", "eta", "limit", "names")
 
     def __init__(self, limit: int):
         self.beta = 0
         self.eta = 0
         self.limit = limit
+        self.names = 0
 
     def tick_beta(self):
         if self.beta + self.eta >= self.limit:
@@ -76,6 +83,14 @@ class _Counter:
         if self.beta + self.eta >= self.limit:
             raise FuelExhaustedError(self.beta, self.eta)
         self.eta += 1
+
+    def fresh_quote_name(self, hint: str) -> str:
+        """A binder name for ``_quote``, fresh within this call: no input
+        has a ``%q`` name, as parsed names have no ``%`` and
+        ``syntax.fresh_name`` puts digits after it."""
+        self.names += 1
+        base = hint.split("%")[0].rstrip("0123456789") or "x"
+        return f"{base}%q{self.names}"
 
 
 # --- machine values ---------------------------------------------------------
@@ -158,7 +173,7 @@ def _quote(v, ctr: _Counter) -> PureTerm:
         if tag == "q":
             val = frame[1]
             if isinstance(val, _VLam):
-                fresh = _fresh_quote_name(val.name)
+                fresh = ctr.fresh_quote_name(val.name)
                 inner = _eval(val.body, (val.name, _VNeutral(fresh, []), val.env), ctr)
                 work.append(("lam", fresh))
                 work.append(("q", inner))
@@ -181,15 +196,6 @@ def _quote(v, ctr: _Counter) -> PureTerm:
                 t = PApp(t, a)
             out.append(t)
     return out[0]
-
-
-_quote_counter = [0]
-
-
-def _fresh_quote_name(hint: str) -> str:
-    _quote_counter[0] += 1
-    base = hint.split("%")[0].rstrip("0123456789") or "x"
-    return f"{base}%q{_quote_counter[0]}"
 
 
 # --- eta --------------------------------------------------------------------
@@ -240,7 +246,8 @@ def _eta_pass(t: PureTerm, ctr: _Counter) -> PureTerm:
 
 def tidy_names(t: PureTerm) -> PureTerm:
     """Deterministically rename binders to short, collision-free names so
-    normal forms are stable across runs (quote uses a global counter)."""
+    normal forms do not show the numbered names that quote and
+    ``syntax.fresh_name`` make up."""
     global_free = free_vars(t)
     out: list[PureTerm] = []
     work: list[tuple] = [("go", t, {}, frozenset())]

@@ -62,6 +62,7 @@ from .syntax import (
     Term,
     Type,
     Var,
+    demote_skeleton,
     promote_skeleton,
 )
 
@@ -420,7 +421,10 @@ class Parser:
             return node
         if isinstance(node, Kind):
             raise ParseError("expected a term, found a kind", span)
-        return demote_type_to_term(node, span)
+        try:
+            return demote_skeleton(node, span)
+        except TypeError:
+            raise ParseError("this type is not usable as a term", span) from None
 
     # -- terms ----------------------------------------------------------------
 
@@ -586,17 +590,6 @@ def _is_promotable(t: Term) -> bool:
     while isinstance(t, App):
         t = t.fn
     return isinstance(t, Var)
-
-
-def demote_type_to_term(ty: Type, span: Span) -> Term:
-    """Reinterpret a type var/application/λ skeleton as a term."""
-    if isinstance(ty, TVar):
-        return Var(ty.name, span=ty.span or span)
-    if isinstance(ty, TAppE):
-        return App(demote_type_to_term(ty.fn, span), ty.arg, span=ty.span or span)
-    if isinstance(ty, TLam) and not isinstance(ty.ann, Kind):
-        return Lam(ty.name, demote_type_to_term(ty.body, span), ty.ann, span=ty.span or span)
-    raise ParseError("this type is not usable as a term", span)
 
 
 # ---------------------------------------------------------------------------

@@ -164,55 +164,13 @@ def substitute(body: PureTerm, name: str, value: PureTerm) -> PureTerm:
     Binders in ``body`` that would capture a free variable of ``value``
     are renamed with globally fresh names.
     """
-    value_fvs = free_vars(value)
-
-    # Iterative rewrite with an explicit continuation stack.  Frames:
-    #   ("go", term, env)   -- env maps names to replacement terms
-    #   ("lam", name)       -- rebuild a lambda
-    #   ("app",)            -- rebuild an application
-    results: list[PureTerm] = []
-    work: list[tuple] = [("go", body, {name: value})]
-    while work:
-        frame = work.pop()
-        tag = frame[0]
-        if tag == "go":
-            _, t, env = frame
-            if isinstance(t, PVar):
-                results.append(env.get(t.name, t))
-            elif isinstance(t, PApp):
-                work.append(("app",))
-                work.append(("go", t.arg, env))
-                work.append(("go", t.fn, env))
-            else:
-                assert isinstance(t, PLam)
-                if t.name in env and len(env) == 1:
-                    # substitution shadowed entirely
-                    results.append(t)
-                    continue
-                env2 = {k: v for k, v in env.items() if k != t.name}
-                if not env2:
-                    results.append(t)
-                    continue
-                binder = t.name
-                body2 = t.body
-                if binder in value_fvs:
-                    binder = fresh_name(t.name)
-                    env2 = dict(env2)
-                    env2[t.name] = PVar(binder)
-                work.append(("lam", binder))
-                work.append(("go", body2, env2))
-        elif tag == "lam":
-            results.append(PLam(frame[1], results.pop()))
-        else:  # "app"
-            arg = results.pop()
-            fn = results.pop()
-            results.append(PApp(fn, arg))
-    return results[0]
+    return substitute_many(body, {name: value})
 
 
 def substitute_many(t: PureTerm, env: dict[str, PureTerm]) -> PureTerm:
-    """Simultaneous substitution of several closed (or capture-safe)
-    terms; used to expand top-level definition names in erasures."""
+    """Capture-avoiding simultaneous substitution ``t[env]``: binders of
+    ``t`` that would capture a free variable of a replacement are renamed
+    with globally fresh names."""
     if not env:
         return t
     all_fvs: frozenset[str] = frozenset().union(*(free_vars(v) for v in env.values()))
@@ -546,27 +504,22 @@ Entry = Union[TermBind, TypeBind, Defn]
 
 
 class Context:
-    """Ordered telescope of bindings and definitions.
+    """Bindings and definitions by name.
 
-    Lookup returns the rightmost entry for a name.  Contexts are
-    persistent: ``extend`` returns a new context sharing the spine, so a
+    Lookup returns the latest entry for a name.  Contexts are persistent:
+    ``extend`` returns a new context and leaves this one unchanged, so a
     fully-checked prelude can be shared between concurrent checkers.
     """
 
-    __slots__ = ("_entries", "_index")
+    __slots__ = ("_index",)
 
-    def __init__(self, entries: tuple[Entry, ...] = (), index: Optional[dict[str, Entry]] = None):
-        self._entries = entries
-        if index is None:
-            index = {}
-            for e in entries:
-                index[e.name] = e
-        self._index = index
+    def __init__(self, index: Optional[dict[str, Entry]] = None):
+        self._index = {} if index is None else index
 
     def extend(self, entry: Entry) -> "Context":
         idx = dict(self._index)
         idx[entry.name] = entry
-        return Context(self._entries + (entry,), idx)
+        return Context(idx)
 
     def lookup(self, name: str) -> Optional[Entry]:
         return self._index.get(name)
@@ -574,23 +527,10 @@ class Context:
     def __contains__(self, name: str) -> bool:
         return name in self._index
 
-    def entries(self) -> tuple[Entry, ...]:
-        return self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 # ---------------------------------------------------------------------------
 # Traversals and substitution over annotated syntax
 # ---------------------------------------------------------------------------
-
-
-def _is_syntax(x) -> bool:
-    return isinstance(x, (Term, Type, Kind))
-
-
-_BINDERS = {Lam, ELam, Pi, All, AllK, Iota, TLam, KPi, KPiK}
 
 
 def term_free_names(x: Union[Term, Type, Kind, DeferredArg]) -> frozenset[str]:
@@ -609,27 +549,17 @@ def term_free_names(x: Union[Term, Type, Kind, DeferredArg]) -> frozenset[str]:
         if isinstance(cur, (Beta, Star)):
             continue
         cls = type(cur)
-        if cls in (Lam, ELam):
+        if cls in (Lam, ELam, TLam):
             if cur.ann is not None:
                 stack.append((cur.ann, bound))
             stack.append((cur.body, bound | {cur.name}))
-        elif cls is TLam:
-            if cur.ann is not None:
-                stack.append((cur.ann, bound))
-            stack.append((cur.body, bound | {cur.name}))
-        elif cls in (Pi, All, AllK):
+        elif cls in (Pi, All, AllK, KPi, KPiK):
             stack.append((cur.dom, bound))
             stack.append((cur.cod, bound | {cur.name}))
         elif cls is Iota:
             stack.append((cur.fst, bound))
             stack.append((cur.snd, bound | {cur.name}))
-        elif cls in (KPi, KPiK):
-            stack.append((cur.dom, bound))
-            stack.append((cur.cod, bound | {cur.name}))
-        elif cls is App:
-            stack.append((cur.fn, bound))
-            stack.append((cur.arg, bound))
-        elif cls is EApp:
+        elif cls in (App, EApp, TAppT, TAppE):
             stack.append((cur.fn, bound))
             stack.append((cur.arg, bound))
         elif cls is Rho:
@@ -651,9 +581,6 @@ def term_free_names(x: Union[Term, Type, Kind, DeferredArg]) -> frozenset[str]:
         elif cls is Eq:
             stack.append((cur.lhs, bound))
             stack.append((cur.rhs, bound))
-        elif cls in (TAppT, TAppE):
-            stack.append((cur.fn, bound))
-            stack.append((cur.arg, bound))
         else:  # pragma: no cover
             raise TypeError(f"unknown syntax node {cls.__name__}")
     return frozenset(out)
@@ -818,17 +745,13 @@ def syntax_alpha_eq(a, b) -> bool:
             if x.ann is not None and not go(x.ann, y.ann, envx, envy):
                 return False
             return _go_bound(x.name, x.body, y.name, y.body, envx, envy, go)
-        if cx in (Pi, All, AllK):
+        if cx in (Pi, All, AllK, KPi, KPiK):
             return go(x.dom, y.dom, envx, envy) and _go_bound(
                 x.name, x.cod, y.name, y.cod, envx, envy, go
             )
         if cx is Iota:
             return go(x.fst, y.fst, envx, envy) and _go_bound(
                 x.name, x.snd, y.name, y.snd, envx, envy, go
-            )
-        if cx in (KPi, KPiK):
-            return go(x.dom, y.dom, envx, envy) and _go_bound(
-                x.name, x.cod, y.name, y.cod, envx, envy, go
             )
         if cx in (App, EApp, TAppT, TAppE):
             return go(x.fn, y.fn, envx, envy) and go(x.arg, y.arg, envx, envy)
@@ -879,3 +802,15 @@ def promote_skeleton(t: Term) -> Type:
     if isinstance(t, Lam):
         return TLam(t.name, promote_skeleton(t.body), t.ann, t.span)
     raise TypeError(f"not a promotable skeleton: {t!r}")
+
+
+def demote_skeleton(ty: Type, span: Optional[Span] = None) -> Term:
+    """Reinterpret a type var/application/λ skeleton as a term, the inverse
+    of :func:`promote_skeleton`; ``span`` stands in for a missing one."""
+    if isinstance(ty, TVar):
+        return Var(ty.name, ty.span or span)
+    if isinstance(ty, TAppE):
+        return App(demote_skeleton(ty.fn, span), ty.arg, ty.span or span)
+    if isinstance(ty, TLam) and not isinstance(ty.ann, Kind):
+        return Lam(ty.name, demote_skeleton(ty.body, span), ty.ann, ty.span or span)
+    raise TypeError(f"not a demotable skeleton: {ty!r}")

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import enum
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -76,8 +77,10 @@ from .syntax import (
     TypeBind,
     Var,
     de_bruijn,
+    demote_skeleton,
     free_vars,
     fresh_name,
+    promote_skeleton,
     subst1,
     substitute_many,
     term_free_names,
@@ -104,20 +107,6 @@ class CheckError(Exception):
         self.code = code
         self.message = message
         self.span = span
-
-
-@dataclass(frozen=True)
-class Judgement:
-    """A judgement ``Γ ⊢ subject : classifier`` (mode 'check') or
-    ``Γ ⊢ subject ⇒ ?`` (mode 'infer')."""
-
-    context: Context
-    subject: Union[Term, Type]
-    mode: str  # "check" | "infer"
-    classifier: Optional[Union[Type, Kind]] = None
-
-    def __post_init__(self):
-        assert (self.classifier is not None) == (self.mode == "check")
 
 
 def _canon_msg(s: str) -> str:
@@ -181,9 +170,15 @@ class Checker:
             raise CheckError(ErrorCode.UnboundName, f"unbound type name {name!r}", span)
         raise CheckError(ErrorCode.UnboundName, f"{name!r} is not a type", span)
 
+    @contextmanager
     def _with(self, entry):
         """Run a block with an extended context (restores afterwards)."""
-        return _CtxGuard(self, entry)
+        saved = self.ctx
+        self.ctx = saved.extend(entry)
+        try:
+            yield
+        finally:
+            self.ctx = saved
 
     def scope_check(self, t: Union[Term, Type], span=None) -> None:
         for n in sorted(term_free_names(t)):
@@ -196,20 +191,12 @@ class Checker:
 
     def whnf_beta(self, T: Type) -> Type:
         """Contract type-level beta redexes at the head (no unfolding)."""
-        while True:
-            if isinstance(T, TAppT):
-                f = self.whnf_beta(T.fn)
-                if isinstance(f, TLam):
-                    T = subst1(f.body, f.name, T.arg)
-                    continue
-                return TAppT(f, T.arg, T.span) if f is not T.fn else T
-            if isinstance(T, TAppE):
-                f = self.whnf_beta(T.fn)
-                if isinstance(f, TLam):
-                    T = subst1(f.body, f.name, T.arg)
-                    continue
-                return TAppE(f, T.arg, T.span) if f is not T.fn else T
-            return T
+        while isinstance(T, (TAppT, TAppE)):
+            f = self.whnf_beta(T.fn)
+            if not isinstance(f, TLam):
+                return type(T)(f, T.arg, T.span) if f is not T.fn else T
+            T = subst1(f.body, f.name, T.arg)
+        return T
 
     def _unfold_head(self, T: Type) -> Optional[Type]:
         """Unfold a defined head name once; None if nothing to unfold."""
@@ -224,10 +211,8 @@ class Checker:
         return None
 
     def _replace_head(self, T: Type, new_head: Type) -> Type:
-        if isinstance(T, TAppT):
-            return TAppT(self._replace_head(T.fn, new_head), T.arg, T.span)
-        if isinstance(T, TAppE):
-            return TAppE(self._replace_head(T.fn, new_head), T.arg, T.span)
+        if isinstance(T, (TAppT, TAppE)):
+            return type(T)(self._replace_head(T.fn, new_head), T.arg, T.span)
         return new_head
 
     def whnf_type(self, T: Type) -> Type:
@@ -245,9 +230,6 @@ class Checker:
     # ------------------------------------------------------------------
 
     def types_conv(self, A: Type, B: Type) -> bool:
-        return self._conv(A, B)
-
-    def _conv(self, A: Type, B: Type) -> bool:
         A = self.whnf_beta(A)
         B = self.whnf_beta(B)
         if A is B:
@@ -263,44 +245,42 @@ class Checker:
             ua, ub = self._unfold_head(A), self._unfold_head(B)
             if ua is None and ub is None:
                 return False
-            return self._conv(ua if ua is not None else A, ub if ub is not None else B)
+            return self.types_conv(ua if ua is not None else A, ub if ub is not None else B)
         if isinstance(ha, TVar):
             ua = self._unfold_head(A)
-            return ua is not None and self._conv(ua, B)
+            return ua is not None and self.types_conv(ua, B)
         if isinstance(hb, TVar):
             ub = self._unfold_head(B)
-            return ub is not None and self._conv(A, ub)
+            return ub is not None and self.types_conv(A, ub)
 
-        if isinstance(A, Pi) and isinstance(B, Pi):
-            return self._conv_binder(A, B, term_binder=True)
-        if isinstance(A, All) and isinstance(B, All):
-            return self._conv_binder(A, B, term_binder=True)
+        if isinstance(A, (Pi, All)) and type(A) is type(B):
+            return self._conv_binder(A, B)
         if isinstance(A, AllK) and isinstance(B, AllK):
             if not self.kinds_conv(A.dom, B.dom):
                 return False
             z = fresh_name(A.name)
-            return self._conv(subst1(A.cod, A.name, TVar(z)), subst1(B.cod, B.name, TVar(z)))
+            return self.types_conv(subst1(A.cod, A.name, TVar(z)), subst1(B.cod, B.name, TVar(z)))
         if isinstance(A, Iota) and isinstance(B, Iota):
-            if not self._conv(A.fst, B.fst):
+            if not self.types_conv(A.fst, B.fst):
                 return False
             z = fresh_name(A.name)
-            return self._conv(subst1(A.snd, A.name, Var(z)), subst1(B.snd, B.name, Var(z)))
+            return self.types_conv(subst1(A.snd, A.name, Var(z)), subst1(B.snd, B.name, Var(z)))
         if isinstance(A, Eq) and isinstance(B, Eq):
             return self.terms_conv(A.lhs, B.lhs) and self.terms_conv(A.rhs, B.rhs)
         if isinstance(A, TLam) and isinstance(B, TLam):
             z = fresh_name(A.name)
             # binder sort does not affect conversion; rename consistently
             if isinstance(A.ann, Kind) or isinstance(B.ann, Kind):
-                return self._conv(subst1(A.body, A.name, TVar(z)), subst1(B.body, B.name, TVar(z)))
-            return self._conv(subst1(A.body, A.name, Var(z)), subst1(B.body, B.name, Var(z)))
+                return self.types_conv(subst1(A.body, A.name, TVar(z)), subst1(B.body, B.name, TVar(z)))
+            return self.types_conv(subst1(A.body, A.name, Var(z)), subst1(B.body, B.name, Var(z)))
         return False
 
-    def _conv_binder(self, A, B, term_binder: bool) -> bool:
-        if not self._conv(A.dom, B.dom):
+    def _conv_binder(self, A, B) -> bool:
+        if not self.types_conv(A.dom, B.dom):
             return False
         z = fresh_name(A.name)
         v = Var(z)
-        return self._conv(subst1(A.cod, A.name, v), subst1(B.cod, B.name, v))
+        return self.types_conv(subst1(A.cod, A.name, v), subst1(B.cod, B.name, v))
 
     def _spine(self, T: Type):
         args = []
@@ -311,7 +291,7 @@ class Checker:
 
     def _arg_conv(self, x, y) -> bool:
         if isinstance(x, Type) and isinstance(y, Type):
-            return self._conv(x, y)
+            return self.types_conv(x, y)
         if isinstance(x, Term) and isinstance(y, Term):
             return self.terms_conv(x, y)
         return False
@@ -320,7 +300,7 @@ class Checker:
         if isinstance(k1, Star) and isinstance(k2, Star):
             return True
         if isinstance(k1, KPi) and isinstance(k2, KPi):
-            if not self._conv(k1.dom, k2.dom):
+            if not self.types_conv(k1.dom, k2.dom):
                 return False
             z = fresh_name(k1.name)
             return self.kinds_conv(subst1(k1.cod, k1.name, Var(z)), subst1(k2.cod, k2.name, Var(z)))
@@ -421,7 +401,7 @@ class Checker:
                         sp,
                     )
                 self.check_type(a, fk.dom)
-                return _subst_kind(fk.cod, fk.name, a)
+                return subst1(fk.cod, fk.name, a)
             case TAppE(fn=f, arg=a, span=sp):
                 fk = self.infer_kind(f)
                 if not isinstance(fk, KPi):
@@ -431,29 +411,20 @@ class Checker:
                         sp,
                     )
                 self.check_term(a, fk.dom)
-                return _subst_kind(fk.cod, fk.name, a)
+                return subst1(fk.cod, fk.name, a)
         raise CheckError(ErrorCode.KindMismatch, f"malformed type {T!r}")
 
     def check_type(self, T: Type, k: Kind) -> None:
         if isinstance(T, TLam) and T.ann is None:
             if isinstance(k, KPi):
                 with self._with(TermBind(T.name, k.dom)):
-                    self.check_type(T.body, _subst_kind(k.cod, k.name, Var(T.name)))
+                    self.check_type(T.body, subst1(k.cod, k.name, Var(T.name)))
                 return
             if isinstance(k, KPiK):
                 with self._with(TypeBind(T.name, k.dom)):
-                    self.check_type(T.body, _subst_kind(k.cod, k.name, TVar(T.name)))
+                    self.check_type(T.body, subst1(k.cod, k.name, TVar(T.name)))
                 return
             raise CheckError(ErrorCode.KindMismatch, "type-level λ against a non-Π kind", T.span)
-        if isinstance(T, TLam) and T.ann is not None:
-            inferred = self.infer_kind(T)
-            if not self.kinds_conv(inferred, k):
-                raise CheckError(
-                    ErrorCode.KindMismatch,
-                    _canon_msg(f"expected kind {pp.pretty(k)}, found {pp.pretty(inferred)}"),
-                    T.span,
-                )
-            return
         inferred = self.infer_kind(T)
         if not self.kinds_conv(inferred, k):
             raise CheckError(
@@ -559,23 +530,20 @@ class Checker:
             return a.expr
         if isinstance(a, Term):
             return a
-        demoted = _try_demote_type(a)
-        if demoted is not None:
-            return demoted
-        raise CheckError(ErrorCode.TypeMismatch, "expected an erased term argument, found a type", sp)
+        try:
+            return demote_skeleton(a)
+        except TypeError:
+            raise CheckError(ErrorCode.TypeMismatch, "expected an erased term argument, found a type", sp) from None
 
     def _resolve_type_arg(self, a, sp) -> Type:
-        if isinstance(a, DeferredArg):
-            promoted = _try_promote_term(a.expr)
-            if promoted is None:
-                raise CheckError(ErrorCode.TypeMismatch, "erased argument is not a type", sp)
-            return promoted
         if isinstance(a, Type):
             return a
-        promoted = _try_promote_term(a)
-        if promoted is None:
-            raise CheckError(ErrorCode.TypeMismatch, "expected an erased type argument, found a term", sp)
-        return promoted
+        deferred = isinstance(a, DeferredArg)
+        try:
+            return promote_skeleton(a.expr if deferred else a)
+        except TypeError:
+            what = "erased argument is not a type" if deferred else "expected an erased type argument, found a term"
+            raise CheckError(ErrorCode.TypeMismatch, what, sp) from None
 
     def _phi_conditions(self, q: Term, main: Term, target: Term, sp) -> None:
         s1, s2 = self._eq_sides(q, sp)
@@ -845,47 +813,6 @@ def _freshen_if(name: str, under, avoid):
     return name, under
 
 
-def _subst_kind(k: Kind, name: str, value) -> Kind:
-    return subst1(k, name, value)
-
-
-def _try_demote_type(ty: Type) -> Optional[Term]:
-    if isinstance(ty, TVar):
-        return Var(ty.name, ty.span)
-    if isinstance(ty, TAppE):
-        fn = _try_demote_type(ty.fn)
-        return None if fn is None else App(fn, ty.arg, ty.span)
-    return None
-
-
-def _try_promote_term(t: Term) -> Optional[Type]:
-    if isinstance(t, Var):
-        return TVar(t.name, t.span)
-    if isinstance(t, App):
-        fn = _try_promote_term(t.fn)
-        return None if fn is None else TAppE(fn, t.arg, t.span)
-    if isinstance(t, Lam):
-        body = _try_promote_term(t.body)
-        return None if body is None else TLam(t.name, body, t.ann, t.span)
-    return None
-
-
-class _CtxGuard:
-    def __init__(self, checker: Checker, entry):
-        self.checker = checker
-        self.entry = entry
-        self.saved = None
-
-    def __enter__(self):
-        self.saved = self.checker.ctx
-        self.checker.ctx = self.checker.ctx.extend(self.entry)
-        return self
-
-    def __exit__(self, *exc):
-        self.checker.ctx = self.saved
-        return False
-
-
 # ---------------------------------------------------------------------------
 # module checking
 # ---------------------------------------------------------------------------
@@ -928,7 +855,9 @@ class ModuleError(Exception):
 def check_defs(defs, checker: Optional[Checker] = None) -> tuple[Checker, CheckReport]:
     """Check an ordered list of (file, RawDef) pairs, extending the
     context with each definition; a failed definition is recorded and its
-    declared classifier still enters the context."""
+    declared classifier still enters the context.  A duplicate name, or a
+    definition nested too deeply for the recursive checker, raises
+    ModuleError."""
     ck = checker or Checker()
     report = CheckReport()
     for file, d in defs:
@@ -942,6 +871,8 @@ def check_defs(defs, checker: Optional[Checker] = None) -> tuple[Checker, CheckR
                 DefResult(d.name, file, False, e.code.value, _canon_msg(e.message), e.span or d.span)
             )
             ck.ctx = ck.ctx.extend(Defn(d.name, d.classifier, None, d.span))
+        except RecursionError:
+            raise ModuleError(f"{d.span}: definition {d.name!r} is nested too deeply to check") from None
     return ck, report
 
 

@@ -1,4 +1,5 @@
 import os
+import random
 import sys
 
 import pytest
@@ -28,3 +29,29 @@ def corpus_defs():
     from cdle.loader import load_program
 
     return load_program(corpus_paths(CORPUS))
+
+
+@pytest.fixture(scope="session")
+def oracle_samples():
+    """The machine and the substitution oracle on 1000 random terms (seed
+    20260811, size 30, fuel 10^4), drawn once for the two tests that
+    compare them.  A term whose textual reduction exceeds a work budget
+    of 800,000 is rejected, at most 500 times.  Returns
+    ``(samples, rejected)`` with one ``(oracle nf, oracle beta, oracle
+    eta, machine outcome)`` per accepted term."""
+    from cdle.reduction import Fuel, normalize
+    from gen import gen_pure
+    from oracle import OracleWorkExceeded, oracle_normalize
+
+    rng = random.Random(20260811)
+    samples: list = []
+    rejected = 0
+    while len(samples) < 1000 and rejected < 500:
+        t = gen_pure(rng, 30)
+        try:
+            nf_o, ob, oe = oracle_normalize(t, 10_000, work_budget=800_000)
+        except OracleWorkExceeded:
+            rejected += 1
+            continue
+        samples.append((nf_o, ob, oe, normalize(t, Fuel(10_000))))
+    return samples, rejected

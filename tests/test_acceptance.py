@@ -12,22 +12,22 @@ line (run with ``pytest -s tests/test_acceptance.py`` to see them).
     determinism) are green
 """
 
+import os
 import random
 import time
 
 import pytest
 
 from cdle.cli import classify_costs
-from cdle.corpus import corpus_manifest, synth_input_nf, parse_pure
+from cdle.corpus import negative_expectations, synth_input_nf, parse_pure
 from cdle.loader import load_program
-from cdle.reduction import Fuel, apply_and_count, beta_eta_eq, normalize
+from cdle.reduction import apply_and_count, beta_eta_eq, normalize
 from cdle.surface import parse_classifier, parse_term, parse_type_expr
 from cdle.syntax import PLam, PVar, alpha_eq, syntax_alpha_eq
 from cdle.typecheck import Checker, check_defs
 
-from conftest import CORPUS
+from conftest import CORPUS, NEGATIVE
 from gen import gen_pure
-from oracle import OracleWorkExceeded, oracle_normalize
 
 
 def report(n, ok, detail=""):
@@ -114,26 +114,13 @@ def test_acceptance_4_cost_scaling(checked_corpus):
     report(4, ok, f"{verdicts} in {elapsed:.1f}s")
 
 
-NEGATIVE_EXPECT = {
-    "erased_var": "ErasedVarOccursFree",
-    "intersection_mismatch": "IntersectionErasureMismatch",
-    "phi_mismatch": "PhiEqMismatch",
-    "rho_no_occurrence": "RhoNoOccurrence",
-    "unbound_name": "UnboundName",
-    "kind_mismatch": "KindMismatch",
-    "type_mismatch": "TypeMismatch",
-    "not_a_function": "NotAFunction",
-    "not_an_intersection": "NotAnIntersection",
-    "eq_sides_untypeable": "EqSidesUntypeable",
-    "beta_mismatch": "TypeMismatch",
-}
-
-
 def test_acceptance_5_negative_suite(checked_corpus):
     ck, _ = checked_corpus
+    expect = negative_expectations(NEGATIVE)
+    assert len(expect) == len([f for f in os.listdir(NEGATIVE) if f.endswith(".cdl")]) == 11
     hits = 0
     problems = []
-    for stem, want in sorted(NEGATIVE_EXPECT.items()):
+    for stem, want in sorted(expect.items()):
         defs = load_program([f"negative/{stem}.cdl"], root=CORPUS)
         _, rep = check_defs(defs)
         bad = [r for r in rep.results if not r.ok]
@@ -143,24 +130,17 @@ def test_acceptance_5_negative_suite(checked_corpus):
             problems.append(stem)
     # the unerased-premise variant typechecks but is not the identity
     wrong_ok = not alpha_eq(normalize(ck.pure_env["appL2appV!wrong"]).result, PLam("x", PVar("x")))
-    ok = hits == len(NEGATIVE_EXPECT) and hits >= 8 and wrong_ok
+    ok = hits == len(expect) and hits >= 8 and wrong_ok
     report(5, ok, f"{hits} rejections with specified codes; unerased-premise variant non-identity: {wrong_ok}"
            + (f"; problems: {problems}" if problems else ""))
 
 
-def test_acceptance_6_normalizer_oracle_equivalence():
-    rng = random.Random(20260811)
-    accepted = rejected = failures = exhausted = 0
-    while accepted < 1000:
-        t = gen_pure(rng, 30)
-        try:
-            nf_o, ob, oe = oracle_normalize(t, 10_000, work_budget=800_000)
-        except OracleWorkExceeded:
-            rejected += 1
-            assert rejected < 500
-            continue
-        accepted += 1
-        nf_m = normalize(t, Fuel(10_000))
+def test_acceptance_6_normalizer_oracle_equivalence(oracle_samples):
+    samples, rejected = oracle_samples
+    assert rejected < 500
+    assert len(samples) == 1000
+    failures = exhausted = 0
+    for nf_o, ob, oe, nf_m in samples:
         agree = (
             nf_m.fuel_exhausted == (nf_o is None)
             and (nf_m.beta_steps, nf_m.eta_steps) == (ob, oe)

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -113,6 +115,33 @@ def test_check_lambda_chain_nested_too_deeply_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(path))
     assert code == 2
     assert err.startswith(f"error: {path}:1:12509: term nested more than 2500 levels deep")
+
+
+def test_check_duplicate_name_across_modules_exit_two(capsys, tmp_path):
+    paths = []
+    for stem in ("a", "b"):
+        path = tmp_path / f"{stem}.cdl"
+        path.write_text("Unit2 ◂ ★ = ∀ X : ★. X ➔ X.\n", encoding="utf-8")
+        paths.append(str(path))
+    code, _, err = run(capsys, "check", *paths)
+    assert code == 2
+    assert err == f"error: {paths[1]}: duplicate top-level name 'Unit2'\n"
+
+
+def test_check_deep_well_typed_term_exit_two(tmp_path):
+    """The checker recurses once per nesting level, so a well-typed term
+    2,000 levels deep outruns the default recursion limit.  It runs in a
+    fresh interpreter: in this one, an earlier ``normalize`` may have
+    raised the limit."""
+    path = tmp_path / "deep.cdl"
+    body = "f (" * 1999 + "f x" + ")" * 1999
+    path.write_text(f"c ◂ ∀ A : ★. (A ➔ A) ➔ A ➔ A = Λ A. λ f. λ x. {body}.\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cdle.cli", "check", str(path)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {path}:1:1: definition 'c' is nested too deeply to check\n"
 
 
 def test_normalize_definition(capsys):

@@ -1,0 +1,33 @@
+"""Concurrent use: normal forms, step counts and check reports computed
+on four threads at once equal those of a serial run."""
+
+import os
+import random
+from concurrent.futures import ThreadPoolExecutor
+
+from cdle.loader import load_program
+from cdle.reduction import Fuel, normalize
+from cdle.typecheck import Checker, check_defs
+
+from conftest import CORPUS, NEGATIVE
+from gen import gen_pure
+
+
+def test_threads_match_a_serial_run(corpus_defs):
+    rng = random.Random(7)
+    terms = [gen_pure(rng, 20) for _ in range(100)]
+    programs = [corpus_defs] + [
+        load_program([os.path.join(NEGATIVE, f)], root=CORPUS) for f in sorted(os.listdir(NEGATIVE))
+    ]
+
+    def work():
+        outcomes = [normalize(t, Fuel(1000)) for t in terms]
+        reports = [check_defs(defs, Checker())[1].render() for defs in programs]
+        return [(o.result, o.beta_steps, o.eta_steps) for o in outcomes], reports
+
+    serial = work()
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        runs = [f.result() for f in [pool.submit(work) for _ in range(4)]]
+    for nfs, reports in runs:
+        assert nfs == serial[0]
+        assert reports == serial[1]

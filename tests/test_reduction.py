@@ -8,7 +8,6 @@ import pytest
 from cdle.reduction import Fuel, FuelExhaustedError, apply_and_count, beta_eta_eq, normalize
 from cdle.syntax import PApp, PLam, PVar, alpha_eq, free_vars
 from gen import gen_pure
-from oracle import OracleWorkExceeded, oracle_normalize
 
 
 def lam(x, b):
@@ -122,24 +121,17 @@ def test_apply_and_count_identity_is_one_step():
     assert alpha_eq(out.result, church(8))
 
 
-def test_oracle_agreement_1000_terms():
+def test_oracle_agreement_1000_terms(oracle_samples):
     """The environment machine and the naive substitution-based reducer
     agree on 1000 random well-scoped terms (size <= 30, fuel 10^4):
     identical normal forms up to alpha, or both fuel-exhausted, with
     identical step counts.  Samples whose textual reduction exceeds a
     desk-scale work budget are discarded before comparison."""
-    rng = random.Random(20260811)
-    accepted = rejected = exhausted = 0
-    while accepted < 1000:
-        assert rejected < 500, "generator produced too many monsters"
-        t = gen_pure(rng, 30)
-        try:
-            nf_o, ob, oe = oracle_normalize(t, 10_000, work_budget=800_000)
-        except OracleWorkExceeded:
-            rejected += 1
-            continue
-        accepted += 1
-        nf_m = normalize(t, Fuel(10_000))
+    samples, rejected = oracle_samples
+    assert rejected < 500, "generator produced too many monsters"
+    accepted = len(samples)
+    exhausted = 0
+    for nf_o, ob, oe, nf_m in samples:
         assert nf_m.fuel_exhausted == (nf_o is None)
         assert (nf_m.beta_steps, nf_m.eta_steps) == (ob, oe)
         if nf_o is not None:

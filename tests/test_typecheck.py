@@ -2,15 +2,17 @@
 rewrite primitive, the negative suite, weakening, and determinism."""
 
 import json
+import os
 
 import pytest
 
+from cdle.corpus import negative_expectations
 from cdle.loader import load_program
 from cdle.surface import parse_term, parse_type_expr
 from cdle.syntax import Eq, Star, TermBind, TVar
-from cdle.typecheck import CheckError, Checker, ErrorCode, Judgement, check_defs
+from cdle.typecheck import CheckError, Checker, ErrorCode, check_defs
 
-from conftest import CORPUS
+from conftest import CORPUS, NEGATIVE
 
 
 # --- kind synthesis ---------------------------------------------------------
@@ -206,23 +208,12 @@ def test_guided_rho(checked_corpus):
 # --- modules ----------------------------------------------------------------
 
 
-NEG_EXPECT = {
-    "erased_var": "ErasedVarOccursFree",
-    "intersection_mismatch": "IntersectionErasureMismatch",
-    "phi_mismatch": "PhiEqMismatch",
-    "rho_no_occurrence": "RhoNoOccurrence",
-    "unbound_name": "UnboundName",
-    "kind_mismatch": "KindMismatch",
-    "type_mismatch": "TypeMismatch",
-    "not_a_function": "NotAFunction",
-    "not_an_intersection": "NotAnIntersection",
-    "eq_sides_untypeable": "EqSidesUntypeable",
-    "beta_mismatch": "TypeMismatch",
-}
+NEG_EXPECT = negative_expectations(NEGATIVE)
 
 
 @pytest.mark.parametrize("stem,want", sorted(NEG_EXPECT.items()))
 def test_negative_suite(stem, want):
+    assert len(NEG_EXPECT) == len([f for f in os.listdir(NEGATIVE) if f.endswith(".cdl")]) == 11
     defs = load_program([f"negative/{stem}.cdl"], root=CORPUS)
     ck, report = check_defs(defs)
     bad = [r for r in report.results if not r.ok]
@@ -369,14 +360,6 @@ def test_check_module_determinism(corpus_defs):
     n1 = check_defs(defs, Checker())[1].render()
     n2 = check_defs(defs, Checker())[1].render()
     assert n1 == n2
-
-
-def test_judgement_shape():
-    ck = Checker()
-    j = Judgement(ck.ctx, parse_term("λ x. x"), "check", parse_type_expr("∀ X : ★. X ➔ X"))
-    assert j.mode == "check"
-    with pytest.raises(AssertionError):
-        Judgement(ck.ctx, parse_term("λ x. x"), "infer", parse_type_expr("∀ X : ★. X ➔ X"))
 
 
 def test_expansion_avoids_capturing_a_free_parameter():
