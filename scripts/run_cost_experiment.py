@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Step-count the measured conversions on synthesized inputs and write a
-CSV, contrasting the linear-time conversions with their zero-cost
-variants.
+"""Step-count every measured conversion in ``COST_CLASSES`` on
+synthesized inputs, at sizes set by its cost class, and write a CSV,
+contrasting the linear-time conversions with their zero-cost variants.
 
 Usage: python scripts/run_cost_experiment.py [--out costs.csv]
 """
@@ -15,12 +15,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from cdle.cli import classify_costs
 from cdle.corpus import COST_CLASSES, cost_rows, load_checked_corpus
 
-EXPERIMENTS = [
-    ("v2l", [8, 16, 32, 64]),
-    ("v2l!", [8, 64, 512]),
-    ("l2v", [8, 16, 32, 64]),
-    ("l2v!", [8, 64, 512]),
-]
+# input sizes per cost class
+SIZES = {"linear": [8, 16, 32, 64], "constant": [8, 64, 512, 4096]}
 
 
 def main() -> int:
@@ -35,9 +31,8 @@ def main() -> int:
 
     lines = ["name,n,beta_steps,eta_steps,fuel_exhausted"]
     failures = 0
-    for name, sizes in EXPERIMENTS:
-        expected = COST_CLASSES[name][0]
-        rows = cost_rows(ck, name, sizes)
+    for name, (expected, _) in COST_CLASSES.items():
+        rows = cost_rows(ck, name, SIZES[expected])
         print(f"\n{name}  (expected: {expected})")
         print(f"  {'n':>6} {'beta':>8} {'eta':>5}")
         for n, beta, eta, exhausted in rows:

@@ -19,7 +19,6 @@ import sys
 
 from .corpus import (
     COST_CLASSES,
-    InputFuelExhaustedError,
     cost_rows,
     default_corpus_root,
     load_checked_corpus,
@@ -73,7 +72,7 @@ def _checked_def_nf(args, paths, name):
         return None, EXIT_SEMANTIC
     if name not in ck.pure_env:
         print(f"error: no definition named {name!r}", file=sys.stderr)
-        return None, EXIT_SEMANTIC
+        return None, EXIT_USAGE
     out = normalize(ck.pure_env[name], _fuel(args))
     if out.fuel_exhausted:
         print("error: fuel exhausted", file=sys.stderr)
@@ -177,9 +176,6 @@ def cmd_cost(args) -> int:
         return EXIT_SEMANTIC
     try:
         rows = cost_rows(ck, args.name, sizes, _fuel(args))
-    except InputFuelExhaustedError as e:
-        print(f"error: fuel exhausted synthesizing the n={e.n} input", file=sys.stderr)
-        return EXIT_SEMANTIC
     except FuelExhaustedError:
         print("error: fuel exhausted normalizing the conversion", file=sys.stderr)
         return EXIT_SEMANTIC

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .loader import load_program
 from .reduction import Fuel, FuelExhaustedError, apply_and_count, beta_eta_eq, normalize
-from .syntax import App, PureTerm, Term, Var
+from .syntax import PApp, PLam, PureTerm, PVar, Var
 from .typecheck import Checker, CheckReport, check_defs
 
 CORPUS_FILE_ORDER = [
@@ -121,6 +121,8 @@ COST_CLASSES: dict[str, tuple[str, str]] = {
     "v2l!": ("constant", "vec"),
     "l2v": ("linear", "list"),
     "l2v!": ("constant", "list"),
+    "v2lG!": ("constant", "vec"),
+    "l2vG!": ("constant", "list"),
 }
 
 _PINNED_CLASSIFIERS: dict[str, str] = {
@@ -277,30 +279,23 @@ def verify_goldens(manifest: list[CorpusEntry], checker: Checker, fuel: Fuel = F
 # ---------------------------------------------------------------------------
 
 
-class InputFuelExhaustedError(FuelExhaustedError):
-    """Raised when normalizing the synthesized input of size ``n`` runs
-    out of fuel."""
-
-    def __init__(self, n: int, beta_steps: int, eta_steps: int):
-        super().__init__(beta_steps, eta_steps)
-        self.n = n
-
-
 def synth_input_nf(checker: Checker, kind: str, n: int, fuel: Fuel = Fuel()) -> PureTerm:
-    """The normal form of a ``kind`` ("list" or "vec") of n unit elements.
+    """The normal form of a ``kind`` ("list" or "vec") of n unit elements,
+    built directly in O(n) as ``λ cN. λ cC. cC u (… (cC u cN))`` (5n + 3
+    nodes), where ``u`` is the normal form of ``unit`` under ``fuel``.
 
-    Lists and vectors share one erasure, and the index arguments of
-    ``consV`` are erased, so the input is built directly as the erased
-    spine ``cons unit (… (cons unit nil))``.  Raises
-    ``InputFuelExhaustedError`` when its normalization runs out of fuel."""
-    nil, cons = ("nilV", "consV") if kind == "vec" else ("nilL", "consL")
-    term: Term = Var(nil)
+    Lists and vectors share one erasure (vector indices are erased), and
+    this is the term, binder names included, that normalizing
+    ``cons unit (… nil)`` reaches; ``tests/test_cost_oracle.py`` checks
+    the two agree.  Raises ``ValueError`` for any other ``kind``."""
+    if kind not in ("list", "vec"):
+        raise ValueError(f"unknown input kind {kind!r}")
+    u = normalize(checker.pure_of(Var("unit")), fuel).result
+    cc = PVar("cC")
+    spine: PureTerm = PVar("cN")
     for _ in range(n):
-        term = App(App(Var(cons), Var("unit")), term)
-    out = normalize(checker.pure_of(term), fuel)
-    if out.fuel_exhausted:
-        raise InputFuelExhaustedError(n, out.beta_steps, out.eta_steps)
-    return out.result
+        spine = PApp(PApp(cc, u), spine)
+    return PLam("cN", PLam("cC", spine))
 
 
 def cost_rows(
@@ -309,8 +304,7 @@ def cost_rows(
     """Step-count the measured conversion ``name`` on a synthesized input
     of each size: ``(n, beta_steps, eta_steps, fuel_exhausted)`` rows in
     increasing ``n``.  Raises ``FuelExhaustedError`` when the conversion
-    itself does not normalize within fuel, and ``InputFuelExhaustedError``
-    when an input does not."""
+    itself does not normalize within fuel."""
     kind = COST_CLASSES[name][1]
     fn = normalize(checker.pure_env[name], fuel)
     if fn.fuel_exhausted:

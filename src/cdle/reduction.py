@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .syntax import PApp, PLam, PVar, PureTerm, de_bruijn, free_vars
+from .syntax import PApp, PLam, PVar, PureTerm, alpha_eq, free_vars
 
 DEFAULT_MAX_STEPS = 1_000_000
 
@@ -322,7 +322,7 @@ def beta_eta_eq(a: PureTerm, b: PureTerm, fuel: Fuel = Fuel()) -> bool:
     nb = normalize(b, fuel)
     if nb.fuel_exhausted:
         raise FuelExhaustedError(nb.beta_steps, nb.eta_steps)
-    return de_bruijn(na.result) == de_bruijn(nb.result)
+    return alpha_eq(na.result, nb.result)
 
 
 def apply_and_count(f: PureTerm, args: Sequence[PureTerm], fuel: Fuel = Fuel()) -> NormalizeOutcome:

@@ -154,8 +154,41 @@ def de_bruijn(t: PureTerm) -> tuple:
 
 def alpha_eq(a: PureTerm, b: PureTerm) -> bool:
     """True iff ``a`` and ``b`` are identical up to renaming of bound
-    variables.  An equivalence relation on well-scoped terms."""
-    return de_bruijn(a) == de_bruijn(b)
+    variables.  An equivalence relation on well-scoped terms.
+
+    One iterative walk over both terms at once, so any depth is fine and
+    the first mismatch ends it.  Each side maps a bound name to the level
+    of its innermost binder; two variables match when both are bound at
+    the same level or both are free with the same name."""
+    levels_a: dict[str, Optional[int]] = {}
+    levels_b: dict[str, Optional[int]] = {}
+    depth = 0
+    # pairs left to compare; (None, saved) leaves a pair of binders
+    stack: list[tuple] = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is None:
+            name_a, old_a, name_b, old_b = y
+            levels_a[name_a] = old_a
+            levels_b[name_b] = old_b
+            depth -= 1
+            continue
+        cls = type(x)
+        if cls is not type(y):
+            return False
+        if cls is PVar:
+            level = levels_a.get(x.name)
+            if level != levels_b.get(y.name) or (level is None and x.name != y.name):
+                return False
+        elif cls is PLam:
+            stack.append((None, (x.name, levels_a.get(x.name), y.name, levels_b.get(y.name))))
+            levels_a[x.name] = levels_b[y.name] = depth
+            depth += 1
+            stack.append((x.body, y.body))
+        else:
+            stack.append((x.arg, y.arg))
+            stack.append((x.fn, y.fn))
+    return True
 
 
 def substitute(body: PureTerm, name: str, value: PureTerm) -> PureTerm:

@@ -79,9 +79,11 @@ def test_erase_nil_constructor(capsys):
     assert out.strip() == "λ cN. λ cC. cN"
 
 
-def test_erase_unknown_name_exit_one(capsys):
-    code, _, err = run(capsys, "erase", os.path.join(CORPUS, "list.cdl"), "nosuch")
-    assert code == 1
+@pytest.mark.parametrize("cmd", ["erase", "normalize"])
+def test_unknown_name_exit_two(capsys, cmd):
+    code, _, err = run(capsys, cmd, os.path.join(CORPUS, "list.cdl"), "nosuch")
+    assert code == 2
+    assert err == "error: no definition named 'nosuch'\n"
 
 
 def test_eq_shared_erasures(capsys):
@@ -165,10 +167,23 @@ def test_cost_csv_schema(capsys):
     assert lines[1].startswith("l2v!,4,")
 
 
-def test_cost_input_fuel_exhausted_exit_one(capsys):
-    code, _, err = run(capsys, "cost", "v2l!", "--sizes", "8,4000", "--max-steps", "10000", "--root", CORPUS)
+def test_cost_large_input_needs_no_fuel(capsys):
+    code, out, _ = run(capsys, "cost", "v2l!", "--sizes", "8,4000", "--max-steps", "10000", "--root", CORPUS)
+    assert code == 0
+    assert "classification: constant" in out
+
+
+def test_cost_counted_run_fuel_exhausted_exit_one(capsys):
+    code, out, _ = run(capsys, "cost", "v2l", "--sizes", "8,2000", "--max-steps", "10000", "--root", CORPUS)
     assert code == 1
-    assert err == "error: fuel exhausted synthesizing the n=4000 input\n"
+    assert out.splitlines()[2].split() == ["2000", "10000", "0", "true"]
+    assert "classification: other" in out
+
+
+def test_cost_zero_cost_constant_up_to_32768(capsys):
+    code, out, _ = run(capsys, "cost", "v2l!", "--sizes", "8,4096,32768", "--root", CORPUS)
+    assert code == 0
+    assert "classification: constant" in out
 
 
 def test_cost_corpus_not_checked_within_fuel_exit_one(capsys):

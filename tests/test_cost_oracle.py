@@ -10,7 +10,7 @@ import pytest
 
 from cdle.corpus import synth_input_nf
 from cdle.reduction import apply_and_count, normalize
-from cdle.syntax import PApp, alpha_eq
+from cdle.syntax import App, PApp, Var, alpha_eq, pure_size
 
 from oracle import oracle_normalize
 
@@ -63,3 +63,33 @@ def test_constant_conversions_identical_counts_up_to_512(checked_corpus):
 def test_vec_and_list_inputs_share_one_erasure(n, checked_corpus):
     ck, _ = checked_corpus
     assert alpha_eq(synth_input_nf(ck, "vec", n), synth_input_nf(ck, "list", n))
+
+
+@pytest.mark.parametrize("kind,nil,cons", [("list", "nilL", "consL"), ("vec", "nilV", "consV")])
+def test_direct_input_equals_machine_normal_form(kind, nil, cons, checked_corpus):
+    """The directly built input is the machine's normal form of
+    ``cons unit (… nil)`` from the corpus's own constructors, binder
+    names included."""
+    ck, _ = checked_corpus
+    for n in list(range(17)) + [64]:
+        term = Var(nil)
+        for _ in range(n):
+            term = App(App(Var(cons), Var("unit")), term)
+        got = synth_input_nf(ck, kind, n)
+        assert got == normalize(ck.pure_of(term)).result, f"{kind}@{n}"
+        assert pure_size(got) == 5 * n + 3
+
+
+def test_unknown_input_kind_rejected(checked_corpus):
+    ck, _ = checked_corpus
+    with pytest.raises(ValueError):
+        synth_input_nf(ck, "tree", 4)
+
+
+@pytest.mark.parametrize("name,kind", [("v2l!", "vec"), ("l2v!", "list"), ("v2lG!", "vec"), ("l2vG!", "list")])
+def test_zero_cost_conversions_one_step_at_4096(name, kind, checked_corpus):
+    ck, _ = checked_corpus
+    inp = synth_input_nf(ck, kind, 4096)
+    out = apply_and_count(normalize(ck.pure_env[name]).result, [inp])
+    assert (out.beta_steps, out.eta_steps) == (1, 0)
+    assert alpha_eq(out.result, inp)

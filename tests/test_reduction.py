@@ -75,6 +75,14 @@ def test_beta_eta_eq_basics():
     assert not beta_eta_eq(lam("x", ap(v("x"), v("x"))), IDENT)
 
 
+def test_beta_eta_eq_deep_normal_forms():
+    """Normal forms 32768 applications deep compare without recursion."""
+    deep = v("n")
+    for _ in range(32768):
+        deep = ap(v("c"), IDENT, deep)
+    assert beta_eta_eq(ap(IDENT, deep), deep)
+
+
 def test_beta_eta_eq_equivalence_sampled():
     rng = random.Random(23)
     terms = []

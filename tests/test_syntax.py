@@ -40,6 +40,30 @@ def test_alpha_eq_examples():
     assert alpha_eq(ap(v("f"), lam("x", v("x"))), ap(v("f"), lam("z", v("z"))))
 
 
+def test_alpha_eq_deep_terms():
+    """32768 nested binders, and an argument spine 32768 deep, compare
+    without recursion."""
+    depth = 32768
+
+    def chain(prefix, last):
+        t = v(f"{prefix}{last}")
+        for i in reversed(range(depth)):
+            t = lam(f"{prefix}{i}", ap(t, v(f"{prefix}{i}")))
+        return t
+
+    assert alpha_eq(chain("x", 0), chain("y", 0))
+    assert not alpha_eq(chain("x", 0), chain("y", 1))
+
+    def spine(leaf):
+        t = v(leaf)
+        for _ in range(depth):
+            t = ap(ap(v("c"), lam("x", v("x"))), t)
+        return lam("n", t)
+
+    assert alpha_eq(spine("n"), spine("n"))
+    assert not alpha_eq(spine("n"), spine("c"))
+
+
 def test_substitute_examples():
     ident = lam("y", v("y"))
     assert substitute(v("x"), "x", ident) == ident
