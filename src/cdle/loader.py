@@ -37,6 +37,8 @@ def load_program(paths: list[str], root: Optional[str] = None) -> list[tuple[str
                 text = fh.read()
         except OSError as e:
             raise LoadError(f"cannot read {path}: {e.strerror}")
+        except UnicodeDecodeError as e:
+            raise LoadError(f"cannot read {path}: not UTF-8 ({e.reason} at byte {e.start})")
         mod = parse_module(text, path)
         base = root if root is not None else os.path.dirname(apath)
         for imp in mod.imports:

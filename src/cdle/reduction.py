@@ -7,8 +7,11 @@ number of beta-contractions a textual leftmost-outermost (normal-order)
 reducer would perform, which is the counting convention reported in
 ``NormalizeOutcome``: beta-reduce to beta-normal form in normal order,
 then eta-contract exhaustively (``λx. t x → t`` when ``x`` is not free
-in ``t``).  Eta-contraction of a beta-normal form cannot create new
-beta-redexes, so the interleaving converges after the first eta pass.
+in ``t``).  Readback contracts eta-redexes bottom-up as it rebuilds each
+abstraction, in the order a separate pass over the beta-normal form
+would; eta-contracting a beta-normal form creates no beta-redex, so one
+pass is exhaustive.  Eta steps are charged against the fuel after every
+beta step, as the textual reducer spends them.
 
 Step tallies and the binder names quote makes up live in a per-call
 counter, so the functions share no mutable state (beyond the recursion
@@ -75,14 +78,10 @@ class _Counter:
         self.names = 0
 
     def tick_beta(self):
-        if self.beta + self.eta >= self.limit:
-            raise FuelExhaustedError(self.beta, self.eta)
+        # eta is charged only after readback, so beta has the whole budget
+        if self.beta >= self.limit:
+            raise FuelExhaustedError(self.beta, 0)
         self.beta += 1
-
-    def tick_eta(self):
-        if self.beta + self.eta >= self.limit:
-            raise FuelExhaustedError(self.beta, self.eta)
-        self.eta += 1
 
     def fresh_quote_name(self, hint: str) -> str:
         """A binder name for ``_quote``, fresh within this call: no input
@@ -162,10 +161,16 @@ def _eval(term: PureTerm, env, ctr: _Counter):
 
 
 def _quote(v, ctr: _Counter) -> PureTerm:
-    """Read a value back as a beta-normal term, iteratively; arguments of
-    neutral spines are evaluated left to right, matching leftmost-
-    outermost normalization order."""
+    """Read a value back as a beta-eta-normal term, iteratively; arguments
+    of neutral spines are evaluated left to right, matching leftmost-
+    outermost normalization order.
+
+    Each abstraction is eta-contracted as it is rebuilt, after its body,
+    and tallied in ``ctr.eta`` without a fuel check.  Its binder name is
+    fresh within the call, so ``λx. t x`` contracts exactly when ``x`` is
+    emitted once as a neutral head while reading back the body."""
     out: list[PureTerm] = []
+    uses: dict[str, int] = {}
     work: list[tuple] = [("q", v)]
     while work:
         frame = work.pop()
@@ -186,58 +191,20 @@ def _quote(v, ctr: _Counter) -> PureTerm:
             val = th if isinstance(th, _VNeutral) else _eval(th.term, th.env, ctr)
             work.append(("q", val))
         elif tag == "lam":
-            out.append(PLam(frame[1], out.pop()))
-        else:  # neu
-            head, k = frame[1], frame[2]
-            args = [out.pop() for _ in range(k)]
-            args.reverse()
-            t: PureTerm = PVar(head)
-            for a in args:
-                t = PApp(t, a)
-            out.append(t)
-    return out[0]
-
-
-# --- eta --------------------------------------------------------------------
-
-
-def _eta_pass(t: PureTerm, ctr: _Counter) -> PureTerm:
-    """One bottom-up eta pass; cascading redexes exposed upward are
-    caught in the same pass."""
-    out: list[PureTerm] = []
-    work: list[tuple] = [("go", t)]
-    while work:
-        frame = work.pop()
-        tag = frame[0]
-        if tag == "go":
-            cur = frame[1]
-            cls = type(cur)
-            if cls is PVar:
-                out.append(cur)
-            elif cls is PApp:
-                work.append(("app",))
-                work.append(("go", cur.arg))
-                work.append(("go", cur.fn))
-            else:
-                work.append(("lam", cur.name))
-                work.append(("go", cur.body))
-        elif tag == "app":
-            arg = out.pop()
-            fn = out.pop()
-            out.append(PApp(fn, arg))
-        else:  # lam
-            name = frame[1]
-            body = out.pop()
-            if (
-                isinstance(body, PApp)
-                and isinstance(body.arg, PVar)
-                and body.arg.name == name
-                and name not in free_vars(body.fn)
-            ):
-                ctr.tick_eta()
+            name, body = frame[1], out.pop()
+            if uses.pop(name, 0) == 1 and type(body) is PApp and body.arg == PVar(name):
+                ctr.eta += 1
                 out.append(body.fn)
             else:
                 out.append(PLam(name, body))
+        else:  # neu
+            head, first = frame[1], len(out) - frame[2]
+            uses[head] = uses.get(head, 0) + 1
+            t: PureTerm = PVar(head)
+            for a in out[first:]:
+                t = PApp(t, a)
+            del out[first:]
+            out.append(t)
     return out[0]
 
 
@@ -297,19 +264,15 @@ def normalize(t: PureTerm, fuel: Fuel = Fuel()) -> NormalizeOutcome:
     """Normal-order beta-normalization followed by exhaustive
     eta-contraction, with exact step tallies.  Deterministic for a fixed
     input and fuel; returns a fuel-exhausted outcome rather than raising.
-    """
+    Eta steps spend what fuel the beta steps leave."""
     _ensure_recursion_room()
     ctr = _Counter(fuel.max_steps)
     try:
-        value = _eval(t, None, ctr)
-        nf = _quote(value, ctr)
-        while True:
-            before = ctr.eta
-            nf = _eta_pass(nf, ctr)
-            if ctr.eta == before:
-                break
+        nf = _quote(_eval(t, None, ctr), ctr)
     except FuelExhaustedError as e:
         return NormalizeOutcome(None, e.beta_steps, e.eta_steps)
+    if ctr.beta + ctr.eta > ctr.limit:
+        return NormalizeOutcome(None, ctr.beta, ctr.limit - ctr.beta)
     return NormalizeOutcome(tidy_names(nf), ctr.beta, ctr.eta)
 
 

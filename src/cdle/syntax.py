@@ -7,10 +7,15 @@ intersection introduction/projection; classifiers are split into a type
 layer and a kind layer.
 
 All syntax values are immutable after construction and safe to share
-between checker instances.  Alpha-equivalence, free variables, and
-capture-avoiding substitution are implemented iteratively where the
-input can be deep (spines of a few thousand applications occur in the
-cost harness), so none of the kernel operations are recursion-limited.
+between checker instances.  The pure-term operations here (subterms,
+free variables, alpha-equivalence, substitution) and ``term_free_names``
+are iterative, as are erasure and the normalizer, because erased terms
+can be deep (spines of a few thousand applications occur in the cost
+harness).  ``subst_syntax``, ``syntax_alpha_eq`` and the skeleton
+coercions recurse once per nesting level, as do the checker (with the
+rho helpers ``_replace_pure``, ``_freshen_binders`` and
+``_inject_pure``) and the printer, so Python's recursion limit bounds
+the depth they reach.
 """
 
 from __future__ import annotations
@@ -112,44 +117,6 @@ def free_vars(t: PureTerm) -> frozenset[str]:
             stack.append((cur.fn, bound))
             stack.append((cur.arg, bound))
     return frozenset(out)
-
-
-def de_bruijn(t: PureTerm) -> tuple:
-    """Encode ``t`` as a nested tuple with de Bruijn indices.
-
-    Free variables keep their names, so the encoding is a canonical
-    alpha-invariant (and hashable) form.
-    """
-    VAR, LAM, APP = 0, 1, 2
-    # post-order iterative build
-    out: list = []
-    stack: list[tuple[PureTerm, tuple[str, ...], bool]] = [(t, (), False)]
-    while stack:
-        cur, env, done = stack.pop()
-        if isinstance(cur, PVar):
-            if cur.name in env:
-                # distance from the binder: innermost binder is index 0
-                depth = len(env) - 1 - max(i for i, n in enumerate(env) if n == cur.name)
-                out.append((VAR, depth))
-            else:
-                out.append((VAR, cur.name))
-        elif isinstance(cur, PLam):
-            if done:
-                body = out.pop()
-                out.append((LAM, body))
-            else:
-                stack.append((cur, env, True))
-                stack.append((cur.body, env + (cur.name,), False))
-        elif isinstance(cur, PApp):
-            if done:
-                arg = out.pop()
-                fn = out.pop()
-                out.append((APP, fn, arg))
-            else:
-                stack.append((cur, env, True))
-                stack.append((cur.arg, env, False))
-                stack.append((cur.fn, env, False))
-    return out[0]
 
 
 def alpha_eq(a: PureTerm, b: PureTerm) -> bool:

@@ -76,7 +76,7 @@ from .syntax import (
     Type,
     TypeBind,
     Var,
-    de_bruijn,
+    alpha_eq,
     demote_skeleton,
     free_vars,
     fresh_name,
@@ -762,11 +762,10 @@ def _replace_pure(t: PureTerm, pat: PureTerm, rep: PureTerm) -> tuple[PureTerm, 
     variables can only match genuinely free positions.
     """
     t = _freshen_binders(t, free_vars(pat) | free_vars(rep))
-    pat_key = de_bruijn(pat)
     count = [0]
 
     def go(x: PureTerm) -> PureTerm:
-        if de_bruijn(x) == pat_key:
+        if alpha_eq(x, pat):
             count[0] += 1
             return rep
         if isinstance(x, PLam):

@@ -37,8 +37,8 @@ def oracle_samples():
     20260811, size 30, fuel 10^4), drawn once for the two tests that
     compare them.  A term whose textual reduction exceeds a work budget
     of 800,000 is rejected, at most 500 times.  Returns
-    ``(samples, rejected)`` with one ``(oracle nf, oracle beta, oracle
-    eta, machine outcome)`` per accepted term."""
+    ``(samples, rejected)`` with one ``(term, oracle nf, oracle beta,
+    oracle eta, machine outcome)`` per accepted term."""
     from cdle.reduction import Fuel, normalize
     from gen import gen_pure
     from oracle import OracleWorkExceeded, oracle_normalize
@@ -53,5 +53,5 @@ def oracle_samples():
         except OracleWorkExceeded:
             rejected += 1
             continue
-        samples.append((nf_o, ob, oe, normalize(t, Fuel(10_000))))
+        samples.append((t, nf_o, ob, oe, normalize(t, Fuel(10_000))))
     return samples, rejected

@@ -140,7 +140,7 @@ def test_acceptance_6_normalizer_oracle_equivalence(oracle_samples):
     assert rejected < 500
     assert len(samples) == 1000
     failures = exhausted = 0
-    for nf_o, ob, oe, nf_m in samples:
+    for _, nf_o, ob, oe, nf_m in samples:
         agree = (
             nf_m.fuel_exhausted == (nf_o is None)
             and (nf_m.beta_steps, nf_m.eta_steps) == (ob, oe)

@@ -48,6 +48,14 @@ def test_check_missing_file_exit_two(capsys):
     assert "error" in err
 
 
+def test_check_non_utf8_file_exit_two(capsys, tmp_path):
+    path = tmp_path / "bad.cdl"
+    path.write_bytes(b"x \xff\xfe .")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {path}: not UTF-8")
+
+
 def test_check_json_deterministic(capsys):
     path = os.path.join(NEGATIVE, "phi_mismatch.cdl")
     code1, out1, _ = run(capsys, "check", path, "--root", CORPUS, "--json")

@@ -8,6 +8,7 @@ import pytest
 from cdle.reduction import Fuel, FuelExhaustedError, apply_and_count, beta_eta_eq, normalize
 from cdle.syntax import PApp, PLam, PVar, alpha_eq, free_vars
 from gen import gen_pure
+from oracle import oracle_normalize
 
 
 def lam(x, b):
@@ -41,9 +42,15 @@ def test_single_beta():
 
 
 def test_eta_contraction():
-    out = normalize(lam("f", lam("x", ap(v("f"), v("x")))))
-    assert alpha_eq(out.result, lam("f", v("f")))
-    assert out.beta_steps == 0 and out.eta_steps == 1
+    cases = [
+        (lam("f", lam("x", ap(v("f"), v("x")))), lam("f", v("f")), 1),
+        # the outer λ is an eta-redex only once the inner one contracts
+        (lam("x", lam("y", ap(v("f"), v("x"), v("y")))), v("f"), 2),
+    ]
+    for t, nf, eta in cases:
+        out = normalize(t)
+        assert alpha_eq(out.result, nf)
+        assert out.beta_steps == 0 and out.eta_steps == eta
 
 
 def test_omega_exhausts_fuel():
@@ -53,9 +60,9 @@ def test_omega_exhausts_fuel():
 
 
 def test_eta_does_not_fire_when_variable_occurs():
-    t = lam("x", ap(v("x"), v("x")))
-    out = normalize(t)
-    assert alpha_eq(out.result, t) and out.eta_steps == 0
+    for t in [lam("x", ap(v("x"), v("x"))), lam("x", ap(v("f"), v("x"), v("x")))]:
+        out = normalize(t)
+        assert alpha_eq(out.result, t) and out.eta_steps == 0
 
 
 def test_normalize_idempotent_on_samples():
@@ -139,7 +146,7 @@ def test_oracle_agreement_1000_terms(oracle_samples):
     assert rejected < 500, "generator produced too many monsters"
     accepted = len(samples)
     exhausted = 0
-    for nf_o, ob, oe, nf_m in samples:
+    for _, nf_o, ob, oe, nf_m in samples:
         assert nf_m.fuel_exhausted == (nf_o is None)
         assert (nf_m.beta_steps, nf_m.eta_steps) == (ob, oe)
         if nf_o is not None:
@@ -148,3 +155,23 @@ def test_oracle_agreement_1000_terms(oracle_samples):
             exhausted += 1
     assert accepted == 1000
     assert exhausted > 0, "the sample should include divergent terms"
+
+
+def test_fuel_boundaries_around_eta_phase(oracle_samples):
+    """On every sample that takes eta steps, the machine and the oracle
+    agree just below, at and just above both the beta count and the total:
+    eta is charged after all beta, so a budget between the two runs out
+    in the eta phase with every beta step spent."""
+    samples, _ = oracle_samples
+    with_eta = [(t, ob, oe) for t, nf_o, ob, oe, _ in samples if nf_o is not None and oe > 0]
+    assert with_eta, "the sample should include eta-contracting terms"
+    eta_phase_exhaustions = 0
+    for t, ob, oe in with_eta:
+        for limit in sorted({ob - 1, ob, ob + 1, ob + oe - 1, ob + oe, ob + oe + 1}):
+            if limit <= 0:
+                continue
+            nf_m = normalize(t, Fuel(limit))
+            nf_o, b, e = oracle_normalize(t, limit)
+            assert (nf_m.fuel_exhausted, nf_m.beta_steps, nf_m.eta_steps) == (nf_o is None, b, e)
+            eta_phase_exhaustions += nf_o is None and b == ob
+    assert eta_phase_exhaustions > 0
