@@ -13,6 +13,15 @@ would; eta-contracting a beta-normal form creates no beta-redex, so one
 pass is exhaustive.  Eta steps are charged against the fuel after every
 beta step, as the textual reducer spends them.
 
+Top-level definitions unfold on lookup: ``normalize`` and
+``beta_eta_eq`` take an optional ``defs`` table of pure terms (the
+checker passes its expanded erasures), and a variable that no binder in
+scope binds but ``defs`` names continues as that entry, evaluated in the
+empty environment so that no binder at the use site captures the
+entry's free variables.  Unfolding is not a contraction, so it is
+counted in neither tally and charges no fuel: the counts equal those of
+normalizing the term with every such name substituted by its entry.
+
 Step tallies and the binder names quote makes up live in a per-call
 counter, so the functions share no mutable state (beyond the recursion
 limit that ``normalize`` raises) and are safe to run concurrently.  The
@@ -24,11 +33,14 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from .syntax import PApp, PLam, PVar, PureTerm, alpha_eq, free_vars
 
 DEFAULT_MAX_STEPS = 1_000_000
+
+_NO_DEFS: Mapping[str, PureTerm] = MappingProxyType({})
 
 
 class FuelExhaustedError(Exception):
@@ -66,16 +78,18 @@ class NormalizeOutcome:
 
 
 class _Counter:
-    """Per-call state: step tallies against the budget, and the number of
-    binder names ``_quote`` has made up so far."""
+    """Per-call state: step tallies against the budget, the number of
+    binder names ``_quote`` has made up so far, and the definitions that
+    free variables unfold to."""
 
-    __slots__ = ("beta", "eta", "limit", "names")
+    __slots__ = ("beta", "eta", "limit", "names", "defs")
 
-    def __init__(self, limit: int):
+    def __init__(self, limit: int, defs: Mapping[str, PureTerm]):
         self.beta = 0
         self.eta = 0
         self.limit = limit
         self.names = 0
+        self.defs = defs
 
     def tick_beta(self):
         # eta is charged only after readback, so beta has the whole budget
@@ -150,8 +164,12 @@ def _eval(term: PureTerm, env, ctr: _Counter):
         else:  # PVar
             th = _env_lookup(env, term.name)
             if th is None:
-                spine = list(reversed(args))
-                return _VNeutral(term.name, spine)
+                body = ctr.defs.get(term.name)
+                if body is None:
+                    return _VNeutral(term.name, list(reversed(args)))
+                # a global, in the empty environment: nothing here binds its free names
+                term, env = body, None
+                continue
             if isinstance(th, _VNeutral) and not th.spine:
                 # fresh variable introduced by quote
                 if args:
@@ -260,13 +278,19 @@ def _ensure_recursion_room():
         sys.setrecursionlimit(5_000)
 
 
-def normalize(t: PureTerm, fuel: Fuel = Fuel()) -> NormalizeOutcome:
+def normalize(t: PureTerm, fuel: Fuel = Fuel(), defs: Mapping[str, PureTerm] = _NO_DEFS) -> NormalizeOutcome:
     """Normal-order beta-normalization followed by exhaustive
     eta-contraction, with exact step tallies.  Deterministic for a fixed
     input and fuel; returns a fuel-exhausted outcome rather than raising.
-    Eta steps spend what fuel the beta steps leave."""
+    Eta steps spend what fuel the beta steps leave.
+
+    ``defs`` maps global names to pure terms.  A free variable of ``t``
+    that ``defs`` names unfolds to its entry when the machine looks it
+    up, without charging fuel, so the outcome equals that of ``t`` with
+    those names substituted (capture-avoiding); other free variables
+    stay neutral.  The table is only read."""
     _ensure_recursion_room()
-    ctr = _Counter(fuel.max_steps)
+    ctr = _Counter(fuel.max_steps, defs)
     try:
         nf = _quote(_eval(t, None, ctr), ctr)
     except FuelExhaustedError as e:
@@ -276,13 +300,15 @@ def normalize(t: PureTerm, fuel: Fuel = Fuel()) -> NormalizeOutcome:
     return NormalizeOutcome(tidy_names(nf), ctr.beta, ctr.eta)
 
 
-def beta_eta_eq(a: PureTerm, b: PureTerm, fuel: Fuel = Fuel()) -> bool:
+def beta_eta_eq(a: PureTerm, b: PureTerm, fuel: Fuel = Fuel(), defs: Mapping[str, PureTerm] = _NO_DEFS) -> bool:
     """True iff both terms normalize within fuel to alpha-equal normal
-    forms.  Fuel exhaustion raises rather than answering falsely."""
-    na = normalize(a, fuel)
+    forms, with the free variables that ``defs`` names unfolded as in
+    ``normalize``.  Fuel exhaustion raises rather than answering
+    falsely."""
+    na = normalize(a, fuel, defs)
     if na.fuel_exhausted:
         raise FuelExhaustedError(na.beta_steps, na.eta_steps)
-    nb = normalize(b, fuel)
+    nb = normalize(b, fuel, defs)
     if nb.fuel_exhausted:
         raise FuelExhaustedError(nb.beta_steps, nb.eta_steps)
     return alpha_eq(na.result, nb.result)

@@ -6,16 +6,20 @@ the equality constructs (reflexivity, rewrite, cast, symmetry), and
 intersection introduction/projection; classifiers are split into a type
 layer and a kind layer.
 
-All syntax values are immutable after construction and safe to share
-between checker instances.  The pure-term operations here (subterms,
-free variables, alpha-equivalence, substitution) and ``term_free_names``
-are iterative, as are erasure and the normalizer, because erased terms
-can be deep (spines of a few thousand applications occur in the cost
-harness).  ``subst_syntax``, ``syntax_alpha_eq`` and the skeleton
-coercions recurse once per nesting level, as do the checker (with the
-rho helpers ``_replace_pure``, ``_freshen_binders`` and
-``_inject_pure``) and the printer, so Python's recursion limit bounds
-the depth they reach.
+Syntax nodes are slotted dataclasses: they have no ``__dict__``, compare
+and hash by value (source spans excluded), and are immutable by
+convention rather than frozen, since a frozen dataclass costs more than
+twice as much to build.  No code assigns to a node, so nodes are safe to
+share between checker instances.
+
+The pure-term operations here (subterms, free variables,
+alpha-equivalence, substitution) and ``term_free_names`` are iterative,
+as are erasure and the normalizer, because erased terms can be deep
+(spines of a few thousand applications occur in the cost harness).
+``subst_syntax``, ``syntax_alpha_eq`` and the skeleton coercions recurse
+once per nesting level, as do the checker (with the rho helpers
+``_replace_pure``, ``_freshen_binders`` and ``_inject_pure``) and the
+printer, so Python's recursion limit bounds the depth they reach.
 """
 
 from __future__ import annotations
@@ -41,13 +45,17 @@ class Span(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
+# every syntax node: slotted, compared and hashed by value (see the module docstring)
+_node = dataclass(slots=True, unsafe_hash=True)
+
+
 class PureTerm:
     """Base class for untyped lambda terms (no constants of any kind)."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class PVar(PureTerm):
     name: str
 
@@ -55,7 +63,7 @@ class PVar(PureTerm):
         return f"PVar({self.name!r})"
 
 
-@dataclass(frozen=True)
+@_node
 class PLam(PureTerm):
     name: str
     body: PureTerm
@@ -64,7 +72,7 @@ class PLam(PureTerm):
         return f"PLam({self.name!r}, {self.body!r})"
 
 
-@dataclass(frozen=True)
+@_node
 class PApp(PureTerm):
     fn: PureTerm
     arg: PureTerm
@@ -240,13 +248,13 @@ def _span_field():
     return field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Term):
     name: str
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class Lam(Term):
     """Explicit abstraction; annotation optional (checking mode fills it)."""
 
@@ -256,7 +264,7 @@ class Lam(Term):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class ELam(Term):
     """Erased abstraction; binds a term or a type variable, which is
     resolved against the expected implicit product when checking."""
@@ -267,14 +275,14 @@ class ELam(Term):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class App(Term):
     fn: Term
     arg: Term
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class EApp(Term):
     """Erased application ``t -a``.
 
@@ -288,7 +296,7 @@ class EApp(Term):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class DeferredArg:
     """Erased-argument surface form whose term/type sort is not decidable
     at parse time (a name, or a juxtaposed application of names)."""
@@ -297,14 +305,14 @@ class DeferredArg:
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class Beta(Term):
     """Reflexivity introduction for the heterogeneous equality type."""
 
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class Rho(Term):
     """Rewrite: ``ρ q - t``, with an optional ``{x . T}`` guide naming a
     hole and a template type."""
@@ -315,7 +323,7 @@ class Rho(Term):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class Phi(Term):
     """Cast: ``φ q - t1 {t2}`` erases to ``|t2|``."""
 
@@ -325,7 +333,7 @@ class Phi(Term):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class Sym(Term):
     """Equality symmetry ``ς q``."""
 
@@ -333,7 +341,7 @@ class Sym(Term):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class IotaPair(Term):
     """Intersection introduction ``[t1, t2]``."""
 
@@ -342,7 +350,7 @@ class IotaPair(Term):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class Proj(Term):
     """Intersection projection ``t.1`` / ``t.2``."""
 
@@ -356,13 +364,13 @@ class Proj(Term):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_node
 class TVar(Type):
     name: str
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class Pi(Type):
     """Explicit product over a term: ``Π x : T. T'``; a domain name of
     ``_`` marks the non-dependent arrow sugar ``T ➔ T'``."""
@@ -373,7 +381,7 @@ class Pi(Type):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class All(Type):
     """Implicit product over a term: ``∀ x : T. T'`` (sugar ``T ➾ T'``)."""
 
@@ -383,7 +391,7 @@ class All(Type):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class AllK(Type):
     """Impredicative quantification over a type: ``∀ X : κ. T``."""
 
@@ -393,7 +401,7 @@ class AllK(Type):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class Iota(Type):
     """Dependent intersection ``ι x : T. T'``."""
 
@@ -403,7 +411,7 @@ class Iota(Type):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class Eq(Type):
     """Heterogeneous equality ``t1 ≃ t2`` between typed terms."""
 
@@ -412,7 +420,7 @@ class Eq(Type):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class TLam(Type):
     """Type-level abstraction over a term or type variable; the binder
     sort follows the annotation (or the kind it is checked against)."""
@@ -423,7 +431,7 @@ class TLam(Type):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class TAppT(Type):
     """Application of a type to a type (written ``T · T'``)."""
 
@@ -432,7 +440,7 @@ class TAppT(Type):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class TAppE(Type):
     """Application of a type to a term (juxtaposition)."""
 
@@ -446,12 +454,12 @@ class TAppE(Type):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_node
 class Star(Kind):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class KPi(Kind):
     """Kind depending on a term: ``Π x : T. κ`` (sugar ``T ➔ κ``)."""
 
@@ -461,7 +469,7 @@ class KPi(Kind):
     span: Optional[Span] = _span_field()
 
 
-@dataclass(frozen=True)
+@_node
 class KPiK(Kind):
     """Kind depending on a type: ``Π X : κ. κ'`` (sugar ``κ ➔ κ'``)."""
 
@@ -476,20 +484,20 @@ class KPiK(Kind):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_node
 class TermBind:
     name: str
     type: Type
     erased: bool = False
 
 
-@dataclass(frozen=True)
+@_node
 class TypeBind:
     name: str
     kind: Kind
 
 
-@dataclass(frozen=True)
+@_node
 class Defn:
     """Top-level definition; ``body`` is None for parameters (classifier
     assumed, nothing to unfold)."""
@@ -607,8 +615,7 @@ def subst_syntax(x, env: dict[str, Union[Term, Type]]):
             hit_types = {
                 k for k, v in env.items() if isinstance(v, Type) and not isinstance(v, TVar)
             }
-            skel_names = term_free_names(cur.expr)
-            if any(k in skel_names for k in hit_types):
+            if hit_types and not hit_types.isdisjoint(term_free_names(cur.expr)):
                 return go(promote_skeleton(cur.expr), env)
             return DeferredArg(go(cur.expr, env), cur.span)
         cls = type(cur)

@@ -3,7 +3,8 @@
 Introductions check, eliminations infer, and a conversion check mediates
 the mode switch.  Conversion on types is structural congruence after
 type-level beta-normalization, comparing embedded terms by beta-eta
-equality of their erasures (with top-level definitions expanded).
+equality of their erasures (top-level definitions unfold when the
+normalizer looks them up).
 Definition unfolding during type conversion is on demand: a defined head
 is only unfolded when the spines cannot be matched directly.
 
@@ -135,14 +136,17 @@ class Checker:
 
     def pure_of(self, t: Term) -> PureTerm:
         """Erasure of ``t`` with the top-level definitions it mentions
-        expanded; the one place definitions are expanded."""
+        expanded.  The checker calls it only to fill ``pure_env``,
+        whose expanded entries callers read directly: conversions and ρ
+        normalize the plain erasure and pass ``pure_env`` to the machine,
+        which unfolds a global when it looks the name up."""
         p = erase(t)
         env = self.pure_env
         return substitute_many(p, {n: env[n] for n in free_vars(p) if n in env})
 
     def terms_conv(self, a: Term, b: Term) -> bool:
         try:
-            return beta_eta_eq(self.pure_of(a), self.pure_of(b), self.fuel)
+            return beta_eta_eq(erase(a), erase(b), self.fuel, self.pure_env)
         except FuelExhaustedError:
             raise CheckError(ErrorCode.FuelExhausted, "conversion ran out of fuel")
 
@@ -690,10 +694,10 @@ class Checker:
                 )
             return subst1(template, hole, s2)
 
-        p1 = normalize(self.pure_of(s1), self.fuel)
+        p1 = normalize(erase(s1), self.fuel, self.pure_env)
         if p1.fuel_exhausted:
             raise CheckError(ErrorCode.FuelExhausted, "ρ pattern ran out of fuel")
-        p2 = normalize(self.pure_of(s2), self.fuel)
+        p2 = normalize(erase(s2), self.fuel, self.pure_env)
         if p2.fuel_exhausted:
             raise CheckError(ErrorCode.FuelExhausted, "ρ replacement ran out of fuel")
         counter = [0]
@@ -738,7 +742,7 @@ class Checker:
             return T
 
         def go_tm(e: Term) -> Term:
-            nf = normalize(self.pure_of(e), self.fuel)
+            nf = normalize(erase(e), self.fuel, self.pure_env)
             if nf.fuel_exhausted:
                 raise CheckError(ErrorCode.FuelExhausted, "ρ target term ran out of fuel")
             rewritten, n = _replace_pure(nf.result, pat, rep)

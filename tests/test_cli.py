@@ -154,6 +154,15 @@ def test_check_deep_well_typed_term_exit_two(tmp_path):
     assert proc.stderr == f"error: {path}:1:1: definition 'c' is nested too deeply to check\n"
 
 
+def test_python_dash_m_cdle_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cdle", "check", os.path.join(CORPUS, "base.cdl")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_normalize_definition(capsys):
     code, out, _ = run(capsys, "normalize", os.path.join(CORPUS, "append.cdl"), "appL")
     assert code == 0

@@ -6,8 +6,8 @@ import random
 import pytest
 
 from cdle.reduction import Fuel, FuelExhaustedError, apply_and_count, beta_eta_eq, normalize
-from cdle.syntax import PApp, PLam, PVar, alpha_eq, free_vars
-from gen import gen_pure
+from cdle.syntax import PApp, PLam, PVar, alpha_eq, free_vars, substitute_many
+from gen import gen_pure, gen_pure_open
 from oracle import oracle_normalize
 
 
@@ -134,6 +134,49 @@ def test_apply_and_count_identity_is_one_step():
     out = apply_and_count(IDENT, [church(8)])
     assert out.beta_steps == 1
     assert alpha_eq(out.result, church(8))
+
+
+# --- globals: definitions unfold when the machine looks them up ------------
+
+DEFS = {"id": IDENT, "k": lam("a", lam("b", v("a")))}
+
+
+def test_globals_unfold_like_their_substitution():
+    """Normalizing with globals gives the outcome of normalizing with them
+    substituted: the same normal form and counts, or exhaustion at the
+    same counts, as unfolding is not a contraction.  In the samples ``u``
+    and ``v`` are globals and ``w`` stays a free variable."""
+    t = ap(v("k"), v("id"), ap(v("id"), v("y")))
+    out = normalize(t, Fuel(100), DEFS)
+    assert out == normalize(substitute_many(t, DEFS), Fuel(100))
+    assert out.result == lam("x", v("x")) and out.beta_steps == 2 and out.eta_steps == 0
+    rng = random.Random(43)
+    for _ in range(200):
+        defs = {"u": gen_pure(rng, 8), "v": gen_pure(rng, 8)}
+        t = gen_pure_open(rng, 16)
+        for limit in (30, 300):
+            assert normalize(t, Fuel(limit), defs) == normalize(substitute_many(t, defs), Fuel(limit))
+
+
+def test_bound_name_shadows_a_global():
+    shadowed = lam("id", ap(v("id"), v("y")))
+    out = normalize(shadowed, Fuel(100), DEFS)
+    assert out.result == shadowed and out.beta_steps == 0
+    out = normalize(ap(shadowed, v("w")), Fuel(100), DEFS)
+    assert out.result == ap(v("w"), v("y")) and out.beta_steps == 1
+
+
+def test_normalize_without_defs_leaves_free_names_neutral():
+    out = normalize(ap(v("id"), v("y")))
+    assert out.result == ap(v("id"), v("y")) and out.beta_steps == 0
+    rng = random.Random(47)
+    for _ in range(200):
+        t = gen_pure_open(rng, 20)
+        out = normalize(t, Fuel(2000))
+        assert out == normalize(t, Fuel(2000), {})
+        nf_o, b, e = oracle_normalize(t, 2000)
+        assert (out.fuel_exhausted, out.beta_steps, out.eta_steps) == (nf_o is None, b, e)
+        assert nf_o is None or alpha_eq(out.result, nf_o)
 
 
 def test_oracle_agreement_1000_terms(oracle_samples):

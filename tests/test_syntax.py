@@ -7,9 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdle.syntax import (
+    Defn,
     PApp,
     PLam,
     PVar,
+    Span,
+    Star,
+    TVar,
+    Var,
     alpha_eq,
     free_vars,
     pure_size,
@@ -150,3 +155,12 @@ def test_substitution_composition_hypothesis(seed):
 
 def test_pure_size_counts_nodes():
     assert pure_size(lam("x", ap(v("x"), v("x")))) == 4
+
+
+def test_nodes_are_slotted_and_compare_without_spans():
+    a, b = Var("x", span=Span("a.cdl", 1, 1)), Var("x", span=Span("b.cdl", 2, 5))
+    assert a == b and hash(a) == hash(b)
+    assert Var("x") != TVar("x") and PVar("x") != Var("x")
+    assert Var("x") != Var("y")
+    for node in (a, TVar("x"), PVar("x"), PLam("x", PVar("x")), Star(), Defn("d", Star(), None)):
+        assert not hasattr(node, "__dict__")

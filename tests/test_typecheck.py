@@ -385,3 +385,63 @@ g ◂ Nat ➔ Nat = λ a. f a.
     assert report.ok
     nf = normalize(ck.pure_env["g"]).result
     assert alpha_eq(nf, PLam("a1", PVar("a")))
+
+
+def test_conversions_unfold_globals_as_expansion_does(monkeypatch):
+    """Every side of every conversion the corpus check makes, normalized
+    both ways: the erasure with the definitions it mentions expanded
+    (``pure_of``), and the plain erasure with ``pure_env`` as the
+    machine's globals.  The two agree on the normal form and on beta and
+    eta, and where a side takes two or more beta steps, both exhaust at
+    the same counts with one step less fuel."""
+    from cdle.corpus import load_checked_corpus
+    from cdle.erasure import erase
+    from cdle.reduction import Fuel, normalize
+
+    sides = {}
+    conv = Checker.terms_conv
+
+    def recording(self, a, b):
+        sides.update(dict.fromkeys((a, b)))
+        return conv(self, a, b)
+
+    monkeypatch.setattr(Checker, "terms_conv", recording)
+    ck, report = load_checked_corpus(CORPUS)
+    monkeypatch.undo()
+    assert report.ok and len(sides) > 100
+    for x in sides:
+        expanded, plain = ck.pure_of(x), erase(x)
+        by_expansion = normalize(expanded, ck.fuel)
+        by_unfolding = normalize(plain, ck.fuel, ck.pure_env)
+        assert by_unfolding == by_expansion
+        if by_expansion.beta_steps > 1:
+            short = Fuel(by_expansion.beta_steps - 1)
+            a, b = normalize(expanded, short), normalize(plain, short, ck.pure_env)
+            assert a.fuel_exhausted and b.fuel_exhausted
+            assert (a.beta_steps, a.eta_steps) == (b.beta_steps, b.eta_steps)
+
+
+def test_bodyless_parameter_stays_a_neutral_head():
+    """A parameter has no body, so it is not in ``pure_env`` and the
+    machine leaves it neutral while it unfolds the definitions around it."""
+    import os
+    import tempfile
+
+    from cdle.erasure import erase
+    from cdle.reduction import normalize
+    from cdle.syntax import PApp, PVar
+
+    src = """
+import base.
+p ◂ Nat ➔ Nat.
+f ◂ Nat ➔ Nat = λ x. p x.
+"""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "m.cdl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(src)
+        ck, report = check_defs(load_program([path], root=CORPUS))
+    assert report.ok and "p" not in ck.pure_env
+    out = normalize(erase(parse_term("f z")), ck.fuel, ck.pure_env)
+    assert out.result == PApp(PVar("p"), PVar("z")) and out.beta_steps == 1
+    assert ck.terms_conv(parse_term("f"), parse_term("p"))
