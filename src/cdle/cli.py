@@ -7,6 +7,7 @@ Verbs:
     normalize  normalize a definition's erasure (or a --term) with step counts
     eq         decide whether two definitions share one erased term
     cost       run the step-counting experiment for a measured conversion
+    verify     the whole verdict: corpus, goldens, negative suite, cost classes
 
 Exit codes: 0 success, 1 semantic failure, 2 usage/parse/IO errors.
 """
@@ -15,13 +16,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .corpus import (
     COST_CLASSES,
+    corpus_manifest,
     cost_rows,
     default_corpus_root,
     load_checked_corpus,
+    negative_expectations,
+    verify_goldens,
 )
 from .loader import LoadError, load_program
 from .pretty import pretty
@@ -35,10 +40,18 @@ EXIT_SEMANTIC = 1
 EXIT_USAGE = 2
 
 
+class CliError(Exception):
+    """A command's failure: ``main`` prints ``error: message`` to stderr
+    and exits with ``code``."""
+
+    def __init__(self, message: str, code: int = EXIT_USAGE):
+        super().__init__(message)
+        self.code = code
+
+
 def _fuel(args) -> Fuel:
     if args.max_steps <= 0:
-        print("error: --max-steps must be positive", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise CliError("--max-steps must be positive")
     return Fuel(args.max_steps)
 
 
@@ -62,29 +75,39 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.ok else EXIT_SEMANTIC
 
 
-def _checked_def_nf(args, paths, name):
-    """Load and check ``paths``; return (normal form of |name|, exit code)."""
-    ck, report = _load_and_check(paths, args.root, _fuel(args))
+def _erasures(args, *names):
+    """Load and check ``args.path``; return the erasures of the term definitions
+    ``names`` in it."""
+    ck, report = _load_and_check([args.path], args.root, _fuel(args))
     if not report.ok:
-        for r in report.results:
-            if not r.ok:
-                print(f"error: {r.line()}", file=sys.stderr)
-        return None, EXIT_SEMANTIC
-    if name not in ck.pure_env:
-        print(f"error: no definition named {name!r}", file=sys.stderr)
-        return None, EXIT_USAGE
-    out = normalize(ck.pure_env[name], _fuel(args))
+        raise CliError("\nerror: ".join(r.line() for r in report.results if not r.ok), EXIT_SEMANTIC)
+    for name in names:
+        if name not in ck.ctx:
+            raise CliError(f"no definition named {name!r}")
+        if name not in ck.pure_env:
+            raise CliError(f"{name!r} has no erasure: it is not a term definition with a body")
+    return [ck.pure_env[name] for name in names]
+
+
+def _def_nf(args):
+    """The normal form of the erasure of ``args.name`` in ``args.path``."""
+    [t] = _erasures(args, args.name)
+    out = normalize(t, _fuel(args))
     if out.fuel_exhausted:
-        print("error: fuel exhausted", file=sys.stderr)
-        return None, EXIT_SEMANTIC
-    return out, EXIT_OK
+        raise CliError("fuel exhausted", EXIT_SEMANTIC)
+    return out
+
+
+def _print_term(t) -> None:
+    try:
+        text = pretty(t)
+    except RecursionError:
+        raise CliError("normal form nested too deeply to print") from None
+    print(text)
 
 
 def cmd_erase(args) -> int:
-    out, code = _checked_def_nf(args, [args.path], args.name)
-    if code != EXIT_OK:
-        return code
-    print(pretty(out.result))
+    _print_term(_def_nf(args).result)
     return EXIT_OK
 
 
@@ -94,32 +117,21 @@ def cmd_normalize(args) -> int:
         if out.fuel_exhausted:
             print(f"fuel exhausted after {out.beta_steps} beta / {out.eta_steps} eta steps")
             return EXIT_SEMANTIC
+    elif args.path is None or args.name is None:
+        raise CliError("normalize needs PATH NAME or --term")
     else:
-        if args.path is None or args.name is None:
-            print("error: normalize needs PATH NAME or --term", file=sys.stderr)
-            return EXIT_USAGE
-        out, code = _checked_def_nf(args, [args.path], args.name)
-        if code != EXIT_OK:
-            return code
-    print(pretty(out.result))
+        out = _def_nf(args)
+    _print_term(out.result)
     print(f"beta_steps={out.beta_steps} eta_steps={out.eta_steps}")
     return EXIT_OK
 
 
 def cmd_eq(args) -> int:
-    ck, report = _load_and_check([args.path], args.root, _fuel(args))
-    if not report.ok:
-        print("error: module does not typecheck", file=sys.stderr)
-        return EXIT_SEMANTIC
-    for n in (args.name1, args.name2):
-        if n not in ck.pure_env:
-            print(f"error: no definition named {n!r}", file=sys.stderr)
-            return EXIT_USAGE
+    a, b = _erasures(args, args.name1, args.name2)
     try:
-        same = beta_eta_eq(ck.pure_env[args.name1], ck.pure_env[args.name2], _fuel(args))
+        same = beta_eta_eq(a, b, _fuel(args))
     except FuelExhaustedError:
-        print("error: fuel exhausted", file=sys.stderr)
-        return EXIT_SEMANTIC
+        raise CliError("fuel exhausted", EXIT_SEMANTIC) from None
     print(f"{args.name1} and {args.name2} erase to {'the same' if same else 'different'} terms")
     return EXIT_OK if same else EXIT_SEMANTIC
 
@@ -127,18 +139,16 @@ def cmd_eq(args) -> int:
 def classify_costs(rows: list[tuple[int, int, bool]]) -> str:
     """Deterministic classification of (size, beta_steps, exhausted) rows.
 
-    * any exhausted row            -> "other"
+    * any exhausted row, or fewer than two distinct sizes -> "other"
     * all step counts equal        -> "constant"
     * all per-size slopes within ±10% of their mean -> "linear"
     * otherwise                    -> "other"
     """
-    if any(ex for _, _, ex in rows):
+    if any(ex for _, _, ex in rows) or len({n for n, _, _ in rows}) < 2:
         return "other"
     steps = [s for _, s, _ in rows]
     if all(s == steps[0] for s in steps):
         return "constant"
-    if len(rows) < 2:
-        return "other"
     slopes = []
     for (n0, s0, _), (n1, s1, _) in zip(rows, rows[1:]):
         if n1 == n0:
@@ -152,45 +162,91 @@ def classify_costs(rows: list[tuple[int, int, bool]]) -> str:
     return "other"
 
 
-def cmd_cost(args) -> int:
+def _cost_table(ck, name, sizes, fuel, csv=False) -> bool:
+    """Step-count the measured conversion ``name`` at ``sizes``, print its
+    rows (as CSV with ``csv``) and their classification; whether that
+    matches the manifest."""
     try:
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    except ValueError:
-        print("error: --sizes expects a comma-separated list of integers", file=sys.stderr)
-        return EXIT_USAGE
-    if not sizes or any(n <= 0 for n in sizes):
-        print("error: sizes must be positive", file=sys.stderr)
-        return EXIT_USAGE
-    if args.name not in COST_CLASSES:
-        print(
-            f"error: {args.name!r} is not a measured conversion "
-            f"(known: {', '.join(sorted(COST_CLASSES))})",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    expected = COST_CLASSES[args.name][0]
-    ck, report = load_checked_corpus(args.root, _fuel(args))
-    if not report.ok:
-        first = next(r for r in report.results if not r.ok)
-        print(f"error: corpus does not typecheck: {first.line()}", file=sys.stderr)
-        return EXIT_SEMANTIC
-    try:
-        rows = cost_rows(ck, args.name, sizes, _fuel(args))
+        rows = cost_rows(ck, name, sizes, fuel)
     except FuelExhaustedError:
-        print("error: fuel exhausted normalizing the conversion", file=sys.stderr)
-        return EXIT_SEMANTIC
-    verdict = classify_costs([(n, b, ex) for n, b, _, ex in rows])
-
-    if args.csv:
+        raise CliError("fuel exhausted normalizing the conversion", EXIT_SEMANTIC) from None
+    if csv:
         print("name,n,beta_steps,eta_steps,fuel_exhausted")
         for n, b, e, ex in rows:
-            print(f"{args.name},{n},{b},{e},{str(ex).lower()}")
+            print(f"{name},{n},{b},{e},{str(ex).lower()}")
     else:
         print(f"{'n':>8} {'beta':>10} {'eta':>6} {'fuel?':>6}")
         for n, b, e, ex in rows:
             print(f"{n:>8} {b:>10} {e:>6} {str(ex).lower():>6}")
+    verdict = classify_costs([(n, b, ex) for n, b, _, ex in rows])
+    expected = COST_CLASSES[name][0]
     print(f"classification: {verdict} (manifest: {expected})")
-    return EXIT_OK if verdict == expected else EXIT_SEMANTIC
+    return verdict == expected
+
+
+def cmd_cost(args) -> int:
+    if args.name not in COST_CLASSES:
+        known = ", ".join(sorted(COST_CLASSES))
+        raise CliError(f"{args.name!r} is not a measured conversion (known: {known})")
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    except ValueError:
+        raise CliError("--sizes expects a comma-separated list of integers") from None
+    if any(n <= 0 for n in sizes):
+        raise CliError("sizes must be positive")
+    if len(set(sizes)) < 2:
+        raise CliError("--sizes needs at least two distinct sizes")
+    fuel = _fuel(args)
+    ck, report = load_checked_corpus(args.root, fuel)
+    if not report.ok:
+        first = next(r for r in report.results if not r.ok)
+        raise CliError(f"corpus does not typecheck: {first.line()}", EXIT_SEMANTIC)
+    return EXIT_OK if _cost_table(ck, args.name, sizes, fuel, args.csv) else EXIT_SEMANTIC
+
+
+# input sizes `verify` measures each cost class at
+VERIFY_SIZES = {"linear": [8, 16, 32, 64], "constant": [8, 64, 512, 4096]}
+
+
+def cmd_verify(args) -> int:
+    """Check the corpus under ``--root``, its goldens, the negative suite
+    in the root's ``negative/`` sibling and every cost class; stops after
+    the corpus report when the corpus does not check."""
+    fuel = _fuel(args)
+    negative = os.path.join(os.path.dirname(os.path.abspath(args.root)), "negative")
+    try:
+        expected_codes = negative_expectations(negative)
+    except (OSError, ValueError) as e:
+        raise CliError(f"negative suite: {e}") from None
+    ck, report = load_checked_corpus(args.root, fuel)
+    print(report.render())
+    if not report.ok:
+        print("1 FAILURES")
+        return EXIT_SEMANTIC
+
+    goldens = verify_goldens(corpus_manifest(args.root), ck, fuel)
+    bad = [g for g in goldens if not g.ok]
+    print(f"goldens: {len(goldens) - len(bad)}/{len(goldens)} pass")
+    for g in bad:
+        print(f"  GOLDEN FAIL {g.name}: {g.detail}")
+    failures = int(bool(bad))
+
+    print("negative suite:")
+    for stem, want in expected_codes.items():
+        _, rep = _load_and_check([os.path.join(negative, f"{stem}.cdl")], args.root, fuel)
+        got = [r.code for r in rep.results if not r.ok]
+        ok = got == [want]
+        failures += not ok
+        shown = ", ".join(got) or "accepted"
+        print(f"  ok  {stem}: {shown}" if ok else f"  BAD {stem}: {shown} (expect: {want})")
+
+    for name, (cost_class, _) in COST_CLASSES.items():
+        sizes = VERIFY_SIZES[cost_class]
+        print(f"cost {name} --sizes {','.join(map(str, sizes))}")
+        failures += not _cost_table(ck, name, sizes, fuel)
+
+    print(f"{failures} FAILURES" if failures else "ALL GREEN")
+    return EXIT_SEMANTIC if failures else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,6 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, root_default=default_corpus_root())
     p.set_defaults(fn=cmd_cost)
 
+    p = sub.add_parser("verify", help="check the corpus, goldens, negative suite and cost classes")
+    common(p, root_default=default_corpus_root())
+    p.set_defaults(fn=cmd_verify)
+
     return ap
 
 
@@ -247,6 +307,9 @@ def main(argv=None) -> int:
     except (ParseError, LoadError, ModuleError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except CliError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return e.code
 
 
 if __name__ == "__main__":

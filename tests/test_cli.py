@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -56,6 +57,11 @@ def test_check_non_utf8_file_exit_two(capsys, tmp_path):
     assert err.startswith(f"error: cannot read {path}: not UTF-8")
 
 
+def test_nonpositive_max_steps_exit_two(capsys):
+    code, out, err = run(capsys, "check", os.path.join(CORPUS, "base.cdl"), "--max-steps", "0")
+    assert (code, out, err) == (2, "", "error: --max-steps must be positive\n")
+
+
 def test_check_json_deterministic(capsys):
     path = os.path.join(NEGATIVE, "phi_mismatch.cdl")
     code1, out1, _ = run(capsys, "check", path, "--root", CORPUS, "--json")
@@ -94,6 +100,25 @@ def test_unknown_name_exit_two(capsys, cmd):
     assert err == "error: no definition named 'nosuch'\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["erase", "List"],
+    ["normalize", "List"],
+    ["eq", "List", "nilL"],
+], ids=["erase", "normalize", "eq"])
+def test_type_name_has_no_erasure_exit_two(capsys, argv):
+    code, _, err = run(capsys, argv[0], os.path.join(CORPUS, "list.cdl"), *argv[1:])
+    assert code == 2
+    assert err == "error: 'List' has no erasure: it is not a term definition with a body\n"
+
+
+def test_bodyless_parameter_has_no_erasure_exit_two(capsys, tmp_path):
+    path = tmp_path / "param.cdl"
+    path.write_text("p ◂ ∀ X : ★. X ➔ X.\n", encoding="utf-8")
+    code, _, err = run(capsys, "erase", str(path), "p")
+    assert code == 2
+    assert err == "error: 'p' has no erasure: it is not a term definition with a body\n"
+
+
 def test_eq_shared_erasures(capsys):
     code, out, _ = run(capsys, "eq", os.path.join(CORPUS, "append.cdl"), "appL", "appV")
     assert code == 0
@@ -117,6 +142,14 @@ def test_normalize_term_nested_too_deeply_exit_two(capsys):
     code, _, err = run(capsys, "normalize", "--term", "(" * 10_000 + "x" + ")" * 10_000)
     assert code == 2
     assert err.startswith("error: <input>:1:2501: term nested more than 2500 levels deep")
+
+
+def test_normalize_deep_normal_form_exit_two(capsys):
+    """The parser and the machine take ``f (f (… x))`` 2,000 levels deep,
+    but the recursive printer does not."""
+    code, out, err = run(capsys, "normalize", "--term", "f (" * 1999 + "f x" + ")" * 1999)
+    assert code == 2 and out == ""
+    assert err == "error: normal form nested too deeply to print\n"
 
 
 def test_check_lambda_chain_nested_too_deeply_exit_two(capsys, tmp_path):
@@ -215,6 +248,10 @@ def test_cost_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "cost", "nosuch", "--sizes", "8", "--root", CORPUS)
     assert code == 2
+    for name, sizes in [("v2l", "8"), ("v2l", "8,8"), ("v2l!", "8")]:
+        code, out, err = run(capsys, "cost", name, "--sizes", sizes, "--root", CORPUS)
+        assert (code, out) == (2, "")
+        assert err == "error: --sizes needs at least two distinct sizes\n"
     with pytest.raises(SystemExit) as exc:
         main(["cost", "v2l!"])  # missing --sizes entirely
     assert exc.value.code == 2
@@ -225,3 +262,59 @@ def test_classify_costs_rule():
     assert classify_costs([(8, 89, False), (16, 169, False), (32, 329, False), (64, 649, False)]) == "linear"
     assert classify_costs([(8, 10, False), (16, 100, False), (32, 10000, False)]) == "other"
     assert classify_costs([(8, 5, True)]) == "other"
+    assert classify_costs([(8, 5, False)]) == "other"
+    assert classify_costs([(8, 5, False), (8, 5, False)]) == "other"
+
+
+def test_verify_green_and_byte_stable():
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    runs = [
+        subprocess.run([sys.executable, "-m", "cdle", "verify"], capture_output=True, text=True, env=env)
+        for _ in range(2)
+    ]
+    assert runs[0].returncode == 0, runs[0].stderr
+    out = runs[0].stdout
+    assert runs[1].stdout == out
+    lines = out.splitlines()
+    assert "-- 117/117 definitions checked" in lines
+    assert "goldens: 26/26 pass" in lines
+    assert sum(line.startswith("  ok  ") for line in lines) == 11
+    verdicts = [line for line in lines if line.startswith("classification: ")]
+    assert len(verdicts) == 6
+    for line in verdicts:
+        verdict, manifest = line.removeprefix("classification: ").removesuffix(")").split(" (manifest: ")
+        assert verdict == manifest
+    assert lines[-1] == "ALL GREEN"
+
+
+def _corpus_copy(tmp_path, with_negative=True):
+    shutil.copytree(CORPUS, tmp_path / "corpus")
+    if with_negative:
+        shutil.copytree(NEGATIVE, tmp_path / "negative")
+    return str(tmp_path / "corpus")
+
+
+def test_verify_wrong_expected_code_exit_one(capsys, tmp_path):
+    root = _corpus_copy(tmp_path)
+    path = tmp_path / "negative" / "erased_var.cdl"
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace("// expect: ErasedVarOccursFree", "// expect: TypeMismatch", 1), encoding="utf-8")
+    code, out, _ = run(capsys, "verify", "--root", root)
+    assert code == 1
+    lines = out.splitlines()
+    assert "  BAD erased_var: ErasedVarOccursFree (expect: TypeMismatch)" in lines
+    assert sum(line.startswith("  ok  ") for line in lines) == 10
+    assert lines[-1] == "1 FAILURES"
+
+
+def test_verify_unreadable_negative_suite_exit_two(capsys, tmp_path):
+    root = _corpus_copy(tmp_path, with_negative=False)
+    code, out, err = run(capsys, "verify", "--root", root)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: negative suite: ")
+
+    (tmp_path / "negative").mkdir()
+    (tmp_path / "negative" / "bare.cdl").write_text("x ◂ ★ = ★.\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--root", root)
+    assert (code, out) == (2, "")
+    assert err == "error: negative suite: bare.cdl: the first line must be '// expect: Code'\n"
