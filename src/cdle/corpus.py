@@ -302,15 +302,16 @@ def cost_rows(
     checker: Checker, name: str, sizes: list[int], fuel: Fuel = Fuel()
 ) -> list[tuple[int, int, int, bool]]:
     """Step-count the measured conversion ``name`` on a synthesized input
-    of each size: ``(n, beta_steps, eta_steps, fuel_exhausted)`` rows in
-    increasing ``n``.  Raises ``FuelExhaustedError`` when the conversion
-    itself does not normalize within fuel."""
+    of each distinct size: ``(n, beta_steps, eta_steps, fuel_exhausted)``
+    rows in increasing ``n``, one per size however often it is given.
+    Raises ``FuelExhaustedError`` when the conversion itself does not
+    normalize within fuel."""
     kind = COST_CLASSES[name][1]
     fn = normalize(checker.pure_env[name], fuel)
     if fn.fuel_exhausted:
         raise FuelExhaustedError(fn.beta_steps, fn.eta_steps)
     rows = []
-    for n in sorted(sizes):
+    for n in sorted(set(sizes)):
         out = apply_and_count(fn.result, [synth_input_nf(checker, kind, n, fuel)], fuel)
         rows.append((n, out.beta_steps, out.eta_steps, out.fuel_exhausted))
     return rows

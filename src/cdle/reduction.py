@@ -13,6 +13,12 @@ would; eta-contracting a beta-normal form creates no beta-redex, so one
 pass is exhaustive.  Eta steps are charged against the fuel after every
 beta step, as the textual reducer spends them.
 
+Readback ends with a naming pass, ``tidy_names``, which gives binders
+short display names in one walk over the normal form.  It takes the
+normal form's free variables from quote, which counts the heads it
+emits, rather than walking the term for them, so naming takes time
+linear in the size of the normal form however deeply its binders nest.
+
 Top-level definitions unfold on lookup: ``normalize`` and
 ``beta_eta_eq`` take an optional ``defs`` table of pure terms (the
 checker passes its expanded erasures), and a variable that no binder in
@@ -34,9 +40,9 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Container, Mapping, Optional, Sequence
 
-from .syntax import PApp, PLam, PVar, PureTerm, alpha_eq, free_vars
+from .syntax import PApp, PLam, PVar, PureTerm, alpha_eq
 
 DEFAULT_MAX_STEPS = 1_000_000
 
@@ -91,16 +97,11 @@ class _Counter:
         self.names = 0
         self.defs = defs
 
-    def tick_beta(self):
-        # eta is charged only after readback, so beta has the whole budget
-        if self.beta >= self.limit:
-            raise FuelExhaustedError(self.beta, 0)
-        self.beta += 1
-
     def fresh_quote_name(self, hint: str) -> str:
         """A binder name for ``_quote``, fresh within this call: no input
         has a ``%q`` name, as parsed names have no ``%`` and
-        ``syntax.fresh_name`` puts digits after it."""
+        ``syntax.fresh_name`` puts digits after it.  The part before
+        ``%`` (the base) never ends in a digit."""
         self.names += 1
         base = hint.split("%")[0].rstrip("0123456789") or "x"
         return f"{base}%q{self.names}"
@@ -137,17 +138,12 @@ class _VNeutral:
         self.spine = spine  # thunks in application order
 
 
-# environments are persistent chains: (name, thunk, parent) or None
-def _env_lookup(env, name: str):
-    while env is not None:
-        if env[0] == name:
-            return env[1]
-        env = env[2]
-    return None
-
-
 def _eval(term: PureTerm, env, ctr: _Counter):
-    """Weak-head evaluation, iterative over application spines."""
+    """Weak-head evaluation, iterative over application spines.
+
+    Environments are persistent chains ``(name, value, parent)`` or
+    ``None``; a value is a thunk, or the spine-less neutral that quote
+    binds to a fresh variable."""
     args: list[_Thunk] = []
     while True:
         cls = type(term)
@@ -155,30 +151,35 @@ def _eval(term: PureTerm, env, ctr: _Counter):
             args.append(_Thunk(term.arg, env))
             term = term.fn
         elif cls is PLam:
-            if args:
-                ctr.tick_beta()
-                env = (term.name, args.pop(), env)
-                term = term.body
-            else:
+            if not args:
                 return _VLam(term.name, term.body, env)
+            # eta is charged only after readback, so beta has the whole budget
+            if ctr.beta >= ctr.limit:
+                raise FuelExhaustedError(ctr.beta, 0)
+            ctr.beta += 1
+            env = (term.name, args.pop(), env)
+            term = term.body
         else:  # PVar
-            th = _env_lookup(env, term.name)
-            if th is None:
-                body = ctr.defs.get(term.name)
+            name = term.name
+            link = env
+            while link is not None:
+                if link[0] == name:
+                    th = link[1]
+                    break
+                link = link[2]
+            else:
+                body = ctr.defs.get(name)
                 if body is None:
-                    return _VNeutral(term.name, list(reversed(args)))
+                    return _VNeutral(name, args[::-1])
                 # a global, in the empty environment: nothing here binds its free names
                 term, env = body, None
                 continue
-            if isinstance(th, _VNeutral) and not th.spine:
-                # fresh variable introduced by quote
-                if args:
-                    return _VNeutral(th.head, list(reversed(args)))
-                return th
+            if type(th) is _VNeutral:
+                return _VNeutral(th.head, args[::-1]) if args else th
             term, env = th.term, th.env
 
 
-def _quote(v, ctr: _Counter) -> PureTerm:
+def _quote(v, ctr: _Counter) -> tuple[PureTerm, dict[str, int]]:
     """Read a value back as a beta-eta-normal term, iteratively; arguments
     of neutral spines are evaluated left to right, matching leftmost-
     outermost normalization order.
@@ -186,85 +187,109 @@ def _quote(v, ctr: _Counter) -> PureTerm:
     Each abstraction is eta-contracted as it is rebuilt, after its body,
     and tallied in ``ctr.eta`` without a fuel check.  Its binder name is
     fresh within the call, so ``λx. t x`` contracts exactly when ``x`` is
-    emitted once as a neutral head while reading back the body."""
+    emitted once as a neutral head while reading back the body.
+
+    Returns the term and the count of each head emitted but not bound by
+    an abstraction of the result: every abstraction removes its own
+    binder's entry, so the keys are exactly the term's free variables."""
     out: list[PureTerm] = []
     uses: dict[str, int] = {}
-    work: list[tuple] = [("q", v)]
+    # values and thunks to read back, a binder name to close an
+    # abstraction, or (head, arity) to close a neutral spine
+    work: list = [v]
     while work:
-        frame = work.pop()
-        tag = frame[0]
-        if tag == "q":
-            val = frame[1]
-            if isinstance(val, _VLam):
-                fresh = ctr.fresh_quote_name(val.name)
-                inner = _eval(val.body, (val.name, _VNeutral(fresh, []), val.env), ctr)
-                work.append(("lam", fresh))
-                work.append(("q", inner))
-            else:
-                work.append(("neu", val.head, len(val.spine)))
-                for th in reversed(val.spine):
-                    work.append(("force", th))
-        elif tag == "force":
-            th = frame[1]
-            val = th if isinstance(th, _VNeutral) else _eval(th.term, th.env, ctr)
-            work.append(("q", val))
-        elif tag == "lam":
-            name, body = frame[1], out.pop()
-            if uses.pop(name, 0) == 1 and type(body) is PApp and body.arg == PVar(name):
-                ctr.eta += 1
-                out.append(body.fn)
-            else:
-                out.append(PLam(name, body))
-        else:  # neu
-            head, first = frame[1], len(out) - frame[2]
+        item = work.pop()
+        cls = type(item)
+        if cls is _Thunk:
+            item = _eval(item.term, item.env, ctr)
+            cls = type(item)
+        if cls is _VNeutral:
+            head, spine = item.head, item.spine
             uses[head] = uses.get(head, 0) + 1
+            if spine:
+                work.append((head, len(spine)))
+                work.extend(reversed(spine))
+            else:
+                out.append(PVar(head))
+        elif cls is _VLam:
+            fresh = ctr.fresh_quote_name(item.name)
+            work.append(fresh)
+            work.append(_eval(item.body, (item.name, _VNeutral(fresh, []), item.env), ctr))
+        elif cls is str:
+            body = out.pop()
+            if uses.pop(item, 0) == 1 and type(body) is PApp:
+                arg = body.arg
+                if type(arg) is PVar and arg.name == item:
+                    ctr.eta += 1
+                    out.append(body.fn)
+                    continue
+            out.append(PLam(item, body))
+        else:  # (head, arity): the spine's arguments are the last outputs
+            head, arity = item
+            first = len(out) - arity
             t: PureTerm = PVar(head)
             for a in out[first:]:
                 t = PApp(t, a)
             del out[first:]
             out.append(t)
-    return out[0]
+    return out[0], uses
 
 
 # --- canonical display names ------------------------------------------------
 
 
-def tidy_names(t: PureTerm) -> PureTerm:
+def tidy_names(t: PureTerm, free: Container[str]) -> PureTerm:
     """Deterministically rename binders to short, collision-free names so
-    normal forms do not show the numbered names that quote and
-    ``syntax.fresh_name`` make up."""
-    global_free = free_vars(t)
+    normal forms do not show the numbered names that quote makes up.
+
+    ``t`` is quote's output and ``free`` holds its free variables.  A
+    binder whose name has base ``b`` (the part before ``%``) becomes the
+    first of ``b, b1, b2, …`` that is neither free in ``t`` nor the name
+    of an enclosing binder.  Quote's binder names are distinct and their
+    bases never end in a digit, so binders of different bases never
+    compete for a name, and the binder under ``k`` enclosing binders of
+    its base gets the ``k``-th candidate that is not free.  One walk with
+    a flat rename map and one depth per base names every binder, in time
+    linear in the size of ``t``."""
+    rename: dict[str, str] = {}
+    names: dict[str, list[str]] = {}  # per base: the candidates not free, so far
+    tried: dict[str, int] = {}  # per base: candidates generated
+    depth: dict[str, int] = {}  # per base: binders of that base in scope
     out: list[PureTerm] = []
-    work: list[tuple] = [("go", t, {}, frozenset())]
+    # terms to rename, None to close an application, or a base to close
+    # an abstraction
+    work: list = [t]
     while work:
-        frame = work.pop()
-        tag = frame[0]
-        if tag == "go":
-            _, cur, env, scope = frame
-            cls = type(cur)
-            if cls is PVar:
-                out.append(PVar(env.get(cur.name, cur.name)))
-            elif cls is PApp:
-                work.append(("app",))
-                work.append(("go", cur.arg, env, scope))
-                work.append(("go", cur.fn, env, scope))
-            else:
-                base = cur.name.split("%")[0] or "x"
-                cand = base
-                n = 0
-                while cand in scope or cand in global_free:
-                    n += 1
-                    cand = f"{base}{n}"
-                env2 = dict(env)
-                env2[cur.name] = cand
-                work.append(("lam", cand))
-                work.append(("go", cur.body, env2, scope | {cand}))
-        elif tag == "app":
+        cur = work.pop()
+        cls = type(cur)
+        if cls is PVar:
+            name = rename.get(cur.name)
+            out.append(cur if name is None else PVar(name))
+        elif cls is PApp:
+            work.append(None)
+            work.append(cur.arg)
+            work.append(cur.fn)
+        elif cls is PLam:
+            base = cur.name.split("%")[0] or "x"
+            k = depth.get(base, 0)
+            taken = names.setdefault(base, [])
+            while len(taken) <= k:
+                n = tried.get(base, 0)
+                tried[base] = n + 1
+                cand = f"{base}{n}" if n else base
+                if cand not in free:
+                    taken.append(cand)
+            rename[cur.name] = taken[k]
+            depth[base] = k + 1
+            work.append(base)
+            work.append(cur.body)
+        elif cur is None:
             a = out.pop()
-            f = out.pop()
-            out.append(PApp(f, a))
+            out[-1] = PApp(out[-1], a)
         else:
-            out.append(PLam(frame[1], out.pop()))
+            k = depth[cur] - 1
+            depth[cur] = k
+            out[-1] = PLam(names[cur][k], out[-1])
     return out[0]
 
 
@@ -292,12 +317,12 @@ def normalize(t: PureTerm, fuel: Fuel = Fuel(), defs: Mapping[str, PureTerm] = _
     _ensure_recursion_room()
     ctr = _Counter(fuel.max_steps, defs)
     try:
-        nf = _quote(_eval(t, None, ctr), ctr)
+        nf, free = _quote(_eval(t, None, ctr), ctr)
     except FuelExhaustedError as e:
         return NormalizeOutcome(None, e.beta_steps, e.eta_steps)
     if ctr.beta + ctr.eta > ctr.limit:
         return NormalizeOutcome(None, ctr.beta, ctr.limit - ctr.beta)
-    return NormalizeOutcome(tidy_names(nf), ctr.beta, ctr.eta)
+    return NormalizeOutcome(tidy_names(nf, free), ctr.beta, ctr.eta)
 
 
 def beta_eta_eq(a: PureTerm, b: PureTerm, fuel: Fuel = Fuel(), defs: Mapping[str, PureTerm] = _NO_DEFS) -> bool:

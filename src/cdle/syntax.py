@@ -110,20 +110,27 @@ def pure_size(t: PureTerm) -> int:
 
 
 def free_vars(t: PureTerm) -> frozenset[str]:
-    """Exactly the variables occurring free in ``t``."""
+    """Exactly the variables occurring free in ``t``, in one iterative
+    walk that counts the binders of each name in scope."""
     out: set[str] = set()
-    # (term, bound-set) pairs; bound sets share structure via frozenset
-    stack: list[tuple[PureTerm, frozenset[str]]] = [(t, frozenset())]
+    bound: dict[str, int] = {}
+    # terms to visit, or a binder's name to leave its scope
+    stack: list = [t]
     while stack:
-        cur, bound = stack.pop()
-        if isinstance(cur, PVar):
-            if cur.name not in bound:
+        cur = stack.pop()
+        cls = type(cur)
+        if cls is PVar:
+            if not bound.get(cur.name):
                 out.add(cur.name)
-        elif isinstance(cur, PLam):
-            stack.append((cur.body, bound | {cur.name}))
-        elif isinstance(cur, PApp):
-            stack.append((cur.fn, bound))
-            stack.append((cur.arg, bound))
+        elif cls is PApp:
+            stack.append(cur.fn)
+            stack.append(cur.arg)
+        elif cls is PLam:
+            bound[cur.name] = bound.get(cur.name, 0) + 1
+            stack.append(cur.name)
+            stack.append(cur.body)
+        else:
+            bound[cur] -= 1
     return frozenset(out)
 
 
@@ -542,16 +549,29 @@ class Context:
 
 
 def term_free_names(x: Union[Term, Type, Kind, DeferredArg]) -> frozenset[str]:
-    """Free names (term and type alike) of an annotated syntax value."""
+    """Free names (term and type alike) of an annotated syntax value, in
+    one iterative walk that counts the binders of each name in scope."""
     out: set[str] = set()
-    stack: list[tuple[object, frozenset[str]]] = [(x, frozenset())]
+    bound: dict[str, int] = {}
+    # values to visit, or a binder's name to leave its scope
+    stack: list = [x]
+
+    def under(name: str, body) -> None:
+        # pushed last, so the body is all that is visited with name bound
+        bound[name] = bound.get(name, 0) + 1
+        stack.append(name)
+        stack.append(body)
+
     while stack:
-        cur, bound = stack.pop()
+        cur = stack.pop()
+        if type(cur) is str:
+            bound[cur] -= 1
+            continue
         if isinstance(cur, DeferredArg):
-            stack.append((cur.expr, bound))
+            stack.append(cur.expr)
             continue
         if isinstance(cur, (Var, TVar)):
-            if cur.name not in bound:
+            if not bound.get(cur.name):
                 out.add(cur.name)
             continue
         if isinstance(cur, (Beta, Star)):
@@ -559,36 +579,36 @@ def term_free_names(x: Union[Term, Type, Kind, DeferredArg]) -> frozenset[str]:
         cls = type(cur)
         if cls in (Lam, ELam, TLam):
             if cur.ann is not None:
-                stack.append((cur.ann, bound))
-            stack.append((cur.body, bound | {cur.name}))
+                stack.append(cur.ann)
+            under(cur.name, cur.body)
         elif cls in (Pi, All, AllK, KPi, KPiK):
-            stack.append((cur.dom, bound))
-            stack.append((cur.cod, bound | {cur.name}))
+            stack.append(cur.dom)
+            under(cur.name, cur.cod)
         elif cls is Iota:
-            stack.append((cur.fst, bound))
-            stack.append((cur.snd, bound | {cur.name}))
+            stack.append(cur.fst)
+            under(cur.name, cur.snd)
         elif cls in (App, EApp, TAppT, TAppE):
-            stack.append((cur.fn, bound))
-            stack.append((cur.arg, bound))
+            stack.append(cur.fn)
+            stack.append(cur.arg)
         elif cls is Rho:
-            stack.append((cur.proof, bound))
+            stack.append(cur.proof)
+            stack.append(cur.body)
             if cur.guide is not None:
-                stack.append((cur.guide[1], bound | {cur.guide[0]}))
-            stack.append((cur.body, bound))
+                under(cur.guide[0], cur.guide[1])
         elif cls is Phi:
-            stack.append((cur.proof, bound))
-            stack.append((cur.main, bound))
-            stack.append((cur.target, bound))
+            stack.append(cur.proof)
+            stack.append(cur.main)
+            stack.append(cur.target)
         elif cls is Sym:
-            stack.append((cur.proof, bound))
+            stack.append(cur.proof)
         elif cls is IotaPair:
-            stack.append((cur.fst, bound))
-            stack.append((cur.snd, bound))
+            stack.append(cur.fst)
+            stack.append(cur.snd)
         elif cls is Proj:
-            stack.append((cur.subj, bound))
+            stack.append(cur.subj)
         elif cls is Eq:
-            stack.append((cur.lhs, bound))
-            stack.append((cur.rhs, bound))
+            stack.append(cur.lhs)
+            stack.append(cur.rhs)
         else:  # pragma: no cover
             raise TypeError(f"unknown syntax node {cls.__name__}")
     return frozenset(out)

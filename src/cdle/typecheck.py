@@ -129,6 +129,9 @@ class Checker:
         self.fuel = fuel
         self.ctx = Context()
         self.pure_env: dict[str, PureTerm] = {}
+        # the globals the machine may unfold here: ``pure_env`` without
+        # the entries that a name bound in the context shadows
+        self.defs: dict[str, PureTerm] = self.pure_env
 
     # ------------------------------------------------------------------
     # erasure pipeline
@@ -138,15 +141,16 @@ class Checker:
         """Erasure of ``t`` with the top-level definitions it mentions
         expanded.  The checker calls it only to fill ``pure_env``,
         whose expanded entries callers read directly: conversions and ρ
-        normalize the plain erasure and pass ``pure_env`` to the machine,
-        which unfolds a global when it looks the name up."""
+        normalize the plain erasure and pass ``defs`` (``pure_env``
+        without the globals a local binder shadows) to the machine, which
+        unfolds a global when it looks the name up."""
         p = erase(t)
         env = self.pure_env
         return substitute_many(p, {n: env[n] for n in free_vars(p) if n in env})
 
     def terms_conv(self, a: Term, b: Term) -> bool:
         try:
-            return beta_eta_eq(erase(a), erase(b), self.fuel, self.pure_env)
+            return beta_eta_eq(erase(a), erase(b), self.fuel, self.defs)
         except FuelExhaustedError:
             raise CheckError(ErrorCode.FuelExhausted, "conversion ran out of fuel")
 
@@ -176,13 +180,17 @@ class Checker:
 
     @contextmanager
     def _with(self, entry):
-        """Run a block with an extended context (restores afterwards)."""
-        saved = self.ctx
+        """Run a block with an extended context (restores afterwards).  A
+        binder that shadows a global hides it from ``defs`` too, so
+        conversions in the block treat the name as the local variable."""
+        saved, saved_defs = self.ctx, self.defs
         self.ctx = saved.extend(entry)
+        if entry.name in saved_defs:
+            self.defs = {n: p for n, p in saved_defs.items() if n != entry.name}
         try:
             yield
         finally:
-            self.ctx = saved
+            self.ctx, self.defs = saved, saved_defs
 
     def scope_check(self, t: Union[Term, Type], span=None) -> None:
         for n in sorted(term_free_names(t)):
@@ -694,10 +702,10 @@ class Checker:
                 )
             return subst1(template, hole, s2)
 
-        p1 = normalize(erase(s1), self.fuel, self.pure_env)
+        p1 = normalize(erase(s1), self.fuel, self.defs)
         if p1.fuel_exhausted:
             raise CheckError(ErrorCode.FuelExhausted, "ρ pattern ran out of fuel")
-        p2 = normalize(erase(s2), self.fuel, self.pure_env)
+        p2 = normalize(erase(s2), self.fuel, self.defs)
         if p2.fuel_exhausted:
             raise CheckError(ErrorCode.FuelExhausted, "ρ replacement ran out of fuel")
         counter = [0]
@@ -742,7 +750,7 @@ class Checker:
             return T
 
         def go_tm(e: Term) -> Term:
-            nf = normalize(erase(e), self.fuel, self.pure_env)
+            nf = normalize(erase(e), self.fuel, self.defs)
             if nf.fuel_exhausted:
                 raise CheckError(ErrorCode.FuelExhausted, "ρ target term ran out of fuel")
             rewritten, n = _replace_pure(nf.result, pat, rep)

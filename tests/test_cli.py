@@ -209,6 +209,14 @@ def test_cost_constant_and_linear(capsys):
     assert code == 0 and "classification: linear" in out
 
 
+def test_cost_repeated_size_gives_one_row(capsys):
+    code, out, _ = run(capsys, "cost", "v2l", "--sizes", "8,8,16", "--root", CORPUS)
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines[1:-1]] == ["8", "16"]
+    assert lines[-1] == "classification: linear (manifest: linear)"
+
+
 def test_cost_csv_schema(capsys):
     code, out, _ = run(capsys, "cost", "l2v!", "--sizes", "4,8", "--csv", "--root", CORPUS)
     assert code == 0

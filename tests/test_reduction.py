@@ -5,7 +5,16 @@ import random
 
 import pytest
 
-from cdle.reduction import Fuel, FuelExhaustedError, apply_and_count, beta_eta_eq, normalize
+from cdle.reduction import (
+    Fuel,
+    FuelExhaustedError,
+    _Counter,
+    _eval,
+    _quote,
+    apply_and_count,
+    beta_eta_eq,
+    normalize,
+)
 from cdle.syntax import PApp, PLam, PVar, alpha_eq, free_vars, substitute_many
 from gen import gen_pure, gen_pure_open
 from oracle import oracle_normalize
@@ -218,3 +227,132 @@ def test_fuel_boundaries_around_eta_phase(oracle_samples):
             assert (nf_m.fuel_exhausted, nf_m.beta_steps, nf_m.eta_steps) == (nf_o is None, b, e)
             eta_phase_exhaustions += nf_o is None and b == ob
     assert eta_phase_exhaustions > 0
+
+
+# --- binder naming against the quadratic reference -------------------------
+
+
+def reference_tidy_names(t):
+    """The naming pass as it was before it ran in linear time, kept as the
+    reference: each binder, from the root down, takes the first of
+    ``base, base1, base2, …`` that is neither free in ``t`` nor taken by
+    an enclosing binder, found by probing from ``base`` each time."""
+    global_free = free_vars(t)
+    out = []
+    work = [("go", t, {}, frozenset())]
+    while work:
+        frame = work.pop()
+        tag = frame[0]
+        if tag == "go":
+            _, cur, env, scope = frame
+            cls = type(cur)
+            if cls is PVar:
+                out.append(PVar(env.get(cur.name, cur.name)))
+            elif cls is PApp:
+                work.append(("app",))
+                work.append(("go", cur.arg, env, scope))
+                work.append(("go", cur.fn, env, scope))
+            else:
+                base = cur.name.split("%")[0] or "x"
+                cand = base
+                n = 0
+                while cand in scope or cand in global_free:
+                    n += 1
+                    cand = f"{base}{n}"
+                env2 = dict(env)
+                env2[cur.name] = cand
+                work.append(("lam", cand))
+                work.append(("go", cur.body, env2, scope | {cand}))
+        elif tag == "app":
+            a = out.pop()
+            f = out.pop()
+            out.append(PApp(f, a))
+        else:
+            out.append(PLam(frame[1], out.pop()))
+    return out[0]
+
+
+def readback(t, limit=10_000):
+    """Quote's output before naming, and the heads it counted as free."""
+    ctr = _Counter(limit, {})
+    return _quote(_eval(t, None, ctr), ctr)
+
+
+def assert_named_as_reference(t, nf, limit=10_000):
+    """``nf``, the normal form of ``t``, is named as the reference names
+    quote's output, and quote reports exactly that output's free names."""
+    raw, free = readback(t, limit)
+    assert set(free) == free_vars(raw)
+    assert nf == reference_tidy_names(raw)
+
+
+def test_naming_matches_reference_on_oracle_samples(oracle_samples):
+    samples, _ = oracle_samples
+    named = 0
+    for t, nf_o, _, _, nf_m in samples:
+        if nf_o is not None:
+            assert_named_as_reference(t, nf_m.result)
+            named += 1
+    assert named > 500
+
+
+# free names that collide with the candidates of the bases quote makes
+COLLIDING = ("x", "x1", "x3", "a%3", "a", "a1", "f", "f2", "y%q7", "g10", "z")
+
+
+def test_naming_matches_reference_with_colliding_free_names():
+    rng = random.Random(53)
+    seen = set()
+    for _ in range(1500):
+        t = gen_pure(rng, 24, COLLIDING)
+        out = normalize(t, Fuel(3000))
+        if out.fuel_exhausted:
+            continue
+        assert_named_as_reference(t, out.result, 3000)
+        seen |= free_vars(out.result) & set(COLLIDING)
+    assert {"x", "x1", "a", "a1", "a%3"} <= seen
+
+
+def test_naming_after_eta_reuses_the_contracted_binders_name():
+    """A binder that eta contracts takes no name, so a binder of the same
+    base inside it gets the name the contracted one would have had."""
+    cases = [
+        # λx. f (λx. x) x  →  f (λx. x)
+        (lam("x", ap(v("f"), lam("x", v("x")), v("x"))), ap(v("f"), lam("x", v("x")))),
+        # λx. λy. g (λx. λy. x y) x y  →  g (λx. x)
+        (
+            lam("x", lam("y", ap(v("g"), lam("x", lam("y", ap(v("x"), v("y")))), v("x"), v("y")))),
+            ap(v("g"), lam("x", v("x"))),
+        ),
+        # the surviving outer binder keeps x, the inner one under it is x1
+        (
+            lam("x", ap(v("x"), lam("x", ap(v("h"), lam("x", v("x")), v("x"))))),
+            lam("x", ap(v("x"), ap(v("h"), lam("x1", v("x1"))))),
+        ),
+        # x1 is free, so the second binder of the inner chain skips it
+        (
+            lam("x", ap(v("x1"), lam("x", lam("x", ap(v("x"), v("x")))), v("x"))),
+            ap(v("x1"), lam("x", lam("x2", ap(v("x2"), v("x2"))))),
+        ),
+    ]
+    for t, nf in cases:
+        out = normalize(t)
+        assert out.eta_steps >= 1
+        assert out.result == nf, out.result
+        assert_named_as_reference(t, nf)
+
+
+def test_naming_a_binder_chain_16000_deep():
+    """Every binder of a 16,000-deep chain is named, x1 skipped as free;
+    each λ's name is found without probing the names above it."""
+    depth = 16_000
+    t = ap(v("x"), v("x1"))
+    for _ in range(depth):
+        t = lam("x", t)
+    out = normalize(t)
+    assert (out.beta_steps, out.eta_steps) == (0, 0)
+    cur = out.result
+    for k in range(depth):
+        assert type(cur) is PLam and cur.name == ("x" if k == 0 else f"x{k + 1}")
+        cur = cur.body
+    assert cur == ap(v(f"x{depth}"), v("x1"))

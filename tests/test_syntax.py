@@ -7,18 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdle.syntax import (
+    App,
     Defn,
+    Eq,
+    Lam,
     PApp,
     PLam,
+    Pi,
     PVar,
     Span,
     Star,
+    TAppE,
     TVar,
     Var,
     alpha_eq,
     free_vars,
     pure_size,
     substitute,
+    term_free_names,
 )
 from gen import gen_pure, gen_pure_open
 
@@ -83,6 +89,27 @@ def test_substitute_examples():
 def test_free_vars_examples():
     assert free_vars(lam("x", v("x"))) == frozenset()
     assert free_vars(lam("x", ap(v("x"), v("y")))) == frozenset({"y"})
+
+
+def test_free_names_of_deep_terms():
+    """32768 nested binders with distinct names: the pure and the
+    annotated free-name walks keep each binder in scope for its body
+    only, however deep."""
+    depth = 32768
+    t = ap(ap(v("x0"), v(f"x{depth - 1}")), ap(v(f"x{depth}"), v("y")))
+    for i in reversed(range(depth)):
+        t = lam(f"x{i}", ap(t, v(f"x{i}")))
+    assert free_vars(ap(t, v("x5"))) == {f"x{depth}", "y", "x5"}
+
+    body = App(Var("x0"), Var(f"x{depth}"))
+    for i in reversed(range(depth)):
+        body = Lam(f"x{i}", App(body, Var(f"x{i}")), None)
+    # each domain names the binder outside it, so only the outermost is free
+    ty = Eq(Var("x0"), Var("z"))
+    for i in reversed(range(depth)):
+        ty = Pi(f"x{i}", TAppE(TVar("P"), Var(f"x{max(i - 1, 0)}")), ty)
+    assert term_free_names(body) == {f"x{depth}"}
+    assert term_free_names(ty) == {"P", "x0", "z"}
 
 
 def _samples(n, budget=24, seed=7, open_terms=False):

@@ -445,3 +445,26 @@ f ◂ Nat ➔ Nat = λ x. p x.
     out = normalize(erase(parse_term("f z")), ck.fuel, ck.pure_env)
     assert out.result == PApp(PVar("p"), PVar("z")) and out.beta_steps == 1
     assert ck.terms_conv(parse_term("f"), parse_term("p"))
+
+
+def test_local_binder_shadowing_a_global_is_a_variable():
+    """A λ-bound ``zero`` is the local variable in conversions and ρ, not
+    the global ``zero`` unfolded: otherwise ``allZero`` would prove every
+    ``Nat`` equal to zero.  Named ``n``, the binder gives the same errors."""
+    import tempfile
+
+    src = """
+import base.
+z0 ◂ Nat = Λ X. λ z. λ s. z.
+allZero ◂ Π {x} : Nat. {x} ≃ z0 = λ {x}. β.
+rw ◂ Π {x} : Nat. Π q : z0 ≃ {x}. {x} ≃ {x} = λ {x}. λ q. ρ q - β.
+"""
+    for x in ("zero", "n"):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "m.cdl")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(src.format(x=x))
+            ck, report = check_defs(load_program([path], root=CORPUS))
+        codes = {r.name: r.code for r in report.results if r.file == path}
+        assert codes == {"z0": None, "allZero": "TypeMismatch", "rw": "RhoNoOccurrence"}, x
+        assert ck.defs is ck.pure_env and "zero" in ck.pure_env
