@@ -164,24 +164,28 @@ def classify_costs(rows: list[tuple[int, int, bool]]) -> str:
 
 def _cost_table(ck, name, sizes, fuel, csv=False) -> bool:
     """Step-count the measured conversion ``name`` at ``sizes``, print its
-    rows (as CSV with ``csv``) and their classification; whether that
-    matches the manifest."""
+    rows (as CSV with ``csv``), their classification and a ``RESULT
+    FAIL`` line per run whose result is not its input; whether the
+    classification matches the manifest and every result is right."""
     try:
         rows = cost_rows(ck, name, sizes, fuel)
     except FuelExhaustedError:
         raise CliError("fuel exhausted normalizing the conversion", EXIT_SEMANTIC) from None
     if csv:
         print("name,n,beta_steps,eta_steps,fuel_exhausted")
-        for n, b, e, ex in rows:
+        for n, b, e, ex, _ in rows:
             print(f"{name},{n},{b},{e},{str(ex).lower()}")
     else:
         print(f"{'n':>8} {'beta':>10} {'eta':>6} {'fuel?':>6}")
-        for n, b, e, ex in rows:
+        for n, b, e, ex, _ in rows:
             print(f"{n:>8} {b:>10} {e:>6} {str(ex).lower():>6}")
-    verdict = classify_costs([(n, b, ex) for n, b, _, ex in rows])
+    verdict = classify_costs([(n, b, ex) for n, b, _, ex, _ in rows])
     expected = COST_CLASSES[name][0]
     print(f"classification: {verdict} (manifest: {expected})")
-    return verdict == expected
+    wrong = [n for n, *_, same in rows if not same]
+    for n in wrong:
+        print(f"RESULT FAIL {name} n={n}")
+    return verdict == expected and not wrong
 
 
 def cmd_cost(args) -> int:

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .loader import load_program
 from .reduction import Fuel, FuelExhaustedError, apply_and_count, beta_eta_eq, normalize
-from .syntax import PApp, PLam, PureTerm, PVar, Var
+from .syntax import PApp, PLam, PureTerm, PVar, Var, alpha_eq
 from .typecheck import Checker, CheckReport, check_defs
 
 CORPUS_FILE_ORDER = [
@@ -300,18 +300,22 @@ def synth_input_nf(checker: Checker, kind: str, n: int, fuel: Fuel = Fuel()) -> 
 
 def cost_rows(
     checker: Checker, name: str, sizes: list[int], fuel: Fuel = Fuel()
-) -> list[tuple[int, int, int, bool]]:
+) -> list[tuple[int, int, int, bool, bool]]:
     """Step-count the measured conversion ``name`` on a synthesized input
-    of each distinct size: ``(n, beta_steps, eta_steps, fuel_exhausted)``
-    rows in increasing ``n``, one per size however often it is given.
-    Raises ``FuelExhaustedError`` when the conversion itself does not
-    normalize within fuel."""
+    of each distinct size: ``(n, beta_steps, eta_steps, fuel_exhausted,
+    same)`` rows in increasing ``n``, one per size however often it is
+    given.  Every measured conversion returns its input's erasure, so
+    ``same`` is False only when the counted run returned a term that is
+    not alpha-equal to its input.  Raises ``FuelExhaustedError`` when the
+    conversion itself does not normalize within fuel."""
     kind = COST_CLASSES[name][1]
     fn = normalize(checker.pure_env[name], fuel)
     if fn.fuel_exhausted:
         raise FuelExhaustedError(fn.beta_steps, fn.eta_steps)
     rows = []
     for n in sorted(set(sizes)):
-        out = apply_and_count(fn.result, [synth_input_nf(checker, kind, n, fuel)], fuel)
-        rows.append((n, out.beta_steps, out.eta_steps, out.fuel_exhausted))
+        inp = synth_input_nf(checker, kind, n, fuel)
+        out = apply_and_count(fn.result, [inp], fuel)
+        same = out.fuel_exhausted or alpha_eq(out.result, inp)
+        rows.append((n, out.beta_steps, out.eta_steps, out.fuel_exhausted, same))
     return rows

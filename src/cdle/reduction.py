@@ -13,11 +13,12 @@ would; eta-contracting a beta-normal form creates no beta-redex, so one
 pass is exhaustive.  Eta steps are charged against the fuel after every
 beta step, as the textual reducer spends them.
 
-Readback ends with a naming pass, ``tidy_names``, which gives binders
-short display names in one walk over the normal form.  It takes the
-normal form's free variables from quote, which counts the heads it
-emits, rather than walking the term for them, so naming takes time
-linear in the size of the normal form however deeply its binders nest.
+Readback is one pass: ``_quote`` builds each node of the normal form
+once.  It gives every binder one shared ``PVar`` node and a record, and
+names the surviving binders at the end, over those records alone, once
+the normal form's free variables (the heads it emitted but did not bind)
+and the eta-contracted binders are known.  So readback takes time linear
+in the size of the normal form however deeply its binders nest.
 
 Top-level definitions unfold on lookup: ``normalize`` and
 ``beta_eta_eq`` take an optional ``defs`` table of pure terms (the
@@ -28,10 +29,11 @@ entry's free variables.  Unfolding is not a contraction, so it is
 counted in neither tally and charges no fuel: the counts equal those of
 normalizing the term with every such name substituted by its entry.
 
-Step tallies and the binder names quote makes up live in a per-call
-counter, so the functions share no mutable state (beyond the recursion
-limit that ``normalize`` raises) and are safe to run concurrently.  The
-one global counter left in the kernel is the ``itertools.count`` behind
+Step tallies live in a per-call counter and binder records in the
+quote call, so the functions share no mutable state (beyond the recursion
+limit that ``normalize`` raises) and are safe to run concurrently; the
+names quote writes go only into nodes that call built.  The one global
+counter left in the kernel is the ``itertools.count`` behind
 ``syntax.fresh_name``, whose names need only be distinct.
 """
 
@@ -40,7 +42,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Container, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .syntax import PApp, PLam, PVar, PureTerm, alpha_eq
 
@@ -52,10 +54,11 @@ _NO_DEFS: Mapping[str, PureTerm] = MappingProxyType({})
 class FuelExhaustedError(Exception):
     """Raised when normalization exceeds its contraction budget."""
 
-    def __init__(self, beta_steps: int, eta_steps: int):
+    def __init__(self, beta_steps: int, eta_steps: int, side: Optional[int] = None):
         super().__init__(f"fuel exhausted after {beta_steps} beta / {eta_steps} eta steps")
         self.beta_steps = beta_steps
         self.eta_steps = eta_steps
+        self.side = side  # from beta_eta_eq: 0 or 1, the argument that ran out
 
 
 @dataclass(frozen=True)
@@ -84,27 +87,16 @@ class NormalizeOutcome:
 
 
 class _Counter:
-    """Per-call state: step tallies against the budget, the number of
-    binder names ``_quote`` has made up so far, and the definitions that
-    free variables unfold to."""
+    """Per-call state: step tallies against the budget, and the
+    definitions that free variables unfold to."""
 
-    __slots__ = ("beta", "eta", "limit", "names", "defs")
+    __slots__ = ("beta", "eta", "limit", "defs")
 
     def __init__(self, limit: int, defs: Mapping[str, PureTerm]):
         self.beta = 0
         self.eta = 0
         self.limit = limit
-        self.names = 0
         self.defs = defs
-
-    def fresh_quote_name(self, hint: str) -> str:
-        """A binder name for ``_quote``, fresh within this call: no input
-        has a ``%q`` name, as parsed names have no ``%`` and
-        ``syntax.fresh_name`` puts digits after it.  The part before
-        ``%`` (the base) never ends in a digit."""
-        self.names += 1
-        base = hint.split("%")[0].rstrip("0123456789") or "x"
-        return f"{base}%q{self.names}"
 
 
 # --- machine values ---------------------------------------------------------
@@ -133,7 +125,8 @@ class _VLam:
 class _VNeutral:
     __slots__ = ("head", "spine")
 
-    def __init__(self, head: str, spine: list):
+    def __init__(self, head: int | str, spine: list):
+        # head: a free name, or the id of a binder that quote opened
         self.head = head
         self.spine = spine  # thunks in application order
 
@@ -184,18 +177,36 @@ def _quote(v, ctr: _Counter) -> tuple[PureTerm, dict[str, int]]:
     of neutral spines are evaluated left to right, matching leftmost-
     outermost normalization order.
 
-    Each abstraction is eta-contracted as it is rebuilt, after its body,
-    and tallied in ``ctr.eta`` without a fuel check.  Its binder name is
-    fresh within the call, so ``λx. t x`` contracts exactly when ``x`` is
-    emitted once as a neutral head while reading back the body.
+    Every node of the result is built once, in this walk.  Each binder
+    quote opens gets an integer id, which the neutral it binds carries as
+    its head, and one ``PVar`` node that all its occurrences share.  Each
+    abstraction is eta-contracted as it is rebuilt, after its body, and
+    tallied in ``ctr.eta`` without a fuel check: ``λx. t x`` contracts
+    exactly when ``x`` is emitted once, as that very argument node.
+
+    Binders are named at the end, when the normal form's free variables
+    and the surviving binders are known.  A binder's base is its hint
+    before any ``%``, without trailing digits (``x`` if empty); bases
+    that differ never compete for a name, and a surviving binder under
+    ``k`` surviving binders of its base takes the ``k``-th of ``base,
+    base1, base2, …`` that is not free.  Naming writes into the
+    ``PLam`` and ``PVar`` of each binder, nodes no caller has seen yet,
+    so readback is linear in the size of the normal form.
 
     Returns the term and the count of each head emitted but not bound by
     an abstraction of the result: every abstraction removes its own
     binder's entry, so the keys are exactly the term's free variables."""
     out: list[PureTerm] = []
-    uses: dict[str, int] = {}
-    # values and thunks to read back, a binder name to close an
-    # abstraction, or (head, arity) to close a neutral spine
+    uses: dict = {}  # binder id or free name -> occurrences not yet bound
+    # per binder id: its base, the enclosing open binder of that base
+    # (-1 if none), its PLam (None if eta-contracted) and its PVar
+    bases: list[str] = []
+    parents: list[int] = []
+    lams: list[Optional[PLam]] = []
+    pvars: list[PVar] = []
+    innermost: dict[str, int] = {}  # per base: the open binder, or -1
+    # values and thunks to read back, a binder id to close an
+    # abstraction, or (head node, arity) to close a neutral spine
     work: list = [v]
     while work:
         item = work.pop()
@@ -206,91 +217,60 @@ def _quote(v, ctr: _Counter) -> tuple[PureTerm, dict[str, int]]:
         if cls is _VNeutral:
             head, spine = item.head, item.spine
             uses[head] = uses.get(head, 0) + 1
+            node = pvars[head] if type(head) is int else PVar(head)
             if spine:
-                work.append((head, len(spine)))
+                work.append((node, len(spine)))
                 work.extend(reversed(spine))
             else:
-                out.append(PVar(head))
+                out.append(node)
         elif cls is _VLam:
-            fresh = ctr.fresh_quote_name(item.name)
-            work.append(fresh)
-            work.append(_eval(item.body, (item.name, _VNeutral(fresh, []), item.env), ctr))
-        elif cls is str:
+            i = len(bases)
+            base = item.name.split("%")[0].rstrip("0123456789") or "x"
+            bases.append(base)
+            parents.append(innermost.get(base, -1))
+            innermost[base] = i
+            lams.append(None)
+            pvars.append(PVar(base))
+            work.append(i)
+            work.append(_eval(item.body, (item.name, _VNeutral(i, []), item.env), ctr))
+        elif cls is int:
             body = out.pop()
-            if uses.pop(item, 0) == 1 and type(body) is PApp:
-                arg = body.arg
-                if type(arg) is PVar and arg.name == item:
-                    ctr.eta += 1
-                    out.append(body.fn)
-                    continue
-            out.append(PLam(item, body))
-        else:  # (head, arity): the spine's arguments are the last outputs
-            head, arity = item
+            innermost[bases[item]] = parents[item]
+            if uses.pop(item, 0) == 1 and type(body) is PApp and body.arg is pvars[item]:
+                ctr.eta += 1
+                out.append(body.fn)
+            else:
+                lams[item] = lam = PLam(bases[item], body)
+                out.append(lam)
+        else:  # (head node, arity): the spine's arguments are the last outputs
+            t, arity = item
             first = len(out) - arity
-            t: PureTerm = PVar(head)
             for a in out[first:]:
                 t = PApp(t, a)
             del out[first:]
             out.append(t)
-    return out[0], uses
 
-
-# --- canonical display names ------------------------------------------------
-
-
-def tidy_names(t: PureTerm, free: Container[str]) -> PureTerm:
-    """Deterministically rename binders to short, collision-free names so
-    normal forms do not show the numbered names that quote makes up.
-
-    ``t`` is quote's output and ``free`` holds its free variables.  A
-    binder whose name has base ``b`` (the part before ``%``) becomes the
-    first of ``b, b1, b2, …`` that is neither free in ``t`` nor the name
-    of an enclosing binder.  Quote's binder names are distinct and their
-    bases never end in a digit, so binders of different bases never
-    compete for a name, and the binder under ``k`` enclosing binders of
-    its base gets the ``k``-th candidate that is not free.  One walk with
-    a flat rename map and one depth per base names every binder, in time
-    linear in the size of ``t``."""
-    rename: dict[str, str] = {}
-    names: dict[str, list[str]] = {}  # per base: the candidates not free, so far
+    # naming, in creation order, so a binder's ancestors come first
+    taken: dict[str, list[str]] = {}  # per base: the candidates not free, so far
     tried: dict[str, int] = {}  # per base: candidates generated
-    depth: dict[str, int] = {}  # per base: binders of that base in scope
-    out: list[PureTerm] = []
-    # terms to rename, None to close an application, or a base to close
-    # an abstraction
-    work: list = [t]
-    while work:
-        cur = work.pop()
-        cls = type(cur)
-        if cls is PVar:
-            name = rename.get(cur.name)
-            out.append(cur if name is None else PVar(name))
-        elif cls is PApp:
-            work.append(None)
-            work.append(cur.arg)
-            work.append(cur.fn)
-        elif cls is PLam:
-            base = cur.name.split("%")[0] or "x"
-            k = depth.get(base, 0)
-            taken = names.setdefault(base, [])
-            while len(taken) <= k:
-                n = tried.get(base, 0)
-                tried[base] = n + 1
-                cand = f"{base}{n}" if n else base
-                if cand not in free:
-                    taken.append(cand)
-            rename[cur.name] = taken[k]
-            depth[base] = k + 1
-            work.append(base)
-            work.append(cur.body)
-        elif cur is None:
-            a = out.pop()
-            out[-1] = PApp(out[-1], a)
-        else:
-            k = depth[cur] - 1
-            depth[cur] = k
-            out[-1] = PLam(names[cur][k], out[-1])
-    return out[0]
+    depth = [0] * len(bases)  # per binder: surviving binders of its base above it
+    for i, base in enumerate(bases):
+        p = parents[i]
+        if p >= 0:
+            depth[i] = depth[p] + (lams[p] is not None)
+        lam = lams[i]
+        if lam is None:
+            continue
+        k = depth[i]
+        names = taken.setdefault(base, [])
+        while len(names) <= k:
+            n = tried.get(base, 0)
+            tried[base] = n + 1
+            cand = f"{base}{n}" if n else base
+            if cand not in uses:
+                names.append(cand)
+        lam.name = pvars[i].name = names[k]
+    return out[0], uses
 
 
 # --- public operations ------------------------------------------------------
@@ -317,25 +297,25 @@ def normalize(t: PureTerm, fuel: Fuel = Fuel(), defs: Mapping[str, PureTerm] = _
     _ensure_recursion_room()
     ctr = _Counter(fuel.max_steps, defs)
     try:
-        nf, free = _quote(_eval(t, None, ctr), ctr)
+        nf, _ = _quote(_eval(t, None, ctr), ctr)
     except FuelExhaustedError as e:
         return NormalizeOutcome(None, e.beta_steps, e.eta_steps)
     if ctr.beta + ctr.eta > ctr.limit:
         return NormalizeOutcome(None, ctr.beta, ctr.limit - ctr.beta)
-    return NormalizeOutcome(tidy_names(nf, free), ctr.beta, ctr.eta)
+    return NormalizeOutcome(nf, ctr.beta, ctr.eta)
 
 
 def beta_eta_eq(a: PureTerm, b: PureTerm, fuel: Fuel = Fuel(), defs: Mapping[str, PureTerm] = _NO_DEFS) -> bool:
     """True iff both terms normalize within fuel to alpha-equal normal
     forms, with the free variables that ``defs`` names unfolded as in
-    ``normalize``.  Fuel exhaustion raises rather than answering
-    falsely."""
+    ``normalize``.  Fuel exhaustion raises rather than answering falsely,
+    with ``side`` the index of the argument that ran out."""
     na = normalize(a, fuel, defs)
     if na.fuel_exhausted:
-        raise FuelExhaustedError(na.beta_steps, na.eta_steps)
+        raise FuelExhaustedError(na.beta_steps, na.eta_steps, 0)
     nb = normalize(b, fuel, defs)
     if nb.fuel_exhausted:
-        raise FuelExhaustedError(nb.beta_steps, nb.eta_steps)
+        raise FuelExhaustedError(nb.beta_steps, nb.eta_steps, 1)
     return alpha_eq(na.result, nb.result)
 
 

@@ -10,7 +10,10 @@ Syntax nodes are slotted dataclasses: they have no ``__dict__``, compare
 and hash by value (source spans excluded), and are immutable by
 convention rather than frozen, since a frozen dataclass costs more than
 twice as much to build.  No code assigns to a node, so nodes are safe to
-share between checker instances.
+share between checker instances.  The one exception is readback in
+``reduction._quote``, which names binders by assigning ``name`` to the
+``PLam`` and ``PVar`` nodes it built itself, before ``normalize`` returns
+them; no other code has seen those nodes yet.
 
 The pure-term operations here (subterms, free variables,
 alpha-equivalence, substitution) and ``term_free_names`` are iterative,

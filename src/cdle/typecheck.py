@@ -110,6 +110,12 @@ class CheckError(Exception):
         self.span = span
 
 
+def _out_of_fuel(what: str, t: Term) -> CheckError:
+    """The FuelExhausted error for normalizing ``t``, naming where ``t``
+    is written when it has a source position."""
+    return CheckError(ErrorCode.FuelExhausted, f"{what} ran out of fuel" + (f" at {t.span}" if t.span else ""))
+
+
 def _canon_msg(s: str) -> str:
     """Replace fresh-name counters by per-message sequential ids so error
     messages are byte-identical across runs."""
@@ -151,8 +157,8 @@ class Checker:
     def terms_conv(self, a: Term, b: Term) -> bool:
         try:
             return beta_eta_eq(erase(a), erase(b), self.fuel, self.defs)
-        except FuelExhaustedError:
-            raise CheckError(ErrorCode.FuelExhausted, "conversion ran out of fuel")
+        except FuelExhaustedError as e:
+            raise _out_of_fuel("conversion", (a, b)[e.side])
 
     # ------------------------------------------------------------------
     # context helpers
@@ -704,10 +710,10 @@ class Checker:
 
         p1 = normalize(erase(s1), self.fuel, self.defs)
         if p1.fuel_exhausted:
-            raise CheckError(ErrorCode.FuelExhausted, "ρ pattern ran out of fuel")
+            raise _out_of_fuel("ρ pattern", s1)
         p2 = normalize(erase(s2), self.fuel, self.defs)
         if p2.fuel_exhausted:
-            raise CheckError(ErrorCode.FuelExhausted, "ρ replacement ran out of fuel")
+            raise _out_of_fuel("ρ replacement", s2)
         counter = [0]
         out = self._rw_type(target, p1.result, p2.result, counter)
         if counter[0] == 0:
@@ -752,7 +758,7 @@ class Checker:
         def go_tm(e: Term) -> Term:
             nf = normalize(erase(e), self.fuel, self.defs)
             if nf.fuel_exhausted:
-                raise CheckError(ErrorCode.FuelExhausted, "ρ target term ran out of fuel")
+                raise _out_of_fuel("ρ target term", e)
             rewritten, n = _replace_pure(nf.result, pat, rep)
             if n == 0:
                 return e

@@ -1,5 +1,6 @@
 """Command-line harness: exit codes, JSON records, CSV schema."""
 
+import glob
 import json
 import os
 import shutil
@@ -8,7 +9,10 @@ import sys
 
 import pytest
 
+import cdle.corpus as cdle_corpus
 from cdle.cli import classify_costs, main
+from cdle.reduction import NormalizeOutcome
+from cdle.syntax import PVar
 
 from conftest import CORPUS, NEGATIVE, REPO
 
@@ -251,6 +255,29 @@ def test_cost_corpus_not_checked_within_fuel_exit_one(capsys):
     assert "ERROR[FuelExhausted]" in err
 
 
+def test_check_names_the_site_that_ran_out_of_fuel(capsys):
+    """Each FuelExhausted error keeps its text and ends with the position
+    where the term being normalized is written."""
+    paths = sorted(glob.glob(os.path.join(CORPUS, "*.cdl")))
+    code, out, _ = run(capsys, "check", *paths, "--max-steps", "60")
+    assert code == 1
+    fuel = [line for line in out.splitlines() if "ERROR[FuelExhausted]" in line]
+    sites = [
+        ("v2lId", "ρ target term", "reuse.cdl:18:57"),
+        ("l2vId", "ρ target term", "reuse.cdl:29:49"),
+        ("v2lPresLen", "ρ target term", "reuse.cdl:37:58"),
+        ("appV2appLId", "ρ target term", "append.cdl:31:24"),
+        ("appV2appL!", "conversion", "append.cdl:31:24"),
+        ("appL2appV", "ρ pattern", "append.cdl:44:22"),
+    ]
+    assert len(fuel) == len(sites)
+    for line, (name, what, site) in zip(fuel, sites):
+        head = f"{name}: ERROR[FuelExhausted] {what} ran out of fuel at "
+        assert line.startswith(head) and line.endswith(os.sep + site), line
+        file = line.removeprefix(head).removesuffix(site[site.index(":"):])
+        assert os.path.isfile(file), line
+
+
 def test_cost_usage_errors(capsys):
     code, _, err = run(capsys, "cost", "v2l!", "--sizes", "", "--root", CORPUS)
     assert code == 2
@@ -312,6 +339,28 @@ def test_verify_wrong_expected_code_exit_one(capsys, tmp_path):
     lines = out.splitlines()
     assert "  BAD erased_var: ErasedVarOccursFree (expect: TypeMismatch)" in lines
     assert sum(line.startswith("  ok  ") for line in lines) == 10
+    assert lines[-1] == "1 FAILURES"
+
+
+def test_verify_counts_a_counted_run_that_changes_its_input(capsys, monkeypatch):
+    """Every measured conversion returns its input's erasure; a counted
+    run that returns another term is one failure, with its row named."""
+    real = cdle_corpus.apply_and_count
+    calls = []
+
+    def wrong_first_run(f, args, fuel):
+        out = real(f, args, fuel)
+        calls.append(f)
+        if len(calls) > 1:
+            return out
+        return NormalizeOutcome(PVar("wrong"), out.beta_steps, out.eta_steps)
+
+    monkeypatch.setattr(cdle_corpus, "apply_and_count", wrong_first_run)
+    code, out, _ = run(capsys, "verify")
+    assert code == 1
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("RESULT")] == ["RESULT FAIL v2l n=8"]
+    assert sum(line.startswith("classification: ") for line in lines) == 6
     assert lines[-1] == "1 FAILURES"
 
 

@@ -1,8 +1,11 @@
 """Normalizer behavior: step counts, eta, fuel, and agreement with the
 naive substitution-based oracle."""
 
+import itertools
 import random
+from concurrent.futures import ThreadPoolExecutor
 
+import gen
 import pytest
 
 from cdle.reduction import (
@@ -11,11 +14,15 @@ from cdle.reduction import (
     _Counter,
     _eval,
     _quote,
+    _Thunk,
+    _VLam,
+    _VNeutral,
     apply_and_count,
     beta_eta_eq,
     normalize,
 )
-from cdle.syntax import PApp, PLam, PVar, alpha_eq, free_vars, substitute_many
+from cdle.corpus import COST_CLASSES, synth_input_nf
+from cdle.syntax import PApp, PLam, PVar, alpha_eq, free_vars, pure_subterms, substitute_many
 from gen import gen_pure, gen_pure_open
 from oracle import oracle_normalize
 
@@ -229,14 +236,100 @@ def test_fuel_boundaries_around_eta_phase(oracle_samples):
     assert eta_phase_exhaustions > 0
 
 
-# --- binder naming against the quadratic reference -------------------------
+# --- binder naming against the two-pass reference -------------------------
+
+
+def reference_quote(v, ctr):
+    """Readback as it was before quote named binders itself: every binder
+    gets a name ``base%qN``, numbered from 1 in each call, and eta is
+    tested on names.  A free name of that form could pass for a binder;
+    the samples' one such name, ``y%q7``, never meets a binder so named.
+    Returns the term and its free names counted as heads."""
+    out = []
+    uses = {}
+    made = 0
+    work = [v]
+    while work:
+        item = work.pop()
+        cls = type(item)
+        if cls is _Thunk:
+            item = _eval(item.term, item.env, ctr)
+            cls = type(item)
+        if cls is _VNeutral:
+            head, spine = item.head, item.spine
+            uses[head] = uses.get(head, 0) + 1
+            if spine:
+                work.append((head, len(spine)))
+                work.extend(reversed(spine))
+            else:
+                out.append(PVar(head))
+        elif cls is _VLam:
+            made += 1
+            fresh = f"{item.name.split('%')[0].rstrip('0123456789') or 'x'}%q{made}"
+            work.append(fresh)
+            work.append(_eval(item.body, (item.name, _VNeutral(fresh, []), item.env), ctr))
+        elif cls is str:
+            body = out.pop()
+            if uses.pop(item, 0) == 1 and type(body) is PApp and body.arg == PVar(item):
+                ctr.eta += 1
+                out.append(body.fn)
+            else:
+                out.append(PLam(item, body))
+        else:
+            head, arity = item
+            first = len(out) - arity
+            t = PVar(head)
+            for a in out[first:]:
+                t = PApp(t, a)
+            del out[first:]
+            out.append(t)
+    return out[0], uses
+
+
+def reference_tidy_names_linear(t, free):
+    """The separate naming pass, in one walk: a binder of base ``b`` under
+    ``k`` enclosing binders of base ``b`` takes the ``k``-th of ``b, b1,
+    b2, …`` that is not in ``free``."""
+    rename = {}
+    names = {}
+    tried = {}
+    depth = {}
+    out = []
+    work = [t]
+    while work:
+        cur = work.pop()
+        cls = type(cur)
+        if cls is PVar:
+            out.append(PVar(rename.get(cur.name, cur.name)))
+        elif cls is PApp:
+            work += [None, cur.arg, cur.fn]
+        elif cls is PLam:
+            base = cur.name.split("%")[0] or "x"
+            k = depth.get(base, 0)
+            taken = names.setdefault(base, [])
+            while len(taken) <= k:
+                n = tried.get(base, 0)
+                tried[base] = n + 1
+                cand = f"{base}{n}" if n else base
+                if cand not in free:
+                    taken.append(cand)
+            rename[cur.name] = taken[k]
+            depth[base] = k + 1
+            work += [base, cur.body]
+        elif cur is None:
+            a = out.pop()
+            out[-1] = PApp(out[-1], a)
+        else:
+            depth[cur] -= 1
+            out[-1] = PLam(names[cur][depth[cur]], out[-1])
+    return out[0]
 
 
 def reference_tidy_names(t):
-    """The naming pass as it was before it ran in linear time, kept as the
-    reference: each binder, from the root down, takes the first of
-    ``base, base1, base2, …`` that is neither free in ``t`` nor taken by
-    an enclosing binder, found by probing from ``base`` each time."""
+    """The naming pass as it was before it ran in linear time: each
+    binder, from the root down, takes the first of ``base, base1, base2,
+    …`` that is neither free in ``t`` nor taken by an enclosing binder,
+    found by probing from ``base`` each time."""
     global_free = free_vars(t)
     out = []
     work = [("go", t, {}, frozenset())]
@@ -272,18 +365,40 @@ def reference_tidy_names(t):
     return out[0]
 
 
-def readback(t, limit=10_000):
-    """Quote's output before naming, and the heads it counted as free."""
+def reference_readback(t, limit=10_000, quadratic=True):
+    """The normal form of ``t`` as the two-pass readback names it, with
+    its eta count.  With ``quadratic``, the one-walk naming pass is
+    checked against the probing one on the way."""
     ctr = _Counter(limit, {})
-    return _quote(_eval(t, None, ctr), ctr)
-
-
-def assert_named_as_reference(t, nf, limit=10_000):
-    """``nf``, the normal form of ``t``, is named as the reference names
-    quote's output, and quote reports exactly that output's free names."""
-    raw, free = readback(t, limit)
+    raw, free = reference_quote(_eval(t, None, ctr), ctr)
     assert set(free) == free_vars(raw)
-    assert nf == reference_tidy_names(raw)
+    named = reference_tidy_names_linear(raw, free)
+    if quadratic:
+        assert same_term(named, reference_tidy_names(raw))
+    return named, ctr.eta
+
+
+def same_term(a, b):
+    """``a == b``, names included, without recursion: equal pre-order
+    node sequences make equal trees, as each class has a fixed arity."""
+    for x, y in itertools.zip_longest(pure_subterms(a), pure_subterms(b)):
+        if type(x) is not type(y) or getattr(x, "name", None) != getattr(y, "name", None):
+            return False
+    return True
+
+
+def assert_named_as_reference(t, limit=10_000, quadratic=True):
+    """``normalize`` gives ``t`` the normal form, names included, and the
+    eta count that the two-pass readback gives, and quote reports exactly
+    that normal form's free names."""
+    out = normalize(t, Fuel(limit))
+    assert not out.fuel_exhausted
+    named, eta = reference_readback(t, limit, quadratic)
+    assert same_term(out.result, named) and out.eta_steps == eta
+    ctr = _Counter(limit, {})
+    nf, free = _quote(_eval(t, None, ctr), ctr)
+    assert same_term(nf, out.result) and set(free) == free_vars(nf)
+    return out
 
 
 def test_naming_matches_reference_on_oracle_samples(oracle_samples):
@@ -291,7 +406,7 @@ def test_naming_matches_reference_on_oracle_samples(oracle_samples):
     named = 0
     for t, nf_o, _, _, nf_m in samples:
         if nf_o is not None:
-            assert_named_as_reference(t, nf_m.result)
+            assert assert_named_as_reference(t) == nf_m
             named += 1
     assert named > 500
 
@@ -300,17 +415,24 @@ def test_naming_matches_reference_on_oracle_samples(oracle_samples):
 COLLIDING = ("x", "x1", "x3", "a%3", "a", "a1", "f", "f2", "y%q7", "g10", "z")
 
 
-def test_naming_matches_reference_with_colliding_free_names():
-    rng = random.Random(53)
-    seen = set()
-    for _ in range(1500):
-        t = gen_pure(rng, 24, COLLIDING)
-        out = normalize(t, Fuel(3000))
-        if out.fuel_exhausted:
-            continue
-        assert_named_as_reference(t, out.result, 3000)
-        seen |= free_vars(out.result) & set(COLLIDING)
-    assert {"x", "x1", "a", "a1", "a%3"} <= seen
+# binder names with ``%`` and digits; the generator appends one more digit
+NUMBERED_BINDERS = ["x%7", "a%1", "y1", "x", "a%", "f2%q", "g10"]
+
+
+def test_naming_matches_reference_with_colliding_free_names(monkeypatch):
+    """Open terms whose free names are candidates of the bases quote
+    makes, with binders named as the generator names them (a pool name
+    and a digit) and then with ``NUMBERED_BINDERS`` as the pool."""
+    for pool in (gen.VAR_POOL, NUMBERED_BINDERS):
+        monkeypatch.setattr(gen, "VAR_POOL", pool)
+        rng = random.Random(53)
+        seen = set()
+        for _ in range(1500):
+            t = gen_pure(rng, 24, COLLIDING)
+            if normalize(t, Fuel(3000)).fuel_exhausted:
+                continue
+            seen |= free_vars(assert_named_as_reference(t, 3000).result) & set(COLLIDING)
+        assert {"x", "x1", "a", "a1", "a%3"} <= seen
 
 
 def test_naming_after_eta_reuses_the_contracted_binders_name():
@@ -336,10 +458,9 @@ def test_naming_after_eta_reuses_the_contracted_binders_name():
         ),
     ]
     for t, nf in cases:
-        out = normalize(t)
+        out = assert_named_as_reference(t)
         assert out.eta_steps >= 1
         assert out.result == nf, out.result
-        assert_named_as_reference(t, nf)
 
 
 def test_naming_a_binder_chain_16000_deep():
@@ -349,10 +470,64 @@ def test_naming_a_binder_chain_16000_deep():
     t = ap(v("x"), v("x1"))
     for _ in range(depth):
         t = lam("x", t)
-    out = normalize(t)
+    out = assert_named_as_reference(t, quadratic=False)
     assert (out.beta_steps, out.eta_steps) == (0, 0)
     cur = out.result
     for k in range(depth):
         assert type(cur) is PLam and cur.name == ("x" if k == 0 else f"x{k + 1}")
         cur = cur.body
     assert cur == ap(v(f"x{depth}"), v("x1"))
+
+
+def test_naming_matches_reference_on_corpus_erasures(checked_corpus):
+    ck, _ = checked_corpus
+    assert len(ck.pure_env) > 80
+    for t in ck.pure_env.values():
+        assert_named_as_reference(t, 100_000)
+
+
+def test_naming_matches_reference_on_cost_rows(checked_corpus):
+    """Every measured conversion applied to its synthesized input, up to
+    n = 4096: the counted run's result is named as the reference names it."""
+    ck, _ = checked_corpus
+    for name, (_, kind) in COST_CLASSES.items():
+        fn = normalize(ck.pure_env[name]).result
+        for n in (8, 512, 4096):
+            t = PApp(fn, synth_input_nf(ck, kind, n))
+            assert_named_as_reference(t, 1_000_000)
+
+
+# --- readback assigns names only to the nodes it builds --------------------
+
+
+def test_normalize_renames_no_node_it_did_not_build(checked_corpus):
+    """Quote writes each binder's name into the ``PLam`` and ``PVar`` it
+    built.  Inputs that are already normal (a 2,000-deep chain of one
+    name among them), and an earlier result fed back, keep every name and
+    share no node with their results, whether normalized serially or
+    from four threads at once."""
+    ck, _ = checked_corpus
+    chain = ap(v("x"), v("x1"))
+    for _ in range(2_000):
+        chain = lam("x", chain)
+    earlier = normalize(chain).result
+    inputs = [synth_input_nf(ck, "vec", 64), IDENT, chain, earlier]
+
+    def snapshot(t):  # repr's content, in pre-order, without recursion
+        return [(type(x).__name__, getattr(x, "name", None)) for x in pure_subterms(t)]
+
+    before = [snapshot(t) for t in inputs]
+
+    def run():
+        return [normalize(t) for t in inputs]
+
+    serial = run()
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        runs = [serial] + [f.result() for f in [pool.submit(run) for _ in range(4)]]
+    assert [snapshot(t) for t in inputs] == before
+    assert same_term(serial[3].result, earlier)
+    for outs in runs:
+        for t, out, first in zip(inputs, outs, serial):
+            assert (out.beta_steps, out.eta_steps) == (0, 0) and alpha_eq(out.result, t)
+            assert same_term(out.result, first.result)
+            assert not {id(x) for x in pure_subterms(out.result)} & {id(x) for x in pure_subterms(t)}
