@@ -10,7 +10,10 @@ Syntax nodes are slotted dataclasses: they have no ``__dict__``, compare
 and hash by value (source spans excluded), and are immutable by
 convention rather than frozen, since a frozen dataclass costs more than
 twice as much to build.  No code assigns to a node, so nodes are safe to
-share between checker instances.  The one exception is readback in
+share between checker instances, and ``subst_syntax`` returns every
+subtree it leaves unchanged as the same object instead of a copy: a
+substitution rebuilds only the paths down to the occurrences it
+replaces.  The one exception is readback in
 ``reduction._quote``, which names binders by assigning ``name`` to the
 ``PLam`` and ``PVar`` nodes it built itself, before ``normalize`` returns
 them; no other code has seen those nodes yet.
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterator, NamedTuple, Optional, Union
 
 
@@ -617,30 +621,59 @@ def term_free_names(x: Union[Term, Type, Kind, DeferredArg]) -> frozenset[str]:
     return frozenset(out)
 
 
+# How ``subst_syntax`` walks each node class: as a pair of children,
+# as a binder ``(name, dom, under)``, or as an abstraction whose
+# annotation may be None; the getter reads an abstraction as
+# ``(name, ann, under)``, though it is built as ``(name, under, ann)``.
+_PAIR, _BINDER, _ABS = 0, 1, 2
+_SHAPES = {
+    **{cls: (_PAIR, attrgetter(*cls.__slots__[:2])) for cls in (App, EApp, TAppT, TAppE, IotaPair, Eq)},
+    **{cls: (_BINDER, attrgetter(*cls.__slots__[:3])) for cls in (Pi, All, AllK, Iota, KPi, KPiK)},
+    **{cls: (_ABS, attrgetter("name", "ann", "body")) for cls in (Lam, ELam, TLam)},
+}
+
+
 def subst_syntax(x, env: dict[str, Union[Term, Type]]):
     """Capture-avoiding simultaneous substitution over annotated syntax.
 
     ``env`` maps names to replacement Terms or Types; a Var hit by a Type
     replacement (or TVar by a Term) indicates a sort error upstream and
-    raises.  Recursive: annotated syntax stays shallow (unlike erasures).
+    raises.  Entries ``x ↦ x`` are dropped first.
+
+    Sharing: every subtree the substitution leaves unchanged comes back
+    as the same object, ``x`` itself included, so instantiating a
+    codomain rebuilds only the paths down to the occurrences it replaces.
+    This is safe because no code assigns to an annotated node.  A binder
+    whose name is free in a replacement is renamed, with a globally fresh
+    name, only when a name still due under it occurs free in its body;
+    the replacements' free names are computed when the walk first reaches
+    a binder.  Recursive: annotated syntax stays shallow (unlike
+    erasures).
     """
-    if not env:
+    top = {k: v for k, v in env.items() if not (type(v) in (Var, TVar) and v.name == k)}
+    if not top:
         return x
-    fvs: set[str] = set()
-    for v in env.values():
-        fvs |= term_free_names(v)
+    fvs: Optional[set[str]] = None
+
+    def under(name: str, body, env):
+        # the binder's name and body after substituting ``env`` under it
+        nonlocal fvs
+        if name in env:
+            env = {k: v for k, v in env.items() if k != name}
+            if not env:
+                return name, body
+        if fvs is None:
+            fvs = set()
+            for v in top.values():
+                fvs |= term_free_names(v)
+        if name in fvs:
+            if env.keys().isdisjoint(term_free_names(body)):
+                return name, body
+            fresh = fresh_name(name)
+            return fresh, go(body, {**env, name: Var(fresh)})
+        return name, go(body, env)
 
     def go(cur, env):
-        if not env:
-            return cur
-        if isinstance(cur, DeferredArg):
-            # a type replacement hitting the skeleton resolves its sort
-            hit_types = {
-                k for k, v in env.items() if isinstance(v, Type) and not isinstance(v, TVar)
-            }
-            if hit_types and not hit_types.isdisjoint(term_free_names(cur.expr)):
-                return go(promote_skeleton(cur.expr), env)
-            return DeferredArg(go(cur.expr, env), cur.span)
         cls = type(cur)
         if cls is Var:
             rep = env.get(cur.name)
@@ -662,83 +695,57 @@ def subst_syntax(x, env: dict[str, Union[Term, Type]]):
                     return TVar(rep.name, cur.span)
                 raise TypeError(f"term used at type position: {cur.name}")
             return rep
-        if cls in (Beta, Star):
+        shape = _SHAPES.get(cls)
+        if shape is not None:
+            kind, fields = shape
+            if kind == _PAIR:
+                a, b = fields(cur)
+                a2, b2 = go(a, env), go(b, env)
+                return cur if a2 is a and b2 is b else cls(a2, b2, cur.span)
+            name, outside, body = fields(cur)
+            outside2 = outside if outside is None else go(outside, env)
+            name2, body2 = under(name, body, env)
+            if outside2 is outside and body2 is body and name2 is name:
+                return cur
+            if kind == _BINDER:
+                return cls(name2, outside2, body2, cur.span)
+            return cls(name2, body2, outside2, cur.span)
+        if cls is Beta or cls is Star:
             return cur
-        if cls is Lam:
-            ann = go(cur.ann, env) if cur.ann is not None else None
-            n, b = _under_shared(cur.name, cur.body, env, fvs, go)
-            return Lam(n, b, ann, cur.span)
-        if cls is ELam:
-            ann = go(cur.ann, env) if cur.ann is not None else None
-            n, b = _under_shared(cur.name, cur.body, env, fvs, go)
-            return ELam(n, b, ann, cur.span)
-        if cls is TLam:
-            ann = go(cur.ann, env) if cur.ann is not None else None
-            n, b = _under_shared(cur.name, cur.body, env, fvs, go)
-            return TLam(n, b, ann, cur.span)
-        if cls is App:
-            return App(go(cur.fn, env), go(cur.arg, env), cur.span)
-        if cls is EApp:
-            return EApp(go(cur.fn, env), go(cur.arg, env), cur.span)
         if cls is Rho:
             guide = cur.guide
             if guide is not None:
                 gn, gt = guide
-                gn2, gt2 = _under_shared(gn, gt, env, fvs, go)
-                guide = (gn2, gt2)
-            return Rho(go(cur.proof, env), go(cur.body, env), guide, cur.span)
+                gn2, gt2 = under(gn, gt, env)
+                if gn2 is not gn or gt2 is not gt:
+                    guide = (gn2, gt2)
+            proof, body = go(cur.proof, env), go(cur.body, env)
+            if proof is cur.proof and body is cur.body and guide is cur.guide:
+                return cur
+            return Rho(proof, body, guide, cur.span)
         if cls is Phi:
-            return Phi(go(cur.proof, env), go(cur.main, env), go(cur.target, env), cur.span)
+            proof, main, target = go(cur.proof, env), go(cur.main, env), go(cur.target, env)
+            if proof is cur.proof and main is cur.main and target is cur.target:
+                return cur
+            return Phi(proof, main, target, cur.span)
         if cls is Sym:
-            return Sym(go(cur.proof, env), cur.span)
-        if cls is IotaPair:
-            return IotaPair(go(cur.fst, env), go(cur.snd, env), cur.span)
+            proof = go(cur.proof, env)
+            return cur if proof is cur.proof else Sym(proof, cur.span)
         if cls is Proj:
-            return Proj(go(cur.subj, env), cur.idx, cur.span)
-        if cls is Pi:
-            d = go(cur.dom, env)
-            n, c = _under_shared(cur.name, cur.cod, env, fvs, go)
-            return Pi(n, d, c, cur.span)
-        if cls is All:
-            d = go(cur.dom, env)
-            n, c = _under_shared(cur.name, cur.cod, env, fvs, go)
-            return All(n, d, c, cur.span)
-        if cls is AllK:
-            d = go(cur.dom, env)
-            n, c = _under_shared(cur.name, cur.cod, env, fvs, go)
-            return AllK(n, d, c, cur.span)
-        if cls is Iota:
-            d = go(cur.fst, env)
-            n, c = _under_shared(cur.name, cur.snd, env, fvs, go)
-            return Iota(n, d, c, cur.span)
-        if cls is Eq:
-            return Eq(go(cur.lhs, env), go(cur.rhs, env), cur.span)
-        if cls is TAppT:
-            return TAppT(go(cur.fn, env), go(cur.arg, env), cur.span)
-        if cls is TAppE:
-            return TAppE(go(cur.fn, env), go(cur.arg, env), cur.span)
-        if cls is KPi:
-            d = go(cur.dom, env)
-            n, c = _under_shared(cur.name, cur.cod, env, fvs, go)
-            return KPi(n, d, c, cur.span)
-        if cls is KPiK:
-            d = go(cur.dom, env)
-            n, c = _under_shared(cur.name, cur.cod, env, fvs, go)
-            return KPiK(n, d, c, cur.span)
+            subj = go(cur.subj, env)
+            return cur if subj is cur.subj else Proj(subj, cur.idx, cur.span)
+        if cls is DeferredArg:
+            # a type replacement hitting the skeleton resolves its sort
+            hit_types = {
+                k for k, v in env.items() if isinstance(v, Type) and not isinstance(v, TVar)
+            }
+            if hit_types and not hit_types.isdisjoint(term_free_names(cur.expr)):
+                return go(promote_skeleton(cur.expr), env)
+            expr = go(cur.expr, env)
+            return cur if expr is cur.expr else DeferredArg(expr, cur.span)
         raise TypeError(f"unknown syntax node {cls.__name__}")  # pragma: no cover
 
-    return go(x, env)
-
-
-def _under_shared(binder: str, sub, env, fvs, go):
-    env2 = {k: v for k, v in env.items() if k != binder}
-    if not env2:
-        return binder, sub
-    if binder in fvs:
-        fresh = fresh_name(binder)
-        env2[binder] = Var(fresh)
-        return fresh, go(sub, env2)
-    return binder, go(sub, env2)
+    return go(x, top)
 
 
 def subst1(x, name: str, value: Union[Term, Type]):

@@ -6,7 +6,13 @@ type-level beta-normalization, comparing embedded terms by beta-eta
 equality of their erasures (top-level definitions unfold when the
 normalizer looks them up).
 Definition unfolding during type conversion is on demand: a defined head
-is only unfolded when the spines cannot be matched directly.
+is only unfolded when the spines cannot be matched directly.  Under a
+pair of binders conversion compares the two bodies opened at one
+variable.  Binders of the same name keep their bodies as they are,
+so parts that substitution shared meet as the same object and compare
+at once, unless a definition owns the name (the global would be unfolded
+where the bound variable is meant); otherwise one fresh variable is
+substituted into both bodies.
 
 The equality constructs follow the usual reading:
 
@@ -276,29 +282,33 @@ class Checker:
         if isinstance(A, AllK) and isinstance(B, AllK):
             if not self.kinds_conv(A.dom, B.dom):
                 return False
-            z = fresh_name(A.name)
-            return self.types_conv(subst1(A.cod, A.name, TVar(z)), subst1(B.cod, B.name, TVar(z)))
+            return self.types_conv(*self._open(A.name, A.cod, B.name, B.cod, TVar))
         if isinstance(A, Iota) and isinstance(B, Iota):
             if not self.types_conv(A.fst, B.fst):
                 return False
-            z = fresh_name(A.name)
-            return self.types_conv(subst1(A.snd, A.name, Var(z)), subst1(B.snd, B.name, Var(z)))
+            return self.types_conv(*self._open(A.name, A.snd, B.name, B.snd, Var))
         if isinstance(A, Eq) and isinstance(B, Eq):
             return self.terms_conv(A.lhs, B.lhs) and self.terms_conv(A.rhs, B.rhs)
         if isinstance(A, TLam) and isinstance(B, TLam):
-            z = fresh_name(A.name)
             # binder sort does not affect conversion; rename consistently
-            if isinstance(A.ann, Kind) or isinstance(B.ann, Kind):
-                return self.types_conv(subst1(A.body, A.name, TVar(z)), subst1(B.body, B.name, TVar(z)))
-            return self.types_conv(subst1(A.body, A.name, Var(z)), subst1(B.body, B.name, Var(z)))
+            sort = TVar if isinstance(A.ann, Kind) or isinstance(B.ann, Kind) else Var
+            return self.types_conv(*self._open(A.name, A.body, B.name, B.body, sort))
         return False
 
     def _conv_binder(self, A, B) -> bool:
         if not self.types_conv(A.dom, B.dom):
             return False
-        z = fresh_name(A.name)
-        v = Var(z)
-        return self.types_conv(subst1(A.cod, A.name, v), subst1(B.cod, B.name, v))
+        return self.types_conv(*self._open(A.name, A.cod, B.name, B.cod, Var))
+
+    def _open(self, a: str, body_a, b: str, body_b, sort):
+        """The bodies of binders ``a`` and ``b`` opened at one variable of
+        ``sort`` (``Var`` or ``TVar``): as they are when the names agree and
+        no definition owns the name (see the module docstring), else with
+        one fresh variable substituted into both."""
+        if a == b and not isinstance(self.ctx.lookup(a), Defn):
+            return body_a, body_b
+        z = sort(fresh_name(a))
+        return subst1(body_a, a, z), subst1(body_b, b, z)
 
     def _spine(self, T: Type):
         args = []
@@ -320,13 +330,11 @@ class Checker:
         if isinstance(k1, KPi) and isinstance(k2, KPi):
             if not self.types_conv(k1.dom, k2.dom):
                 return False
-            z = fresh_name(k1.name)
-            return self.kinds_conv(subst1(k1.cod, k1.name, Var(z)), subst1(k2.cod, k2.name, Var(z)))
+            return self.kinds_conv(*self._open(k1.name, k1.cod, k2.name, k2.cod, Var))
         if isinstance(k1, KPiK) and isinstance(k2, KPiK):
             if not self.kinds_conv(k1.dom, k2.dom):
                 return False
-            z = fresh_name(k1.name)
-            return self.kinds_conv(subst1(k1.cod, k1.name, TVar(z)), subst1(k2.cod, k2.name, TVar(z)))
+            return self.kinds_conv(*self._open(k1.name, k1.cod, k2.name, k2.cod, TVar))
         return False
 
     # ------------------------------------------------------------------

@@ -151,3 +151,22 @@ def test_documented_normal_form_of_append(checked_corpus):
     for name in ("appL", "appV"):
         nf = normalize(ck.pure_env[name]).result
         assert alpha_eq(nf, golden)
+
+
+def test_checked_corpus_is_frozen_out_of_the_cyclic_collector():
+    """``load_checked_corpus`` collects garbage, then freezes what is alive:
+    the checker it returns is no longer traced by the collector, and loads
+    whose results are dropped leave the frozen set as it was, so repeated
+    loads in one process hold no more memory."""
+    import gc
+
+    from cdle.corpus import load_checked_corpus
+
+    ck, _ = load_checked_corpus(CORPUS)
+    assert not any(o is ck.ctx for o in gc.get_objects())
+    del ck
+    frozen = []
+    for _ in range(3):
+        load_checked_corpus(CORPUS)
+        frozen.append(gc.get_freeze_count())
+    assert frozen[0] > 0 and frozen[0] == frozen[1] == frozen[2], frozen

@@ -9,7 +9,7 @@ import pytest
 from cdle.corpus import negative_expectations
 from cdle.loader import load_program
 from cdle.surface import parse_term, parse_type_expr
-from cdle.syntax import Eq, Star, TermBind, TVar
+from cdle.syntax import Eq, Pi, Star, TermBind, TVar
 from cdle.typecheck import CheckError, Checker, ErrorCode, check_defs
 
 from conftest import CORPUS, NEGATIVE
@@ -468,3 +468,66 @@ rw ◂ Π {x} : Nat. Π q : z0 ≃ {x}. {x} ≃ {x} = λ {x}. λ q. ρ q - β.
         codes = {r.name: r.code for r in report.results if r.file == path}
         assert codes == {"z0": None, "allZero": "TypeMismatch", "rw": "RhoNoOccurrence"}, x
         assert ck.defs is ck.pure_env and "zero" in ck.pure_env
+
+
+def test_same_named_binders_are_opened_fresh_when_a_global_owns_the_name():
+    """Conversion compares two binders of one name without substituting,
+    except when a definition owns the name: there the bound ``zero`` must
+    not unfold to the global ``zero``, or ``bad`` would check.  Named
+    ``n``, the binders take the shortcut and give the same verdicts."""
+    import tempfile
+
+    src = """
+import base.
+z0 ◂ Nat = Λ X. λ z. λ s. z.
+bad ◂ (Π {x} : Nat. {x} ≃ z0) ➔ (Π {x} : Nat. z0 ≃ z0) = λ f. f.
+ok ◂ (Π {x} : Nat. {x} ≃ z0) ➔ (Π {x} : Nat. {x} ≃ z0) = λ f. f.
+"""
+    for x in ("zero", "n"):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "m.cdl")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(src.format(x=x))
+            _, report = check_defs(load_program([path], root=CORPUS))
+        codes = {r.name: r.code for r in report.results if r.file == path}
+        assert codes == {"z0": None, "bad": "TypeMismatch", "ok": None}, x
+
+
+def _pi_chain(names, last):
+    T = TVar(last)
+    for n in reversed(names):
+        T = Pi(n, TVar("A"), T)
+    return T
+
+
+def test_same_named_binder_chains_convert_without_substituting(monkeypatch):
+    """Two separately built ``Π x0 : A. … Π x299 : A. A`` convert with no
+    call into substitution, within the interpreter's default recursion
+    limit; renamed binders still take one fresh variable per level."""
+    import sys
+
+    import cdle.syntax
+
+    calls = []
+    real = cdle.syntax.subst_syntax
+
+    def counted(x, env):
+        calls.append(env)
+        return real(x, env)
+
+    monkeypatch.setattr(cdle.syntax, "subst_syntax", counted)
+    k = 300
+    xs = [f"x{i}" for i in range(k)]
+    ys = [f"y{i}" for i in range(k)]
+    ck = Checker()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert ck.types_conv(_pi_chain(xs, "A"), _pi_chain(xs, "A"))
+        assert not ck.types_conv(_pi_chain(xs, "A"), _pi_chain(xs, "B"))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert calls == []
+    assert ck.types_conv(_pi_chain(xs, "A"), _pi_chain(ys, "A"))
+    assert len(calls) == 2 * k
+    assert not ck.types_conv(_pi_chain(xs, "A"), _pi_chain(ys, "B"))
