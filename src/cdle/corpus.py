@@ -18,7 +18,7 @@ from typing import Optional
 
 from .loader import load_program
 from .reduction import Fuel, FuelExhaustedError, apply_and_count, beta_eta_eq, normalize
-from .syntax import PApp, PLam, PureTerm, PVar, Var, alpha_eq
+from .syntax import PApp, PLam, PureTerm, PVar, alpha_eq
 from .typecheck import Checker, CheckReport, check_defs
 
 CORPUS_FILE_ORDER = [
@@ -301,7 +301,7 @@ def synth_input_nf(checker: Checker, kind: str, n: int, fuel: Fuel = Fuel()) -> 
     the two agree.  Raises ``ValueError`` for any other ``kind``."""
     if kind not in ("list", "vec"):
         raise ValueError(f"unknown input kind {kind!r}")
-    u = normalize(checker.pure_of(Var("unit")), fuel).result
+    u = normalize(PVar("unit"), fuel, checker.pure_env).result
     cc = PVar("cC")
     spine: PureTerm = PVar("cN")
     for _ in range(n):

@@ -19,20 +19,19 @@ replaces.  The one exception is readback in
 them; no other code has seen those nodes yet.
 
 The pure-term operations here (subterms, free variables,
-alpha-equivalence, substitution) and ``term_free_names`` are iterative,
-as are erasure and the normalizer, because erased terms can be deep
-(spines of a few thousand applications occur in the cost harness).
-``subst_syntax``, ``syntax_alpha_eq`` and the skeleton coercions recurse
-once per nesting level, as do the checker (with the rho helpers
-``_replace_pure``, ``_freshen_binders`` and ``_inject_pure``) and the
-printer, so Python's recursion limit bounds the depth they reach.
+alpha-equivalence, substitution), ``term_free_names`` and
+``syntax_alpha_eq`` are iterative, as are erasure, the normalizer and
+rho's rewrite of a normal form (``typecheck._rewrite_nf``), because
+erased terms can be deep (spines of a few thousand applications occur in
+the cost harness).  ``subst_syntax`` and the skeleton coercions recurse
+once per nesting level, as do the checker and the printer, so Python's
+recursion limit bounds the depth they reach.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Iterator, NamedTuple, Optional, Union
 
 
@@ -555,82 +554,61 @@ class Context:
 # ---------------------------------------------------------------------------
 
 
+# The layout of annotated syntax, read by ``term_free_names``,
+# ``subst_syntax`` and ``syntax_alpha_eq``: for each node class, its
+# child fields in the order they are walked, each with the field holding
+# the binder name that scopes it, or None.  Rho's guide is the one
+# special child, a ``(hole, template)`` pair whose hole binds in its
+# template; its binder entry is GUIDE.  A child that may be None (an
+# annotation, a guide) is skipped when it is.  The other fields are
+# ``span`` and the data the traversals read themselves: the name of a
+# ``Var`` or ``TVar`` leaf and the index of a ``Proj``.
+GUIDE = "(hole, template)"
+LAYOUT: dict[type, tuple[tuple[str, Optional[str]], ...]] = {
+    **dict.fromkeys((Var, TVar, Beta, Star), ()),
+    **dict.fromkeys((Lam, ELam, TLam), (("ann", None), ("body", "name"))),
+    **dict.fromkeys((App, EApp, TAppT, TAppE), (("fn", None), ("arg", None))),
+    **dict.fromkeys((Pi, All, AllK, KPi, KPiK), (("dom", None), ("cod", "name"))),
+    Iota: (("fst", None), ("snd", "name")),
+    IotaPair: (("fst", None), ("snd", None)),
+    Eq: (("lhs", None), ("rhs", None)),
+    Rho: (("guide", GUIDE), ("proof", None), ("body", None)),
+    Phi: (("proof", None), ("main", None), ("target", None)),
+    Sym: (("proof", None),),
+    Proj: (("subj", None),),
+    DeferredArg: (("expr", None),),
+}
+
+
 def term_free_names(x: Union[Term, Type, Kind, DeferredArg]) -> frozenset[str]:
     """Free names (term and type alike) of an annotated syntax value, in
     one iterative walk that counts the binders of each name in scope."""
     out: set[str] = set()
     bound: dict[str, int] = {}
-    # values to visit, or a binder's name to leave its scope
+    # values to visit, a (binder name, scope) pair to visit with the
+    # name bound, or a binder's name to leave its scope
     stack: list = [x]
-
-    def under(name: str, body) -> None:
-        # pushed last, so the body is all that is visited with name bound
-        bound[name] = bound.get(name, 0) + 1
-        stack.append(name)
-        stack.append(body)
-
     while stack:
         cur = stack.pop()
-        if type(cur) is str:
-            bound[cur] -= 1
-            continue
-        if isinstance(cur, DeferredArg):
-            stack.append(cur.expr)
-            continue
-        if isinstance(cur, (Var, TVar)):
+        cls = type(cur)
+        if cls is Var or cls is TVar:
             if not bound.get(cur.name):
                 out.add(cur.name)
-            continue
-        if isinstance(cur, (Beta, Star)):
-            continue
-        cls = type(cur)
-        if cls in (Lam, ELam, TLam):
-            if cur.ann is not None:
-                stack.append(cur.ann)
-            under(cur.name, cur.body)
-        elif cls in (Pi, All, AllK, KPi, KPiK):
-            stack.append(cur.dom)
-            under(cur.name, cur.cod)
-        elif cls is Iota:
-            stack.append(cur.fst)
-            under(cur.name, cur.snd)
-        elif cls in (App, EApp, TAppT, TAppE):
-            stack.append(cur.fn)
-            stack.append(cur.arg)
-        elif cls is Rho:
-            stack.append(cur.proof)
-            stack.append(cur.body)
-            if cur.guide is not None:
-                under(cur.guide[0], cur.guide[1])
-        elif cls is Phi:
-            stack.append(cur.proof)
-            stack.append(cur.main)
-            stack.append(cur.target)
-        elif cls is Sym:
-            stack.append(cur.proof)
-        elif cls is IotaPair:
-            stack.append(cur.fst)
-            stack.append(cur.snd)
-        elif cls is Proj:
-            stack.append(cur.subj)
-        elif cls is Eq:
-            stack.append(cur.lhs)
-            stack.append(cur.rhs)
-        else:  # pragma: no cover
-            raise TypeError(f"unknown syntax node {cls.__name__}")
+        elif cls is tuple:
+            bound[cur[0]] = bound.get(cur[0], 0) + 1
+            stack.extend(cur)  # visit the scope, then leave it
+        elif cls is str:
+            bound[cur] -= 1
+        else:
+            for child, binder in LAYOUT[cls]:
+                sub = getattr(cur, child)
+                if sub is None:
+                    continue
+                if binder is None or binder is GUIDE:  # a guide is such a pair
+                    stack.append(sub)
+                else:
+                    stack.append((getattr(cur, binder), sub))
     return frozenset(out)
-
-
-# How ``subst_syntax`` walks each node class: as a pair of children,
-# as a binder ``(name, dom, under)``, or as an abstraction whose
-# annotation may be None; the getter reads an abstraction as
-# ``(name, ann, under)``, though it is built as ``(name, under, ann)``.
-_PAIR, _BINDER, _ABS = 0, 1, 2
-_SHAPES = {
-    **{cls: (_PAIR, attrgetter(*cls.__slots__[:2])) for cls in (App, EApp, TAppT, TAppE, IotaPair, Eq)},
-    **{cls: (_BINDER, attrgetter(*cls.__slots__[:3])) for cls in (Pi, All, AllK, Iota, KPi, KPiK)},
-    **{cls: (_ABS, attrgetter("name", "ann", "body")) for cls in (Lam, ELam, TLam)},
-}
 
 
 def subst_syntax(x, env: dict[str, Union[Term, Type]]):
@@ -695,45 +673,6 @@ def subst_syntax(x, env: dict[str, Union[Term, Type]]):
                     return TVar(rep.name, cur.span)
                 raise TypeError(f"term used at type position: {cur.name}")
             return rep
-        shape = _SHAPES.get(cls)
-        if shape is not None:
-            kind, fields = shape
-            if kind == _PAIR:
-                a, b = fields(cur)
-                a2, b2 = go(a, env), go(b, env)
-                return cur if a2 is a and b2 is b else cls(a2, b2, cur.span)
-            name, outside, body = fields(cur)
-            outside2 = outside if outside is None else go(outside, env)
-            name2, body2 = under(name, body, env)
-            if outside2 is outside and body2 is body and name2 is name:
-                return cur
-            if kind == _BINDER:
-                return cls(name2, outside2, body2, cur.span)
-            return cls(name2, body2, outside2, cur.span)
-        if cls is Beta or cls is Star:
-            return cur
-        if cls is Rho:
-            guide = cur.guide
-            if guide is not None:
-                gn, gt = guide
-                gn2, gt2 = under(gn, gt, env)
-                if gn2 is not gn or gt2 is not gt:
-                    guide = (gn2, gt2)
-            proof, body = go(cur.proof, env), go(cur.body, env)
-            if proof is cur.proof and body is cur.body and guide is cur.guide:
-                return cur
-            return Rho(proof, body, guide, cur.span)
-        if cls is Phi:
-            proof, main, target = go(cur.proof, env), go(cur.main, env), go(cur.target, env)
-            if proof is cur.proof and main is cur.main and target is cur.target:
-                return cur
-            return Phi(proof, main, target, cur.span)
-        if cls is Sym:
-            proof = go(cur.proof, env)
-            return cur if proof is cur.proof else Sym(proof, cur.span)
-        if cls is Proj:
-            subj = go(cur.subj, env)
-            return cur if subj is cur.subj else Proj(subj, cur.idx, cur.span)
         if cls is DeferredArg:
             # a type replacement hitting the skeleton resolves its sort
             hit_types = {
@@ -741,9 +680,29 @@ def subst_syntax(x, env: dict[str, Union[Term, Type]]):
             }
             if hit_types and not hit_types.isdisjoint(term_free_names(cur.expr)):
                 return go(promote_skeleton(cur.expr), env)
-            expr = go(cur.expr, env)
-            return cur if expr is cur.expr else DeferredArg(expr, cur.span)
-        raise TypeError(f"unknown syntax node {cls.__name__}")  # pragma: no cover
+        new = {}  # the fields that change, by name
+        for child, binder in LAYOUT[cls]:
+            sub = getattr(cur, child)
+            if sub is None:
+                continue
+            if binder is None:
+                kind = type(sub)
+                if (kind is Var or kind is TVar) and sub.name not in env:
+                    continue  # an untouched leaf costs no call
+                sub2 = go(sub, env)
+                if sub2 is not sub:
+                    new[child] = sub2
+                continue
+            name, scope = sub if binder is GUIDE else (getattr(cur, binder), sub)
+            name2, scope2 = under(name, scope, env)
+            if name2 is not name or scope2 is not scope:
+                if binder is GUIDE:
+                    new[child] = (name2, scope2)
+                else:
+                    new[binder], new[child] = name2, scope2
+        if not new:
+            return cur
+        return cls(*[new[f] if f in new else getattr(cur, f) for f in cls.__slots__])
 
     return go(x, top)
 
@@ -756,77 +715,55 @@ def subst1(x, name: str, value: Union[Term, Type]):
 def syntax_alpha_eq(a, b) -> bool:
     """Alpha-equivalence of annotated syntax values (terms, types, kinds).
 
-    Binder names are compared positionally; a deferred erased argument is
-    compared through its skeleton.  Non-dependent products with distinct
-    unused binder names are equal (this is what makes the arrow resugaring
-    of the printer round-trip).
+    A deferred erased argument is compared through its skeleton.
+    Non-dependent products with distinct unused binder names are equal
+    (this is what makes the arrow resugaring of the printer round-trip).
+    One iterative walk over both values, with binders compared by level
+    as in ``alpha_eq``.
     """
-
-    def go(x, y, envx: dict, envy: dict) -> bool:
-        if isinstance(x, DeferredArg):
+    levels_a: dict[str, Optional[int]] = {}
+    levels_b: dict[str, Optional[int]] = {}
+    depth = 0
+    # (binder_a, x, binder_b, y): compare x with y, first binding the two
+    # names at the next level unless they are None; a frame whose x is
+    # None leaves a pair of binders, and y holds their previous levels
+    stack: list[tuple] = [(None, a, None, b)]
+    while stack:
+        name_a, x, name_b, y = stack.pop()
+        if x is None:
+            levels_a[name_a], levels_b[name_b] = y
+            depth -= 1
+            continue
+        if name_a is not None:
+            stack.append((name_a, None, name_b, (levels_a.get(name_a), levels_b.get(name_b))))
+            levels_a[name_a] = levels_b[name_b] = depth
+            depth += 1
+        if type(x) is DeferredArg:
             x = x.expr
-        if isinstance(y, DeferredArg):
+        if type(y) is DeferredArg:
             y = y.expr
-        cx, cy = type(x), type(y)
-        if cx is not cy:
+        cls = type(x)
+        if cls is not type(y):
             return False
-        if cx in (Var, TVar):
-            nx = envx.get(x.name, ("free", x.name))
-            ny = envy.get(y.name, ("free", y.name))
-            return nx == ny
-        if cx in (Beta, Star):
-            return True
-        if cx in (Lam, ELam, TLam):
-            if (x.ann is None) != (y.ann is None):
+        if cls is Var or cls is TVar:
+            level = levels_a.get(x.name)
+            if level != levels_b.get(y.name) or (level is None and x.name != y.name):
                 return False
-            if x.ann is not None and not go(x.ann, y.ann, envx, envy):
-                return False
-            return _go_bound(x.name, x.body, y.name, y.body, envx, envy, go)
-        if cx in (Pi, All, AllK, KPi, KPiK):
-            return go(x.dom, y.dom, envx, envy) and _go_bound(
-                x.name, x.cod, y.name, y.cod, envx, envy, go
-            )
-        if cx is Iota:
-            return go(x.fst, y.fst, envx, envy) and _go_bound(
-                x.name, x.snd, y.name, y.snd, envx, envy, go
-            )
-        if cx in (App, EApp, TAppT, TAppE):
-            return go(x.fn, y.fn, envx, envy) and go(x.arg, y.arg, envx, envy)
-        if cx is Rho:
-            if (x.guide is None) != (y.guide is None):
-                return False
-            if x.guide is not None:
-                if not _go_bound(x.guide[0], x.guide[1], y.guide[0], y.guide[1], envx, envy, go):
+            continue
+        if cls is Proj and x.idx != y.idx:
+            return False
+        for child, binder in LAYOUT[cls]:
+            sub_a, sub_b = getattr(x, child), getattr(y, child)
+            if sub_a is None or sub_b is None:
+                if sub_a is not sub_b:
                     return False
-            return go(x.proof, y.proof, envx, envy) and go(x.body, y.body, envx, envy)
-        if cx is Phi:
-            return (
-                go(x.proof, y.proof, envx, envy)
-                and go(x.main, y.main, envx, envy)
-                and go(x.target, y.target, envx, envy)
-            )
-        if cx is Sym:
-            return go(x.proof, y.proof, envx, envy)
-        if cx is IotaPair:
-            return go(x.fst, y.fst, envx, envy) and go(x.snd, y.snd, envx, envy)
-        if cx is Proj:
-            return x.idx == y.idx and go(x.subj, y.subj, envx, envy)
-        if cx is Eq:
-            return go(x.lhs, y.lhs, envx, envy) and go(x.rhs, y.rhs, envx, envy)
-        raise TypeError(f"unknown node {cx.__name__}")  # pragma: no cover
-
-    depth = [0]
-
-    def _go_bound(nx, bx, ny, by, envx, envy, go):
-        depth[0] += 1
-        tag = ("bound", depth[0])
-        ex = dict(envx)
-        ex[nx] = tag
-        ey = dict(envy)
-        ey[ny] = tag
-        return go(bx, by, ex, ey)
-
-    return go(a, b, {}, {})
+            elif binder is None:
+                stack.append((None, sub_a, None, sub_b))
+            elif binder is GUIDE:
+                stack.append((sub_a[0], sub_a[1], sub_b[0], sub_b[1]))
+            else:
+                stack.append((getattr(x, binder), sub_a, getattr(y, binder), sub_b))
+    return True
 
 
 def promote_skeleton(t: Term) -> Type:

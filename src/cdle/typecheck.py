@@ -66,7 +66,6 @@ from .syntax import (
     PApp,
     Phi,
     Pi,
-    PLam,
     Proj,
     PureTerm,
     PVar,
@@ -767,11 +766,11 @@ class Checker:
             nf = normalize(erase(e), self.fuel, self.defs)
             if nf.fuel_exhausted:
                 raise _out_of_fuel("ρ target term", e)
-            rewritten, n = _replace_pure(nf.result, pat, rep)
+            rewritten, n = _rewrite_nf(nf.result, pat, rep, avoid)
             if n == 0:
                 return e
             counter[0] += n
-            return _inject_pure(rewritten)
+            return rewritten
 
         return go_ty(T)
 
@@ -781,54 +780,57 @@ class Checker:
 # ---------------------------------------------------------------------------
 
 
-def _replace_pure(t: PureTerm, pat: PureTerm, rep: PureTerm) -> tuple[PureTerm, int]:
-    """Replace maximal alpha-matches of ``pat`` inside ``t`` by ``rep``.
-
-    Binders of ``t`` are freshened first so the open pattern's free
-    variables can only match genuinely free positions.
-    """
-    t = _freshen_binders(t, free_vars(pat) | free_vars(rep))
-    count = [0]
-
-    def go(x: PureTerm) -> PureTerm:
-        if alpha_eq(x, pat):
-            count[0] += 1
-            return rep
-        if isinstance(x, PLam):
-            return PLam(x.name, go(x.body))
-        if isinstance(x, PApp):
-            return PApp(go(x.fn), go(x.arg))
-        return x
-
-    out = go(t)
-    return out, count[0]
-
-
-def _freshen_binders(t: PureTerm, avoid: frozenset[str]) -> PureTerm:
-    def go(x: PureTerm, env: dict[str, str]) -> PureTerm:
-        if isinstance(x, PVar):
-            return PVar(env.get(x.name, x.name))
-        if isinstance(x, PApp):
-            return PApp(go(x.fn, env), go(x.arg, env))
-        assert isinstance(x, PLam)
-        if x.name in avoid:
-            nn = fresh_name(x.name)
-            env2 = dict(env)
-            env2[x.name] = nn
-            return PLam(nn, go(x.body, env2))
-        env2 = {k: v for k, v in env.items() if k != x.name}
-        return PLam(x.name, go(x.body, env2))
-
-    return go(t, {})
-
-
-def _inject_pure(t: PureTerm) -> Term:
-    if isinstance(t, PVar):
-        return Var(t.name)
-    if isinstance(t, PLam):
-        return Lam(t.name, _inject_pure(t.body))
-    assert isinstance(t, PApp)
-    return App(_inject_pure(t.fn), _inject_pure(t.arg))
+def _rewrite_nf(
+    t: PureTerm, pat: Optional[PureTerm], rep: Optional[PureTerm], avoid: frozenset[str]
+) -> tuple[Term, int]:
+    """The normal form ``t`` as an annotated term, with its binders named
+    in ``avoid`` (the free names of ``pat`` and ``rep``) renamed fresh and
+    each maximal alpha-match of ``pat`` replaced by ``rep``, injected once
+    and shared; returned with the number of matches.  With ``pat`` None it
+    only injects ``t``.  Iterative, since normal forms can be deep.  No
+    subterm under a binder named free in ``pat`` matches, since renaming
+    the binder renames its occurrences there; elsewhere the renaming
+    cannot change whether a subterm matches."""
+    pat_names = free_vars(pat) if pat is not None else frozenset()
+    injected: Optional[Term] = None
+    count = 0
+    hidden = 0  # binders in scope that are named free in ``pat``
+    renamed: dict[str, Optional[str]] = {}
+    out: list[Term] = []
+    # terms to visit; None to build an application from the last two
+    # results; (name, new name, saved) to build an abstraction from the
+    # last result and leave the binder's scope
+    stack: list = [t]
+    while stack:
+        cur = stack.pop()
+        cls = type(cur)
+        if cls is tuple:
+            name, new_name, saved = cur
+            out.append(Lam(new_name, out.pop()))
+            renamed[name] = saved
+            hidden -= name in pat_names
+        elif cur is None:
+            arg = out.pop()
+            out.append(App(out.pop(), arg))
+        elif not hidden and pat is not None and cls is type(pat) and alpha_eq(cur, pat):
+            if injected is None:
+                injected = _rewrite_nf(rep, None, None, frozenset())[0]
+            out.append(injected)
+            count += 1
+        elif cls is PVar:
+            out.append(Var(renamed.get(cur.name) or cur.name))
+        elif cls is PApp:
+            stack.append(None)
+            stack.append(cur.arg)
+            stack.append(cur.fn)
+        else:
+            name = cur.name
+            new_name = fresh_name(name) if name in avoid else name
+            stack.append((name, new_name, renamed.get(name)))
+            renamed[name] = new_name
+            hidden += name in pat_names
+            stack.append(cur.body)
+    return out[0], count
 
 
 def _freshen_if(name: str, under, avoid):

@@ -1,6 +1,8 @@
 """Kernel syntax laws: alpha-equivalence, substitution, free variables."""
 
+import dataclasses
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,8 @@ from cdle.syntax import (
     AllK,
     App,
     Beta,
+    GUIDE,
+    LAYOUT,
     DeferredArg,
     Defn,
     EApp,
@@ -19,6 +23,7 @@ from cdle.syntax import (
     Eq,
     Iota,
     IotaPair,
+    Kind,
     KPi,
     KPiK,
     Lam,
@@ -49,7 +54,7 @@ from cdle.syntax import (
     syntax_alpha_eq,
     term_free_names,
 )
-from gen import gen_pure, gen_pure_open
+from gen import gen_kind, gen_pure, gen_pure_open, gen_term, gen_type
 
 
 def lam(x, b):
@@ -393,3 +398,303 @@ def test_subst_keeps_untouched_siblings():
     out = subst1(ty, "x", Var("u"))
     assert out.cod.name != "u" and out.cod.dom is ty.cod.dom
     assert out.cod.cod == Eq(Var("u"), rhs)
+
+
+# --- the layout table, and free names and α-equality against the ladders it replaced
+
+
+def test_layout_accounts_for_every_node_class_and_field():
+    """Each node class of annotated syntax has a layout entry, and each of
+    its fields is a child, a binder named in the entry, ``span``, or a
+    datum the traversals read themselves; so a new node or field cannot
+    slip past free names, substitution and α-equality."""
+    data = {(Var, "name"), (TVar, "name"), (Proj, "idx")}
+    classes = {
+        c
+        for c in vars(cdle.syntax).values()
+        if isinstance(c, type) and c not in (Term, Type, Kind) and issubclass(c, (Term, Type, Kind))
+    }
+    classes.add(DeferredArg)
+    assert len(classes) == 24
+    assert set(LAYOUT) == classes
+    for cls in classes:
+        children = [child for child, _ in LAYOUT[cls]]
+        binders = [b for _, b in LAYOUT[cls] if b not in (None, GUIDE)]
+        for f in dataclasses.fields(cls):
+            assert f.name in children or f.name in binders or f.name == "span" or (cls, f.name) in data, (
+                cls.__name__,
+                f.name,
+            )
+        assert set(children) | set(binders) <= {f.name for f in dataclasses.fields(cls)}, cls.__name__
+    assert [b for cls in classes for _, b in LAYOUT[cls] if b is GUIDE] == [GUIDE]
+    assert ("guide", GUIDE) in LAYOUT[Rho]
+
+
+def reference_term_free_names(x):
+    """``term_free_names`` as it was before the layout table: one ladder
+    over the node classes."""
+    out = set()
+    bound = {}
+    stack = [x]
+
+    def under(name, body):
+        bound[name] = bound.get(name, 0) + 1
+        stack.append(name)
+        stack.append(body)
+
+    while stack:
+        cur = stack.pop()
+        if type(cur) is str:
+            bound[cur] -= 1
+            continue
+        if isinstance(cur, DeferredArg):
+            stack.append(cur.expr)
+            continue
+        if isinstance(cur, (Var, TVar)):
+            if not bound.get(cur.name):
+                out.add(cur.name)
+            continue
+        if isinstance(cur, (Beta, Star)):
+            continue
+        cls = type(cur)
+        if cls in (Lam, ELam, TLam):
+            if cur.ann is not None:
+                stack.append(cur.ann)
+            under(cur.name, cur.body)
+        elif cls in (Pi, All, AllK, KPi, KPiK):
+            stack.append(cur.dom)
+            under(cur.name, cur.cod)
+        elif cls is Iota:
+            stack.append(cur.fst)
+            under(cur.name, cur.snd)
+        elif cls in (App, EApp, TAppT, TAppE):
+            stack.append(cur.fn)
+            stack.append(cur.arg)
+        elif cls is Rho:
+            stack.append(cur.proof)
+            stack.append(cur.body)
+            if cur.guide is not None:
+                under(cur.guide[0], cur.guide[1])
+        elif cls is Phi:
+            stack.append(cur.proof)
+            stack.append(cur.main)
+            stack.append(cur.target)
+        elif cls is Sym:
+            stack.append(cur.proof)
+        elif cls is IotaPair:
+            stack.append(cur.fst)
+            stack.append(cur.snd)
+        elif cls is Proj:
+            stack.append(cur.subj)
+        elif cls is Eq:
+            stack.append(cur.lhs)
+            stack.append(cur.rhs)
+        else:
+            raise TypeError(f"unknown syntax node {cls.__name__}")
+    return frozenset(out)
+
+
+def reference_syntax_alpha_eq(a, b):
+    """``syntax_alpha_eq`` as it was before the layout table: a recursive
+    ladder over the node classes that copies both binder maps per binder."""
+
+    def go(x, y, envx, envy):
+        if isinstance(x, DeferredArg):
+            x = x.expr
+        if isinstance(y, DeferredArg):
+            y = y.expr
+        cx, cy = type(x), type(y)
+        if cx is not cy:
+            return False
+        if cx in (Var, TVar):
+            return envx.get(x.name, ("free", x.name)) == envy.get(y.name, ("free", y.name))
+        if cx in (Beta, Star):
+            return True
+        if cx in (Lam, ELam, TLam):
+            if (x.ann is None) != (y.ann is None):
+                return False
+            if x.ann is not None and not go(x.ann, y.ann, envx, envy):
+                return False
+            return bound(x.name, x.body, y.name, y.body, envx, envy)
+        if cx in (Pi, All, AllK, KPi, KPiK):
+            return go(x.dom, y.dom, envx, envy) and bound(x.name, x.cod, y.name, y.cod, envx, envy)
+        if cx is Iota:
+            return go(x.fst, y.fst, envx, envy) and bound(x.name, x.snd, y.name, y.snd, envx, envy)
+        if cx in (App, EApp, TAppT, TAppE):
+            return go(x.fn, y.fn, envx, envy) and go(x.arg, y.arg, envx, envy)
+        if cx is Rho:
+            if (x.guide is None) != (y.guide is None):
+                return False
+            if x.guide is not None:
+                if not bound(x.guide[0], x.guide[1], y.guide[0], y.guide[1], envx, envy):
+                    return False
+            return go(x.proof, y.proof, envx, envy) and go(x.body, y.body, envx, envy)
+        if cx is Phi:
+            return (
+                go(x.proof, y.proof, envx, envy)
+                and go(x.main, y.main, envx, envy)
+                and go(x.target, y.target, envx, envy)
+            )
+        if cx is Sym:
+            return go(x.proof, y.proof, envx, envy)
+        if cx is IotaPair:
+            return go(x.fst, y.fst, envx, envy) and go(x.snd, y.snd, envx, envy)
+        if cx is Proj:
+            return x.idx == y.idx and go(x.subj, y.subj, envx, envy)
+        if cx is Eq:
+            return go(x.lhs, y.lhs, envx, envy) and go(x.rhs, y.rhs, envx, envy)
+        raise TypeError(f"unknown node {cx.__name__}")
+
+    depth = [0]
+
+    def bound(nx, bx, ny, by, envx, envy):
+        depth[0] += 1
+        tag = ("bound", depth[0])
+        return go(bx, by, {**envx, nx: tag}, {**envy, ny: tag})
+
+    return go(a, b, {}, {})
+
+
+# the child each binder name scopes, written out apart from LAYOUT so that
+# the helpers below do not share a mistake with the code they test
+_SCOPES = {**dict.fromkeys((Lam, ELam, TLam), "body"), **dict.fromkeys((Pi, All, AllK, KPi, KPiK), "cod"), Iota: "snd"}
+
+
+def _children(x):
+    """The node- or guide-valued fields of ``x``, by name."""
+    return {
+        f.name: getattr(x, f.name)
+        for f in dataclasses.fields(x)
+        if dataclasses.is_dataclass(getattr(x, f.name)) or f.name == "guide" and x.guide is not None
+    }
+
+
+def _rebuild(cur, fields):
+    return type(cur)(**{f: fields.get(f, getattr(cur, f)) for f in type(cur).__slots__})
+
+
+def _rename_syntax_binders(x, suffix):
+    """``x`` with every binder renamed by appending ``suffix``."""
+    fields = {}
+    for child, sub in _children(x).items():
+        if child == "guide":
+            hole, template = sub
+            fields[child] = (hole + suffix, _rename_syntax_binders(subst1(template, hole, Var(hole + suffix)), suffix))
+        elif child == _SCOPES.get(type(x)):
+            fields["name"] = x.name + suffix
+            fields[child] = _rename_syntax_binders(subst1(sub, x.name, Var(x.name + suffix)), suffix)
+        else:
+            fields[child] = _rename_syntax_binders(sub, suffix)
+    return _rebuild(x, fields) if fields else x
+
+
+def _leaves(x):
+    """The number of ``Var``/``TVar`` leaves of ``x``."""
+    n, stack = 0, [x]
+    while stack:
+        cur = stack.pop()
+        if type(cur) in (Var, TVar):
+            n += 1
+        elif type(cur) is tuple:
+            stack.append(cur[1])
+        else:
+            stack.extend(_children(cur).values())
+    return n
+
+
+def _change_leaf(x, k):
+    """``x`` with its ``k``-th ``Var``/``TVar`` leaf renamed to a name that
+    occurs nowhere; returns it with ``k`` less the leaves it passed."""
+    if type(x) in (Var, TVar):
+        return (type(x)(x.name + "%changed", x.span) if k == 0 else x), k - 1
+    fields = {}
+    for child, sub in _children(x).items():
+        if k < 0:
+            break
+        if child == "guide":
+            template, k = _change_leaf(sub[1], k)
+            fields[child] = (sub[0], template)
+        else:
+            fields[child], k = _change_leaf(sub, k)
+    return _rebuild(x, fields), k
+
+
+def _syntax_samples(corpus_defs):
+    items = [t for _, d in corpus_defs for t in (d.classifier, d.body) if t is not None]
+    rng = random.Random(1303)
+    for _ in range(150):
+        items.append(gen_term(rng, 5))
+        items.append(gen_type(rng, 5))
+        items.append(gen_kind(rng, 4))
+    return items
+
+
+def test_free_names_match_reference(corpus_defs):
+    """Every corpus classifier and body, and seeded random terms, types
+    and kinds, with their binders renamed and with one leaf changed."""
+    rng = random.Random(1304)
+    for x in _syntax_samples(corpus_defs):
+        variants = [x, _rename_syntax_binders(x, "%r")]
+        n = _leaves(x)
+        if n:
+            variants.append(_change_leaf(x, rng.randrange(n))[0])
+        for y in variants:
+            assert term_free_names(y) == reference_term_free_names(y)
+
+
+def test_syntax_alpha_eq_matches_reference(corpus_defs):
+    """Each sample against itself, a binder-renamed copy (α-equal) and a
+    copy with one leaf changed (not α-equal), and neighbouring samples
+    against each other: both implementations give the expected answer."""
+    rng = random.Random(1305)
+    items = _syntax_samples(corpus_defs)
+    renamed = changed = 0
+    for i, x in enumerate(items):
+        r = _rename_syntax_binders(x, "%r")
+        assert syntax_alpha_eq(x, x) and reference_syntax_alpha_eq(x, x)
+        assert syntax_alpha_eq(x, r) and reference_syntax_alpha_eq(x, r)
+        assert syntax_alpha_eq(r, x) and reference_syntax_alpha_eq(r, x)
+        renamed += r != x
+        n = _leaves(x)
+        if n:
+            c = _change_leaf(x, rng.randrange(n))[0]
+            assert not syntax_alpha_eq(x, c) and not reference_syntax_alpha_eq(x, c)
+            assert not syntax_alpha_eq(c, r) and not reference_syntax_alpha_eq(c, r)
+            changed += 1
+        y = items[i - 1]
+        assert syntax_alpha_eq(x, y) == reference_syntax_alpha_eq(x, y)
+    assert renamed > 500 and changed > 500
+    assert not syntax_alpha_eq(Proj(Var("p"), 1), Proj(Var("p"), 2))
+    assert not syntax_alpha_eq(Lam("x", Var("x"), TVar("A")), Lam("x", Var("x")))
+    assert not syntax_alpha_eq(Rho(Beta(), Beta(), ("x", TVar("A"))), Rho(Beta(), Beta()))
+
+
+def test_free_names_and_alpha_eq_of_10000_deep_chains():
+    """10,000 nested ``Π`` and ``λ`` binders, within the interpreter's
+    default recursion limit (the recursive α-equality stopped near 900)."""
+    depth = 10_000
+
+    def pi_chain(prefix, last):
+        t = Eq(Var(f"{prefix}{last}"), Var("z"))
+        for i in reversed(range(depth)):
+            t = Pi(f"{prefix}{i}", TAppE(TVar("P"), Var(f"{prefix}{i - 1}" if i else "w")), t)
+        return t
+
+    def lam_chain(prefix, last):
+        t = App(Var(f"{prefix}{last}"), Var("z"))
+        for i in reversed(range(depth)):
+            t = Lam(f"{prefix}{i}", App(t, Var(f"{prefix}{i}")), TVar("A"))
+        return t
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert term_free_names(pi_chain("x", 0)) == {"P", "w", "z"}
+        assert term_free_names(pi_chain("x", depth)) == {"P", "w", "z", f"x{depth}"}
+        assert term_free_names(lam_chain("x", depth)) == {"A", "z", f"x{depth}"}
+        assert syntax_alpha_eq(pi_chain("x", 0), pi_chain("y", 0))
+        assert not syntax_alpha_eq(pi_chain("x", 0), pi_chain("y", 1))
+        assert syntax_alpha_eq(lam_chain("x", 7), lam_chain("y", 7))
+        assert not syntax_alpha_eq(lam_chain("x", 7), lam_chain("y", depth))
+    finally:
+        sys.setrecursionlimit(limit)

@@ -9,7 +9,7 @@ import pytest
 from cdle.corpus import negative_expectations
 from cdle.loader import load_program
 from cdle.surface import parse_term, parse_type_expr
-from cdle.syntax import Eq, Pi, Star, TermBind, TVar
+from cdle.syntax import Eq, Pi, Star, TermBind, TVar, free_vars
 from cdle.typecheck import CheckError, Checker, ErrorCode, check_defs
 
 from conftest import CORPUS, NEGATIVE
@@ -531,3 +531,135 @@ def test_same_named_binder_chains_convert_without_substituting(monkeypatch):
     assert ck.types_conv(_pi_chain(xs, "A"), _pi_chain(ys, "A"))
     assert len(calls) == 2 * k
     assert not ck.types_conv(_pi_chain(xs, "A"), _pi_chain(ys, "B"))
+
+
+# --- ρ's one-pass rewrite against the three helpers it replaced
+
+
+def reference_replace_pure(t, pat, rep):
+    """ρ's occurrence replacement as it was before ``_rewrite_nf``: freshen
+    the binders named free in ``pat`` or ``rep``, then replace maximal
+    α-matches of ``pat``; returns the pure result and the match count."""
+    from cdle.syntax import PApp, PLam, alpha_eq, free_vars
+
+    t = reference_freshen_binders(t, free_vars(pat) | free_vars(rep))
+    count = [0]
+
+    def go(x):
+        if alpha_eq(x, pat):
+            count[0] += 1
+            return rep
+        if isinstance(x, PLam):
+            return PLam(x.name, go(x.body))
+        if isinstance(x, PApp):
+            return PApp(go(x.fn), go(x.arg))
+        return x
+
+    return go(t), count[0]
+
+
+def reference_freshen_binders(t, avoid):
+    from cdle.syntax import PApp, PLam, PVar, fresh_name
+
+    def go(x, env):
+        if isinstance(x, PVar):
+            return PVar(env.get(x.name, x.name))
+        if isinstance(x, PApp):
+            return PApp(go(x.fn, env), go(x.arg, env))
+        if x.name in avoid:
+            nn = fresh_name(x.name)
+            return PLam(nn, go(x.body, {**env, x.name: nn}))
+        return PLam(x.name, go(x.body, {k: v for k, v in env.items() if k != x.name}))
+
+    return go(t, {})
+
+
+def reference_inject_pure(t):
+    from cdle.syntax import App, Lam, PLam, PVar, Var
+
+    if isinstance(t, PVar):
+        return Var(t.name)
+    if isinstance(t, PLam):
+        return Lam(t.name, reference_inject_pure(t.body))
+    return App(reference_inject_pure(t.fn), reference_inject_pure(t.arg))
+
+
+def _assert_rewrite_matches_reference(t, pat, rep, got):
+    from cdle.syntax import syntax_alpha_eq
+
+    want, n = reference_replace_pure(t, pat, rep)
+    assert got[1] == n
+    assert syntax_alpha_eq(got[0], reference_inject_pure(want))
+
+
+def test_rho_rewrite_matches_reference_on_corpus_check(corpus_defs, monkeypatch):
+    """Every ``(term, pattern, replacement)`` that ρ rewrites while the
+    corpus is checked afresh gives the reference's term, up to α, and
+    its match count."""
+    import cdle.typecheck
+
+    calls = []
+    real = cdle.typecheck._rewrite_nf
+
+    def record(t, pat, rep, avoid):
+        out = real(t, pat, rep, avoid)
+        if pat is not None:
+            calls.append((t, pat, rep, avoid, out))
+        return out
+
+    monkeypatch.setattr(cdle.typecheck, "_rewrite_nf", record)
+    _, report = check_defs(corpus_defs)
+    assert report.ok
+    assert len(calls) > 40 and sum(out[1] > 0 for *_, out in calls) > 20
+    for t, pat, rep, avoid, out in calls:
+        assert avoid == free_vars(pat) | free_vars(rep)
+        _assert_rewrite_matches_reference(t, pat, rep, out)
+
+
+def test_rho_rewrite_matches_reference_on_seeded_terms():
+    """Seeded open terms, each rewritten at a pattern taken from its own
+    subterms: a pattern naming a variable bound above it matches nowhere
+    under that binder."""
+    import random
+
+    from cdle.syntax import pure_subterms
+    from cdle.typecheck import _rewrite_nf
+    from gen import gen_pure_open
+
+    rng = random.Random(1306)
+    matched = 0
+    for _ in range(400):
+        t = gen_pure_open(rng, 30)
+        pat = rng.choice(list(pure_subterms(t)))
+        rep = gen_pure_open(rng, 8)
+        out = _rewrite_nf(t, pat, rep, free_vars(pat) | free_vars(rep))
+        _assert_rewrite_matches_reference(t, pat, rep, out)
+        matched += out[1] > 0
+    assert matched > 200
+
+
+def test_rho_rewrite_of_a_10000_deep_normal_form():
+    """One match per level of 10,000 nested binders, each renamed away
+    from the replacement's free name, within the default recursion limit."""
+    import sys
+
+    from cdle.syntax import App, Lam, PApp, PLam, PVar, Var
+    from cdle.typecheck import _rewrite_nf
+
+    depth = 10_000
+    pat, rep = PApp(PVar("f"), PVar("a")), PVar("g")
+    t = PVar("a")
+    for _ in range(depth):
+        t = PLam("g", PApp(PApp(PVar("f"), PVar("a")), t))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        out, n = _rewrite_nf(t, pat, rep, frozenset({"f", "a", "g"}))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert n == depth
+    for _ in range(depth):
+        assert type(out) is Lam and out.name != "g"
+        assert type(out.body) is App and out.body.fn == Var("g")
+        out = out.body.arg
+    assert out == Var("a")
