@@ -54,7 +54,6 @@ def corpus_paths(root: Optional[str] = None) -> list[str]:
 class CorpusEntry:
     name: str
     file: str
-    expected_classifier: str
     golden_erasure: Optional[str] = None
     cost_class: Optional[str] = None  # "constant" | "linear"
     input_kind: Optional[str] = None  # "list" | "vec" (cost harness input)
@@ -218,15 +217,12 @@ _PINNED_CLASSIFIERS: dict[str, str] = {
 def corpus_manifest(root: Optional[str] = None) -> list[CorpusEntry]:
     """Every corpus definition, in dependency order."""
     entries: list[CorpusEntry] = []
-    from .pretty import pretty
-
     for file, d in load_program(corpus_paths(root)):
         cost = COST_CLASSES.get(d.name)
         entries.append(
             CorpusEntry(
                 name=d.name,
                 file=file,
-                expected_classifier=_PINNED_CLASSIFIERS.get(d.name, pretty(d.classifier)),
                 golden_erasure=GOLDENS.get(d.name),
                 cost_class=cost[0] if cost else None,
                 input_kind=cost[1] if cost else None,

@@ -18,6 +18,11 @@ The function is total, purely syntactic, and never consults typing:
 content, so it erases to its argument.  Erased binders and erased
 arguments leave no trace; the checker separately enforces that an
 erased binder never occurs free in its body's erasure.
+
+``erase`` builds pure syntax only at variables, λ, application and β.
+Every other construct is transparent: it erases to the erasure of the
+one child that ``ERASES_TO`` names.  The walk is iterative, since erased
+terms can be deep.
 """
 
 from __future__ import annotations
@@ -42,48 +47,37 @@ from .syntax import (
 )
 
 
+# the child each transparent construct erases to
+ERASES_TO = {ELam: "body", EApp: "fn", Rho: "body", Phi: "target", Sym: "proof", IotaPair: "fst", Proj: "subj"}
+
+
 def erase(t: Term) -> PureTerm:
     """Erase an annotated term to its underlying pure term."""
     out: list[PureTerm] = []
-    # frames: ("go", term) | ("lam", name) | ("app",)
-    work: list[tuple] = [("go", t)]
+    # terms to erase; a binder name to build an abstraction from the last
+    # result; None to build an application from the last two
+    work: list = [t]
     while work:
-        frame = work.pop()
-        if frame[0] == "lam":
-            out.append(PLam(frame[1], out.pop()))
-            continue
-        if frame[0] == "app":
+        cur = work.pop()
+        cls = type(cur)
+        if cls is Var:
+            out.append(PVar(cur.name))
+        elif cls is App:
+            work.append(None)
+            work.append(cur.arg)
+            work.append(cur.fn)
+        elif cls is Lam:
+            work.append(cur.name)
+            work.append(cur.body)
+        elif cls is Beta:
+            out.append(PLam("x", PVar("x")))
+        elif cls is str:
+            out.append(PLam(cur, out.pop()))
+        elif cur is None:
             arg = out.pop()
-            fn = out.pop()
-            out.append(PApp(fn, arg))
-            continue
-        cur = frame[1]
-        match cur:
-            case Var(name=n):
-                out.append(PVar(n))
-            case Lam(name=n, body=b):
-                work.append(("lam", n))
-                work.append(("go", b))
-            case ELam(body=b):
-                work.append(("go", b))
-            case App(fn=f, arg=a):
-                work.append(("app",))
-                work.append(("go", a))
-                work.append(("go", f))
-            case EApp(fn=f):
-                work.append(("go", f))
-            case Beta():
-                out.append(PLam("x", PVar("x")))
-            case Rho(body=b):
-                work.append(("go", b))
-            case Phi(target=t2):
-                work.append(("go", t2))
-            case Sym(proof=q):
-                work.append(("go", q))
-            case IotaPair(fst=t1):
-                work.append(("go", t1))
-            case Proj(subj=s):
-                work.append(("go", s))
-            case _:
-                raise TypeError(f"cannot erase {type(cur).__name__}")
+            out.append(PApp(out.pop(), arg))
+        elif cls in ERASES_TO:
+            work.append(getattr(cur, ERASES_TO[cls]))
+        else:
+            raise TypeError(f"cannot erase {cls.__name__}")
     return out[0]

@@ -555,7 +555,8 @@ class Context:
 
 
 # The layout of annotated syntax, read by ``term_free_names``,
-# ``subst_syntax`` and ``syntax_alpha_eq``: for each node class, its
+# ``subst_syntax`` and ``syntax_alpha_eq``, and by the checker's type and
+# kind conversion and ρ's type rewrite: for each node class, its
 # child fields in the order they are walked, each with the field holding
 # the binder name that scopes it, or None.  Rho's guide is the one
 # special child, a ``(hole, template)`` pair whose hole binds in its
@@ -625,17 +626,22 @@ def subst_syntax(x, env: dict[str, Union[Term, Type]]):
     whose name is free in a replacement is renamed, with a globally fresh
     name, only when a name still due under it occurs free in its body;
     the replacements' free names are computed when the walk first reaches
-    a binder.  Recursive: annotated syntax stays shallow (unlike
-    erasures).
+    a binder.  The walk itself tells: it substitutes into the body with
+    the binder renamed, and keeps both as they were when it replaced
+    nothing there but the binder's own occurrences, so nested capturing
+    binders cost one walk in all.  Recursive: annotated syntax stays
+    shallow (unlike erasures).
     """
     top = {k: v for k, v in env.items() if not (type(v) in (Var, TVar) and v.name == k)}
     if not top:
         return x
     fvs: Optional[set[str]] = None
+    hits = 0  # occurrences replaced, less those of binders renamed and left
+    own: dict[str, int] = {}  # occurrences replaced per binder being renamed, by fresh name
 
     def under(name: str, body, env):
         # the binder's name and body after substituting ``env`` under it
-        nonlocal fvs
+        nonlocal fvs, hits
         if name in env:
             env = {k: v for k, v in env.items() if k != name}
             if not env:
@@ -644,30 +650,32 @@ def subst_syntax(x, env: dict[str, Union[Term, Type]]):
             fvs = set()
             for v in top.values():
                 fvs |= term_free_names(v)
-        if name in fvs:
-            if env.keys().isdisjoint(term_free_names(body)):
-                return name, body
-            fresh = fresh_name(name)
-            return fresh, go(body, {**env, name: Var(fresh)})
-        return name, go(body, env)
+        if name not in fvs:
+            return name, go(body, env)
+        fresh = fresh_name(name)
+        own[fresh] = 0
+        before = hits
+        body2 = go(body, {**env, name: Var(fresh)})
+        hits -= own.pop(fresh)
+        return (name, body) if hits == before else (fresh, body2)
 
     def go(cur, env):
+        nonlocal hits
         cls = type(cur)
-        if cls is Var:
+        if cls is Var or cls is TVar:
             rep = env.get(cur.name)
             if rep is None:
                 return cur
-            if isinstance(rep, TVar):
-                # sort-ambiguous occurrence renamed by a type variable
-                return Var(rep.name, cur.span)
-            if isinstance(rep, Type):
-                raise TypeError(f"type used at term position: {cur.name}")
-            return rep
-        if cls is TVar:
-            rep = env.get(cur.name)
-            if rep is None:
-                return cur
-            if isinstance(rep, Term):
+            hits += 1
+            if type(rep) is Var and rep.name in own:
+                own[rep.name] += 1
+            if cls is Var:
+                if isinstance(rep, TVar):
+                    # sort-ambiguous occurrence renamed by a type variable
+                    return Var(rep.name, cur.span)
+                if isinstance(rep, Type):
+                    raise TypeError(f"type used at term position: {cur.name}")
+            elif isinstance(rep, Term):
                 # a deferred name resolved as a term but used in type position
                 if isinstance(rep, Var):
                     return TVar(rep.name, cur.span)

@@ -2,17 +2,20 @@
 
 Introductions check, eliminations infer, and a conversion check mediates
 the mode switch.  Conversion on types is structural congruence after
-type-level beta-normalization, comparing embedded terms by beta-eta
-equality of their erasures (top-level definitions unfold when the
-normalizer looks them up).
-Definition unfolding during type conversion is on demand: a defined head
-is only unfolded when the spines cannot be matched directly.  Under a
-pair of binders conversion compares the two bodies opened at one
-variable.  Binders of the same name keep their bodies as they are,
-so parts that substitution shared meet as the same object and compare
-at once, unless a definition owns the name (the global would be unfolded
-where the bound variable is meant); otherwise one fresh variable is
-substituted into both bodies.
+type-level beta-normalization.  A type whose head is a variable is
+compared by its spine, and definition unfolding is on demand: a defined
+head is only unfolded when the spines cannot be matched directly.  Any
+other two types, and two kinds, convert when they are of one class and
+their children convert pairwise, walked as ``syntax.LAYOUT`` lists them:
+types and kinds by conversion, embedded terms by beta-eta equality of
+their erasures (top-level definitions unfold when the normalizer looks
+them up).  A type-level λ's annotation is not compared, just as erasure
+drops a term-level one's.  Under a pair of binders conversion compares
+the two bodies opened at one variable.  Binders of the same name keep
+their bodies as they are, so parts that substitution shared meet as the
+same object and compare at once, unless a definition owns the name (the
+global would be unfolded where the bound variable is meant); otherwise
+one fresh variable is substituted into both bodies.
 
 The equality constructs follow the usual reading:
 
@@ -62,6 +65,7 @@ from .syntax import (
     Kind,
     KPi,
     KPiK,
+    LAYOUT,
     Lam,
     PApp,
     Phi,
@@ -263,7 +267,7 @@ class Checker:
         hb, sb = self._spine(B)
         if isinstance(ha, TVar) and isinstance(hb, TVar):
             if ha.name == hb.name and len(sa) == len(sb):
-                if all(self._arg_conv(x, y) for x, y in zip(sa, sb)):
+                if all(self._conv(x, y) for x, y in zip(sa, sb)):
                     return True
             ua, ub = self._unfold_head(A), self._unfold_head(B)
             if ua is None and ub is None:
@@ -276,38 +280,34 @@ class Checker:
             ub = self._unfold_head(B)
             return ub is not None and self.types_conv(A, ub)
 
-        if isinstance(A, (Pi, All)) and type(A) is type(B):
-            return self._conv_binder(A, B)
-        if isinstance(A, AllK) and isinstance(B, AllK):
-            if not self.kinds_conv(A.dom, B.dom):
-                return False
-            return self.types_conv(*self._open(A.name, A.cod, B.name, B.cod, TVar))
-        if isinstance(A, Iota) and isinstance(B, Iota):
-            if not self.types_conv(A.fst, B.fst):
-                return False
-            return self.types_conv(*self._open(A.name, A.snd, B.name, B.snd, Var))
-        if isinstance(A, Eq) and isinstance(B, Eq):
-            return self.terms_conv(A.lhs, B.lhs) and self.terms_conv(A.rhs, B.rhs)
-        if isinstance(A, TLam) and isinstance(B, TLam):
-            # binder sort does not affect conversion; rename consistently
-            sort = TVar if isinstance(A.ann, Kind) or isinstance(B.ann, Kind) else Var
-            return self.types_conv(*self._open(A.name, A.body, B.name, B.body, sort))
-        return False
-
-    def _conv_binder(self, A, B) -> bool:
-        if not self.types_conv(A.dom, B.dom):
+        if sa:  # an application whose head is no variable (ill-kinded)
             return False
-        return self.types_conv(*self._open(A.name, A.cod, B.name, B.cod, Var))
+        return self._congruent(A, B)
 
-    def _open(self, a: str, body_a, b: str, body_b, sort):
-        """The bodies of binders ``a`` and ``b`` opened at one variable of
-        ``sort`` (``Var`` or ``TVar``): as they are when the names agree and
-        no definition owns the name (see the module docstring), else with
-        one fresh variable substituted into both."""
-        if a == b and not isinstance(self.ctx.lookup(a), Defn):
-            return body_a, body_b
-        z = sort(fresh_name(a))
-        return subst1(body_a, a, z), subst1(body_b, b, z)
+    def _congruent(self, A, B) -> bool:
+        """Whether two nodes of one class have children that convert
+        pairwise, in ``LAYOUT`` order, each by its sort (``_conv``).  Two
+        binders' scopes are opened at one variable (see the module
+        docstring): a ``TVar`` when either node's first field holds a kind,
+        else a ``Var``.  A type-level λ's annotation is not compared."""
+        cls = type(A)
+        if cls is not type(B):
+            return False
+        layout = LAYOUT[cls]
+        for child, binder in layout:
+            if child == "ann":
+                continue
+            a, b = getattr(A, child), getattr(B, child)
+            if binder is not None:
+                x, y = getattr(A, binder), getattr(B, binder)
+                if x != y or isinstance(self.ctx.lookup(x), Defn):
+                    first = layout[0][0]
+                    sort = TVar if isinstance(getattr(A, first), Kind) or isinstance(getattr(B, first), Kind) else Var
+                    z = sort(fresh_name(x))
+                    a, b = subst1(a, x, z), subst1(b, y, z)
+            if not self._conv(a, b):
+                return False
+        return True
 
     def _spine(self, T: Type):
         args = []
@@ -316,25 +316,18 @@ class Checker:
             T = T.fn
         return T, list(reversed(args))
 
-    def _arg_conv(self, x, y) -> bool:
+    def _conv(self, x, y) -> bool:
+        """Conversion of two syntax values of one sort: types, terms or kinds."""
         if isinstance(x, Type) and isinstance(y, Type):
             return self.types_conv(x, y)
         if isinstance(x, Term) and isinstance(y, Term):
             return self.terms_conv(x, y)
+        if isinstance(x, Kind) and isinstance(y, Kind):
+            return self.kinds_conv(x, y)
         return False
 
     def kinds_conv(self, k1: Kind, k2: Kind) -> bool:
-        if isinstance(k1, Star) and isinstance(k2, Star):
-            return True
-        if isinstance(k1, KPi) and isinstance(k2, KPi):
-            if not self.types_conv(k1.dom, k2.dom):
-                return False
-            return self.kinds_conv(*self._open(k1.name, k1.cod, k2.name, k2.cod, Var))
-        if isinstance(k1, KPiK) and isinstance(k2, KPiK):
-            if not self.kinds_conv(k1.dom, k2.dom):
-                return False
-            return self.kinds_conv(*self._open(k1.name, k1.cod, k2.name, k2.cod, TVar))
-        return False
+        return self._congruent(k1, k2)
 
     # ------------------------------------------------------------------
     # kinds
@@ -735,32 +728,27 @@ class Checker:
         avoid = free_vars(pat) | free_vars(rep)
 
         def go_ty(T: Type) -> Type:
+            # each child in layout order: a binder named in ``avoid`` is
+            # renamed fresh in its scope; kinds and a type-level λ's
+            # annotation stay as they are
             T = self.whnf_beta(T)
-            match T:
-                case TVar():
-                    return T
-                case Pi(name=n, dom=d, cod=c, span=sp):
-                    n, c = _freshen_if(n, c, avoid)
-                    return Pi(n, go_ty(d), go_ty(c), sp)
-                case All(name=n, dom=d, cod=c, span=sp):
-                    n, c = _freshen_if(n, c, avoid)
-                    return All(n, go_ty(d), go_ty(c), sp)
-                case AllK(name=n, dom=d, cod=c, span=sp):
-                    n, c = _freshen_if(n, c, avoid)
-                    return AllK(n, d, go_ty(c), sp)
-                case Iota(name=n, fst=f, snd=s, span=sp):
-                    n, s = _freshen_if(n, s, avoid)
-                    return Iota(n, go_ty(f), go_ty(s), sp)
-                case TLam(name=n, body=b, ann=a, span=sp):
-                    n, b = _freshen_if(n, b, avoid)
-                    return TLam(n, go_ty(b), a, sp)
-                case Eq(lhs=a, rhs=b, span=sp):
-                    return Eq(go_tm(a), go_tm(b), sp)
-                case TAppT(fn=f, arg=a, span=sp):
-                    return TAppT(go_ty(f), go_ty(a), sp)
-                case TAppE(fn=f, arg=a, span=sp):
-                    return TAppE(go_ty(f), go_tm(a), sp)
-            return T
+            cls = type(T)
+            new = {}  # the fields that change, by name
+            for child, binder in LAYOUT[cls]:
+                sub = getattr(T, child)
+                if child == "ann" or isinstance(sub, Kind):
+                    continue
+                if binder is not None:
+                    name = getattr(T, binder)
+                    if name in avoid:
+                        new[binder] = fresh_name(name)
+                        sub = subst1(sub, name, Var(new[binder]))
+                sub2 = go_ty(sub) if isinstance(sub, Type) else go_tm(sub)
+                if sub2 is not getattr(T, child):
+                    new[child] = sub2
+            if not new:
+                return T
+            return cls(*[new[f] if f in new else getattr(T, f) for f in cls.__slots__])
 
         def go_tm(e: Term) -> Term:
             nf = normalize(erase(e), self.fuel, self.defs)
@@ -831,13 +819,6 @@ def _rewrite_nf(
             hidden += name in pat_names
             stack.append(cur.body)
     return out[0], count
-
-
-def _freshen_if(name: str, under, avoid):
-    if name in avoid:
-        nn = fresh_name(name)
-        return nn, subst1(under, name, Var(nn))
-    return name, under
 
 
 # ---------------------------------------------------------------------------

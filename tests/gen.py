@@ -1,8 +1,10 @@
 """Seeded random generators for well-scoped pure terms and small
-annotated syntax values, shared by the property suites."""
+annotated syntax values, and variants of annotated syntax (binder-renamed
+copies, one-leaf changes), shared by the property suites."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 from cdle.syntax import PApp, PLam, PVar, PureTerm
@@ -62,6 +64,7 @@ from cdle.syntax import (  # noqa: E402
     TLam,
     TVar,
     Var,
+    subst1,
 )
 
 TYPE_NAMES = ["T", "U", "F", "G", "P"]
@@ -142,3 +145,69 @@ def gen_term(rng: random.Random, depth: int):
     if r < 0.93:
         return IotaPair(gen_term(rng, depth - 1), gen_term(rng, depth - 1))
     return Proj(gen_term(rng, depth - 1), rng.choice([1, 2]))
+
+
+# --- variants of annotated syntax -------------------------------------------
+
+# the child each binder name scopes, written out apart from LAYOUT so that
+# the helpers below do not share a mistake with the code they test
+_SCOPES = {**dict.fromkeys((Lam, ELam, TLam), "body"), **dict.fromkeys((Pi, All, AllK, KPi, KPiK), "cod"), Iota: "snd"}
+
+
+def _children(x):
+    """The node- or guide-valued fields of ``x``, by name."""
+    return {
+        f.name: getattr(x, f.name)
+        for f in dataclasses.fields(x)
+        if dataclasses.is_dataclass(getattr(x, f.name)) or f.name == "guide" and x.guide is not None
+    }
+
+
+def _rebuild(cur, fields):
+    return type(cur)(**{f: fields.get(f, getattr(cur, f)) for f in type(cur).__slots__})
+
+
+def rename_binders(x, suffix):
+    """``x`` with every binder renamed by appending ``suffix``."""
+    fields = {}
+    for child, sub in _children(x).items():
+        if child == "guide":
+            hole, template = sub
+            fields[child] = (hole + suffix, rename_binders(subst1(template, hole, Var(hole + suffix)), suffix))
+        elif child == _SCOPES.get(type(x)):
+            fields["name"] = x.name + suffix
+            fields[child] = rename_binders(subst1(sub, x.name, Var(x.name + suffix)), suffix)
+        else:
+            fields[child] = rename_binders(sub, suffix)
+    return _rebuild(x, fields) if fields else x
+
+
+def count_leaves(x):
+    """The number of ``Var``/``TVar`` leaves of ``x``."""
+    n, stack = 0, [x]
+    while stack:
+        cur = stack.pop()
+        if type(cur) in (Var, TVar):
+            n += 1
+        elif type(cur) is tuple:
+            stack.append(cur[1])
+        else:
+            stack.extend(_children(cur).values())
+    return n
+
+
+def change_leaf(x, k):
+    """``x`` with its ``k``-th ``Var``/``TVar`` leaf renamed to a name that
+    occurs nowhere; returns it with ``k`` less the leaves it passed."""
+    if type(x) in (Var, TVar):
+        return (type(x)(x.name + "%changed", x.span) if k == 0 else x), k - 1
+    fields = {}
+    for child, sub in _children(x).items():
+        if k < 0:
+            break
+        if child == "guide":
+            template, k = change_leaf(sub[1], k)
+            fields[child] = (sub[0], template)
+        else:
+            fields[child], k = change_leaf(sub, k)
+    return _rebuild(x, fields), k

@@ -375,3 +375,33 @@ def test_verify_unreadable_negative_suite_exit_two(capsys, tmp_path):
     code, out, err = run(capsys, "verify", "--root", root)
     assert (code, out) == (2, "")
     assert err == "error: negative suite: bare.cdl: the first line must be '// expect: Code'\n"
+
+
+def _contract_commands():
+    corpus_files = sorted(os.path.relpath(p, REPO) for p in glob.glob(os.path.join(CORPUS, "*.cdl")))
+    cmds = [["check", "--json", *corpus_files]]
+    cmds += [["check", *corpus_files, "--max-steps", str(n)] for n in (20, 40, 60, 100, 200, 400)]
+    for neg in sorted(os.path.relpath(p, REPO) for p in glob.glob(os.path.join(NEGATIVE, "*.cdl"))):
+        cmds += [["check", neg, "--root", "corpus"], ["check", "--json", neg, "--root", "corpus"]]
+    return cmds
+
+
+def test_cli_outputs_match_the_recorded_contract(capsys):
+    """``check --json`` on the corpus, ``check`` on the corpus at
+    ``--max-steps`` 20, 40, 60, 100, 200 and 400, and each negative file
+    plain and with ``--json`` (both with ``--root corpus``), run through
+    ``cli.main``: exit code, standard output and standard error equal what
+    ``tests/cli_outputs.json`` holds, with the checkout's path written
+    ``<repo>``.  The file was recorded by running the same commands, with
+    absolute paths, through ``cli.main`` at commit 6a10d8f, before
+    conversion, ρ's type rewrite and erasure were driven by tables; a
+    change to any of these outputs means recording it again the same way
+    and saying why."""
+    with open(os.path.join(REPO, "tests", "cli_outputs.json"), encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    assert [r["argv"] for r in recorded] == _contract_commands()
+    for r in recorded:
+        argv = [os.path.join(REPO, a) if a.endswith(".cdl") or a == "corpus" else a for a in r["argv"]]
+        code, out, err = run(capsys, *argv)
+        got = {"exit": code, "stdout": out.replace(REPO, "<repo>"), "stderr": err.replace(REPO, "<repo>")}
+        assert got == {k: r[k] for k in got}, r["argv"]

@@ -1,7 +1,10 @@
-"""Erasure: the compositional equations, scope behavior, and the shared
-erasures of the corpus constructor pairs."""
+"""Erasure: the compositional equations, scope behavior, the shared
+erasures of the corpus constructor pairs, and the transparent-construct
+table against the ladder it replaced."""
 
 import random
+
+import pytest
 
 from cdle.erasure import erase
 from cdle.reduction import Fuel, beta_eta_eq, normalize
@@ -138,3 +141,92 @@ def test_every_corpus_erasure_normalizes(checked_corpus):
     for name, t in ck.pure_env.items():
         out = normalize(t, Fuel(200_000))
         assert not out.fuel_exhausted, f"|{name}| did not normalize"
+
+
+# --- the transparent-construct table against the ladder it replaced
+
+
+def reference_erase(t):
+    """``erase`` as it was before its table: one match case per construct."""
+    out = []
+    work = [("go", t)]
+    while work:
+        frame = work.pop()
+        if frame[0] == "lam":
+            out.append(PLam(frame[1], out.pop()))
+            continue
+        if frame[0] == "app":
+            arg = out.pop()
+            fn = out.pop()
+            out.append(PApp(fn, arg))
+            continue
+        cur = frame[1]
+        match cur:
+            case Var(name=n):
+                out.append(PVar(n))
+            case Lam(name=n, body=b):
+                work.append(("lam", n))
+                work.append(("go", b))
+            case ELam(body=b):
+                work.append(("go", b))
+            case App(fn=f, arg=a):
+                work.append(("app",))
+                work.append(("go", a))
+                work.append(("go", f))
+            case EApp(fn=f):
+                work.append(("go", f))
+            case Beta():
+                out.append(PLam("x", PVar("x")))
+            case Rho(body=b):
+                work.append(("go", b))
+            case Phi(target=t2):
+                work.append(("go", t2))
+            case Sym(proof=q):
+                work.append(("go", q))
+            case IotaPair(fst=t1):
+                work.append(("go", t1))
+            case Proj(subj=s):
+                work.append(("go", s))
+            case _:
+                raise TypeError(f"cannot erase {type(cur).__name__}")
+    return out[0]
+
+
+def test_erase_matches_reference(corpus_defs):
+    """Every corpus body and each of its explicit subterms, and seeded
+    random terms, erase exactly as the reference erases them; values that
+    are not terms raise the same error."""
+    from cdle.syntax import Star, Term
+    from gen import gen_term, gen_type
+
+    terms = [s for _, d in corpus_defs if isinstance(d.body, Term) for s in _explicit_subterms(d.body, [])]
+    assert len(terms) > 1500
+    rng = random.Random(1401)
+    terms += [gen_term(rng, 6) for _ in range(500)]
+    for t in terms:
+        assert erase(t) == reference_erase(t)
+    for x in (TVar("T"), DeferredArg(Var("x")), Star(), gen_type(rng, 3), Lam("x", TVar("T"))):
+        with pytest.raises(TypeError) as got:
+            erase(x)
+        with pytest.raises(TypeError) as want:
+            reference_erase(x)
+        assert str(got.value) == str(want.value)
+
+
+def test_every_term_class_is_an_explicit_case_or_in_the_table():
+    """The four constructs that build pure syntax are ``erase``'s own
+    cases; every other ``Term`` class is in ``ERASES_TO``, whose child is
+    a term field of the class."""
+    import dataclasses
+
+    import cdle.syntax
+    from cdle.erasure import ERASES_TO
+    from cdle.syntax import Term
+
+    explicit = {Var, Lam, App, Beta}
+    classes = {c for c in vars(cdle.syntax).values() if isinstance(c, type) and issubclass(c, Term) and c is not Term}
+    assert len(classes) == 11
+    assert classes == explicit | set(ERASES_TO) and not explicit & set(ERASES_TO)
+    for cls, child in ERASES_TO.items():
+        field = {f.name: f for f in dataclasses.fields(cls)}[child]
+        assert field.type == "Term", (cls.__name__, child)

@@ -54,7 +54,7 @@ from cdle.syntax import (
     syntax_alpha_eq,
     term_free_names,
 )
-from gen import gen_kind, gen_pure, gen_pure_open, gen_term, gen_type
+from gen import change_leaf, count_leaves, gen_kind, gen_pure, gen_pure_open, gen_term, gen_type, rename_binders
 
 
 def lam(x, b):
@@ -400,6 +400,59 @@ def test_subst_keeps_untouched_siblings():
     assert out.cod.cod == Eq(Var("u"), rhs)
 
 
+def test_subst_under_nested_capturing_binders_walks_once(monkeypatch):
+    """``x ↦ y`` into ``Π y : A. … Π y : A. x ≃ z`` renames all 300
+    binders and takes the replacement's free names once, where a walk of
+    each binder's body to see whether a name is due there took 301, and
+    the result is α-equal to the reference's."""
+    calls = []
+    real = cdle.syntax.term_free_names
+
+    def counted(x):
+        calls.append(x)
+        return real(x)
+
+    depth = 300
+    t = Eq(Var("x"), Var("z"))
+    for _ in range(depth):
+        t = Pi("y", TVar("A"), t)
+    monkeypatch.setattr(cdle.syntax, "term_free_names", counted)
+    out = subst1(t, "x", Var("y"))
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert syntax_alpha_eq(out, reference_subst_syntax(t, {"x": Var("y")}))
+    for _ in range(depth):
+        assert out.name != "y"
+        out = out.cod
+    assert out == Eq(Var("y"), Var("z"))
+
+
+def test_subst_renames_a_capturing_binder_only_for_a_name_due_in_its_body():
+    """A binder whose name is free in a replacement keeps its name and
+    body (the same object) when nothing due occurs in its body, and is
+    renamed when a replaced name, or the renamed name of a binder around
+    it, does."""
+    rep = App(Var("y"), Var("z"))
+    kept = Lam("z", Var("w"))
+    t = Lam("q", App(Var("x"), kept))
+    out = subst1(t, "x", rep)
+    assert out.body.fn == rep and out.body.arg is kept
+
+    t = Lam("z", App(Var("x"), Var("z")))
+    out = subst1(t, "x", rep)
+    assert out.name != "z" and out.body == App(rep, Var(out.name))
+
+    # under y, renamed since x is due there, z is renamed only because
+    # the renamed y occurs in its body
+    t = Lam("y", App(Var("x"), Lam("z", Var("y"))))
+    out = subst1(t, "x", rep)
+    inner = out.body.arg
+    assert out.name != "y" and inner.name != "z" and inner.body == Var(out.name)
+    assert syntax_alpha_eq(out, reference_subst_syntax(t, {"x": rep}))
+    t = Lam("y", App(Var("x"), Lam("z", Var("w"))))
+    assert subst1(t, "x", rep).body.arg is t.body.arg
+
+
 # --- the layout table, and free names and α-equality against the ladders it replaced
 
 
@@ -555,70 +608,6 @@ def reference_syntax_alpha_eq(a, b):
     return go(a, b, {}, {})
 
 
-# the child each binder name scopes, written out apart from LAYOUT so that
-# the helpers below do not share a mistake with the code they test
-_SCOPES = {**dict.fromkeys((Lam, ELam, TLam), "body"), **dict.fromkeys((Pi, All, AllK, KPi, KPiK), "cod"), Iota: "snd"}
-
-
-def _children(x):
-    """The node- or guide-valued fields of ``x``, by name."""
-    return {
-        f.name: getattr(x, f.name)
-        for f in dataclasses.fields(x)
-        if dataclasses.is_dataclass(getattr(x, f.name)) or f.name == "guide" and x.guide is not None
-    }
-
-
-def _rebuild(cur, fields):
-    return type(cur)(**{f: fields.get(f, getattr(cur, f)) for f in type(cur).__slots__})
-
-
-def _rename_syntax_binders(x, suffix):
-    """``x`` with every binder renamed by appending ``suffix``."""
-    fields = {}
-    for child, sub in _children(x).items():
-        if child == "guide":
-            hole, template = sub
-            fields[child] = (hole + suffix, _rename_syntax_binders(subst1(template, hole, Var(hole + suffix)), suffix))
-        elif child == _SCOPES.get(type(x)):
-            fields["name"] = x.name + suffix
-            fields[child] = _rename_syntax_binders(subst1(sub, x.name, Var(x.name + suffix)), suffix)
-        else:
-            fields[child] = _rename_syntax_binders(sub, suffix)
-    return _rebuild(x, fields) if fields else x
-
-
-def _leaves(x):
-    """The number of ``Var``/``TVar`` leaves of ``x``."""
-    n, stack = 0, [x]
-    while stack:
-        cur = stack.pop()
-        if type(cur) in (Var, TVar):
-            n += 1
-        elif type(cur) is tuple:
-            stack.append(cur[1])
-        else:
-            stack.extend(_children(cur).values())
-    return n
-
-
-def _change_leaf(x, k):
-    """``x`` with its ``k``-th ``Var``/``TVar`` leaf renamed to a name that
-    occurs nowhere; returns it with ``k`` less the leaves it passed."""
-    if type(x) in (Var, TVar):
-        return (type(x)(x.name + "%changed", x.span) if k == 0 else x), k - 1
-    fields = {}
-    for child, sub in _children(x).items():
-        if k < 0:
-            break
-        if child == "guide":
-            template, k = _change_leaf(sub[1], k)
-            fields[child] = (sub[0], template)
-        else:
-            fields[child], k = _change_leaf(sub, k)
-    return _rebuild(x, fields), k
-
-
 def _syntax_samples(corpus_defs):
     items = [t for _, d in corpus_defs for t in (d.classifier, d.body) if t is not None]
     rng = random.Random(1303)
@@ -634,10 +623,10 @@ def test_free_names_match_reference(corpus_defs):
     and kinds, with their binders renamed and with one leaf changed."""
     rng = random.Random(1304)
     for x in _syntax_samples(corpus_defs):
-        variants = [x, _rename_syntax_binders(x, "%r")]
-        n = _leaves(x)
+        variants = [x, rename_binders(x, "%r")]
+        n = count_leaves(x)
         if n:
-            variants.append(_change_leaf(x, rng.randrange(n))[0])
+            variants.append(change_leaf(x, rng.randrange(n))[0])
         for y in variants:
             assert term_free_names(y) == reference_term_free_names(y)
 
@@ -650,14 +639,14 @@ def test_syntax_alpha_eq_matches_reference(corpus_defs):
     items = _syntax_samples(corpus_defs)
     renamed = changed = 0
     for i, x in enumerate(items):
-        r = _rename_syntax_binders(x, "%r")
+        r = rename_binders(x, "%r")
         assert syntax_alpha_eq(x, x) and reference_syntax_alpha_eq(x, x)
         assert syntax_alpha_eq(x, r) and reference_syntax_alpha_eq(x, r)
         assert syntax_alpha_eq(r, x) and reference_syntax_alpha_eq(r, x)
         renamed += r != x
-        n = _leaves(x)
+        n = count_leaves(x)
         if n:
-            c = _change_leaf(x, rng.randrange(n))[0]
+            c = change_leaf(x, rng.randrange(n))[0]
             assert not syntax_alpha_eq(x, c) and not reference_syntax_alpha_eq(x, c)
             assert not syntax_alpha_eq(c, r) and not reference_syntax_alpha_eq(c, r)
             changed += 1

@@ -9,7 +9,7 @@ import pytest
 from cdle.corpus import negative_expectations
 from cdle.loader import load_program
 from cdle.surface import parse_term, parse_type_expr
-from cdle.syntax import Eq, Pi, Star, TermBind, TVar, free_vars
+from cdle.syntax import Eq, Kind, Pi, Star, TermBind, TVar, free_vars
 from cdle.typecheck import CheckError, Checker, ErrorCode, check_defs
 
 from conftest import CORPUS, NEGATIVE
@@ -663,3 +663,311 @@ def test_rho_rewrite_of_a_10000_deep_normal_form():
         assert type(out.body) is App and out.body.fn == Var("g")
         out = out.body.arg
     assert out == Var("a")
+
+
+# --- conversion and ρ's type rewrite against the per-class code they replaced
+
+
+class ReferenceChecker(Checker):
+    """A checker whose type and kind conversion and ρ type rewrite are
+    those from before ``LAYOUT`` drove them: one case per class."""
+
+    def types_conv(self, A, B):
+        from cdle.syntax import All, AllK, Eq, Iota, Kind, Pi, TLam, Var
+
+        A = self.whnf_beta(A)
+        B = self.whnf_beta(B)
+        if A is B:
+            return True
+
+        ha, sa = self._spine(A)
+        hb, sb = self._spine(B)
+        if isinstance(ha, TVar) and isinstance(hb, TVar):
+            if ha.name == hb.name and len(sa) == len(sb):
+                if all(self._arg_conv(x, y) for x, y in zip(sa, sb)):
+                    return True
+            ua, ub = self._unfold_head(A), self._unfold_head(B)
+            if ua is None and ub is None:
+                return False
+            return self.types_conv(ua if ua is not None else A, ub if ub is not None else B)
+        if isinstance(ha, TVar):
+            ua = self._unfold_head(A)
+            return ua is not None and self.types_conv(ua, B)
+        if isinstance(hb, TVar):
+            ub = self._unfold_head(B)
+            return ub is not None and self.types_conv(A, ub)
+
+        if isinstance(A, (Pi, All)) and type(A) is type(B):
+            return self._conv_binder(A, B)
+        if isinstance(A, AllK) and isinstance(B, AllK):
+            if not self.kinds_conv(A.dom, B.dom):
+                return False
+            return self.types_conv(*self._open(A.name, A.cod, B.name, B.cod, TVar))
+        if isinstance(A, Iota) and isinstance(B, Iota):
+            if not self.types_conv(A.fst, B.fst):
+                return False
+            return self.types_conv(*self._open(A.name, A.snd, B.name, B.snd, Var))
+        if isinstance(A, Eq) and isinstance(B, Eq):
+            return self.terms_conv(A.lhs, B.lhs) and self.terms_conv(A.rhs, B.rhs)
+        if isinstance(A, TLam) and isinstance(B, TLam):
+            sort = TVar if isinstance(A.ann, Kind) or isinstance(B.ann, Kind) else Var
+            return self.types_conv(*self._open(A.name, A.body, B.name, B.body, sort))
+        return False
+
+    def _conv_binder(self, A, B):
+        from cdle.syntax import Var
+
+        if not self.types_conv(A.dom, B.dom):
+            return False
+        return self.types_conv(*self._open(A.name, A.cod, B.name, B.cod, Var))
+
+    def _open(self, a, body_a, b, body_b, sort):
+        from cdle.syntax import Defn, fresh_name, subst1
+
+        if a == b and not isinstance(self.ctx.lookup(a), Defn):
+            return body_a, body_b
+        z = sort(fresh_name(a))
+        return subst1(body_a, a, z), subst1(body_b, b, z)
+
+    def _arg_conv(self, x, y):
+        from cdle.syntax import Term, Type
+
+        if isinstance(x, Type) and isinstance(y, Type):
+            return self.types_conv(x, y)
+        if isinstance(x, Term) and isinstance(y, Term):
+            return self.terms_conv(x, y)
+        return False
+
+    def kinds_conv(self, k1, k2):
+        from cdle.syntax import KPi, KPiK, Var
+
+        if isinstance(k1, Star) and isinstance(k2, Star):
+            return True
+        if isinstance(k1, KPi) and isinstance(k2, KPi):
+            if not self.types_conv(k1.dom, k2.dom):
+                return False
+            return self.kinds_conv(*self._open(k1.name, k1.cod, k2.name, k2.cod, Var))
+        if isinstance(k1, KPiK) and isinstance(k2, KPiK):
+            if not self.kinds_conv(k1.dom, k2.dom):
+                return False
+            return self.kinds_conv(*self._open(k1.name, k1.cod, k2.name, k2.cod, TVar))
+        return False
+
+    def _rw_type(self, T, pat, rep, counter):
+        from cdle.erasure import erase
+        from cdle.reduction import normalize
+        from cdle.syntax import All, AllK, Iota, TAppE, TAppT, TLam, Var, fresh_name, subst1
+        from cdle.typecheck import _out_of_fuel, _rewrite_nf
+
+        avoid = free_vars(pat) | free_vars(rep)
+
+        def freshen_if(name, under):
+            if name in avoid:
+                nn = fresh_name(name)
+                return nn, subst1(under, name, Var(nn))
+            return name, under
+
+        def go_ty(T):
+            T = self.whnf_beta(T)
+            match T:
+                case TVar():
+                    return T
+                case Pi(name=n, dom=d, cod=c, span=sp):
+                    n, c = freshen_if(n, c)
+                    return Pi(n, go_ty(d), go_ty(c), sp)
+                case All(name=n, dom=d, cod=c, span=sp):
+                    n, c = freshen_if(n, c)
+                    return All(n, go_ty(d), go_ty(c), sp)
+                case AllK(name=n, dom=d, cod=c, span=sp):
+                    n, c = freshen_if(n, c)
+                    return AllK(n, d, go_ty(c), sp)
+                case Iota(name=n, fst=f, snd=s, span=sp):
+                    n, s = freshen_if(n, s)
+                    return Iota(n, go_ty(f), go_ty(s), sp)
+                case TLam(name=n, body=b, ann=a, span=sp):
+                    n, b = freshen_if(n, b)
+                    return TLam(n, go_ty(b), a, sp)
+                case Eq(lhs=a, rhs=b, span=sp):
+                    return Eq(go_tm(a), go_tm(b), sp)
+                case TAppT(fn=f, arg=a, span=sp):
+                    return TAppT(go_ty(f), go_ty(a), sp)
+                case TAppE(fn=f, arg=a, span=sp):
+                    return TAppE(go_ty(f), go_tm(a), sp)
+            return T
+
+        def go_tm(e):
+            nf = normalize(erase(e), self.fuel, self.defs)
+            if nf.fuel_exhausted:
+                raise _out_of_fuel("ρ target term", e)
+            rewritten, n = _rewrite_nf(nf.result, pat, rep, avoid)
+            if n == 0:
+                return e
+            counter[0] += n
+            return rewritten
+
+        return go_ty(T)
+
+
+def _reference_for(ck):
+    """A reference checker in the state of ``ck``."""
+    ref = ReferenceChecker(ck.fuel)
+    ref.ctx, ref.pure_env, ref.defs = ck.ctx, ck.pure_env, ck.defs
+    return ref
+
+
+def _outcome(fn, *args):
+    """What a call gives: ``("value", v)``, or ``("error", code, e)`` for
+    the CheckError ``e`` it raises (the sort error of an ill-sorted
+    random type counts as a code too)."""
+    try:
+        return "value", fn(*args)
+    except CheckError as e:
+        return "error", e.code, e
+    except TypeError as e:
+        return "error", str(e), e
+
+
+def _same(got, want):
+    """Whether two outcomes agree: one error code, one verdict, or
+    α-equal syntax."""
+    from cdle.syntax import syntax_alpha_eq
+
+    if got[0] != want[0] or got[0] == "error":
+        return got[:2] == want[:2]
+    if isinstance(got[1], bool):
+        return got[1] is want[1]
+    return syntax_alpha_eq(got[1], want[1])
+
+
+def _replay_against_reference(monkeypatch, defs, fuel=None):
+    """Check ``defs`` afresh, repeating every ``types_conv`` and
+    ``kinds_conv`` call and every ρ type rewrite on the reference in the
+    same checker state.  Returns the report, the calls made by name, the
+    errors they raised, and every call where the two disagree."""
+    from cdle.reduction import Fuel
+
+    calls = {"types_conv": 0, "kinds_conv": 0, "_rw_type": 0}
+    errors, mismatches = [], []
+
+    def replayed(name):
+        real = getattr(Checker, name)
+
+        def call(self, *args):
+            calls[name] += 1
+            ref = _reference_for(self)
+            if name == "_rw_type":
+                T, pat, rep, counter = args
+                ref_counter, before = [0], counter[0]
+                want = _outcome(ref._rw_type, T, pat, rep, ref_counter)
+                got = _outcome(real, self, *args)
+                same = _same(got, want) and counter[0] - before == ref_counter[0]
+            else:
+                want = _outcome(getattr(ref, name), *args)
+                got = _outcome(real, self, *args)
+                same = _same(got, want)
+            if not same:
+                mismatches.append((name, args, got, want))
+            if got[0] == "error":
+                errors.append(got[1])
+                raise got[2]
+            return got[1]
+
+        return call
+
+    with monkeypatch.context() as mp:
+        for name in calls:
+            mp.setattr(Checker, name, replayed(name))
+        _, report = check_defs(defs, Checker(fuel or Fuel()))
+    return report, calls, errors, mismatches
+
+
+def test_conversion_and_rho_rewrite_match_reference_on_corpus_check(corpus_defs, monkeypatch):
+    """Every conversion and ρ type rewrite of a fresh corpus check gives
+    the reference's verdict, or its rewritten type up to α with the same
+    match count."""
+    report, calls, _, mismatches = _replay_against_reference(monkeypatch, corpus_defs)
+    assert report.ok
+    assert mismatches == []
+    assert calls["types_conv"] > 3000 and calls["kinds_conv"] > 1500 and calls["_rw_type"] > 20, calls
+
+
+def test_conversion_and_rho_rewrite_match_reference_when_checks_fail(corpus_defs, monkeypatch):
+    """The same on the corpus checked at too little fuel and on the
+    negative suite, where conversions and ρ rewrites also raise: the
+    reference raises an error of the same code."""
+    from cdle.reduction import Fuel
+
+    raised = set()
+    for steps in (40, 60):
+        report, _, errors, mismatches = _replay_against_reference(monkeypatch, corpus_defs, Fuel(steps))
+        assert not report.ok and mismatches == []
+        raised.update(errors)
+    for stem in negative_expectations(NEGATIVE):
+        defs = load_program([os.path.join(NEGATIVE, f"{stem}.cdl")], root=CORPUS)
+        _, _, errors, mismatches = _replay_against_reference(monkeypatch, defs)
+        assert mismatches == []
+        raised.update(errors)
+    assert ErrorCode.FuelExhausted in raised
+
+
+def test_conversion_matches_reference_on_seeded_pairs():
+    """Seeded random types and kinds, each against itself, a
+    binder-renamed copy, a copy with one leaf changed and its neighbour;
+    ``All`` against ``AllK`` over one codomain; and type-level λs whose
+    annotations differ: the same verdict or error as the reference."""
+    import random
+
+    from cdle.reduction import Fuel
+    from cdle.syntax import All, AllK, TLam
+    from gen import change_leaf, count_leaves, gen_kind, gen_type, rename_binders
+
+    rng = random.Random(1402)
+    ck = Checker(Fuel(500))
+    ref = _reference_for(ck)
+    pairs = []
+    items = [gen_type(rng, 5) for _ in range(300)] + [gen_kind(rng, 4) for _ in range(150)]
+    for i, x in enumerate(items):
+        pairs += [(x, x), (x, rename_binders(x, "%r")), (x, items[i - 1])]
+        if count_leaves(x):
+            pairs.append((x, change_leaf(x, rng.randrange(count_leaves(x)))[0]))
+    for _ in range(100):
+        cod = gen_type(rng, 3)
+        pairs.append((All("s", gen_type(rng, 2), cod), AllK("s", gen_kind(rng, 2), cod)))
+        body = gen_type(rng, 3)
+        anns = [None, gen_type(rng, 2), gen_kind(rng, 2)]
+        pairs.append((TLam("s", body, rng.choice(anns)), TLam("t", rename_binders(body, "%r"), rng.choice(anns))))
+        pairs.append((TLam("s", body, rng.choice(anns)), TLam("s", body, rng.choice(anns))))
+    verdicts = {True: 0, False: 0}
+    for x, y in pairs:
+        name = "kinds_conv" if isinstance(x, Kind) else "types_conv"
+        got = _outcome(getattr(ck, name), x, y)
+        assert _same(got, _outcome(getattr(ref, name), x, y)), (x, y)
+        if got[0] == "value":
+            verdicts[got[1]] += 1
+    assert verdicts[True] > 500 and verdicts[False] > 500, verdicts
+
+
+def test_rho_type_rewrite_matches_reference_on_seeded_types():
+    """Seeded random types rewritten at a name the generator also binds,
+    so that binders are renamed away from the pattern and replacement:
+    the reference's type up to α, with the same match count."""
+    import random
+
+    from cdle.reduction import Fuel
+    from cdle.syntax import PApp, PVar
+    from gen import TERM_NAMES, gen_type
+
+    rng = random.Random(1403)
+    ck = Checker(Fuel(500))
+    ref = _reference_for(ck)
+    matched = 0
+    for _ in range(400):
+        T = gen_type(rng, 5)
+        pat = PVar(rng.choice(TERM_NAMES))
+        rep = PApp(PVar(rng.choice(TERM_NAMES)), PVar("q"))
+        got_n, want_n = [0], [0]
+        got = _outcome(ck._rw_type, T, pat, rep, got_n)
+        assert _same(got, _outcome(ref._rw_type, T, pat, rep, want_n)), T
+        assert got_n == want_n
+        matched += got_n[0] > 0
+    assert matched > 100
