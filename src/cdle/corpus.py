@@ -215,7 +215,9 @@ _PINNED_CLASSIFIERS: dict[str, str] = {
 
 
 def corpus_manifest(root: Optional[str] = None) -> list[CorpusEntry]:
-    """Every corpus definition, in dependency order."""
+    """Every corpus definition, in dependency order.  Right after a load
+    of the corpus, such as ``load_checked_corpus``, this parses nothing:
+    the loader reuses every unchanged module."""
     entries: list[CorpusEntry] = []
     for file, d in load_program(corpus_paths(root)):
         cost = COST_CLASSES.get(d.name)
@@ -232,8 +234,9 @@ def corpus_manifest(root: Optional[str] = None) -> list[CorpusEntry]:
 
 
 def load_checked_corpus(root: Optional[str] = None, fuel: Fuel = Fuel()) -> tuple[Checker, CheckReport]:
-    """Parse and check the full corpus under ``root`` (default: the repo
-    corpus), afresh on every call.
+    """Load and check the full corpus under ``root`` (default: the repo
+    corpus).  Every call checks afresh; a module file unchanged since
+    the last load is not parsed again (``loader``).
 
     The checked corpus is long-lived and no code changes it, so the call
     ends by collecting garbage and freezing every object then alive

@@ -3,6 +3,15 @@
 Imports name sibling modules (``import base.`` loads ``<root>/base.cdl``)
 and must be acyclic; a program is the concatenation of all loaded
 definitions in dependency order, deduplicated by absolute path.
+
+Every call reads each file, but parses it only when it changed: the
+module table maps each absolute path the last successful call loaded to
+``(display path, text, SourceModule)``, and a file whose display path
+and text both equal its entry's reuses the entry's module, so a hit is
+never stale and spans name the current call's path.  Each call reads
+the table once and replaces it on return (a call that raises leaves it
+as it was), so it holds one program.  Sharing a module between calls is
+sound because parsed syntax is immutable (``surface``).
 """
 
 from __future__ import annotations
@@ -17,11 +26,15 @@ class LoadError(Exception):
     pass
 
 
+_modules: dict[str, tuple[str, str, SourceModule]] = {}
+
+
 def load_program(paths: list[str], root: Optional[str] = None) -> list[tuple[str, RawDef]]:
-    """Parse the given module files (and their imports, depth-first) and
+    """Load the given module files (and their imports, depth-first) and
     return the ordered list of (display-path, definition) pairs."""
-    loaded: dict[str, SourceModule] = {}
-    order: list[str] = []
+    global _modules
+    previous = _modules
+    loaded: dict[str, tuple[str, str, SourceModule]] = {}
     visiting: list[str] = []
 
     def visit(path: str):
@@ -39,20 +52,16 @@ def load_program(paths: list[str], root: Optional[str] = None) -> list[tuple[str
             raise LoadError(f"cannot read {path}: {e.strerror}")
         except UnicodeDecodeError as e:
             raise LoadError(f"cannot read {path}: not UTF-8 ({e.reason} at byte {e.start})")
-        mod = parse_module(text, path)
+        entry = previous.get(apath)
+        if entry is None or entry[:2] != (path, text):
+            entry = (path, text, parse_module(text, path))
         base = root if root is not None else os.path.dirname(apath)
-        for imp in mod.imports:
+        for imp in entry[2].imports:
             visit(os.path.join(base, imp + ".cdl"))
         visiting.pop()
-        loaded[apath] = mod
-        order.append(apath)
+        loaded[apath] = entry
 
     for p in paths:
         visit(p)
-
-    out: list[tuple[str, RawDef]] = []
-    for apath in order:
-        mod = loaded[apath]
-        for d in mod.defs:
-            out.append((mod.path, d))
-    return out
+    _modules = loaded
+    return [(mod.path, d) for _, _, mod in loaded.values() for d in mod.defs]

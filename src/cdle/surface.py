@@ -23,8 +23,11 @@ application skeleton) is stored as a :class:`~cdle.syntax.DeferredArg`
 and resolved to a term or type argument by the checker, which knows the
 sort expected by the implicit product being instantiated.
 
-Parsing distinct files may proceed concurrently; a parsed module is
-immutable.
+Parsing distinct files may proceed concurrently.  A parsed module is
+immutable, and this is load-bearing: ``loader`` hands one
+``SourceModule`` to successive loads of an unchanged file, so nothing
+may store into a module, a ``RawDef`` or a syntax node, and the parser
+draws no ``fresh_name``.
 """
 
 from __future__ import annotations

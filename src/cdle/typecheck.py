@@ -597,20 +597,24 @@ class Checker:
                         _canon_msg(f"λ checked against non-function type {pp.pretty(W)}"),
                         sp,
                     )
-                if ann is not None and not self.types_conv(ann, W.dom):
-                    raise CheckError(
-                        ErrorCode.TypeMismatch,
-                        _canon_msg(
-                            f"λ annotation {pp.pretty(ann)} does not match domain {pp.pretty(W.dom)}"
-                        ),
-                        sp,
-                    )
+                if ann is not None:
+                    self.check_type(ann, Star())
+                    if not self.types_conv(ann, W.dom):
+                        raise CheckError(
+                            ErrorCode.TypeMismatch,
+                            _canon_msg(
+                                f"λ annotation {pp.pretty(ann)} does not match domain {pp.pretty(W.dom)}"
+                            ),
+                            sp,
+                        )
                 with self._with(TermBind(n, W.dom)):
                     self.check_term(b, subst1(W.cod, W.name, Var(n)))
                 return
             case ELam(name=n, body=b, ann=ann, span=sp):
                 W = self.whnf_type(T)
                 if isinstance(W, All):
+                    if isinstance(ann, Type):
+                        self.check_type(ann, Star())
                     if ann is not None and (not isinstance(ann, Type) or not self.types_conv(ann, W.dom)):
                         raise CheckError(ErrorCode.TypeMismatch, "Λ annotation mismatch", sp)
                     with self._with(TermBind(n, W.dom, erased=True)):
@@ -623,6 +627,8 @@ class Checker:
                         )
                     return
                 if isinstance(W, AllK):
+                    if isinstance(ann, Kind):
+                        self.kind_wf(ann)
                     if ann is not None and (not isinstance(ann, Kind) or not self.kinds_conv(ann, W.dom)):
                         raise CheckError(ErrorCode.TypeMismatch, "Λ kind annotation mismatch", sp)
                     with self._with(TypeBind(n, W.dom)):

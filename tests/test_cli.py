@@ -3,6 +3,7 @@
 import glob
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 import cdle.corpus as cdle_corpus
 from cdle.cli import classify_costs, main
 from cdle.reduction import NormalizeOutcome
+from cdle.surface import lex
 from cdle.syntax import PVar
 
 from conftest import CORPUS, NEGATIVE, REPO
@@ -173,6 +175,66 @@ def test_check_duplicate_name_across_modules_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "check", *paths)
     assert code == 2
     assert err == f"error: {paths[1]}: duplicate top-level name 'Unit2'\n"
+
+
+# A λ or Λ annotation whose type-level β redex substitutes a type for a
+# term variable: the checker must sort the annotation before converting it.
+ILL_SORTED_ANNOTATIONS = {
+    "lam": "bad ◂ Nat ➔ Nat = λ x : (λ s : Nat. s ≃ s) · (Nat ➔ Nat). x.",
+    "elam": "bad ◂ ∀ n : Nat. Nat ➔ Nat = Λ n : (λ s : Nat. s ≃ s) · (Nat ➔ Nat). λ x. x.",
+}
+
+
+@pytest.mark.parametrize("form", sorted(ILL_SORTED_ANNOTATIONS))
+def test_check_ill_sorted_binder_annotation_exit_one(capsys, tmp_path, form):
+    """The annotation is kind-checked before it is compared with the
+    domain, so it gets the code any classifier holding it gets, at the
+    offending application, instead of a traceback from substitution."""
+    text = ILL_SORTED_ANNOTATIONS[form]
+    path = tmp_path / "bad.cdl"
+    path.write_text(f"import base.\n{text}\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path), "--root", CORPUS, "--json")
+    assert (code, err) == (1, "")
+    bad = [json.loads(line) for line in out.splitlines() if '"error"' in line]
+    col = text.index("·") + 1
+    assert bad == [{"def": "bad", "status": "error", "errorCode": "NotAFunction", "span": f"{path}:2:{col}"}]
+
+
+def _mutants(rng, count):
+    """``count`` seeded one-token mutants of corpus modules: a token
+    deleted, duplicated, or swapped with another, written out as the
+    module's lexemes joined by blanks."""
+    sources = []
+    for path in sorted(glob.glob(os.path.join(CORPUS, "*.cdl"))):
+        with open(path, encoding="utf-8") as fh:
+            sources.append([tok.lexeme for tok in lex(fh.read())[:-1]])
+    for _ in range(count):
+        toks = list(rng.choice(sources))
+        i = rng.randrange(len(toks))
+        op = rng.choice(("delete", "duplicate", "swap"))
+        if op == "delete":
+            del toks[i]
+        elif op == "duplicate":
+            toks.insert(i, toks[i])
+        else:
+            j = rng.randrange(len(toks))
+            toks[i], toks[j] = toks[j], toks[i]
+        yield " ".join(toks) + "\n"
+
+
+def test_check_mutated_corpus_modules_end_with_a_message(capsys, tmp_path):
+    """Every input ends in exit 0, 1 or 2 with a message, never a
+    traceback.  All mutants go through one path, so each load finds that
+    path's last text in the loader's table and must parse it again."""
+    path = tmp_path / "mutant.cdl"
+    inputs = list(_mutants(random.Random(20261019), 100))
+    inputs += [f"import base.\n{text}\n" for text in ILL_SORTED_ANNOTATIONS.values()]
+    for text in inputs:
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "check", str(path), "--root", CORPUS)
+        assert code in (0, 1, 2), text
+        assert (out if code < 2 else err).strip(), text
+        assert "Traceback" not in out + err, text
 
 
 def test_check_deep_well_typed_term_exit_two(tmp_path):
