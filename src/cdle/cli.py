@@ -222,13 +222,17 @@ def cmd_verify(args) -> int:
         expected_codes = negative_expectations(negative)
     except (OSError, ValueError) as e:
         raise CliError(f"negative suite: {e}") from None
+    try:
+        manifest = corpus_manifest(args.root)
+    except ValueError as e:
+        raise CliError(f"corpus annotations: {e}") from None
     ck, report = load_checked_corpus(args.root, fuel)
     print(report.render())
     if not report.ok:
         print("1 FAILURES")
         return EXIT_SEMANTIC
 
-    goldens = verify_goldens(corpus_manifest(args.root), ck, fuel)
+    goldens = verify_goldens(manifest, ck, fuel)
     bad = [g for g in goldens if not g.ok]
     print(f"goldens: {len(goldens) - len(bad)}/{len(goldens)} pass")
     for g in bad:
@@ -293,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cost", help="step-count a conversion on synthesized inputs")
     p.add_argument("name")
     p.add_argument("--sizes", required=True, help="comma-separated input sizes")
-    p.add_argument("--csv", action="store_true", help="emit the CostReport as CSV")
+    p.add_argument("--csv", action="store_true", help="print the rows as CSV")
     common(p, root_default=default_corpus_root())
     p.set_defaults(fn=cmd_cost)
 

@@ -439,6 +439,16 @@ def test_verify_unreadable_negative_suite_exit_two(capsys, tmp_path):
     assert err == "error: negative suite: bare.cdl: the first line must be '// expect: Code'\n"
 
 
+def test_verify_bad_corpus_annotation_exit_two(capsys, tmp_path):
+    root = _corpus_copy(tmp_path)
+    path = tmp_path / "corpus" / "vec.cdl"
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace("same-erasure: nilL", "same-erasure: consV", 1), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--root", root)
+    assert (code, out) == (2, "")
+    assert err == f"error: corpus annotations: {root}/vec.cdl:23: same-erasure 'consV' names no earlier definition\n"
+
+
 def _contract_commands():
     corpus_files = sorted(os.path.relpath(p, REPO) for p in glob.glob(os.path.join(CORPUS, "*.cdl")))
     cmds = [["check", "--json", *corpus_files]]

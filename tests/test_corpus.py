@@ -1,22 +1,18 @@
 """Corpus manifest invariants and golden erasures."""
 
+import dataclasses
+import difflib
+import shutil
+
 import pytest
 
-from cdle.corpus import (
-    COST_CLASSES,
-    GOLDENS,
-    SHARED_ERASURE_PAIRS,
-    _PINNED_CLASSIFIERS,
-    corpus_manifest,
-    parse_pure,
-    verify_goldens,
-)
+from cdle.corpus import COST_CLASSES, corpus_manifest, parse_pure, verify_goldens
 from cdle.pretty import pretty
-from cdle.reduction import beta_eta_eq, normalize
-from cdle.surface import parse_classifier
-from cdle.syntax import PLam, PVar, alpha_eq, syntax_alpha_eq
+from cdle.reduction import normalize
+from cdle.syntax import PLam, PVar, alpha_eq
 
 from conftest import CORPUS
+from manifest import REGENERATE, render_manifest
 
 # the definitions the build contract names explicitly, by layer
 LAYER_NAMES = {
@@ -47,28 +43,79 @@ def test_manifest_is_complete_and_ordered(manifest):
     for layer, expected in LAYER_NAMES.items():
         for n in expected:
             assert n in names, f"layer {layer} definition {n} missing from manifest"
-    # dependency order: every cost/golden name resolvable
+    # dependency order: every annotated and costed name is an entry, and
+    # each shared-erasure partner comes before the definition naming it
+    position = {n: i for i, n in enumerate(names)}
     for e in manifest:
         assert e.file.endswith(".cdl")
+        if e.same_erasure is not None:
+            assert position.get(e.same_erasure, len(names)) < position[e.name], e.name
+    for name in COST_CLASSES:
+        assert name in position, name
 
 
 def test_manifest_matches_spec_tables(manifest):
     by_name = {e.name: e for e in manifest}
     assert by_name["appV2appL!"].golden_erasure == "λ f. f"
+    assert by_name["v2l!"].golden_erasure == "λ x. x"
     assert by_name["v2l!"].cost_class == "constant"
     assert by_name["v2l"].cost_class == "linear"
     assert by_name["l2v!"].cost_class == "constant"
     assert by_name["l2v"].cost_class == "linear"
-    for name in GOLDENS:
-        assert by_name[name].golden_erasure == GOLDENS[name]
+    assert [e.name for e in manifest if e.golden_erasure] == [
+        "nilL", "consL", "nilV", "consV", "v2l!", "l2v!", "appL", "appV", "appV2appL!", "appL2appV!",
+        "elimIdDep", "elimId", "v2lG!", "l2vG!", "appV2appLG!", "assocV2assocL!", "appL2appVG!",
+        "nilLF", "consLF", "nilVF", "consVF",
+    ]
+    assert [(e.same_erasure, e.name) for e in manifest if e.same_erasure] == [
+        ("nilL", "nilV"), ("consL", "consV"), ("appL", "appV"), ("nilLF", "nilVF"), ("consLF", "consVF"),
+    ]
     for name in COST_CLASSES:
         assert by_name[name].cost_class == COST_CLASSES[name][0]
 
 
-def test_pinned_classifiers_match_source(manifest, corpus_defs):
-    ascriptions = {d.name: d.classifier for _, d in corpus_defs}
-    for name, pin in _PINNED_CLASSIFIERS.items():
-        assert syntax_alpha_eq(parse_classifier(pin), ascriptions[name]), name
+def test_manifest_file_matches_the_corpus():
+    """``corpus/MANIFEST.md`` is the rendering of the manifest: every row,
+    every parsed classifier and every shared-erasure pair."""
+    with open(f"{CORPUS}/MANIFEST.md", encoding="utf-8") as fh:
+        recorded = fh.read()
+    rendered = render_manifest(CORPUS)
+    diff = "".join(difflib.unified_diff(
+        recorded.splitlines(True), rendered.splitlines(True), "corpus/MANIFEST.md", "rendered"))
+    assert recorded == rendered, f"corpus/MANIFEST.md is stale; regenerate it with\n    {REGENERATE}\n{diff}"
+
+
+# (file stem, text replaced, replacement, line of the error, message)
+BAD_ANNOTATIONS = {
+    "unknown_key": ("reuse", "// golden: λ x. x", "// golden: λ x. x; cost: constant", 21, "unknown key 'cost'"),
+    "not_directives": ("reuse", "// golden: λ x. x", "// the identity", 21, "not a list of 'key: value' directives"),
+    "golden_not_pure": ("reuse", "// golden: λ x. x", "// golden: λ x. (x", 21, "golden 'λ x. (x' is not a pure term"),
+    "partner_not_earlier": ("vec", "same-erasure: nilL", "same-erasure: consV", 23,
+                            "same-erasure 'consV' names no earlier definition"),
+    "misplaced": ("reuse", "{ xs }.", "{ xs }.  // golden: λ x. x", 22, "not a definition's header line"),
+}
+
+
+def annotated_copy(tmp_path, stem, old, new):
+    """A copy of the corpus under ``tmp_path`` whose ``stem`` module has
+    its first ``old`` replaced by ``new``; returns the copy's root."""
+    root = tmp_path / "corpus"
+    shutil.copytree(CORPUS, root)
+    path = root / f"{stem}.cdl"
+    text = path.read_text(encoding="utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    return str(root)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ANNOTATIONS))
+def test_bad_annotation_names_its_line(tmp_path, case):
+    stem, old, new, line, message = BAD_ANNOTATIONS[case]
+    root = annotated_copy(tmp_path, stem, old, new)
+    with pytest.raises(ValueError) as err:
+        corpus_manifest(root)
+    assert str(err.value).startswith(f"{root}/{stem}.cdl:{line}: ")
+    assert message in str(err.value)
 
 
 def test_every_entry_typechecks(manifest, checked_corpus):
@@ -84,13 +131,11 @@ def test_verify_goldens_all_pass(manifest, checked_corpus):
     bad = [r for r in results if not r.ok]
     assert not bad, bad
     # every golden name and every shared pair was exercised
-    assert len(results) == len(GOLDENS) + len(SHARED_ERASURE_PAIRS)
+    assert len(results) == 26
 
 
 def test_mutated_golden_is_reported(manifest, checked_corpus):
     ck, _ = checked_corpus
-    import dataclasses
-
     twisted = [
         dataclasses.replace(e, golden_erasure="λ f. λ x. f")
         if e.name == "appV2appL!"
@@ -100,6 +145,15 @@ def test_mutated_golden_is_reported(manifest, checked_corpus):
     results = verify_goldens(twisted, ck)
     bad = [r for r in results if not r.ok]
     assert [r.name for r in bad] == ["appV2appL!"]
+
+
+def test_pair_without_a_checked_body_is_reported(manifest, checked_corpus):
+    """A shared-erasure partner that has no erasure (a type) fails its
+    pair, as a golden on such a definition fails, instead of raising."""
+    ck, _ = checked_corpus
+    twisted = [dataclasses.replace(e, same_erasure="Nat") if e.name == "nilV" else e for e in manifest]
+    bad = [r for r in verify_goldens(twisted, ck) if not r.ok]
+    assert [(r.name, r.detail) for r in bad] == [("Nat=nilV", "definition has no checked body")]
 
 
 def test_packaged_conversions_are_identities(checked_corpus):
