@@ -20,10 +20,12 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
+from .erasure import erase
 from .loader import load_program
+from .pretty import pretty
 from .reduction import Fuel, FuelExhaustedError, apply_and_count, beta_eta_eq, normalize
-from .surface import ParseError
-from .syntax import PApp, PLam, PureTerm, PVar, alpha_eq
+from .surface import ParseError, parse_term
+from .syntax import App, Lam, PApp, PLam, PureTerm, PVar, Var, alpha_eq
 from .typecheck import Checker, CheckReport, check_defs
 
 CORPUS_FILE_ORDER = [
@@ -146,7 +148,7 @@ def corpus_manifest(root: Optional[str] = None) -> list[CorpusEntry]:
         if golden is not None and golden not in parsed:
             try:
                 parse_pure(golden)
-            except ParseError as e:
+            except (ParseError, ValueError) as e:
                 raise ValueError(f"{where}: golden {golden!r} is not a pure term: {e}") from None
             parsed.add(golden)
         if same is not None and same not in {e.name for e in entries}:
@@ -181,11 +183,19 @@ class GoldenResult:
 
 def parse_pure(text: str) -> PureTerm:
     """Parse a pure term golden (the term grammar restricted to
-    variables, λ, application)."""
-    from .erasure import erase
-    from .surface import parse_term
-
-    return erase(parse_term(text))
+    variables, λ, application).  Raises ``ParseError`` for text that
+    does not parse, and ``ValueError`` for a term with anything else."""
+    t = parse_term(text)
+    stack = [t]
+    while stack:
+        cur = stack.pop()
+        if type(cur) is App:
+            stack += (cur.fn, cur.arg)
+        elif type(cur) is Lam and cur.ann is None:
+            stack.append(cur.body)
+        elif type(cur) is not Var:
+            raise ValueError(f"{pretty(cur)} is not a variable, an unannotated λ or an application")
+    return erase(t)
 
 
 def verify_goldens(manifest: list[CorpusEntry], checker: Checker, fuel: Fuel = Fuel()) -> list[GoldenResult]:

@@ -232,8 +232,16 @@ class Parser:
             mod.defs.append(d)
         return mod
 
+    def reference(self, tok: Token) -> str:
+        """The name an identifier token uses (not binds): ``_`` only
+        binds, so no arrow's ``_`` can capture it."""
+        if tok.lexeme == "_":
+            raise ParseError("'_' can only be a binder", tok.span)
+        return tok.lexeme
+
     def parse_definition(self) -> RawDef:
         name_tok = self.expect("IDENT", "definition")
+        self.reference(name_tok)
         self.expect("ASCRIBE", "definition")
         sort, classifier = self.parse_classifier()
         body: Optional[Union[Term, Type]] = None
@@ -388,7 +396,7 @@ class Parser:
             return "kind", Star(span=tok.span)
         if tok.kind == "IDENT":
             self.next()
-            return "type", TVar(tok.lexeme, span=tok.span)
+            return "type", TVar(self.reference(tok), span=tok.span)
         if tok.kind in ("PI", "ALL", "IOTA", "LAM"):
             return self._class_binder()
         if tok.kind == "LPAREN":
@@ -530,7 +538,7 @@ class Parser:
         kind = tok.kind
         if kind == "IDENT":
             self.i += 1
-            return self._postfix_proj(Var(tok.lexeme, span=tok.span))
+            return self._postfix_proj(Var(self.reference(tok), span=tok.span))
         if kind == "BETA":
             self.i += 1
             return self._postfix_proj(Beta(span=tok.span))
@@ -561,7 +569,7 @@ class Parser:
             return Beta(span=tok.span)
         if tok.kind == "IDENT":
             self.next()
-            base: Term = Var(tok.lexeme, span=tok.span)
+            base: Term = Var(self.reference(tok), span=tok.span)
             if self.at("PROJ1") or self.at("PROJ2"):
                 return self._postfix_proj(base)
             return DeferredArg(base, span=tok.span)

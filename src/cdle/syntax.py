@@ -386,7 +386,8 @@ class TVar(Type):
 @_node
 class Pi(Type):
     """Explicit product over a term: ``Π x : T. T'``; a domain name of
-    ``_`` marks the non-dependent arrow sugar ``T ➔ T'``."""
+    ``_``, which no variable can refer to, marks the non-dependent arrow
+    sugar ``T ➔ T'``."""
 
     name: str
     dom: Type
@@ -617,14 +618,16 @@ def subst_syntax(x, env: dict[str, Union[Term, Type]]):
 
     ``env`` maps names to replacement Terms or Types; a Var hit by a Type
     replacement (or TVar by a Term) indicates a sort error upstream and
-    raises.  Entries ``x ↦ x`` are dropped first.
+    raises.  Entries ``x ↦ x`` are dropped first, and so is one for ``_``,
+    which binds (an arrow's binder is ``_``) but is never referred to.
+    The checker instantiates a whole telescope in one call (``typecheck``).
 
     Sharing: every subtree the substitution leaves unchanged comes back
-    as the same object, ``x`` itself included, so instantiating a
-    codomain rebuilds only the paths down to the occurrences it replaces.
-    This is safe because no code assigns to an annotated node.  A binder
-    whose name is free in a replacement is renamed, with a globally fresh
-    name, only when a name still due under it occurs free in its body;
+    as the same object, ``x`` itself included, so a substitution rebuilds
+    only the paths down to the occurrences it replaces.  This is safe
+    because no code assigns to an annotated node.  A binder whose name
+    is free in a replacement is renamed, with a globally fresh name,
+    only when a name still due under it occurs free in its body;
     the replacements' free names are computed when the walk first reaches
     a binder.  The walk itself tells: it substitutes into the body with
     the binder renamed, and keeps both as they were when it replaced
@@ -632,7 +635,9 @@ def subst_syntax(x, env: dict[str, Union[Term, Type]]):
     binders cost one walk in all.  Recursive: annotated syntax stays
     shallow (unlike erasures).
     """
-    top = {k: v for k, v in env.items() if not (type(v) in (Var, TVar) and v.name == k)}
+    if not env:
+        return x
+    top = {k: v for k, v in env.items() if k != "_" and not (type(v) in (Var, TVar) and v.name == k)}
     if not top:
         return x
     fvs: Optional[set[str]] = None

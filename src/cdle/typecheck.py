@@ -10,12 +10,25 @@ their children convert pairwise, walked as ``syntax.LAYOUT`` lists them:
 types and kinds by conversion, embedded terms by beta-eta equality of
 their erasures (top-level definitions unfold when the normalizer looks
 them up).  A type-level λ's annotation is not compared, just as erasure
-drops a term-level one's.  Under a pair of binders conversion compares
-the two bodies opened at one variable.  Binders of the same name keep
-their bodies as they are, so parts that substitution shared meet as the
-same object and compare at once, unless a definition owns the name (the
-global would be unfolded where the bound variable is meant); otherwise
-one fresh variable is substituted into both bodies.
+drops a term-level one's.  Two binders' bodies are compared through the
+pair, as in ``syntax_alpha_eq``, with nothing substituted into them.  A
+pair of one name is left as it is, so parts that substitution shared
+meet as the same object and compare at once, unless a definition owns
+the name (the global would be unfolded where the bound variable is
+meant); otherwise the two names are renamed to one fresh variable, which
+only a variable head, an embedded term about to be erased, and the
+shared-part test read.  A side whose head is unfolded has its renaming
+substituted in first, so a definition's body, which names globals, is
+never read through it.
+
+Binders are instantiated by extending an environment (Coquand 1996): an
+application spine ``f a1 … ak`` checks each argument against its domain
+under the pending ``{x1: a1, …}`` and substitutes the codomain once, at
+its end, as type spines do with their kinds.  The pending environment is
+substituted early where the head must be unfolded or beta-reduced, since
+an unfolded body may mention a global whose name a key shadows.  For a
+telescope one simultaneous substitution equals the sequential ones up to
+alpha.
 
 The equality constructs follow the usual reading:
 
@@ -92,6 +105,7 @@ from .syntax import (
     fresh_name,
     promote_skeleton,
     subst1,
+    subst_syntax,
     substitute_many,
     term_free_names,
 )
@@ -225,16 +239,18 @@ class Checker:
             T = subst1(f.body, f.name, T.arg)
         return T
 
-    def _unfold_head(self, T: Type) -> Optional[Type]:
-        """Unfold a defined head name once; None if nothing to unfold."""
+    def _unfold_head(self, T: Type, ren=None) -> Optional[Type]:
+        """Unfold a defined head name once; None if nothing to unfold or
+        the head is renamed by ``ren``.  ``ren`` is substituted into ``T``
+        first, so the definition's body is never read through it."""
         head = T
         while isinstance(head, (TAppT, TAppE)):
             head = head.fn
-        if not isinstance(head, TVar):
+        if not isinstance(head, TVar) or ren and head.name in ren:
             return None
         e = self.ctx.lookup(head.name)
         if isinstance(e, Defn) and isinstance(e.classifier, Kind) and e.body is not None:
-            return self._replace_head(T, e.body)
+            return self._replace_head(subst_syntax(T, ren) if ren else T, e.body)
         return None
 
     def _replace_head(self, T: Type, new_head: Type) -> Type:
@@ -256,56 +272,63 @@ class Checker:
     # conversion
     # ------------------------------------------------------------------
 
-    def types_conv(self, A: Type, B: Type) -> bool:
+    def types_conv(self, A: Type, B: Type, ren=None) -> bool:
+        """Conversion of two types.  ``ren`` holds, for each side, the
+        binder pairs opened so far that are renamed (a name to the ``Var``
+        of the pair's fresh variable); see the module docstring."""
+        ren_a, ren_b = ren = ren or ({}, {})
         A = self.whnf_beta(A)
         B = self.whnf_beta(B)
-        if A is B:
+        if A is B and (not (ren_a or ren_b) or term_free_names(A).isdisjoint(ren_a.keys() | ren_b.keys())):
             return True
 
         # spine fast path: same defined (or bound) head, matching args
         ha, sa = self._spine(A)
         hb, sb = self._spine(B)
         if isinstance(ha, TVar) and isinstance(hb, TVar):
-            if ha.name == hb.name and len(sa) == len(sb):
-                if all(self._conv(x, y) for x, y in zip(sa, sb)):
+            if ren_a.get(ha.name, ha).name == ren_b.get(hb.name, hb).name and len(sa) == len(sb):
+                if all(self._conv(x, y, ren) for x, y in zip(sa, sb)):
                     return True
-            ua, ub = self._unfold_head(A), self._unfold_head(B)
+            # an unfolded side has its renaming substituted in and drops it
+            ua, ub = self._unfold_head(A, ren_a), self._unfold_head(B, ren_b)
             if ua is None and ub is None:
                 return False
-            return self.types_conv(ua if ua is not None else A, ub if ub is not None else B)
+            return self.types_conv(ua or A, ub or B, ({} if ua else ren_a, {} if ub else ren_b))
         if isinstance(ha, TVar):
-            ua = self._unfold_head(A)
-            return ua is not None and self.types_conv(ua, B)
+            ua = self._unfold_head(A, ren_a)
+            return ua is not None and self.types_conv(ua, B, ({}, ren_b))
         if isinstance(hb, TVar):
-            ub = self._unfold_head(B)
-            return ub is not None and self.types_conv(A, ub)
+            ub = self._unfold_head(B, ren_b)
+            return ub is not None and self.types_conv(A, ub, (ren_a, {}))
 
         if sa:  # an application whose head is no variable (ill-kinded)
             return False
-        return self._congruent(A, B)
+        return self._congruent(A, B, ren)
 
-    def _congruent(self, A, B) -> bool:
+    def _congruent(self, A, B, ren) -> bool:
         """Whether two nodes of one class have children that convert
         pairwise, in ``LAYOUT`` order, each by its sort (``_conv``).  Two
-        binders' scopes are opened at one variable (see the module
-        docstring): a ``TVar`` when either node's first field holds a kind,
-        else a ``Var``.  A type-level λ's annotation is not compared."""
-        cls = type(A)
+        binders' scopes are compared through the pair, renamed in ``ren``
+        for the scope unless the two share a name that no definition owns
+        (see the module docstring).  A type-level λ's annotation is not
+        compared."""
+        cls, (ren_a, ren_b) = type(A), ren
         if cls is not type(B):
             return False
-        layout = LAYOUT[cls]
-        for child, binder in layout:
+        for child, binder in LAYOUT[cls]:
             if child == "ann":
                 continue
             a, b = getattr(A, child), getattr(B, child)
-            if binder is not None:
-                x, y = getattr(A, binder), getattr(B, binder)
-                if x != y or isinstance(self.ctx.lookup(x), Defn):
-                    first = layout[0][0]
-                    sort = TVar if isinstance(getattr(A, first), Kind) or isinstance(getattr(B, first), Kind) else Var
-                    z = sort(fresh_name(x))
-                    a, b = subst1(a, x, z), subst1(b, y, z)
-            if not self._conv(a, b):
+            if binder is None:
+                if not self._conv(a, b, ren):
+                    return False
+                continue
+            x, y = getattr(A, binder), getattr(B, binder)
+            z = Var(fresh_name(x)) if x != y or isinstance(self.ctx.lookup(x), Defn) else None
+            saved = _rebind(ren_a, x, z), _rebind(ren_b, y, z)
+            ok = self._conv(a, b, ren)
+            _rebind(ren_a, x, saved[0]), _rebind(ren_b, y, saved[1])
+            if not ok:
                 return False
         return True
 
@@ -316,18 +339,19 @@ class Checker:
             T = T.fn
         return T, list(reversed(args))
 
-    def _conv(self, x, y) -> bool:
-        """Conversion of two syntax values of one sort: types, terms or kinds."""
+    def _conv(self, x, y, ren) -> bool:
+        """Conversion of two syntax values of one sort: types, terms or
+        kinds, under the renaming ``ren`` (applied to terms here)."""
         if isinstance(x, Type) and isinstance(y, Type):
-            return self.types_conv(x, y)
+            return self.types_conv(x, y, ren)
         if isinstance(x, Term) and isinstance(y, Term):
-            return self.terms_conv(x, y)
+            return self.terms_conv(subst_syntax(x, ren[0]), subst_syntax(y, ren[1]))
         if isinstance(x, Kind) and isinstance(y, Kind):
-            return self.kinds_conv(x, y)
+            return self.kinds_conv(x, y, ren)
         return False
 
-    def kinds_conv(self, k1: Kind, k2: Kind) -> bool:
-        return self._congruent(k1, k2)
+    def kinds_conv(self, k1: Kind, k2: Kind, ren=None) -> bool:
+        return self._congruent(k1, k2, ren or ({}, {}))
 
     # ------------------------------------------------------------------
     # kinds
@@ -410,26 +434,28 @@ class Checker:
                 with self._with(TermBind(n, ann)):
                     bk = self.infer_kind(b)
                 return KPi(n, ann, bk)
-            case TAppT(fn=f, arg=a, span=sp):
-                fk = self.infer_kind(f)
-                if not isinstance(fk, KPiK):
-                    raise CheckError(
-                        ErrorCode.NotAFunction,
-                        f"type {pp.pretty(f)} of kind {pp.pretty(fk)} cannot take a type argument",
-                        sp,
-                    )
-                self.check_type(a, fk.dom)
-                return subst1(fk.cod, fk.name, a)
-            case TAppE(fn=f, arg=a, span=sp):
-                fk = self.infer_kind(f)
-                if not isinstance(fk, KPi):
-                    raise CheckError(
-                        ErrorCode.NotAFunction,
-                        f"type {pp.pretty(f)} of kind {pp.pretty(fk)} cannot take a term argument",
-                        sp,
-                    )
-                self.check_term(a, fk.dom)
-                return subst1(fk.cod, fk.name, a)
+            case TAppT() | TAppE():
+                # the spine's applications, innermost last; its kind is
+                # instantiated once, at the end (see the module docstring)
+                apps = []
+                while isinstance(T, (TAppT, TAppE)):
+                    apps.append(T)
+                    T = T.fn
+                k, env = self.infer_kind(T), {}
+                for app in reversed(apps):
+                    to_type = isinstance(app, TAppT)
+                    if not isinstance(k, KPiK if to_type else KPi):
+                        raise CheckError(
+                            ErrorCode.NotAFunction,
+                            f"type {pp.pretty(app.fn)} of kind {pp.pretty(subst_syntax(k, env))} "
+                            f"cannot take a {'type' if to_type else 'term'} argument",
+                            app.span,
+                        )
+                    check = self.check_type if to_type else self.check_term
+                    check(app.arg, subst_syntax(k.dom, env))
+                    env[k.name] = app.arg
+                    k = k.cod
+                return subst_syntax(k, env)
         raise CheckError(ErrorCode.KindMismatch, f"malformed type {T!r}")
 
     def check_type(self, T: Type, k: Kind) -> None:
@@ -459,37 +485,33 @@ class Checker:
         match t:
             case Var(name=n, span=sp):
                 return self._term_type_of(n, sp)
-            case App(fn=f, arg=a, span=sp):
-                Tf = self.whnf_type(self.infer_term(f))
-                if isinstance(Tf, (All, AllK)):
-                    raise CheckError(
-                        ErrorCode.NotAFunction,
-                        "implicit function applied explicitly; instantiate with -arg",
-                        sp,
-                    )
-                if not isinstance(Tf, Pi):
-                    raise CheckError(
-                        ErrorCode.NotAFunction,
-                        _canon_msg(f"cannot apply a term of type {pp.pretty(Tf)}"),
-                        sp,
-                    )
-                self.check_term(a, Tf.dom)
-                return subst1(Tf.cod, Tf.name, a)
-            case EApp(fn=f, arg=a, span=sp):
-                Tf = self.whnf_type(self.infer_term(f))
-                if isinstance(Tf, All):
-                    arg_t = self._resolve_term_arg(a, sp)
-                    self.check_term(arg_t, Tf.dom)
-                    return subst1(Tf.cod, Tf.name, arg_t)
-                if isinstance(Tf, AllK):
-                    arg_T = self._resolve_type_arg(a, sp)
-                    self.check_type(arg_T, Tf.dom)
-                    return subst1(Tf.cod, Tf.name, arg_T)
-                raise CheckError(
-                    ErrorCode.NotAFunction,
-                    _canon_msg(f"-argument given to a term of type {pp.pretty(Tf)}"),
-                    sp,
-                )
+            case App() | EApp():
+                # the spine's applications, innermost last; the head's type
+                # is instantiated once, at the end (see the module docstring)
+                apps = []
+                while isinstance(t, (App, EApp)):
+                    apps.append(t)
+                    t = t.fn
+                T, env = self.infer_term(t), {}
+                for app in reversed(apps):
+                    if isinstance(T, (TVar, TAppT, TAppE)):  # a head to unfold or reduce
+                        T, env = self.whnf_type(subst_syntax(T, env)), {}
+                    explicit, sp = type(app) is App, app.span
+                    if not isinstance(T, Pi if explicit else (All, AllK)):
+                        what = "cannot apply a term" if explicit else "-argument given to a term"
+                        msg = _canon_msg(f"{what} of type {pp.pretty(subst_syntax(T, env))}")
+                        if explicit and isinstance(T, (All, AllK)):
+                            msg = "implicit function applied explicitly; instantiate with -arg"
+                        raise CheckError(ErrorCode.NotAFunction, msg, sp)
+                    if isinstance(T, AllK):
+                        arg = self._resolve_type_arg(app.arg, sp)
+                        self.check_type(arg, subst_syntax(T.dom, env))
+                    else:
+                        arg = app.arg if explicit else self._resolve_term_arg(app.arg, sp)
+                        self.check_term(arg, subst_syntax(T.dom, env))
+                    env[T.name] = arg
+                    T = T.cod
+                return subst_syntax(T, env)
             case Proj(subj=s, idx=i, span=sp):
                 Ts = self.whnf_type(self.infer_term(s))
                 if not isinstance(Ts, Iota):
@@ -767,6 +789,15 @@ class Checker:
             return rewritten
 
         return go_ty(T)
+
+
+def _rebind(ren: dict, name: str, value):
+    """Map ``name`` to ``value`` in ``ren``, or unmap it for None;
+    returns what it was mapped to."""
+    old = ren.pop(name, None)
+    if value is not None:
+        ren[name] = value
+    return old
 
 
 # ---------------------------------------------------------------------------

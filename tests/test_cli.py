@@ -449,6 +449,19 @@ def test_verify_bad_corpus_annotation_exit_two(capsys, tmp_path):
     assert err == f"error: corpus annotations: {root}/vec.cdl:23: same-erasure 'consV' names no earlier definition\n"
 
 
+def test_verify_annotated_golden_exit_two(capsys, tmp_path):
+    root = _corpus_copy(tmp_path)
+    path = tmp_path / "corpus" / "reuse.cdl"
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace("// golden: λ x. x", "// golden: Λ X. λ x. x", 1), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--root", root)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: corpus annotations: {root}/reuse.cdl:21: golden 'Λ X. λ x. x' is not a pure term: "
+        "Λ X. λ x. x is not a variable, an unannotated λ or an application\n"
+    )
+
+
 def _contract_commands():
     corpus_files = sorted(os.path.relpath(p, REPO) for p in glob.glob(os.path.join(CORPUS, "*.cdl")))
     cmds = [["check", "--json", *corpus_files]]

@@ -90,6 +90,13 @@ BAD_ANNOTATIONS = {
     "unknown_key": ("reuse", "// golden: λ x. x", "// golden: λ x. x; cost: constant", 21, "unknown key 'cost'"),
     "not_directives": ("reuse", "// golden: λ x. x", "// the identity", 21, "not a list of 'key: value' directives"),
     "golden_not_pure": ("reuse", "// golden: λ x. x", "// golden: λ x. (x", 21, "golden 'λ x. (x' is not a pure term"),
+    "golden_erased_lambda": ("reuse", "// golden: λ x. x", "// golden: Λ X. λ x. x", 21,
+                             "golden 'Λ X. λ x. x' is not a pure term: Λ X. λ x. x is not a variable"),
+    "golden_annotated_lambda": ("reuse", "// golden: λ x. x", "// golden: λ x : Nat. x", 21,
+                                "golden 'λ x : Nat. x' is not a pure term: λ x : Nat. x is not a variable"),
+    "golden_erased_application": ("reuse", "// golden: λ x. x", "// golden: λ x. x -Nat", 21,
+                                  "golden 'λ x. x -Nat' is not a pure term: x -Nat is not a variable"),
+    "golden_beta": ("reuse", "// golden: λ x. x", "// golden: β", 21, "golden 'β' is not a pure term: β is not a variable"),
     "partner_not_earlier": ("vec", "same-erasure: nilL", "same-erasure: consV", 23,
                             "same-erasure 'consV' names no earlier definition"),
     "misplaced": ("reuse", "{ xs }.", "{ xs }.  // golden: λ x. x", 22, "not a definition's header line"),
@@ -116,6 +123,15 @@ def test_bad_annotation_names_its_line(tmp_path, case):
         corpus_manifest(root)
     assert str(err.value).startswith(f"{root}/{stem}.cdl:{line}: ")
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize("text", ["Λ X. λ x. x", "λ x : Nat. x", "λ x. x -Nat", "β"])
+def test_parse_pure_rejects_annotated_syntax(text):
+    """Each of these used to parse and be erased to ``λ x. x`` (or a
+    variable); a golden holds only variables, unannotated λs and
+    applications."""
+    with pytest.raises(ValueError, match="is not a variable, an unannotated λ or an application"):
+        parse_pure(text)
 
 
 def test_every_entry_typechecks(manifest, checked_corpus):

@@ -152,6 +152,47 @@ def test_arrow_resugaring():
     assert pretty(dep).startswith("Π x")
 
 
+def test_underscore_binds_everywhere_and_round_trips():
+    """``_`` may be written as any binder, and what it binds prints and
+    re-parses α-equal: a Π over ``_`` is printed as an arrow, and since
+    no name can refer to ``_``, that arrow means the same Π."""
+    types = [
+        "Π _ : Nat. Bool ➔ Nat",
+        "Π m : Nat. Bool ➔ NatP m",
+        "∀ _ : ★. ∀ _ : Nat. ι _ : Nat. Nat",
+        "λ _ : Nat. Nat",
+    ]
+    for text in types:
+        ty = parse_type_expr(text)
+        assert syntax_alpha_eq(reparse(ty), ty), text
+    assert pretty(parse_type_expr(types[0])) == "Nat ➔ Bool ➔ Nat"
+    for text in ["λ _. λ m. m", "Λ _. λ _ : Nat. zero", "ρ q { _ . Nat } - t"]:
+        t = parse_term(text)
+        assert syntax_alpha_eq(reparse(t), t), text
+    kind = parse_classifier("Π _ : Nat. Π _ : ★. ★")
+    assert syntax_alpha_eq(reparse(kind), kind)
+
+
+@pytest.mark.parametrize(
+    "parse, text, col",
+    [
+        (parse_type_expr, "Π _ : Nat. Bool ➔ NatP _", 24),
+        (parse_type_expr, "_ ➔ Nat", 1),
+        (parse_type_expr, "Vec · _ n", 7),
+        (parse_term, "λ m. λ b. _", 11),
+        (parse_term, "f -_", 4),
+        (parse_term, "f (g _)", 6),
+        (parse_module, "_ ◂ ★ = Nat.", 1),
+    ],
+)
+def test_underscore_is_never_a_name_used(parse, text, col):
+    """``_`` as a variable, a type variable, an erased argument or a
+    definition's name is a parse error at its position."""
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == f"<input>:1:{col}: '_' can only be a binder"
+
+
 # -- the lexer against a reference lexer --------------------------------------
 
 # One regex alternative per token kind, tried in order at each position;

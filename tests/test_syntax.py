@@ -309,31 +309,73 @@ def reference_subst_syntax(x, env):
     return go(x, env)
 
 
+def _binders(x):
+    """Every binder in annotated syntax ``x``: ``(node, name, scope)``,
+    in one walk over ``LAYOUT``."""
+    out, stack = [], [x]
+    while stack:
+        cur = stack.pop()
+        if type(cur) not in LAYOUT:
+            continue
+        for child, binder in LAYOUT[type(cur)]:
+            sub = getattr(cur, child)
+            if sub is None:
+                continue
+            if binder is GUIDE:
+                out.append((cur, *sub))
+                sub = sub[1]
+            elif binder is not None:
+                out.append((cur, getattr(cur, binder), sub))
+            stack.append(sub)
+    return out
+
+
+def _binds_a_type(node):
+    """Whether ``node``'s binder is a type variable, or None when its
+    sort is settled only against an expected classifier."""
+    if isinstance(node, (AllK, KPiK)):
+        return True
+    if isinstance(node, (ELam, TLam)):
+        return None if node.ann is None else isinstance(node.ann, Kind)
+    return False
+
+
 @pytest.fixture(scope="module")
 def corpus_substitutions(corpus_defs):
-    """Every ``(target, env, result)`` that ``subst_syntax`` saw while the
-    corpus was checked afresh."""
-    from cdle.typecheck import check_defs
-
+    """``(target, env, result)`` for the scope of every binder in every
+    corpus classifier and body, instantiated four ways: at an argument
+    the corpus applies somewhere (a type argument for a type variable, a
+    fresh variable where the sort is open); at a variable that a binder
+    inside the scope would capture; at a term together with the next
+    binder of a term telescope, as the checker instantiates spines; and
+    at a name that is not free there."""
+    terms, types = [], []
+    for _, d in corpus_defs:
+        stack = [d.classifier, d.body]
+        while stack:
+            cur = stack.pop()
+            if isinstance(cur, (App, TAppE)) and isinstance(cur.arg, Term):
+                terms.append(cur.arg)
+            elif isinstance(cur, TAppT):
+                types.append(cur.arg)
+            if type(cur) in LAYOUT:
+                stack += [getattr(cur, c) for c, b in LAYOUT[type(cur)] if b is not GUIDE]
     calls = []
-    real = cdle.syntax.subst_syntax
-
-    def record(x, env):
-        out = real(x, env)
-        calls.append((x, dict(env), out))
-        return out
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cdle.syntax, "subst_syntax", record)
-        _, report = check_defs(corpus_defs)
-    assert report.ok
+    for _, d in corpus_defs:
+        for node, name, scope in _binders(d.classifier) + _binders(d.body):
+            i, sort, inner = len(calls), _binds_a_type(node), _binders(scope)
+            value = Var(f"v{i}") if sort is None else (types if sort else terms)[i % len(types if sort else terms)]
+            envs = [{name: value}, {name: Var(inner[0][1] if inner else name)}, {"not_free%0": value}]
+            if inner and inner[0][0] is scope and _binds_a_type(scope) is False:
+                envs.append({name: value, scope.name: terms[(i + 1) % len(terms)]})
+            calls += [(scope, env, cdle.syntax.subst_syntax(scope, env)) for env in envs]
     return calls
 
 
 def test_subst_matches_reference_on_corpus_check(corpus_substitutions):
-    """Each substitution made while checking the corpus (about 4,000) is
-    α-equal to the reference's, and a target with no free name that the
-    substitution replaces comes back as is."""
+    """Each substitution into a corpus binder's scope (see the fixture)
+    is α-equal to the reference's, and a target with no free name that
+    the substitution replaces comes back as is."""
     assert len(corpus_substitutions) > 3000
     shared = 0
     for x, env, out in corpus_substitutions:
