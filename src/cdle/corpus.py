@@ -136,7 +136,6 @@ def corpus_manifest(root: Optional[str] = None) -> list[CorpusEntry]:
             if "//" in line and (file, lineno) not in headers and _MISPLACED.search(line):
                 raise ValueError(f"{file}:{lineno}: a directive on a line that is not a definition's header line")
     entries: list[CorpusEntry] = []
-    parsed: set[str] = set()  # goldens known to parse; most are repeated
     for file, d in defs:
         where = f"{file}:{d.span.line}"
         directives = comment_directives(texts[file][d.span.line - 1])
@@ -145,12 +144,11 @@ def corpus_manifest(root: Optional[str] = None) -> list[CorpusEntry]:
         for key in sorted(directives.keys() - {"golden", "same-erasure"}):
             raise ValueError(f"{where}: unknown key {key!r}")
         golden, same = directives.get("golden"), directives.get("same-erasure")
-        if golden is not None and golden not in parsed:
+        if golden is not None:
             try:
                 parse_pure(golden)
             except (ParseError, ValueError) as e:
                 raise ValueError(f"{where}: golden {golden!r} is not a pure term: {e}") from None
-            parsed.add(golden)
         if same is not None and same not in {e.name for e in entries}:
             raise ValueError(f"{where}: same-erasure {same!r} names no earlier definition")
         entries.append(CorpusEntry(d.name, file, golden, same, *COST_CLASSES.get(d.name, (None, None))))

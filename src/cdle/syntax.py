@@ -674,16 +674,14 @@ def subst_syntax(x, env: dict[str, Union[Term, Type]]):
             hits += 1
             if type(rep) is Var and rep.name in own:
                 own[rep.name] += 1
+            if type(rep) is Var or type(rep) is TVar:
+                # a renaming keeps the occurrence's sort (a deferred name
+                # may be resolved at either) and its source span
+                return cls(rep.name, cur.span)
             if cls is Var:
-                if isinstance(rep, TVar):
-                    # sort-ambiguous occurrence renamed by a type variable
-                    return Var(rep.name, cur.span)
                 if isinstance(rep, Type):
                     raise TypeError(f"type used at term position: {cur.name}")
             elif isinstance(rep, Term):
-                # a deferred name resolved as a term but used in type position
-                if isinstance(rep, Var):
-                    return TVar(rep.name, cur.span)
                 raise TypeError(f"term used at type position: {cur.name}")
             return rep
         if cls is DeferredArg:

@@ -30,6 +30,11 @@ an unfolded body may mention a global whose name a key shadows.  For a
 telescope one simultaneous substitution equals the sequential ones up to
 alpha.
 
+Names are kept apart where the context is extended (``Checker._with``):
+a binder whose name is already bound, by a global or an outer binder, is
+opened under a fresh name renamed in its scope, so none captures an outer
+name or shadows a global.  A message can show such a name as ``x%1``.
+
 The equality constructs follow the usual reading:
 
 * ``β`` checks against ``t1 ≃ t2`` when both sides are scope-valid and
@@ -56,7 +61,7 @@ from __future__ import annotations
 import enum
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from . import pretty as pp
@@ -158,9 +163,6 @@ class Checker:
         self.fuel = fuel
         self.ctx = Context()
         self.pure_env: dict[str, PureTerm] = {}
-        # the globals the machine may unfold here: ``pure_env`` without
-        # the entries that a name bound in the context shadows
-        self.defs: dict[str, PureTerm] = self.pure_env
 
     # ------------------------------------------------------------------
     # erasure pipeline
@@ -170,16 +172,15 @@ class Checker:
         """Erasure of ``t`` with the top-level definitions it mentions
         expanded.  The checker calls it only to fill ``pure_env``,
         whose expanded entries callers read directly: conversions and ρ
-        normalize the plain erasure and pass ``defs`` (``pure_env``
-        without the globals a local binder shadows) to the machine, which
-        unfolds a global when it looks the name up."""
+        normalize the plain erasure and pass ``pure_env`` to the machine,
+        which unfolds a global when it looks the name up."""
         p = erase(t)
         env = self.pure_env
         return substitute_many(p, {n: env[n] for n in free_vars(p) if n in env})
 
     def terms_conv(self, a: Term, b: Term) -> bool:
         try:
-            return beta_eta_eq(erase(a), erase(b), self.fuel, self.defs)
+            return beta_eta_eq(erase(a), erase(b), self.fuel, self.pure_env)
         except FuelExhaustedError as e:
             raise _out_of_fuel("conversion", (a, b)[e.side])
 
@@ -208,18 +209,21 @@ class Checker:
         raise CheckError(ErrorCode.UnboundName, f"{name!r} is not a type", span)
 
     @contextmanager
-    def _with(self, entry):
-        """Run a block with an extended context (restores afterwards).  A
-        binder that shadows a global hides it from ``defs`` too, so
-        conversions in the block treat the name as the local variable."""
-        saved, saved_defs = self.ctx, self.defs
+    def _with(self, entry, scope):
+        """Run a block with ``entry``, the binder of ``scope``, added to the
+        context, yielding the name and scope the block reads: a name already
+        bound is bound fresh and renamed in ``scope`` (module docstring),
+        except ``_``, which is never referred to."""
+        saved, name = self.ctx, entry.name
+        if name in saved and name != "_":
+            name = fresh_name(name)
+            scope = subst1(scope, entry.name, (TVar if isinstance(entry, TypeBind) else Var)(name))
+            entry = replace(entry, name=name)
         self.ctx = saved.extend(entry)
-        if entry.name in saved_defs:
-            self.defs = {n: p for n, p in saved_defs.items() if n != entry.name}
         try:
-            yield
+            yield name, scope
         finally:
-            self.ctx, self.defs = saved, saved_defs
+            self.ctx = saved
 
     def scope_check(self, t: Union[Term, Type], span=None) -> None:
         for n in sorted(term_free_names(t)):
@@ -364,13 +368,13 @@ class Checker:
             dk = self.infer_kind(k.dom)
             if not isinstance(dk, Star):
                 raise CheckError(ErrorCode.KindMismatch, "kind domain must be a ★-kinded type", k.span)
-            with self._with(TermBind(k.name, k.dom)):
-                self.kind_wf(k.cod)
+            with self._with(TermBind(k.name, k.dom), k.cod) as (_, cod):
+                self.kind_wf(cod)
             return
         if isinstance(k, KPiK):
             self.kind_wf(k.dom)
-            with self._with(TypeBind(k.name, k.dom)):
-                self.kind_wf(k.cod)
+            with self._with(TypeBind(k.name, k.dom), k.cod) as (_, cod):
+                self.kind_wf(cod)
             return
         raise CheckError(ErrorCode.KindMismatch, f"malformed kind {k!r}")
 
@@ -382,14 +386,14 @@ class Checker:
                 dk = self.infer_kind(d)
                 if not isinstance(dk, Star):
                     raise CheckError(ErrorCode.KindMismatch, "product domain must be ★-kinded", sp)
-                with self._with(TermBind(n, d, erased=isinstance(T, All))):
+                with self._with(TermBind(n, d, erased=isinstance(T, All)), c) as (_, c):
                     ck = self.infer_kind(c)
                 if not isinstance(ck, Star):
                     raise CheckError(ErrorCode.KindMismatch, "product codomain must be ★-kinded", sp)
                 return Star()
             case AllK(name=n, dom=d, cod=c, span=sp):
                 self.kind_wf(d)
-                with self._with(TypeBind(n, d)):
+                with self._with(TypeBind(n, d), c) as (_, c):
                     ck = self.infer_kind(c)
                 if not isinstance(ck, Star):
                     raise CheckError(ErrorCode.KindMismatch, "∀ codomain must be ★-kinded", sp)
@@ -398,7 +402,7 @@ class Checker:
                 fk = self.infer_kind(f)
                 if not isinstance(fk, Star):
                     raise CheckError(ErrorCode.KindMismatch, "ι first component must be ★-kinded", sp)
-                with self._with(TermBind(n, f)):
+                with self._with(TermBind(n, f), s) as (_, s):
                     sk = self.infer_kind(s)
                 if not isinstance(sk, Star):
                     raise CheckError(ErrorCode.KindMismatch, "ι second component must be ★-kinded", sp)
@@ -425,15 +429,15 @@ class Checker:
                     )
                 if isinstance(ann, Kind):
                     self.kind_wf(ann)
-                    with self._with(TypeBind(n, ann)):
+                    with self._with(TypeBind(n, ann), b) as (x, b):
                         bk = self.infer_kind(b)
-                    return KPiK(n, ann, bk)
+                    return KPiK(x, ann, bk)
                 dk = self.infer_kind(ann)
                 if not isinstance(dk, Star):
                     raise CheckError(ErrorCode.KindMismatch, "λ binder annotation must be ★-kinded", sp)
-                with self._with(TermBind(n, ann)):
+                with self._with(TermBind(n, ann), b) as (x, b):
                     bk = self.infer_kind(b)
-                return KPi(n, ann, bk)
+                return KPi(x, ann, bk)
             case TAppT() | TAppE():
                 # the spine's applications, innermost last; its kind is
                 # instantiated once, at the end (see the module docstring)
@@ -461,12 +465,12 @@ class Checker:
     def check_type(self, T: Type, k: Kind) -> None:
         if isinstance(T, TLam) and T.ann is None:
             if isinstance(k, KPi):
-                with self._with(TermBind(T.name, k.dom)):
-                    self.check_type(T.body, subst1(k.cod, k.name, Var(T.name)))
+                with self._with(TermBind(T.name, k.dom), T.body) as (x, body):
+                    self.check_type(body, subst1(k.cod, k.name, Var(x)))
                 return
             if isinstance(k, KPiK):
-                with self._with(TypeBind(T.name, k.dom)):
-                    self.check_type(T.body, subst1(k.cod, k.name, TVar(T.name)))
+                with self._with(TypeBind(T.name, k.dom), T.body) as (x, body):
+                    self.check_type(body, subst1(k.cod, k.name, TVar(x)))
                 return
             raise CheckError(ErrorCode.KindMismatch, "type-level λ against a non-Π kind", T.span)
         inferred = self.infer_kind(T)
@@ -542,9 +546,9 @@ class Checker:
                         ErrorCode.TypeMismatch, "cannot infer the type of an unannotated λ", sp
                     )
                 self.check_type(ann, Star())
-                with self._with(TermBind(n, ann)):
+                with self._with(TermBind(n, ann), b) as (x, b):
                     Tb = self.infer_term(b)
-                return Pi(n, ann, Tb)
+                return Pi(x, ann, Tb)
             case ELam(span=sp):
                 raise CheckError(ErrorCode.TypeMismatch, "cannot infer the type of a Λ", sp)
             case Beta(span=sp):
@@ -629,8 +633,8 @@ class Checker:
                             ),
                             sp,
                         )
-                with self._with(TermBind(n, W.dom)):
-                    self.check_term(b, subst1(W.cod, W.name, Var(n)))
+                with self._with(TermBind(n, W.dom), b) as (x, body):
+                    self.check_term(body, subst1(W.cod, W.name, Var(x)))
                 return
             case ELam(name=n, body=b, ann=ann, span=sp):
                 W = self.whnf_type(T)
@@ -639,8 +643,8 @@ class Checker:
                         self.check_type(ann, Star())
                     if ann is not None and (not isinstance(ann, Type) or not self.types_conv(ann, W.dom)):
                         raise CheckError(ErrorCode.TypeMismatch, "Λ annotation mismatch", sp)
-                    with self._with(TermBind(n, W.dom, erased=True)):
-                        self.check_term(b, subst1(W.cod, W.name, Var(n)))
+                    with self._with(TermBind(n, W.dom, erased=True), b) as (x, body):
+                        self.check_term(body, subst1(W.cod, W.name, Var(x)))
                     if n in free_vars(erase(b)):
                         raise CheckError(
                             ErrorCode.ErasedVarOccursFree,
@@ -653,8 +657,8 @@ class Checker:
                         self.kind_wf(ann)
                     if ann is not None and (not isinstance(ann, Kind) or not self.kinds_conv(ann, W.dom)):
                         raise CheckError(ErrorCode.TypeMismatch, "Λ kind annotation mismatch", sp)
-                    with self._with(TypeBind(n, W.dom)):
-                        self.check_term(b, subst1(W.cod, W.name, TVar(n)))
+                    with self._with(TypeBind(n, W.dom), b) as (x, body):
+                        self.check_term(body, subst1(W.cod, W.name, TVar(x)))
                     return
                 raise CheckError(
                     ErrorCode.TypeMismatch,
@@ -736,10 +740,10 @@ class Checker:
                 )
             return subst1(template, hole, s2)
 
-        p1 = normalize(erase(s1), self.fuel, self.defs)
+        p1 = normalize(erase(s1), self.fuel, self.pure_env)
         if p1.fuel_exhausted:
             raise _out_of_fuel("ρ pattern", s1)
-        p2 = normalize(erase(s2), self.fuel, self.defs)
+        p2 = normalize(erase(s2), self.fuel, self.pure_env)
         if p2.fuel_exhausted:
             raise _out_of_fuel("ρ replacement", s2)
         counter = [0]
@@ -756,9 +760,9 @@ class Checker:
         avoid = free_vars(pat) | free_vars(rep)
 
         def go_ty(T: Type) -> Type:
-            # each child in layout order: a binder named in ``avoid`` is
-            # renamed fresh in its scope; kinds and a type-level λ's
-            # annotation stay as they are
+            # each child in layout order: a binder named in ``avoid``, or
+            # after a global that ``go_tm`` would unfold, is renamed fresh
+            # in its scope; kinds and a type-level λ's annotation stay
             T = self.whnf_beta(T)
             cls = type(T)
             new = {}  # the fields that change, by name
@@ -768,7 +772,7 @@ class Checker:
                     continue
                 if binder is not None:
                     name = getattr(T, binder)
-                    if name in avoid:
+                    if name in avoid or name in self.pure_env:
                         new[binder] = fresh_name(name)
                         sub = subst1(sub, name, Var(new[binder]))
                 sub2 = go_ty(sub) if isinstance(sub, Type) else go_tm(sub)
@@ -779,7 +783,7 @@ class Checker:
             return cls(*[new[f] if f in new else getattr(T, f) for f in cls.__slots__])
 
         def go_tm(e: Term) -> Term:
-            nf = normalize(erase(e), self.fuel, self.defs)
+            nf = normalize(erase(e), self.fuel, self.pure_env)
             if nf.fuel_exhausted:
                 raise _out_of_fuel("ρ target term", e)
             rewritten, n = _rewrite_nf(nf.result, pat, rep, avoid)

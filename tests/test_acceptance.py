@@ -117,7 +117,7 @@ def test_acceptance_4_cost_scaling(checked_corpus):
 def test_acceptance_5_negative_suite(checked_corpus):
     ck, _ = checked_corpus
     expect = negative_expectations(NEGATIVE)
-    assert len(expect) == len([f for f in os.listdir(NEGATIVE) if f.endswith(".cdl")]) == 11
+    assert len(expect) == len([f for f in os.listdir(NEGATIVE) if f.endswith(".cdl")]) == 14
     hits = 0
     problems = []
     for stem, want in sorted(expect.items()):

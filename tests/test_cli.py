@@ -375,7 +375,7 @@ def test_verify_green_and_byte_stable():
     lines = out.splitlines()
     assert "-- 117/117 definitions checked" in lines
     assert "goldens: 26/26 pass" in lines
-    assert sum(line.startswith("  ok  ") for line in lines) == 11
+    assert sum(line.startswith("  ok  ") for line in lines) == 14
     verdicts = [line for line in lines if line.startswith("classification: ")]
     assert len(verdicts) == 6
     for line in verdicts:
@@ -400,7 +400,7 @@ def test_verify_wrong_expected_code_exit_one(capsys, tmp_path):
     assert code == 1
     lines = out.splitlines()
     assert "  BAD erased_var: ErasedVarOccursFree (expect: TypeMismatch)" in lines
-    assert sum(line.startswith("  ok  ") for line in lines) == 10
+    assert sum(line.startswith("  ok  ") for line in lines) == 13
     assert lines[-1] == "1 FAILURES"
 
 

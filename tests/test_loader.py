@@ -87,7 +87,7 @@ def _snapshot(defs):
 
 def test_loading_from_threads_equals_loading_one_by_one():
     paths = sorted(glob.glob(os.path.join(NEGATIVE, "*.cdl")))
-    assert len(paths) == 11
+    assert len(paths) == 14
     want = {p: _snapshot(load_program([p], root=CORPUS)) for p in paths}
     got: dict = {}
     errors: list = []

@@ -302,7 +302,7 @@ def _lexer_inputs():
 
 def test_lexer_matches_reference_lexer():
     texts = list(_lexer_inputs())
-    assert len(texts) == 21 + 600 + len(LEXER_EDGE_CASES)
+    assert len(texts) == 24 + 600 + len(LEXER_EDGE_CASES)
     for text in texts:
         assert _lexed(lex, text) == _lexed(reference_lex, text), repr(text)
 

@@ -3,6 +3,7 @@ rewrite primitive, the negative suite, weakening, and determinism."""
 
 import json
 import os
+from contextlib import contextmanager
 
 import pytest
 
@@ -15,6 +16,18 @@ from cdle.typecheck import CheckError, Checker, ErrorCode, check_defs
 from conftest import CORPUS, NEGATIVE
 
 
+@contextmanager
+def _bound(ck, entry):
+    """Run a block with ``entry`` added to ``ck``'s context under its own
+    name, which ``Checker._with`` would rename if it were already bound."""
+    saved = ck.ctx
+    ck.ctx = saved.extend(entry)
+    try:
+        yield
+    finally:
+        ck.ctx = saved
+
+
 # --- kind synthesis ---------------------------------------------------------
 
 
@@ -23,7 +36,7 @@ def test_infer_kind_examples(checked_corpus):
     assert isinstance(ck.infer_kind(parse_type_expr("List · Nat")), Star)
     assert isinstance(ck.infer_kind(parse_type_expr("Vec · Nat zero")), Star)
     # equality type formation on a typed term
-    with ck._with(TermBind("x", TVar("Bool"))):
+    with _bound(ck, TermBind("x", TVar("Bool"))):
         assert isinstance(ck.infer_kind(parse_type_expr("x ≃ x")), Star)
 
 
@@ -40,26 +53,26 @@ def test_infer_kind_rejects_wrong_argument(checked_corpus):
 def test_infer_projection(checked_corpus):
     ck, _ = checked_corpus
     # first projection of a literal intersection type
-    with ck._with(TermBind("p", parse_type_expr("ι z : Bool. Unit"))):
+    with _bound(ck, TermBind("p", parse_type_expr("ι z : Bool. Unit"))):
         t1 = ck.infer_term(parse_term("p.1"))
         assert ck.types_conv(t1, parse_type_expr("Bool"))
     # first projection of the derived dependent pair
     sig = parse_type_expr("Sigma · Nat · (λ n : Nat. Unit)")
-    with ck._with(TermBind("p", sig)):
+    with _bound(ck, TermBind("p", sig)):
         t1 = ck.infer_term(parse_term("proj1 -Nat -(λ n : Nat. Unit) p"))
         assert ck.types_conv(t1, parse_type_expr("Nat"))
 
 
 def test_infer_symmetry_on_reflexivity(checked_corpus):
     ck, _ = checked_corpus
-    with ck._with(TermBind("q", parse_type_expr("zero ≃ zero"))):
+    with _bound(ck, TermBind("q", parse_type_expr("zero ≃ zero"))):
         ty = ck.whnf_type(ck.infer_term(parse_term("ς q")))
         assert isinstance(ty, Eq)
 
 
 def test_infer_v2l_pres_len_statement(checked_corpus):
     ck, _ = checked_corpus
-    with ck._with(TermBind("xs", parse_type_expr("Vec · Nat zero"))):
+    with _bound(ck, TermBind("xs", parse_type_expr("Vec · Nat zero"))):
         ty = ck.infer_term(parse_term("v2lPresLen -Nat -zero xs"))
         want = parse_type_expr("zero ≃ (len -Nat (v2l -Nat -zero xs))")
         assert ck.types_conv(ty, want)
@@ -109,7 +122,7 @@ def test_check_zero_cost_conversion_shape(checked_corpus):
 def test_beta_against_definitionally_equal_sides(checked_corpus):
     ck, _ = checked_corpus
     # add zero n reduces to n
-    with ck._with(TermBind("n", TVar("Nat"))):
+    with _bound(ck, TermBind("n", TVar("Nat"))):
         ck.check_term(parse_term("β"), parse_type_expr("(add zero n) ≃ n"))
 
 
@@ -125,13 +138,13 @@ def test_type_level_beta_conversion(checked_corpus):
 
 def test_distinct_heads_not_convertible(checked_corpus):
     ck, _ = checked_corpus
-    with ck._with(TermBind("n", TVar("Nat"))):
+    with _bound(ck, TermBind("n", TVar("Nat"))):
         assert not ck.types_conv(parse_type_expr("Vec · Nat n"), parse_type_expr("List · Nat"))
 
 
 def test_index_conversion_through_add_zero(checked_corpus):
     ck, _ = checked_corpus
-    with ck._with(TermBind("n", TVar("Nat"))):
+    with _bound(ck, TermBind("n", TVar("Nat"))):
         a = parse_type_expr("Vec · Nat (add zero n)")
         b = parse_type_expr("Vec · Nat n")
         assert ck.types_conv(a, b)
@@ -213,7 +226,7 @@ NEG_EXPECT = negative_expectations(NEGATIVE)
 
 @pytest.mark.parametrize("stem,want", sorted(NEG_EXPECT.items()))
 def test_negative_suite(stem, want):
-    assert len(NEG_EXPECT) == len([f for f in os.listdir(NEGATIVE) if f.endswith(".cdl")]) == 11
+    assert len(NEG_EXPECT) == len([f for f in os.listdir(NEGATIVE) if f.endswith(".cdl")]) == 14
     defs = load_program([f"negative/{stem}.cdl"], root=CORPUS)
     ck, report = check_defs(defs)
     bad = [r for r in report.results if not r.ok]
@@ -450,7 +463,9 @@ f ◂ Nat ➔ Nat = λ x. p x.
 def test_local_binder_shadowing_a_global_is_a_variable():
     """A λ-bound ``zero`` is the local variable in conversions and ρ, not
     the global ``zero`` unfolded: otherwise ``allZero`` would prove every
-    ``Nat`` equal to zero.  Named ``n``, the binder gives the same errors."""
+    ``Nat`` equal to zero.  So is a ``zero`` bound in a goal that ρ
+    rewrites before opening it, or ``rwGoal`` would prove the same.
+    Named ``n``, the binder gives the same errors."""
     import tempfile
 
     src = """
@@ -458,6 +473,8 @@ import base.
 z0 ◂ Nat = Λ X. λ z. λ s. z.
 allZero ◂ Π {x} : Nat. {x} ≃ z0 = λ {x}. β.
 rw ◂ Π {x} : Nat. Π q : z0 ≃ {x}. {x} ≃ {x} = λ {x}. λ q. ρ q - β.
+refl0 ◂ z0 ≃ z0 = β.
+rwGoal ◂ Π {x} : Nat. {x} ≃ z0 = ρ refl0 - λ {x}. β.
 """
     for x in ("zero", "n"):
         with tempfile.TemporaryDirectory() as d:
@@ -466,8 +483,47 @@ rw ◂ Π {x} : Nat. Π q : z0 ≃ {x}. {x} ≃ {x} = λ {x}. λ q. ρ q - β.
                 fh.write(src.format(x=x))
             ck, report = check_defs(load_program([path], root=CORPUS))
         codes = {r.name: r.code for r in report.results if r.file == path}
-        assert codes == {"z0": None, "allZero": "TypeMismatch", "rw": "RhoNoOccurrence"}, x
-        assert ck.defs is ck.pure_env and "zero" in ck.pure_env
+        want = {"z0": None, "allZero": "TypeMismatch", "rw": "RhoNoOccurrence", "refl0": None, "rwGoal": "TypeMismatch"}
+        assert codes == want, x
+        assert "zero" in ck.pure_env
+
+
+def test_every_binder_opening_may_reuse_a_name_in_scope(tmp_path):
+    """Each kind of binder the checker opens (kind, type and term λ, Π,
+    ∀ over a term and over a type, ι, Λ over either) may reuse the name
+    of an outer binder or of a global: the checker renames it apart, and
+    these definitions check.  The ErasedVarOccursFree message still
+    names the binder as written, and an error at an occurrence of a
+    renamed variable keeps that occurrence's span."""
+    good = [
+        "lam ◂ Nat ➔ Bool ➔ Bool = λ x. λ x. x.",
+        "elamK ◂ ∀ X : ★. ∀ Y : ★. Y ➔ Y = Λ X. Λ X. λ x. x.",
+        "lamAnn ◂ Nat ➔ Bool ➔ Bool = λ x. (λ x : Bool. x).",
+        "tlamK ◂ ★ ➔ ★ ➔ ★ = λ X. λ X. X.",
+        "kpiK ◂ Π X : ★. Π X : ★. ★ = λ X. λ X. X.",
+        "tlam ◂ Π x : Nat. Π x : Bool. ★ = λ x. λ x. Unit.",
+        "global ◂ Π zero : Nat. zero ≃ zero = λ zero. β.",
+        "globalT ◂ ∀ Nat : ★. Nat ➔ Nat = Λ Nat. λ x. x.",
+        "elam ◂ ∀ x : Nat. ∀ x : Bool. Nat = Λ x. Λ x. zero.",
+        "inter ◂ ι x : Nat. ι x : Nat. Nat = [zero, [zero, zero]].",
+        "inferLam ◂ Bool = (λ x : Nat. λ x : Bool. x) zero tt.",
+        "inferTLamK ◂ ★ = (λ X : ★. λ X : ★. X) · Nat · Bool.",
+        "inferTLam ◂ ★ = (λ x : Nat. λ x : Bool. Unit) zero tt.",
+    ]
+    bad = [
+        "bad ◂ Π a : Nat. Π b : Bool. Nat = λ x. λ x. x.",
+        "erased ◂ Π x : Nat. ∀ y : Nat. Nat = λ x. Λ x. x.",
+    ]
+    path = tmp_path / "m.cdl"
+    path.write_text("\n".join(["import base."] + bad + good) + "\n", encoding="utf-8")
+    _, report = check_defs(load_program([str(path)], root=CORPUS))
+    results = {r.name: r for r in report.results if r.file == str(path)}
+    codes = {n: r.code for n, r in results.items()}
+    assert codes == {"bad": "TypeMismatch", "erased": "ErasedVarOccursFree"} | {
+        d.split(" ◂ ")[0]: None for d in good
+    }
+    assert results["erased"].message == "erased variable 'x' occurs in the erasure of its body"
+    assert str(results["bad"].span) == f"{path}:2:46"
 
 
 def test_same_named_binders_are_opened_fresh_when_a_global_owns_the_name():
@@ -897,7 +953,7 @@ class ReferenceChecker(Checker):
         avoid = free_vars(pat) | free_vars(rep)
 
         def freshen_if(name, under):
-            if name in avoid:
+            if name in avoid or name in self.pure_env:
                 nn = fresh_name(name)
                 return nn, subst1(under, name, Var(nn))
             return name, under
@@ -931,7 +987,7 @@ class ReferenceChecker(Checker):
             return T
 
         def go_tm(e):
-            nf = normalize(erase(e), self.fuel, self.defs)
+            nf = normalize(erase(e), self.fuel, self.pure_env)
             if nf.fuel_exhausted:
                 raise _out_of_fuel("ρ target term", e)
             rewritten, n = _rewrite_nf(nf.result, pat, rep, avoid)
@@ -946,7 +1002,7 @@ class ReferenceChecker(Checker):
 def _reference_for(ck):
     """A reference checker in the state of ``ck``."""
     ref = ReferenceChecker(ck.fuel)
-    ref.ctx, ref.pure_env, ref.defs = ck.ctx, ck.pure_env, ck.defs
+    ref.ctx, ref.pure_env = ck.ctx, ck.pure_env
     return ref
 
 
