@@ -41,49 +41,17 @@ from .syntax import (
     Term,
     Type,
     Var,
-    term_free_names,
+    free_names,
 )
+from .surface import SPELLINGS
 
-_UNI = {
-    "star": "★",
-    "pi": "Π",
-    "all": "∀",
-    "lam": "λ",
-    "elam": "Λ",
-    "iota": "ι",
-    "arrow": "➔",
-    "earrow": "➾",
-    "simeq": "≃",
-    "ascribe": "◂",
-    "rho": "ρ",
-    "phi": "φ",
-    "beta": "β",
-    "sym": "ς",
-    "cdot": "·",
-}
-
-_ASCII = {
-    "star": "Star",
-    "pi": "Pi",
-    "all": "All",
-    "lam": "\\",
-    "elam": "/\\",
-    "iota": "iota",
-    "arrow": "->",
-    "earrow": "=>",
-    "simeq": "==",
-    "ascribe": "<|",
-    "rho": "rho",
-    "phi": "phi",
-    "beta": "beta",
-    "sym": "sigma-sym",
-    "cdot": "@",
-}
+# the token spellings by kind, Unicode and ASCII (``surface.SPELLINGS``)
+_SYMBOLS = tuple({kind: pair[i] for kind, pair in SPELLINGS.items()} for i in (0, 1))
 
 
 class _Printer:
     def __init__(self, ascii_only: bool = False):
-        self.sym = _ASCII if ascii_only else _UNI
+        self.sym = _SYMBOLS[ascii_only]
 
     # -- terms ---------------------------------------------------------------
 
@@ -92,19 +60,19 @@ class _Printer:
         match t:
             case Lam(name=n, body=b, ann=a):
                 dom = f" : {self.type(a)}" if a is not None else ""
-                return f"{s['lam']} {n}{dom}. {self.term(b)}"
+                return f"{s['LAM']} {n}{dom}. {self.term(b)}"
             case ELam(name=n, body=b, ann=a):
                 dom = f" : {self.classifier(a)}" if a is not None else ""
-                return f"{s['elam']} {n}{dom}. {self.term(b)}"
+                return f"{s['ELAM']} {n}{dom}. {self.term(b)}"
             case Rho(proof=q, body=b, guide=g):
                 guide = ""
                 if g is not None:
                     guide = f" {{ {g[0]} . {self.type(g[1])} }}"
-                return f"{s['rho']} {self.proof(q)}{guide} - {self.term(b)}"
+                return f"{s['RHO']} {self.proof(q)}{guide} - {self.term(b)}"
             case Phi(proof=q, main=m, target=tg):
-                return f"{s['phi']} {self.proof(q)} - {self.term_app(m)} {{ {self.term(tg)} }}"
+                return f"{s['PHI']} {self.proof(q)} - {self.term_app(m)} {{ {self.term(tg)} }}"
             case Sym(proof=q):
-                return f"{s['sym']} {self.proof(q)}"
+                return f"{s['SIGMA']} {self.proof(q)}"
             case _:
                 return self.term_app(t)
 
@@ -155,7 +123,7 @@ class _Printer:
             case Var(name=n):
                 return n
             case Beta():
-                return s["beta"]
+                return s["BETA"]
             case IotaPair(fst=a, snd=b):
                 return f"[ {self.term(a)} , {self.term(b)} ]"
             case Proj(subj=x, idx=i):
@@ -172,22 +140,22 @@ class _Printer:
         s = self.sym
         match ty:
             case Pi(name=n, dom=d, cod=c):
-                if n == "_" or n not in term_free_names(c):
-                    return f"{self.type_arrow_lhs(d)} {s['arrow']} {self.type(c)}"
-                return f"{s['pi']} {n} : {self.type(d)}. {self.type(c)}"
+                if n == "_" or n not in free_names(c):
+                    return f"{self.type_arrow_lhs(d)} {s['ARROW']} {self.type(c)}"
+                return f"{s['PI']} {n} : {self.type(d)}. {self.type(c)}"
             case All(name=n, dom=d, cod=c):
-                if n == "_" or n not in term_free_names(c):
-                    return f"{self.type_arrow_lhs(d)} {s['earrow']} {self.type(c)}"
-                return f"{s['all']} {n} : {self.type(d)}. {self.type(c)}"
+                if n == "_" or n not in free_names(c):
+                    return f"{self.type_arrow_lhs(d)} {s['EARROW']} {self.type(c)}"
+                return f"{s['ALL']} {n} : {self.type(d)}. {self.type(c)}"
             case AllK(name=n, dom=d, cod=c):
-                return f"{s['all']} {n} : {self.kind(d)}. {self.type(c)}"
+                return f"{s['ALL']} {n} : {self.kind(d)}. {self.type(c)}"
             case Iota(name=n, fst=a, snd=b):
-                return f"{s['iota']} {n} : {self.type(a)}. {self.type(b)}"
+                return f"{s['IOTA']} {n} : {self.type(a)}. {self.type(b)}"
             case TLam(name=n, body=b, ann=a):
                 dom = f" : {self.classifier(a)}" if a is not None else ""
-                return f"{s['lam']} {n}{dom}. {self.type(b)}"
+                return f"{s['LAM']} {n}{dom}. {self.type(b)}"
             case Eq(lhs=a, rhs=b):
-                return f"{self.eq_side(a)} {s['simeq']} {self.eq_side(b)}"
+                return f"{self.eq_side(a)} {s['SIMEQ']} {self.eq_side(b)}"
             case _:
                 return self.type_spine(ty)
 
@@ -211,7 +179,7 @@ class _Printer:
         s = self.sym
         match ty:
             case TAppT(fn=f, arg=a):
-                return f"{self.type_spine(f)} {s['cdot']} {self.type_atom(a)}"
+                return f"{self.type_spine(f)} {s['CDOT']} {self.type_atom(a)}"
             case TAppE(fn=f, arg=a):
                 return f"{self.type_spine(f)} {self.term_atom(a)}"
             case _:
@@ -228,20 +196,20 @@ class _Printer:
         s = self.sym
         match k:
             case Star():
-                return s["star"]
+                return s["STAR"]
             case KPi(name=n, dom=d, cod=c):
-                if n == "_" or n not in term_free_names(c):
-                    return f"{self.type_arrow_lhs(d)} {s['arrow']} {self.kind(c)}"
-                return f"{s['pi']} {n} : {self.type(d)}. {self.kind(c)}"
+                if n == "_" or n not in free_names(c):
+                    return f"{self.type_arrow_lhs(d)} {s['ARROW']} {self.kind(c)}"
+                return f"{s['PI']} {n} : {self.type(d)}. {self.kind(c)}"
             case KPiK(name=n, dom=d, cod=c):
-                if n == "_" or n not in term_free_names(c):
-                    return f"{self.kind_arrow_lhs(d)} {s['arrow']} {self.kind(c)}"
-                return f"{s['pi']} {n} : {self.kind(d)}. {self.kind(c)}"
+                if n == "_" or n not in free_names(c):
+                    return f"{self.kind_arrow_lhs(d)} {s['ARROW']} {self.kind(c)}"
+                return f"{s['PI']} {n} : {self.kind(d)}. {self.kind(c)}"
         raise TypeError(f"not a kind: {k!r}")
 
     def kind_arrow_lhs(self, k: Kind) -> str:
         if isinstance(k, Star):
-            return self.sym["star"]
+            return self.sym["STAR"]
         return f"({self.kind(k)})"
 
     def classifier(self, c) -> str:
@@ -255,7 +223,7 @@ class _Printer:
             case PVar(name=n):
                 return n
             case PLam(name=n, body=b):
-                return f"{s['lam']} {n}. {self.pure(b)}"
+                return f"{s['LAM']} {n}. {self.pure(b)}"
             case PApp():
                 return self.pure_app(t)
         raise TypeError(f"not a pure term: {t!r}")

@@ -1,7 +1,8 @@
 """Lexer and parser for the concrete syntax.
 
-Every Unicode primary token has exactly one ASCII alias and lexing is
-alias-insensitive:
+Every Unicode primary token has exactly one ASCII alias, and lexing is
+alias-insensitive; ``SPELLINGS`` lists the pairs, and the printer spells
+tokens from it too:
 
     ★ Star   Π Pi    ∀ All    λ \\    Λ /\\   ι iota   ➔ ->   ➾ =>
     ≃ ==     ◂ <|    ρ rho    φ phi   β beta  ς sigma-sym      · @
@@ -86,25 +87,41 @@ class Token(NamedTuple):
     span: Span
 
 
-# Every token but an identifier, by lexeme.
-_FIXED = {
-    "➔": "ARROW", "->": "ARROW",
-    "➾": "EARROW", "=>": "EARROW",
-    "≃": "SIMEQ", "==": "SIMEQ",
-    "◂": "ASCRIBE", "<|": "ASCRIBE",
-    "Λ": "ELAM", "/\\": "ELAM",
-    "λ": "LAM", "\\": "LAM",
-    "·": "CDOT", "@": "CDOT",
-    "ς": "SIGMA", "sigma-sym": "SIGMA",
-    "★": "STAR", "Π": "PI", "∀": "ALL", "ι": "IOTA", "ρ": "RHO", "φ": "PHI", "β": "BETA",
-    ".1": "PROJ1", ".2": "PROJ2", ".": "DOT", ",": "COMMA", ":": "COLON", "=": "EQUALS", "-": "DASH",
-    "(": "LPAREN", ")": "RPAREN", "[": "LBRACK", "]": "RBRACK", "{": "LBRACE", "}": "RBRACE",
+# The spellings of the primary tokens, by kind: (Unicode, ASCII alias).
+# The lexer's tables below and the printer's symbols are read off it.
+SPELLINGS = {
+    "STAR": ("★", "Star"),
+    "PI": ("Π", "Pi"),
+    "ALL": ("∀", "All"),
+    "LAM": ("λ", "\\"),
+    "ELAM": ("Λ", "/\\"),
+    "IOTA": ("ι", "iota"),
+    "ARROW": ("➔", "->"),
+    "EARROW": ("➾", "=>"),
+    "SIMEQ": ("≃", "=="),
+    "ASCRIBE": ("◂", "<|"),
+    "RHO": ("ρ", "rho"),
+    "PHI": ("φ", "phi"),
+    "BETA": ("β", "beta"),
+    "SIGMA": ("ς", "sigma-sym"),
+    "CDOT": ("·", "@"),
 }
 
-# Identifiers that are tokens of their own.
+_IDENT = r"[A-Za-z_][A-Za-z0-9_'!]*"
+
+# Identifiers that are tokens of their own: the aliases spelled as
+# identifiers, and ``import``.
 _KEYWORDS = {
-    "Star": "STAR", "Pi": "PI", "All": "ALL", "iota": "IOTA",
-    "rho": "RHO", "phi": "PHI", "beta": "BETA", "import": "IMPORT",
+    **{alias: kind for kind, (_, alias) in SPELLINGS.items() if re.fullmatch(_IDENT, alias)},
+    "import": "IMPORT",
+}
+
+# Every token but an identifier, by lexeme.
+_FIXED = {
+    **{uni: kind for kind, (uni, _) in SPELLINGS.items()},
+    **{alias: kind for kind, (_, alias) in SPELLINGS.items() if alias not in _KEYWORDS},
+    ".1": "PROJ1", ".2": "PROJ2", ".": "DOT", ",": "COMMA", ":": "COLON", "=": "EQUALS", "-": "DASH",
+    "(": "LPAREN", ")": "RPAREN", "[": "LBRACK", "]": "RBRACK", "{": "LBRACE", "}": "RBRACE",
 }
 
 _KINDS = {**_FIXED, **_KEYWORDS}
@@ -121,7 +138,7 @@ _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
 _TOKEN_RE = re.compile(
     r"(?:[ \t\r\n]|//[^\n]*(?![^\n]))*("
     + "|".join(re.escape(lx) for lx in sorted(_FIXED, key=len, reverse=True))
-    + r"|[A-Za-z_][A-Za-z0-9_'!]*|\Z|.)"
+    + "|" + _IDENT + r"|\Z|.)"
 )
 
 

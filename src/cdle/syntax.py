@@ -18,21 +18,23 @@ replaces.  The one exception is readback in
 ``PLam`` and ``PVar`` nodes it built itself, before ``normalize`` returns
 them; no other code has seen those nodes yet.
 
-The pure-term operations here (subterms, free variables,
-alpha-equivalence, substitution), ``term_free_names`` and
-``syntax_alpha_eq`` are iterative, as are erasure, the normalizer and
-rho's rewrite of a normal form (``typecheck._rewrite_nf``), because
-erased terms can be deep (spines of a few thousand applications occur in
-the cost harness).  ``subst_syntax`` and the skeleton coercions recurse
-once per nesting level, as do the checker and the printer, so Python's
-recursion limit bounds the depth they reach.
+One layout table, ``LAYOUT``, lists the children and binders of every
+node class, pure and annotated, and the traversals walk it: one free-name
+walk (``free_names``) and one alpha-equivalence (``alpha_eq``) serve
+every sort of syntax.  Both are iterative, as are the pure substitution
+``substitute_many``, erasure, the normalizer and rho's rewrite of a
+normal form (``typecheck._rewrite_nf``), because erased terms can be
+deep (spines of a few thousand applications occur in the cost harness).
+``subst_syntax`` and the skeleton coercions recurse once per nesting
+level, as do the checker and the printer, so Python's recursion limit
+bounds the depth they reach.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 
 class Span(NamedTuple):
@@ -98,103 +100,13 @@ def fresh_name(hint: str = "x") -> str:
     return f"{base}%{next(_fresh_counter)}"
 
 
-def pure_subterms(t: PureTerm) -> Iterator[PureTerm]:
-    """All subterms of ``t``, iteratively (pre-order)."""
-    stack = [t]
-    while stack:
-        cur = stack.pop()
-        yield cur
-        if isinstance(cur, PLam):
-            stack.append(cur.body)
-        elif isinstance(cur, PApp):
-            stack.append(cur.arg)
-            stack.append(cur.fn)
-
-
-def pure_size(t: PureTerm) -> int:
-    return sum(1 for _ in pure_subterms(t))
-
-
-def free_vars(t: PureTerm) -> frozenset[str]:
-    """Exactly the variables occurring free in ``t``, in one iterative
-    walk that counts the binders of each name in scope."""
-    out: set[str] = set()
-    bound: dict[str, int] = {}
-    # terms to visit, or a binder's name to leave its scope
-    stack: list = [t]
-    while stack:
-        cur = stack.pop()
-        cls = type(cur)
-        if cls is PVar:
-            if not bound.get(cur.name):
-                out.add(cur.name)
-        elif cls is PApp:
-            stack.append(cur.fn)
-            stack.append(cur.arg)
-        elif cls is PLam:
-            bound[cur.name] = bound.get(cur.name, 0) + 1
-            stack.append(cur.name)
-            stack.append(cur.body)
-        else:
-            bound[cur] -= 1
-    return frozenset(out)
-
-
-def alpha_eq(a: PureTerm, b: PureTerm) -> bool:
-    """True iff ``a`` and ``b`` are identical up to renaming of bound
-    variables.  An equivalence relation on well-scoped terms.
-
-    One iterative walk over both terms at once, so any depth is fine and
-    the first mismatch ends it.  Each side maps a bound name to the level
-    of its innermost binder; two variables match when both are bound at
-    the same level or both are free with the same name."""
-    levels_a: dict[str, Optional[int]] = {}
-    levels_b: dict[str, Optional[int]] = {}
-    depth = 0
-    # pairs left to compare; (None, saved) leaves a pair of binders
-    stack: list[tuple] = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if x is None:
-            name_a, old_a, name_b, old_b = y
-            levels_a[name_a] = old_a
-            levels_b[name_b] = old_b
-            depth -= 1
-            continue
-        cls = type(x)
-        if cls is not type(y):
-            return False
-        if cls is PVar:
-            level = levels_a.get(x.name)
-            if level != levels_b.get(y.name) or (level is None and x.name != y.name):
-                return False
-        elif cls is PLam:
-            stack.append((None, (x.name, levels_a.get(x.name), y.name, levels_b.get(y.name))))
-            levels_a[x.name] = levels_b[y.name] = depth
-            depth += 1
-            stack.append((x.body, y.body))
-        else:
-            stack.append((x.arg, y.arg))
-            stack.append((x.fn, y.fn))
-    return True
-
-
-def substitute(body: PureTerm, name: str, value: PureTerm) -> PureTerm:
-    """Capture-avoiding substitution ``body[name := value]``.
-
-    Binders in ``body`` that would capture a free variable of ``value``
-    are renamed with globally fresh names.
-    """
-    return substitute_many(body, {name: value})
-
-
 def substitute_many(t: PureTerm, env: dict[str, PureTerm]) -> PureTerm:
     """Capture-avoiding simultaneous substitution ``t[env]``: binders of
     ``t`` that would capture a free variable of a replacement are renamed
     with globally fresh names."""
     if not env:
         return t
-    all_fvs: frozenset[str] = frozenset().union(*(free_vars(v) for v in env.values()))
+    all_fvs: frozenset[str] = frozenset().union(*(free_names(v) for v in env.values()))
     results: list[PureTerm] = []
     work: list[tuple] = [("go", t, env)]
     while work:
@@ -551,25 +463,28 @@ class Context:
 
 
 # ---------------------------------------------------------------------------
-# Traversals and substitution over annotated syntax
+# Traversals of all syntax, and substitution over annotated syntax
 # ---------------------------------------------------------------------------
 
 
-# The layout of annotated syntax, read by ``term_free_names``,
-# ``subst_syntax`` and ``syntax_alpha_eq``, and by the checker's type and
-# kind conversion and ρ's type rewrite: for each node class, its
-# child fields in the order they are walked, each with the field holding
-# the binder name that scopes it, or None.  Rho's guide is the one
-# special child, a ``(hole, template)`` pair whose hole binds in its
-# template; its binder entry is GUIDE.  A child that may be None (an
-# annotation, a guide) is skipped when it is.  The other fields are
-# ``span`` and the data the traversals read themselves: the name of a
-# ``Var`` or ``TVar`` leaf and the index of a ``Proj``.
+# The layout of all syntax, read by ``free_names``, ``alpha_eq`` and
+# ``subst_syntax``, and by the checker's type and kind conversion and ρ's
+# type rewrite: for each node class, its child fields in the order they
+# are walked, each with the field holding the binder name that scopes it,
+# or None.  Rho's guide is the one special child, a ``(hole, template)``
+# pair whose hole binds in its template; its binder entry is GUIDE.  A
+# child that may be None (an annotation, a guide) is skipped when it is.
+# The other fields are ``span`` and the data the traversals read
+# themselves: the name of a ``PVar``, ``Var`` or ``TVar`` leaf and the
+# index of a ``Proj``.  Pure terms are the ``PVar``/``PLam``/``PApp``
+# rows; ``subst_syntax`` takes only annotated syntax (``substitute_many``
+# is the pure substitution).
 GUIDE = "(hole, template)"
 LAYOUT: dict[type, tuple[tuple[str, Optional[str]], ...]] = {
-    **dict.fromkeys((Var, TVar, Beta, Star), ()),
+    **dict.fromkeys((PVar, Var, TVar, Beta, Star), ()),
+    PLam: (("body", "name"),),
     **dict.fromkeys((Lam, ELam, TLam), (("ann", None), ("body", "name"))),
-    **dict.fromkeys((App, EApp, TAppT, TAppE), (("fn", None), ("arg", None))),
+    **dict.fromkeys((PApp, App, EApp, TAppT, TAppE), (("fn", None), ("arg", None))),
     **dict.fromkeys((Pi, All, AllK, KPi, KPiK), (("dom", None), ("cod", "name"))),
     Iota: (("fst", None), ("snd", "name")),
     IotaPair: (("fst", None), ("snd", None)),
@@ -582,9 +497,10 @@ LAYOUT: dict[type, tuple[tuple[str, Optional[str]], ...]] = {
 }
 
 
-def term_free_names(x: Union[Term, Type, Kind, DeferredArg]) -> frozenset[str]:
-    """Free names (term and type alike) of an annotated syntax value, in
-    one iterative walk that counts the binders of each name in scope."""
+def free_names(x: Union[PureTerm, Term, Type, Kind, DeferredArg]) -> frozenset[str]:
+    """Free names (term and type alike) of any syntax value, pure or
+    annotated, in one iterative walk that counts the binders of each name
+    in scope."""
     out: set[str] = set()
     bound: dict[str, int] = {}
     # values to visit, a (binder name, scope) pair to visit with the
@@ -593,7 +509,7 @@ def term_free_names(x: Union[Term, Type, Kind, DeferredArg]) -> frozenset[str]:
     while stack:
         cur = stack.pop()
         cls = type(cur)
-        if cls is Var or cls is TVar:
+        if cls is PVar or cls is Var or cls is TVar:
             if not bound.get(cur.name):
                 out.add(cur.name)
         elif cls is tuple:
@@ -654,7 +570,7 @@ def subst_syntax(x, env: dict[str, Union[Term, Type]]):
         if fvs is None:
             fvs = set()
             for v in top.values():
-                fvs |= term_free_names(v)
+                fvs |= free_names(v)
         if name not in fvs:
             return name, go(body, env)
         fresh = fresh_name(name)
@@ -689,7 +605,7 @@ def subst_syntax(x, env: dict[str, Union[Term, Type]]):
             hit_types = {
                 k for k, v in env.items() if isinstance(v, Type) and not isinstance(v, TVar)
             }
-            if hit_types and not hit_types.isdisjoint(term_free_names(cur.expr)):
+            if hit_types and not hit_types.isdisjoint(free_names(cur.expr)):
                 return go(promote_skeleton(cur.expr), env)
         new = {}  # the fields that change, by name
         for child, binder in LAYOUT[cls]:
@@ -723,14 +639,18 @@ def subst1(x, name: str, value: Union[Term, Type]):
     return subst_syntax(x, {name: value})
 
 
-def syntax_alpha_eq(a, b) -> bool:
-    """Alpha-equivalence of annotated syntax values (terms, types, kinds).
+def alpha_eq(a, b) -> bool:
+    """True iff ``a`` and ``b``, syntax values of any sort, are identical
+    up to renaming of bound names.  An equivalence relation on
+    well-scoped values.
 
     A deferred erased argument is compared through its skeleton.
     Non-dependent products with distinct unused binder names are equal
     (this is what makes the arrow resugaring of the printer round-trip).
-    One iterative walk over both values, with binders compared by level
-    as in ``alpha_eq``.
+    One iterative walk over both values at once, so any depth is fine
+    and the first mismatch ends it.  Each side maps a bound name to the
+    level of its innermost binder; two variables match when both are
+    bound at the same level or both are free with the same name.
     """
     levels_a: dict[str, Optional[int]] = {}
     levels_b: dict[str, Optional[int]] = {}
@@ -756,7 +676,7 @@ def syntax_alpha_eq(a, b) -> bool:
         cls = type(x)
         if cls is not type(y):
             return False
-        if cls is Var or cls is TVar:
+        if cls is PVar or cls is Var or cls is TVar:
             level = levels_a.get(x.name)
             if level != levels_b.get(y.name) or (level is None and x.name != y.name):
                 return False

@@ -11,7 +11,7 @@ types and kinds by conversion, embedded terms by beta-eta equality of
 their erasures (top-level definitions unfold when the normalizer looks
 them up).  A type-level λ's annotation is not compared, just as erasure
 drops a term-level one's.  Two binders' bodies are compared through the
-pair, as in ``syntax_alpha_eq``, with nothing substituted into them.  A
+pair, as in ``alpha_eq``, with nothing substituted into them.  A
 pair of one name is left as it is, so parts that substitution shared
 meet as the same object and compare at once, unless a definition owns
 the name (the global would be unfolded where the bound variable is
@@ -106,13 +106,12 @@ from .syntax import (
     Var,
     alpha_eq,
     demote_skeleton,
-    free_vars,
+    free_names,
     fresh_name,
     promote_skeleton,
     subst1,
     subst_syntax,
     substitute_many,
-    term_free_names,
 )
 
 
@@ -146,7 +145,8 @@ def _out_of_fuel(what: str, t: Term) -> CheckError:
 
 def _canon_msg(s: str) -> str:
     """Replace fresh-name counters by per-message sequential ids so error
-    messages are byte-identical across runs."""
+    messages are byte-identical across runs.  Applied once, where
+    ``check_defs`` records a failed definition."""
     seen: dict[str, str] = {}
 
     def sub(m):
@@ -176,7 +176,7 @@ class Checker:
         which unfolds a global when it looks the name up."""
         p = erase(t)
         env = self.pure_env
-        return substitute_many(p, {n: env[n] for n in free_vars(p) if n in env})
+        return substitute_many(p, {n: env[n] for n in free_names(p) if n in env})
 
     def terms_conv(self, a: Term, b: Term) -> bool:
         try:
@@ -226,7 +226,7 @@ class Checker:
             self.ctx = saved
 
     def scope_check(self, t: Union[Term, Type], span=None) -> None:
-        for n in sorted(term_free_names(t)):
+        for n in sorted(free_names(t)):
             if n not in self.ctx:
                 raise CheckError(ErrorCode.UnboundName, f"unbound name {n!r}", span)
 
@@ -283,7 +283,7 @@ class Checker:
         ren_a, ren_b = ren = ren or ({}, {})
         A = self.whnf_beta(A)
         B = self.whnf_beta(B)
-        if A is B and (not (ren_a or ren_b) or term_free_names(A).isdisjoint(ren_a.keys() | ren_b.keys())):
+        if A is B and (not (ren_a or ren_b) or free_names(A).isdisjoint(ren_a.keys() | ren_b.keys())):
             return True
 
         # spine fast path: same defined (or bound) head, matching args
@@ -477,7 +477,7 @@ class Checker:
         if not self.kinds_conv(inferred, k):
             raise CheckError(
                 ErrorCode.KindMismatch,
-                _canon_msg(f"expected kind {pp.pretty(k)}, found {pp.pretty(inferred)}"),
+                f"expected kind {pp.pretty(k)}, found {pp.pretty(inferred)}",
                 T.span,
             )
 
@@ -503,7 +503,7 @@ class Checker:
                     explicit, sp = type(app) is App, app.span
                     if not isinstance(T, Pi if explicit else (All, AllK)):
                         what = "cannot apply a term" if explicit else "-argument given to a term"
-                        msg = _canon_msg(f"{what} of type {pp.pretty(subst_syntax(T, env))}")
+                        msg = f"{what} of type {pp.pretty(subst_syntax(T, env))}"
                         if explicit and isinstance(T, (All, AllK)):
                             msg = "implicit function applied explicitly; instantiate with -arg"
                         raise CheckError(ErrorCode.NotAFunction, msg, sp)
@@ -521,7 +521,7 @@ class Checker:
                 if not isinstance(Ts, Iota):
                     raise CheckError(
                         ErrorCode.NotAnIntersection,
-                        _canon_msg(f"projection from a term of type {pp.pretty(Ts)}"),
+                        f"projection from a term of type {pp.pretty(Ts)}",
                         sp,
                     )
                 if i == 1:
@@ -564,7 +564,7 @@ class Checker:
         if not isinstance(Tq, Eq):
             raise CheckError(
                 ErrorCode.TypeMismatch,
-                _canon_msg(f"expected an equality proof, found {pp.pretty(Tq)}"),
+                f"expected an equality proof, found {pp.pretty(Tq)}",
                 sp,
             )
         return Tq.lhs, Tq.rhs
@@ -595,17 +595,13 @@ class Checker:
         if not self.terms_conv(s1, main):
             raise CheckError(
                 ErrorCode.PhiEqMismatch,
-                _canon_msg(
-                    f"φ left side mismatch: proof equates {pp.pretty(s1)}, term is {pp.pretty(main)}"
-                ),
+                f"φ left side mismatch: proof equates {pp.pretty(s1)}, term is {pp.pretty(main)}",
                 sp,
             )
         if not self.terms_conv(s2, target):
             raise CheckError(
                 ErrorCode.PhiEqMismatch,
-                _canon_msg(
-                    f"φ right side mismatch: proof equates {pp.pretty(s2)}, braces hold {pp.pretty(target)}"
-                ),
+                f"φ right side mismatch: proof equates {pp.pretty(s2)}, braces hold {pp.pretty(target)}",
                 sp,
             )
 
@@ -620,7 +616,7 @@ class Checker:
                 if not isinstance(W, Pi):
                     raise CheckError(
                         ErrorCode.TypeMismatch,
-                        _canon_msg(f"λ checked against non-function type {pp.pretty(W)}"),
+                        f"λ checked against non-function type {pp.pretty(W)}",
                         sp,
                     )
                 if ann is not None:
@@ -628,9 +624,7 @@ class Checker:
                     if not self.types_conv(ann, W.dom):
                         raise CheckError(
                             ErrorCode.TypeMismatch,
-                            _canon_msg(
-                                f"λ annotation {pp.pretty(ann)} does not match domain {pp.pretty(W.dom)}"
-                            ),
+                            f"λ annotation {pp.pretty(ann)} does not match domain {pp.pretty(W.dom)}",
                             sp,
                         )
                 with self._with(TermBind(n, W.dom), b) as (x, body):
@@ -645,7 +639,7 @@ class Checker:
                         raise CheckError(ErrorCode.TypeMismatch, "Λ annotation mismatch", sp)
                     with self._with(TermBind(n, W.dom, erased=True), b) as (x, body):
                         self.check_term(body, subst1(W.cod, W.name, Var(x)))
-                    if n in free_vars(erase(b)):
+                    if n in free_names(erase(b)):
                         raise CheckError(
                             ErrorCode.ErasedVarOccursFree,
                             f"erased variable {n!r} occurs in the erasure of its body",
@@ -662,7 +656,7 @@ class Checker:
                     return
                 raise CheckError(
                     ErrorCode.TypeMismatch,
-                    _canon_msg(f"Λ checked against non-implicit type {pp.pretty(W)}"),
+                    f"Λ checked against non-implicit type {pp.pretty(W)}",
                     sp,
                 )
             case IotaPair(fst=t1, snd=t2, span=sp):
@@ -670,7 +664,7 @@ class Checker:
                 if not isinstance(W, Iota):
                     raise CheckError(
                         ErrorCode.TypeMismatch,
-                        _canon_msg(f"[t1, t2] checked against non-ι type {pp.pretty(W)}"),
+                        f"[t1, t2] checked against non-ι type {pp.pretty(W)}",
                         sp,
                     )
                 self.check_term(t1, W.fst)
@@ -687,7 +681,7 @@ class Checker:
                 if not isinstance(W, Eq):
                     raise CheckError(
                         ErrorCode.TypeMismatch,
-                        _canon_msg(f"β checked against non-equality type {pp.pretty(W)}"),
+                        f"β checked against non-equality type {pp.pretty(W)}",
                         sp,
                     )
                 self.scope_check(W.lhs, sp)
@@ -695,9 +689,7 @@ class Checker:
                 if not self.terms_conv(W.lhs, W.rhs):
                     raise CheckError(
                         ErrorCode.TypeMismatch,
-                        _canon_msg(
-                            f"β requires βη-equal erasures: {pp.pretty(W.lhs)} vs {pp.pretty(W.rhs)}"
-                        ),
+                        f"β requires βη-equal erasures: {pp.pretty(W.lhs)} vs {pp.pretty(W.rhs)}",
                         sp,
                     )
                 return
@@ -715,9 +707,7 @@ class Checker:
                 if not self.types_conv(inferred, T):
                     raise CheckError(
                         ErrorCode.TypeMismatch,
-                        _canon_msg(
-                            f"expected {pp.pretty(T)}, found {pp.pretty(inferred)}"
-                        ),
+                        f"expected {pp.pretty(T)}, found {pp.pretty(inferred)}",
                         getattr(t, "span", None),
                     )
 
@@ -732,10 +722,8 @@ class Checker:
             if not self.types_conv(src, target):
                 raise CheckError(
                     ErrorCode.TypeMismatch,
-                    _canon_msg(
-                        f"ρ guide instantiated with the left side gives {pp.pretty(src)}, "
-                        f"which does not match {pp.pretty(target)}"
-                    ),
+                    f"ρ guide instantiated with the left side gives {pp.pretty(src)}, "
+                    f"which does not match {pp.pretty(target)}",
                     sp,
                 )
             return subst1(template, hole, s2)
@@ -751,13 +739,13 @@ class Checker:
         if counter[0] == 0:
             raise CheckError(
                 ErrorCode.RhoNoOccurrence,
-                _canon_msg(f"no occurrence of {pp.pretty(p1.result)} in {pp.pretty(target)}"),
+                f"no occurrence of {pp.pretty(p1.result)} in {pp.pretty(target)}",
                 sp,
             )
         return out
 
     def _rw_type(self, T: Type, pat: PureTerm, rep: PureTerm, counter) -> Type:
-        avoid = free_vars(pat) | free_vars(rep)
+        avoid = free_names(pat) | free_names(rep)
 
         def go_ty(T: Type) -> Type:
             # each child in layout order: a binder named in ``avoid``, or
@@ -820,7 +808,7 @@ def _rewrite_nf(
     subterm under a binder named free in ``pat`` matches, since renaming
     the binder renames its occurrences there; elsewhere the renaming
     cannot change whether a subterm matches."""
-    pat_names = free_vars(pat) if pat is not None else frozenset()
+    pat_names = free_names(pat) if pat is not None else frozenset()
     injected: Optional[Term] = None
     count = 0
     hidden = 0  # binders in scope that are named free in ``pat``
@@ -938,7 +926,7 @@ def _check_one(ck: Checker, d) -> None:
     if not isinstance(k, Star):
         raise CheckError(
             ErrorCode.KindMismatch,
-            _canon_msg(f"classifier of {d.name} has kind {pp.pretty(k)}, expected ★"),
+            f"classifier of {d.name} has kind {pp.pretty(k)}, expected ★",
             d.span,
         )
     if d.body is not None:

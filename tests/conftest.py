@@ -9,6 +9,10 @@ sys.path.insert(0, os.path.dirname(__file__))
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CORPUS = os.path.join(REPO, "corpus")
 NEGATIVE = os.path.join(REPO, "negative")
+# the size of the negative suite: the files of ``negative/``, each of which
+# must be rejected with its one expected code; tests check exact counts of
+# them against this
+NEGATIVE_FILES = 14
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """Seeded random generators for well-scoped pure terms and small
-annotated syntax values, and variants of annotated syntax (binder-renamed
-copies, one-leaf changes), shared by the property suites."""
+annotated syntax values, and variants of pure and annotated syntax
+(binder-renamed copies, one-leaf changes), shared by the property
+suites."""
 
 from __future__ import annotations
 
@@ -65,6 +66,7 @@ from cdle.syntax import (  # noqa: E402
     TVar,
     Var,
     subst1,
+    substitute_many,
 )
 
 TYPE_NAMES = ["T", "U", "F", "G", "P"]
@@ -147,11 +149,16 @@ def gen_term(rng: random.Random, depth: int):
     return Proj(gen_term(rng, depth - 1), rng.choice([1, 2]))
 
 
-# --- variants of annotated syntax -------------------------------------------
+# --- variants of pure and annotated syntax ----------------------------------
 
 # the child each binder name scopes, written out apart from LAYOUT so that
 # the helpers below do not share a mistake with the code they test
-_SCOPES = {**dict.fromkeys((Lam, ELam, TLam), "body"), **dict.fromkeys((Pi, All, AllK, KPi, KPiK), "cod"), Iota: "snd"}
+_SCOPES = {
+    **dict.fromkeys((PLam, Lam, ELam, TLam), "body"),
+    **dict.fromkeys((Pi, All, AllK, KPi, KPiK), "cod"),
+    Iota: "snd",
+}
+_LEAVES = (PVar, Var, TVar)
 
 
 def _children(x):
@@ -175,19 +182,24 @@ def rename_binders(x, suffix):
             hole, template = sub
             fields[child] = (hole + suffix, rename_binders(subst1(template, hole, Var(hole + suffix)), suffix))
         elif child == _SCOPES.get(type(x)):
-            fields["name"] = x.name + suffix
-            fields[child] = rename_binders(subst1(sub, x.name, Var(x.name + suffix)), suffix)
+            new = x.name + suffix
+            if isinstance(sub, PureTerm):
+                sub = substitute_many(sub, {x.name: PVar(new)})
+            else:
+                sub = subst1(sub, x.name, Var(new))
+            fields["name"] = new
+            fields[child] = rename_binders(sub, suffix)
         else:
             fields[child] = rename_binders(sub, suffix)
     return _rebuild(x, fields) if fields else x
 
 
 def count_leaves(x):
-    """The number of ``Var``/``TVar`` leaves of ``x``."""
+    """The number of ``PVar``/``Var``/``TVar`` leaves of ``x``."""
     n, stack = 0, [x]
     while stack:
         cur = stack.pop()
-        if type(cur) in (Var, TVar):
+        if type(cur) in _LEAVES:
             n += 1
         elif type(cur) is tuple:
             stack.append(cur[1])
@@ -197,10 +209,11 @@ def count_leaves(x):
 
 
 def change_leaf(x, k):
-    """``x`` with its ``k``-th ``Var``/``TVar`` leaf renamed to a name that
-    occurs nowhere; returns it with ``k`` less the leaves it passed."""
-    if type(x) in (Var, TVar):
-        return (type(x)(x.name + "%changed", x.span) if k == 0 else x), k - 1
+    """``x`` with its ``k``-th ``PVar``/``Var``/``TVar`` leaf renamed to a
+    name that occurs nowhere; returns it with ``k`` less the leaves it
+    passed."""
+    if type(x) in _LEAVES:
+        return (dataclasses.replace(x, name=x.name + "%changed") if k == 0 else x), k - 1
     fields = {}
     for child, sub in _children(x).items():
         if k < 0:

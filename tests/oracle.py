@@ -6,11 +6,42 @@ from the root and contracts it with capture-avoiding substitution; after
 beta-normal form, eta-redexes are contracted bottom-up.  Step counts use
 the same convention as the engine (one tick per contraction, shared
 fuel budget), so both normal forms and counts must agree exactly.
+
+The pure-term helpers the tests share (subterms, size, single-variable
+substitution) live here too, since the kernel itself needs none of them.
 """
 
 from __future__ import annotations
 
-from cdle.syntax import PApp, PLam, PVar, PureTerm, free_vars, substitute
+from typing import Iterator
+
+from cdle.syntax import PApp, PLam, PVar, PureTerm, free_names, substitute_many
+
+
+def pure_subterms(t: PureTerm) -> Iterator[PureTerm]:
+    """All subterms of ``t``, iteratively (pre-order)."""
+    stack = [t]
+    while stack:
+        cur = stack.pop()
+        yield cur
+        if isinstance(cur, PLam):
+            stack.append(cur.body)
+        elif isinstance(cur, PApp):
+            stack.append(cur.arg)
+            stack.append(cur.fn)
+
+
+def pure_size(t: PureTerm) -> int:
+    return sum(1 for _ in pure_subterms(t))
+
+
+def substitute(body: PureTerm, name: str, value: PureTerm) -> PureTerm:
+    """Capture-avoiding substitution ``body[name := value]``.
+
+    Binders in ``body`` that would capture a free variable of ``value``
+    are renamed with globally fresh names.
+    """
+    return substitute_many(body, {name: value})
 
 
 class OracleFuelExhausted(Exception):
@@ -86,7 +117,7 @@ def _eta_pass(t: PureTerm, counter, limit) -> PureTerm:
                 isinstance(body, PApp)
                 and isinstance(body.arg, PVar)
                 and body.arg.name == name
-                and name not in free_vars(body.fn)
+                and name not in free_names(body.fn)
             ):
                 if counter[0] + counter[1] >= limit:
                     raise OracleFuelExhausted(*counter)
@@ -103,8 +134,6 @@ def oracle_normalize(t: PureTerm, max_steps: int, work_budget: int = 0):
     A positive ``work_budget`` bounds the total number of nodes visited
     across all contraction steps and raises OracleWorkExceeded beyond it.
     """
-    from cdle.syntax import pure_size
-
     counter = [0, 0]
     work = 0
     try:

@@ -23,10 +23,10 @@ from cdle.corpus import negative_expectations, synth_input_nf, parse_pure
 from cdle.loader import load_program
 from cdle.reduction import apply_and_count, beta_eta_eq, normalize
 from cdle.surface import parse_classifier, parse_term, parse_type_expr
-from cdle.syntax import PLam, PVar, alpha_eq, syntax_alpha_eq
+from cdle.syntax import PLam, PVar, alpha_eq
 from cdle.typecheck import Checker, check_defs
 
-from conftest import CORPUS, NEGATIVE
+from conftest import CORPUS, NEGATIVE, NEGATIVE_FILES
 from gen import gen_pure
 
 
@@ -117,7 +117,7 @@ def test_acceptance_4_cost_scaling(checked_corpus):
 def test_acceptance_5_negative_suite(checked_corpus):
     ck, _ = checked_corpus
     expect = negative_expectations(NEGATIVE)
-    assert len(expect) == len([f for f in os.listdir(NEGATIVE) if f.endswith(".cdl")]) == 14
+    assert len(expect) == len([f for f in os.listdir(NEGATIVE) if f.endswith(".cdl")]) == NEGATIVE_FILES
     hits = 0
     problems = []
     for stem, want in sorted(expect.items()):
@@ -154,7 +154,8 @@ def test_acceptance_6_normalizer_oracle_equivalence(oracle_samples):
 
 def test_acceptance_7_property_suites(corpus_defs):
     from cdle.pretty import pretty
-    from cdle.syntax import free_vars, substitute
+    from cdle.syntax import free_names
+    from oracle import substitute
 
     problems = []
 
@@ -168,14 +169,14 @@ def test_acceptance_7_property_suites(corpus_defs):
     rng = random.Random(5)
     for _ in range(200):
         t = gen_pure(rng, 18, scope=("u", "v"))
-        for x in sorted(free_vars(t)) or ["u"]:
+        for x in sorted(free_names(t)) or ["u"]:
             if not alpha_eq(substitute(t, x, PVar(x)), t):
                 problems.append("substitution identity")
                 break
 
     # parse/pretty round-trip over the corpus
     for _, d in corpus_defs:
-        if not syntax_alpha_eq(d.classifier, parse_classifier(pretty(d.classifier))):
+        if not alpha_eq(d.classifier, parse_classifier(pretty(d.classifier))):
             problems.append(f"roundtrip classifier {d.name}")
             break
 

@@ -16,7 +16,7 @@ from cdle.reduction import NormalizeOutcome
 from cdle.surface import lex
 from cdle.syntax import PVar
 
-from conftest import CORPUS, NEGATIVE, REPO
+from conftest import CORPUS, NEGATIVE, NEGATIVE_FILES, REPO
 
 
 def run(capsys, *argv):
@@ -375,7 +375,7 @@ def test_verify_green_and_byte_stable():
     lines = out.splitlines()
     assert "-- 117/117 definitions checked" in lines
     assert "goldens: 26/26 pass" in lines
-    assert sum(line.startswith("  ok  ") for line in lines) == 14
+    assert sum(line.startswith("  ok  ") for line in lines) == NEGATIVE_FILES
     verdicts = [line for line in lines if line.startswith("classification: ")]
     assert len(verdicts) == 6
     for line in verdicts:
@@ -400,7 +400,7 @@ def test_verify_wrong_expected_code_exit_one(capsys, tmp_path):
     assert code == 1
     lines = out.splitlines()
     assert "  BAD erased_var: ErasedVarOccursFree (expect: TypeMismatch)" in lines
-    assert sum(line.startswith("  ok  ") for line in lines) == 13
+    assert sum(line.startswith("  ok  ") for line in lines) == NEGATIVE_FILES - 1
     assert lines[-1] == "1 FAILURES"
 
 

@@ -10,9 +10,9 @@ import pytest
 
 from cdle.corpus import synth_input_nf
 from cdle.reduction import apply_and_count, normalize
-from cdle.syntax import App, PApp, Var, alpha_eq, pure_size
+from cdle.syntax import App, PApp, Var, alpha_eq
 
-from oracle import oracle_normalize
+from oracle import oracle_normalize, pure_size
 
 # (conversion, input kind, [(n, beta_steps)...]) — oracle-computed, frozen
 FROZEN = [

@@ -27,9 +27,8 @@ from cdle.syntax import (
     TVar,
     Var,
     alpha_eq,
-    free_vars,
+    free_names,
     subst1,
-    term_free_names,
 )
 
 
@@ -62,7 +61,7 @@ def test_erased_binders_never_free_in_corpus(checked_corpus, corpus_defs):
 
     def walk(t):
         if isinstance(t, ELam):
-            body_fvs = free_vars(erase(t.body))
+            body_fvs = free_names(erase(t.body))
             assert t.name not in body_fvs, f"erased binder {t.name} appears in erasure"
         for field_name in getattr(t, "__dataclass_fields__", {}):
             sub = getattr(t, field_name)
@@ -92,18 +91,18 @@ def test_erasure_commutes_with_substitution_on_corpus_subterms(corpus_defs):
     """erase(t[x := s]) is alpha-equal to erase(t)[x := erase(s)] for
     explicit term variables, sampled over corpus bodies."""
     from cdle.syntax import Term
-    from cdle.syntax import substitute as pure_subst
+    from oracle import substitute as pure_subst
 
     rng = random.Random(41)
     bodies = [d.body for _, d in corpus_defs if isinstance(d.body, Term)]
     samples = 0
     for body in bodies:
         subs = _explicit_subterms(body, [])
-        named = [t for t in subs if term_free_names(t)]
+        named = [t for t in subs if free_names(t)]
         if not named:
             continue
         t = rng.choice(named)
-        x = sorted(term_free_names(t))[0]
+        x = sorted(free_names(t))[0]
         s = Var("fresh%sub")
         lhs = erase(subst1(t, x, s))
         rhs = pure_subst(erase(t), x, PVar("fresh%sub"))
@@ -117,7 +116,7 @@ def test_erasure_commutes_with_substitution_on_corpus_subterms(corpus_defs):
 def test_constructor_erasures_are_closed(checked_corpus):
     ck, _ = checked_corpus
     for name in ("nilL", "consL", "nilV", "consV", "appL", "appV"):
-        assert free_vars(ck.pure_env[name]) == frozenset(), f"|{name}| is not closed"
+        assert free_names(ck.pure_env[name]) == frozenset(), f"|{name}| is not closed"
 
 
 def test_nil_erasures_alpha_equal(checked_corpus):

@@ -13,7 +13,7 @@ from cdle.corpus import corpus_manifest, corpus_paths
 from cdle.loader import load_program
 from cdle.surface import ParseError
 
-from conftest import CORPUS, NEGATIVE
+from conftest import CORPUS, NEGATIVE, NEGATIVE_FILES
 
 
 @pytest.fixture
@@ -87,7 +87,7 @@ def _snapshot(defs):
 
 def test_loading_from_threads_equals_loading_one_by_one():
     paths = sorted(glob.glob(os.path.join(NEGATIVE, "*.cdl")))
-    assert len(paths) == 14
+    assert len(paths) == NEGATIVE_FILES
     want = {p: _snapshot(load_program([p], root=CORPUS)) for p in paths}
     got: dict = {}
     errors: list = []

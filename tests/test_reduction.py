@@ -22,9 +22,9 @@ from cdle.reduction import (
     normalize,
 )
 from cdle.corpus import COST_CLASSES, synth_input_nf
-from cdle.syntax import PApp, PLam, PVar, alpha_eq, free_vars, pure_subterms, substitute_many
+from cdle.syntax import PApp, PLam, PVar, alpha_eq, free_names, substitute_many
 from gen import gen_pure, gen_pure_open
-from oracle import oracle_normalize
+from oracle import oracle_normalize, pure_subterms
 
 
 def lam(x, b):
@@ -135,7 +135,7 @@ def test_eta_soundness_guard_sampled():
     while checked < 50:
         f = gen_pure(rng, 10)
         t = lam("w%fresh", ap(f, v("w%fresh")))
-        if "w%fresh" in free_vars(f):
+        if "w%fresh" in free_names(f):
             continue
         pre = ap(t, v("arg%0"))
         post = ap(f, v("arg%0"))
@@ -330,7 +330,7 @@ def reference_tidy_names(t):
     binder, from the root down, takes the first of ``base, base1, base2,
     …`` that is neither free in ``t`` nor taken by an enclosing binder,
     found by probing from ``base`` each time."""
-    global_free = free_vars(t)
+    global_free = free_names(t)
     out = []
     work = [("go", t, {}, frozenset())]
     while work:
@@ -371,7 +371,7 @@ def reference_readback(t, limit=10_000, quadratic=True):
     checked against the probing one on the way."""
     ctr = _Counter(limit, {})
     raw, free = reference_quote(_eval(t, None, ctr), ctr)
-    assert set(free) == free_vars(raw)
+    assert set(free) == free_names(raw)
     named = reference_tidy_names_linear(raw, free)
     if quadratic:
         assert same_term(named, reference_tidy_names(raw))
@@ -397,7 +397,7 @@ def assert_named_as_reference(t, limit=10_000, quadratic=True):
     assert same_term(out.result, named) and out.eta_steps == eta
     ctr = _Counter(limit, {})
     nf, free = _quote(_eval(t, None, ctr), ctr)
-    assert same_term(nf, out.result) and set(free) == free_vars(nf)
+    assert same_term(nf, out.result) and set(free) == free_names(nf)
     return out
 
 
@@ -431,7 +431,7 @@ def test_naming_matches_reference_with_colliding_free_names(monkeypatch):
             t = gen_pure(rng, 24, COLLIDING)
             if normalize(t, Fuel(3000)).fuel_exhausted:
                 continue
-            seen |= free_vars(assert_named_as_reference(t, 3000).result) & set(COLLIDING)
+            seen |= free_names(assert_named_as_reference(t, 3000).result) & set(COLLIDING)
         assert {"x", "x1", "a", "a1", "a%3"} <= seen
 
 

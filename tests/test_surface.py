@@ -19,8 +19,8 @@ from cdle.surface import (
     parse_term,
     parse_type_expr,
 )
-from cdle.syntax import Kind, Span, Term, Type, syntax_alpha_eq
-from conftest import CORPUS, NEGATIVE
+from cdle.syntax import Kind, Span, Term, Type, alpha_eq
+from conftest import CORPUS, NEGATIVE, NEGATIVE_FILES
 from gen import gen_kind, gen_term, gen_type
 
 
@@ -36,14 +36,14 @@ def reparse(x):
 def test_roundtrip_corpus(corpus_defs):
     for path, d in corpus_defs:
         c2 = parse_classifier(pretty(d.classifier))
-        assert syntax_alpha_eq(d.classifier, c2), f"{d.name} classifier roundtrip ({path})"
+        assert alpha_eq(d.classifier, c2), f"{d.name} classifier roundtrip ({path})"
         if d.body is None:
             continue
         if isinstance(d.body, Type):
             b2 = parse_type_expr(pretty(d.body))
         else:
             b2 = parse_term(pretty(d.body))
-        assert syntax_alpha_eq(d.body, b2), f"{d.name} body roundtrip ({path})"
+        assert alpha_eq(d.body, b2), f"{d.name} body roundtrip ({path})"
 
 
 def test_roundtrip_random_syntax_500():
@@ -58,7 +58,7 @@ def test_roundtrip_random_syntax_500():
         else:
             x = gen_kind(rng, 3)
         y = reparse(x)
-        assert syntax_alpha_eq(x, y), f"roundtrip failed for {pretty(x)!r}"
+        assert alpha_eq(x, y), f"roundtrip failed for {pretty(x)!r}"
         done += 1
     assert done == 500
 
@@ -103,14 +103,14 @@ K ◂ ∀ A : ★. ∀ B : ★. A ➔ B ➔ A = Λ A, B. λ x, y. x.
         "import base.\nK ◂ ∀ A : ★. ∀ B : ★. A ➔ B ➔ A = Λ A. Λ B. λ x. λ y. x.\n",
         "<m2>",
     )
-    assert syntax_alpha_eq(mod.defs[0].body, alt.defs[0].body)
-    assert syntax_alpha_eq(mod.defs[0].classifier, alt.defs[0].classifier)
+    assert alpha_eq(mod.defs[0].body, alt.defs[0].body)
+    assert alpha_eq(mod.defs[0].classifier, alt.defs[0].classifier)
 
 
 def test_shared_classifier_binder_group():
     a = parse_type_expr("Π xs, ys : T. xs ≃ ys")
     b = parse_type_expr("Π xs : T. Π ys : T. xs ≃ ys")
-    assert syntax_alpha_eq(a, b)
+    assert alpha_eq(a, b)
 
 
 def test_missing_terminator_is_positioned_error():
@@ -134,13 +134,13 @@ def test_erased_application_forms():
     t = parse_term("f -X a -(g b) -(List · A) -β")
     assert pretty(t)  # printable
     t2 = parse_term(pretty(t))
-    assert syntax_alpha_eq(t, t2)
+    assert alpha_eq(t, t2)
 
 
 def test_guided_rho_syntax_roundtrip():
     t = parse_term("ρ q { h . Vec · A h } - x")
     assert t.guide is not None and t.guide[0] == "h"
-    assert syntax_alpha_eq(t, parse_term(pretty(t)))
+    assert alpha_eq(t, parse_term(pretty(t)))
 
 
 def test_arrow_resugaring():
@@ -164,13 +164,13 @@ def test_underscore_binds_everywhere_and_round_trips():
     ]
     for text in types:
         ty = parse_type_expr(text)
-        assert syntax_alpha_eq(reparse(ty), ty), text
+        assert alpha_eq(reparse(ty), ty), text
     assert pretty(parse_type_expr(types[0])) == "Nat ➔ Bool ➔ Nat"
     for text in ["λ _. λ m. m", "Λ _. λ _ : Nat. zero", "ρ q { _ . Nat } - t"]:
         t = parse_term(text)
-        assert syntax_alpha_eq(reparse(t), t), text
+        assert alpha_eq(reparse(t), t), text
     kind = parse_classifier("Π _ : Nat. Π _ : ★. ★")
-    assert syntax_alpha_eq(reparse(kind), kind)
+    assert alpha_eq(reparse(kind), kind)
 
 
 @pytest.mark.parametrize(
@@ -302,7 +302,7 @@ def _lexer_inputs():
 
 def test_lexer_matches_reference_lexer():
     texts = list(_lexer_inputs())
-    assert len(texts) == 24 + 600 + len(LEXER_EDGE_CASES)
+    assert len(texts) == 10 + NEGATIVE_FILES + 600 + len(LEXER_EDGE_CASES)
     for text in texts:
         assert _lexed(lex, text) == _lexed(reference_lex, text), repr(text)
 

@@ -1,6 +1,9 @@
 """Kernel syntax laws: alpha-equivalence, substitution, free variables."""
 
+import ast
 import dataclasses
+import glob
+import os
 import random
 import sys
 
@@ -32,6 +35,7 @@ from cdle.syntax import (
     Phi,
     Pi,
     Proj,
+    PureTerm,
     PVar,
     Rho,
     Span,
@@ -45,16 +49,13 @@ from cdle.syntax import (
     Type,
     Var,
     alpha_eq,
+    free_names,
     fresh_name,
-    free_vars,
     promote_skeleton,
-    pure_size,
     subst1,
-    substitute,
-    syntax_alpha_eq,
-    term_free_names,
 )
 from gen import change_leaf, count_leaves, gen_kind, gen_pure, gen_pure_open, gen_term, gen_type, rename_binders
+from oracle import pure_size, substitute
 
 
 def lam(x, b):
@@ -115,8 +116,8 @@ def test_substitute_examples():
 
 
 def test_free_vars_examples():
-    assert free_vars(lam("x", v("x"))) == frozenset()
-    assert free_vars(lam("x", ap(v("x"), v("y")))) == frozenset({"y"})
+    assert free_names(lam("x", v("x"))) == frozenset()
+    assert free_names(lam("x", ap(v("x"), v("y")))) == frozenset({"y"})
 
 
 def test_free_names_of_deep_terms():
@@ -127,7 +128,7 @@ def test_free_names_of_deep_terms():
     t = ap(ap(v("x0"), v(f"x{depth - 1}")), ap(v(f"x{depth}"), v("y")))
     for i in reversed(range(depth)):
         t = lam(f"x{i}", ap(t, v(f"x{i}")))
-    assert free_vars(ap(t, v("x5"))) == {f"x{depth}", "y", "x5"}
+    assert free_names(ap(t, v("x5"))) == {f"x{depth}", "y", "x5"}
 
     body = App(Var("x0"), Var(f"x{depth}"))
     for i in reversed(range(depth)):
@@ -136,8 +137,8 @@ def test_free_names_of_deep_terms():
     ty = Eq(Var("x0"), Var("z"))
     for i in reversed(range(depth)):
         ty = Pi(f"x{i}", TAppE(TVar("P"), Var(f"x{max(i - 1, 0)}")), ty)
-    assert term_free_names(body) == {f"x{depth}"}
-    assert term_free_names(ty) == {"P", "x0", "z"}
+    assert free_names(body) == {f"x{depth}"}
+    assert free_names(ty) == {"P", "x0", "z"}
 
 
 def _samples(n, budget=24, seed=7, open_terms=False):
@@ -153,24 +154,15 @@ def test_alpha_eq_is_equivalence_on_1000_samples():
     for t in terms:
         assert alpha_eq(t, t)
     for t in terms[:300]:
-        r1 = _rename_binders(t, "%r1")
-        r2 = _rename_binders(t, "%r2")
+        r1 = rename_binders(t, "%r1")
+        r2 = rename_binders(t, "%r2")
         assert alpha_eq(t, r1) and alpha_eq(r1, t)  # symmetry
         assert alpha_eq(r1, r2) and alpha_eq(t, r2)  # transitivity witness
 
 
-def _rename_binders(t, suffix):
-    if isinstance(t, PVar):
-        return t
-    if isinstance(t, PLam):
-        fresh = t.name + suffix
-        return PLam(fresh, _rename_binders(substitute(t.body, t.name, PVar(fresh)), suffix))
-    return PApp(_rename_binders(t.fn, suffix), _rename_binders(t.arg, suffix))
-
-
 def test_substitute_self_is_identity_sampled():
     for t in _samples(300, seed=5, open_terms=True):
-        for x in sorted(free_vars(t)) or ["u"]:
+        for x in sorted(free_names(t)) or ["u"]:
             assert alpha_eq(substitute(t, x, PVar(x)), t)
 
 
@@ -180,12 +172,12 @@ def test_free_vars_of_substitution_sampled():
         b = gen_pure_open(rng, 18)
         val = gen_pure_open(rng, 10)
         x = rng.choice(["u", "v", "w"])
-        got = free_vars(substitute(b, x, val))
-        bound = (free_vars(b) - {x}) | free_vars(val)
-        if x in free_vars(b):
+        got = free_names(substitute(b, x, val))
+        bound = (free_names(b) - {x}) | free_names(val)
+        if x in free_names(b):
             assert got <= bound
         else:
-            assert got == free_vars(b)
+            assert got == free_names(b)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -232,7 +224,7 @@ def reference_subst_syntax(x, env):
         return x
     fvs = set()
     for v in env.values():
-        fvs |= term_free_names(v)
+        fvs |= free_names(v)
 
     def under(binder, sub, env):
         env2 = {k: v for k, v in env.items() if k != binder}
@@ -251,7 +243,7 @@ def reference_subst_syntax(x, env):
             hit_types = {
                 k for k, v in env.items() if isinstance(v, Type) and not isinstance(v, TVar)
             }
-            if hit_types and not hit_types.isdisjoint(term_free_names(cur.expr)):
+            if hit_types and not hit_types.isdisjoint(free_names(cur.expr)):
                 return go(promote_skeleton(cur.expr), env)
             return DeferredArg(go(cur.expr, env), cur.span)
         cls = type(cur)
@@ -379,8 +371,8 @@ def test_subst_matches_reference_on_corpus_check(corpus_substitutions):
     assert len(corpus_substitutions) > 3000
     shared = 0
     for x, env, out in corpus_substitutions:
-        assert syntax_alpha_eq(out, reference_subst_syntax(x, env))
-        if not set(env).isdisjoint(term_free_names(x)):
+        assert alpha_eq(out, reference_subst_syntax(x, env))
+        if not set(env).isdisjoint(free_names(x)):
             continue
         assert out is x
         shared += 1
@@ -409,7 +401,7 @@ def test_subst_of_a_name_by_itself_or_of_a_non_free_name_is_the_target(corpus_de
         for t in (d.classifier, d.body):
             if t is None:
                 continue
-            free = term_free_names(t)
+            free = free_names(t)
             for name in sorted(free):
                 assert subst1(t, name, Var(name)) is t
                 assert subst1(t, name, TVar(name)) is t
@@ -448,7 +440,7 @@ def test_subst_under_nested_capturing_binders_walks_once(monkeypatch):
     each binder's body to see whether a name is due there took 301, and
     the result is α-equal to the reference's."""
     calls = []
-    real = cdle.syntax.term_free_names
+    real = cdle.syntax.free_names
 
     def counted(x):
         calls.append(x)
@@ -458,11 +450,11 @@ def test_subst_under_nested_capturing_binders_walks_once(monkeypatch):
     t = Eq(Var("x"), Var("z"))
     for _ in range(depth):
         t = Pi("y", TVar("A"), t)
-    monkeypatch.setattr(cdle.syntax, "term_free_names", counted)
+    monkeypatch.setattr(cdle.syntax, "free_names", counted)
     out = subst1(t, "x", Var("y"))
     assert len(calls) == 1
     monkeypatch.undo()
-    assert syntax_alpha_eq(out, reference_subst_syntax(t, {"x": Var("y")}))
+    assert alpha_eq(out, reference_subst_syntax(t, {"x": Var("y")}))
     for _ in range(depth):
         assert out.name != "y"
         out = out.cod
@@ -490,7 +482,7 @@ def test_subst_renames_a_capturing_binder_only_for_a_name_due_in_its_body():
     out = subst1(t, "x", rep)
     inner = out.body.arg
     assert out.name != "y" and inner.name != "z" and inner.body == Var(out.name)
-    assert syntax_alpha_eq(out, reference_subst_syntax(t, {"x": rep}))
+    assert alpha_eq(out, reference_subst_syntax(t, {"x": rep}))
     t = Lam("y", App(Var("x"), Lam("z", Var("w"))))
     assert subst1(t, "x", rep).body.arg is t.body.arg
 
@@ -499,18 +491,15 @@ def test_subst_renames_a_capturing_binder_only_for_a_name_due_in_its_body():
 
 
 def test_layout_accounts_for_every_node_class_and_field():
-    """Each node class of annotated syntax has a layout entry, and each of
-    its fields is a child, a binder named in the entry, ``span``, or a
-    datum the traversals read themselves; so a new node or field cannot
-    slip past free names, substitution and α-equality."""
-    data = {(Var, "name"), (TVar, "name"), (Proj, "idx")}
-    classes = {
-        c
-        for c in vars(cdle.syntax).values()
-        if isinstance(c, type) and c not in (Term, Type, Kind) and issubclass(c, (Term, Type, Kind))
-    }
+    """Each node class of pure and annotated syntax has a layout entry,
+    and each of its fields is a child, a binder named in the entry,
+    ``span``, or a datum the traversals read themselves; so a new node or
+    field cannot slip past free names, substitution and α-equality."""
+    data = {(PVar, "name"), (Var, "name"), (TVar, "name"), (Proj, "idx")}
+    bases = (PureTerm, Term, Type, Kind)
+    classes = {c for c in vars(cdle.syntax).values() if isinstance(c, type) and c not in bases and issubclass(c, bases)}
     classes.add(DeferredArg)
-    assert len(classes) == 24
+    assert len(classes) == 27
     assert set(LAYOUT) == classes
     for cls in classes:
         children = [child for child, _ in LAYOUT[cls]]
@@ -526,7 +515,7 @@ def test_layout_accounts_for_every_node_class_and_field():
 
 
 def reference_term_free_names(x):
-    """``term_free_names`` as it was before the layout table: one ladder
+    """``free_names`` as it was before the layout table: one ladder
     over the node classes."""
     out = set()
     bound = {}
@@ -545,14 +534,16 @@ def reference_term_free_names(x):
         if isinstance(cur, DeferredArg):
             stack.append(cur.expr)
             continue
-        if isinstance(cur, (Var, TVar)):
+        if isinstance(cur, (PVar, Var, TVar)):
             if not bound.get(cur.name):
                 out.add(cur.name)
             continue
         if isinstance(cur, (Beta, Star)):
             continue
         cls = type(cur)
-        if cls in (Lam, ELam, TLam):
+        if cls is PLam:
+            under(cur.name, cur.body)
+        elif cls in (Lam, ELam, TLam):
             if cur.ann is not None:
                 stack.append(cur.ann)
             under(cur.name, cur.body)
@@ -562,7 +553,7 @@ def reference_term_free_names(x):
         elif cls is Iota:
             stack.append(cur.fst)
             under(cur.name, cur.snd)
-        elif cls in (App, EApp, TAppT, TAppE):
+        elif cls in (PApp, App, EApp, TAppT, TAppE):
             stack.append(cur.fn)
             stack.append(cur.arg)
         elif cls is Rho:
@@ -590,7 +581,7 @@ def reference_term_free_names(x):
 
 
 def reference_syntax_alpha_eq(a, b):
-    """``syntax_alpha_eq`` as it was before the layout table: a recursive
+    """``alpha_eq`` as it was before the layout table: a recursive
     ladder over the node classes that copies both binder maps per binder."""
 
     def go(x, y, envx, envy):
@@ -601,10 +592,12 @@ def reference_syntax_alpha_eq(a, b):
         cx, cy = type(x), type(y)
         if cx is not cy:
             return False
-        if cx in (Var, TVar):
+        if cx in (PVar, Var, TVar):
             return envx.get(x.name, ("free", x.name)) == envy.get(y.name, ("free", y.name))
         if cx in (Beta, Star):
             return True
+        if cx is PLam:
+            return bound(x.name, x.body, y.name, y.body, envx, envy)
         if cx in (Lam, ELam, TLam):
             if (x.ann is None) != (y.ann is None):
                 return False
@@ -615,7 +608,7 @@ def reference_syntax_alpha_eq(a, b):
             return go(x.dom, y.dom, envx, envy) and bound(x.name, x.cod, y.name, y.cod, envx, envy)
         if cx is Iota:
             return go(x.fst, y.fst, envx, envy) and bound(x.name, x.snd, y.name, y.snd, envx, envy)
-        if cx in (App, EApp, TAppT, TAppE):
+        if cx in (PApp, App, EApp, TAppT, TAppE):
             return go(x.fn, y.fn, envx, envy) and go(x.arg, y.arg, envx, envy)
         if cx is Rho:
             if (x.guide is None) != (y.guide is None):
@@ -650,54 +643,56 @@ def reference_syntax_alpha_eq(a, b):
     return go(a, b, {}, {})
 
 
-def _syntax_samples(corpus_defs):
+def _syntax_samples(corpus_defs, checked_corpus):
     items = [t for _, d in corpus_defs for t in (d.classifier, d.body) if t is not None]
     rng = random.Random(1303)
     for _ in range(150):
         items.append(gen_term(rng, 5))
         items.append(gen_type(rng, 5))
         items.append(gen_kind(rng, 4))
+    items.extend(checked_corpus[0].pure_env.values())  # the expanded erasures
     return items
 
 
-def test_free_names_match_reference(corpus_defs):
-    """Every corpus classifier and body, and seeded random terms, types
-    and kinds, with their binders renamed and with one leaf changed."""
+def test_free_names_match_reference(corpus_defs, checked_corpus):
+    """Every corpus classifier and body, seeded random terms, types and
+    kinds, and the corpus erasures, with their binders renamed and with
+    one leaf changed."""
     rng = random.Random(1304)
-    for x in _syntax_samples(corpus_defs):
+    for x in _syntax_samples(corpus_defs, checked_corpus):
         variants = [x, rename_binders(x, "%r")]
         n = count_leaves(x)
         if n:
             variants.append(change_leaf(x, rng.randrange(n))[0])
         for y in variants:
-            assert term_free_names(y) == reference_term_free_names(y)
+            assert free_names(y) == reference_term_free_names(y)
 
 
-def test_syntax_alpha_eq_matches_reference(corpus_defs):
+def test_syntax_alpha_eq_matches_reference(corpus_defs, checked_corpus):
     """Each sample against itself, a binder-renamed copy (α-equal) and a
     copy with one leaf changed (not α-equal), and neighbouring samples
     against each other: both implementations give the expected answer."""
     rng = random.Random(1305)
-    items = _syntax_samples(corpus_defs)
+    items = _syntax_samples(corpus_defs, checked_corpus)
     renamed = changed = 0
     for i, x in enumerate(items):
         r = rename_binders(x, "%r")
-        assert syntax_alpha_eq(x, x) and reference_syntax_alpha_eq(x, x)
-        assert syntax_alpha_eq(x, r) and reference_syntax_alpha_eq(x, r)
-        assert syntax_alpha_eq(r, x) and reference_syntax_alpha_eq(r, x)
+        assert alpha_eq(x, x) and reference_syntax_alpha_eq(x, x)
+        assert alpha_eq(x, r) and reference_syntax_alpha_eq(x, r)
+        assert alpha_eq(r, x) and reference_syntax_alpha_eq(r, x)
         renamed += r != x
         n = count_leaves(x)
         if n:
             c = change_leaf(x, rng.randrange(n))[0]
-            assert not syntax_alpha_eq(x, c) and not reference_syntax_alpha_eq(x, c)
-            assert not syntax_alpha_eq(c, r) and not reference_syntax_alpha_eq(c, r)
+            assert not alpha_eq(x, c) and not reference_syntax_alpha_eq(x, c)
+            assert not alpha_eq(c, r) and not reference_syntax_alpha_eq(c, r)
             changed += 1
         y = items[i - 1]
-        assert syntax_alpha_eq(x, y) == reference_syntax_alpha_eq(x, y)
+        assert alpha_eq(x, y) == reference_syntax_alpha_eq(x, y)
     assert renamed > 500 and changed > 500
-    assert not syntax_alpha_eq(Proj(Var("p"), 1), Proj(Var("p"), 2))
-    assert not syntax_alpha_eq(Lam("x", Var("x"), TVar("A")), Lam("x", Var("x")))
-    assert not syntax_alpha_eq(Rho(Beta(), Beta(), ("x", TVar("A"))), Rho(Beta(), Beta()))
+    assert not alpha_eq(Proj(Var("p"), 1), Proj(Var("p"), 2))
+    assert not alpha_eq(Lam("x", Var("x"), TVar("A")), Lam("x", Var("x")))
+    assert not alpha_eq(Rho(Beta(), Beta(), ("x", TVar("A"))), Rho(Beta(), Beta()))
 
 
 def test_free_names_and_alpha_eq_of_10000_deep_chains():
@@ -720,12 +715,34 @@ def test_free_names_and_alpha_eq_of_10000_deep_chains():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        assert term_free_names(pi_chain("x", 0)) == {"P", "w", "z"}
-        assert term_free_names(pi_chain("x", depth)) == {"P", "w", "z", f"x{depth}"}
-        assert term_free_names(lam_chain("x", depth)) == {"A", "z", f"x{depth}"}
-        assert syntax_alpha_eq(pi_chain("x", 0), pi_chain("y", 0))
-        assert not syntax_alpha_eq(pi_chain("x", 0), pi_chain("y", 1))
-        assert syntax_alpha_eq(lam_chain("x", 7), lam_chain("y", 7))
-        assert not syntax_alpha_eq(lam_chain("x", 7), lam_chain("y", depth))
+        assert free_names(pi_chain("x", 0)) == {"P", "w", "z"}
+        assert free_names(pi_chain("x", depth)) == {"P", "w", "z", f"x{depth}"}
+        assert free_names(lam_chain("x", depth)) == {"A", "z", f"x{depth}"}
+        assert alpha_eq(pi_chain("x", 0), pi_chain("y", 0))
+        assert not alpha_eq(pi_chain("x", 0), pi_chain("y", 1))
+        assert alpha_eq(lam_chain("x", 7), lam_chain("y", 7))
+        assert not alpha_eq(lam_chain("x", 7), lam_chain("y", depth))
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_every_syntax_function_has_a_caller_in_the_kernel():
+    """No function of ``cdle.syntax`` lives for the tests alone: each
+    top-level one is referred to by some module of ``src/cdle`` outside
+    its own body (an import alone does not count).  The pure-term helpers
+    only the tests need live in ``tests/oracle.py``."""
+    src = os.path.dirname(cdle.syntax.__file__)
+    used: set[str] = set()
+    for path in glob.glob(os.path.join(src, "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for stmt in tree.body:
+            names = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
+            if isinstance(stmt, ast.FunctionDef):
+                names.discard(stmt.name)
+            used |= names
+    with open(cdle.syntax.__file__, encoding="utf-8") as fh:
+        functions = {stmt.name for stmt in ast.parse(fh.read()).body if isinstance(stmt, ast.FunctionDef)}
+    assert {"subst_syntax", "substitute_many"} <= functions
+    assert sorted(functions - used) == []

@@ -10,10 +10,10 @@ import pytest
 from cdle.corpus import negative_expectations
 from cdle.loader import load_program
 from cdle.surface import parse_term, parse_type_expr
-from cdle.syntax import Eq, Kind, Pi, Star, TermBind, TVar, free_vars
+from cdle.syntax import Eq, Kind, Pi, Star, TermBind, TVar, free_names
 from cdle.typecheck import CheckError, Checker, ErrorCode, check_defs
 
-from conftest import CORPUS, NEGATIVE
+from conftest import CORPUS, NEGATIVE, NEGATIVE_FILES
 
 
 @contextmanager
@@ -226,7 +226,7 @@ NEG_EXPECT = negative_expectations(NEGATIVE)
 
 @pytest.mark.parametrize("stem,want", sorted(NEG_EXPECT.items()))
 def test_negative_suite(stem, want):
-    assert len(NEG_EXPECT) == len([f for f in os.listdir(NEGATIVE) if f.endswith(".cdl")]) == 14
+    assert len(NEG_EXPECT) == len([f for f in os.listdir(NEGATIVE) if f.endswith(".cdl")]) == NEGATIVE_FILES
     defs = load_program([f"negative/{stem}.cdl"], root=CORPUS)
     ck, report = check_defs(defs)
     bad = [r for r in report.results if not r.ok]
@@ -731,9 +731,9 @@ def reference_replace_pure(t, pat, rep):
     """ρ's occurrence replacement as it was before ``_rewrite_nf``: freshen
     the binders named free in ``pat`` or ``rep``, then replace maximal
     α-matches of ``pat``; returns the pure result and the match count."""
-    from cdle.syntax import PApp, PLam, alpha_eq, free_vars
+    from cdle.syntax import PApp, PLam, alpha_eq, free_names
 
-    t = reference_freshen_binders(t, free_vars(pat) | free_vars(rep))
+    t = reference_freshen_binders(t, free_names(pat) | free_names(rep))
     count = [0]
 
     def go(x):
@@ -776,11 +776,11 @@ def reference_inject_pure(t):
 
 
 def _assert_rewrite_matches_reference(t, pat, rep, got):
-    from cdle.syntax import syntax_alpha_eq
+    from cdle.syntax import alpha_eq
 
     want, n = reference_replace_pure(t, pat, rep)
     assert got[1] == n
-    assert syntax_alpha_eq(got[0], reference_inject_pure(want))
+    assert alpha_eq(got[0], reference_inject_pure(want))
 
 
 def test_rho_rewrite_matches_reference_on_corpus_check(corpus_defs, monkeypatch):
@@ -803,7 +803,7 @@ def test_rho_rewrite_matches_reference_on_corpus_check(corpus_defs, monkeypatch)
     assert report.ok
     assert len(calls) > 40 and sum(out[1] > 0 for *_, out in calls) > 20
     for t, pat, rep, avoid, out in calls:
-        assert avoid == free_vars(pat) | free_vars(rep)
+        assert avoid == free_names(pat) | free_names(rep)
         _assert_rewrite_matches_reference(t, pat, rep, out)
 
 
@@ -813,7 +813,7 @@ def test_rho_rewrite_matches_reference_on_seeded_terms():
     under that binder."""
     import random
 
-    from cdle.syntax import pure_subterms
+    from oracle import pure_subterms
     from cdle.typecheck import _rewrite_nf
     from gen import gen_pure_open
 
@@ -823,7 +823,7 @@ def test_rho_rewrite_matches_reference_on_seeded_terms():
         t = gen_pure_open(rng, 30)
         pat = rng.choice(list(pure_subterms(t)))
         rep = gen_pure_open(rng, 8)
-        out = _rewrite_nf(t, pat, rep, free_vars(pat) | free_vars(rep))
+        out = _rewrite_nf(t, pat, rep, free_names(pat) | free_names(rep))
         _assert_rewrite_matches_reference(t, pat, rep, out)
         matched += out[1] > 0
     assert matched > 200
@@ -950,7 +950,7 @@ class ReferenceChecker(Checker):
         from cdle.syntax import All, AllK, Iota, TAppE, TAppT, TLam, Var, fresh_name, subst1
         from cdle.typecheck import _out_of_fuel, _rewrite_nf
 
-        avoid = free_vars(pat) | free_vars(rep)
+        avoid = free_names(pat) | free_names(rep)
 
         def freshen_if(name, under):
             if name in avoid or name in self.pure_env:
@@ -1021,13 +1021,13 @@ def _outcome(fn, *args):
 def _same(got, want):
     """Whether two outcomes agree: one error code, one verdict, or
     α-equal syntax."""
-    from cdle.syntax import syntax_alpha_eq
+    from cdle.syntax import alpha_eq
 
     if got[0] != want[0] or got[0] == "error":
         return got[:2] == want[:2]
     if isinstance(got[1], bool):
         return got[1] is want[1]
-    return syntax_alpha_eq(got[1], want[1])
+    return alpha_eq(got[1], want[1])
 
 
 def _opened(args):
