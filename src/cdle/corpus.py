@@ -64,7 +64,6 @@ class CorpusEntry:
     golden_erasure: Optional[str] = None
     same_erasure: Optional[str] = None
     cost_class: Optional[str] = None  # "constant" | "linear"
-    input_kind: Optional[str] = None  # "list" | "vec" (cost harness input)
 
 
 _DIRECTIVE = re.compile(r"\s*([\w-]+):\s*(\S.*?)\s*")
@@ -151,7 +150,8 @@ def corpus_manifest(root: Optional[str] = None) -> list[CorpusEntry]:
                 raise ValueError(f"{where}: golden {golden!r} is not a pure term: {e}") from None
         if same is not None and same not in {e.name for e in entries}:
             raise ValueError(f"{where}: same-erasure {same!r} names no earlier definition")
-        entries.append(CorpusEntry(d.name, file, golden, same, *COST_CLASSES.get(d.name, (None, None))))
+        cost_class = COST_CLASSES[d.name][0] if d.name in COST_CLASSES else None
+        entries.append(CorpusEntry(d.name, file, golden, same, cost_class))
     return entries
 
 

@@ -645,9 +645,5 @@ def parse_term(text: str, path: str = "<input>") -> Term:
     return _parse(text, path, "term", Parser.parse_term)
 
 
-def parse_type_expr(text: str, path: str = "<input>") -> Type:
-    return _parse(text, path, "type", Parser.parse_type)
-
-
 def parse_classifier(text: str, path: str = "<input>") -> Union[Type, Kind]:
     return _parse(text, path, "classifier", lambda p: p.parse_classifier()[1])

@@ -20,14 +20,15 @@ them; no other code has seen those nodes yet.
 
 One layout table, ``LAYOUT``, lists the children and binders of every
 node class, pure and annotated, and the traversals walk it: one free-name
-walk (``free_names``) and one alpha-equivalence (``alpha_eq``) serve
-every sort of syntax.  Both are iterative, as are the pure substitution
-``substitute_many``, erasure, the normalizer and rho's rewrite of a
+walk (``free_names``), one alpha-equivalence (``alpha_eq``) and one
+substitution (``subst_syntax``) serve every sort of syntax.  The first
+two are iterative, as are erasure, the normalizer and rho's rewrite of a
 normal form (``typecheck._rewrite_nf``), because erased terms can be
 deep (spines of a few thousand applications occur in the cost harness).
-``subst_syntax`` and the skeleton coercions recurse once per nesting
-level, as do the checker and the printer, so Python's recursion limit
-bounds the depth they reach.
+``subst_syntax`` goes down an application spine by a loop and recurses
+once per binder scope and argument; the skeleton coercions recurse once
+per nesting level, as do the checker and the printer (bar their spine
+loops), so Python's recursion limit bounds the depth they reach.
 """
 
 from __future__ import annotations
@@ -98,49 +99,6 @@ def fresh_name(hint: str = "x") -> str:
     if not base:
         base = "x"
     return f"{base}%{next(_fresh_counter)}"
-
-
-def substitute_many(t: PureTerm, env: dict[str, PureTerm]) -> PureTerm:
-    """Capture-avoiding simultaneous substitution ``t[env]``: binders of
-    ``t`` that would capture a free variable of a replacement are renamed
-    with globally fresh names."""
-    if not env:
-        return t
-    all_fvs: frozenset[str] = frozenset().union(*(free_names(v) for v in env.values()))
-    results: list[PureTerm] = []
-    work: list[tuple] = [("go", t, env)]
-    while work:
-        frame = work.pop()
-        tag = frame[0]
-        if tag == "go":
-            _, cur, cenv = frame
-            if isinstance(cur, PVar):
-                results.append(cenv.get(cur.name, cur))
-            elif isinstance(cur, PApp):
-                work.append(("app",))
-                work.append(("go", cur.arg, cenv))
-                work.append(("go", cur.fn, cenv))
-            else:
-                assert isinstance(cur, PLam)
-                cenv2 = {k: v for k, v in cenv.items() if k != cur.name}
-                if not cenv2:
-                    results.append(cur)
-                    continue
-                binder = cur.name
-                if binder in all_fvs:
-                    binder2 = fresh_name(binder)
-                    cenv2 = dict(cenv2)
-                    cenv2[cur.name] = PVar(binder2)
-                    binder = binder2
-                work.append(("lam", binder))
-                work.append(("go", cur.body, cenv2))
-        elif tag == "lam":
-            results.append(PLam(frame[1], results.pop()))
-        else:
-            arg = results.pop()
-            fn = results.pop()
-            results.append(PApp(fn, arg))
-    return results[0]
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +421,7 @@ class Context:
 
 
 # ---------------------------------------------------------------------------
-# Traversals of all syntax, and substitution over annotated syntax
+# Traversals of all syntax
 # ---------------------------------------------------------------------------
 
 
@@ -477,14 +435,14 @@ class Context:
 # The other fields are ``span`` and the data the traversals read
 # themselves: the name of a ``PVar``, ``Var`` or ``TVar`` leaf and the
 # index of a ``Proj``.  Pure terms are the ``PVar``/``PLam``/``PApp``
-# rows; ``subst_syntax`` takes only annotated syntax (``substitute_many``
-# is the pure substitution).
+# rows.
 GUIDE = "(hole, template)"
+_APPS = (PApp, App, EApp, TAppT, TAppE)  # application nodes: ``subst_syntax`` loops down their spines
 LAYOUT: dict[type, tuple[tuple[str, Optional[str]], ...]] = {
     **dict.fromkeys((PVar, Var, TVar, Beta, Star), ()),
     PLam: (("body", "name"),),
     **dict.fromkeys((Lam, ELam, TLam), (("ann", None), ("body", "name"))),
-    **dict.fromkeys((PApp, App, EApp, TAppT, TAppE), (("fn", None), ("arg", None))),
+    **dict.fromkeys(_APPS, (("fn", None), ("arg", None))),
     **dict.fromkeys((Pi, All, AllK, KPi, KPiK), (("dom", None), ("cod", "name"))),
     Iota: (("fst", None), ("snd", "name")),
     IotaPair: (("fst", None), ("snd", None)),
@@ -529,31 +487,39 @@ def free_names(x: Union[PureTerm, Term, Type, Kind, DeferredArg]) -> frozenset[s
     return frozenset(out)
 
 
-def subst_syntax(x, env: dict[str, Union[Term, Type]]):
-    """Capture-avoiding simultaneous substitution over annotated syntax.
+def subst_syntax(x, env: dict[str, Union[PureTerm, Term, Type]]):
+    """Capture-avoiding simultaneous substitution over any syntax, pure
+    or annotated.
 
-    ``env`` maps names to replacement Terms or Types; a Var hit by a Type
-    replacement (or TVar by a Term) indicates a sort error upstream and
-    raises.  Entries ``x ↦ x`` are dropped first, and so is one for ``_``,
-    which binds (an arrow's binder is ``_``) but is never referred to.
-    The checker instantiates a whole telescope in one call (``typecheck``).
+    ``env`` maps names to replacements of the target's sort: pure terms
+    into a pure term, Terms or Types into annotated syntax.  A variable
+    replacement is a renaming and keeps the occurrence's sort; any other
+    replacement of the wrong sort (a Type hitting a Var, a Term hitting a
+    TVar, pure and annotated syntax mixed) indicates an error upstream
+    and raises.  Entries ``x ↦ x`` are dropped first, and so is one for
+    ``_``, which binds (an arrow's binder is ``_``) but is never referred
+    to.  The checker instantiates a whole telescope in one call
+    (``typecheck``), and unfolds the globals an erasure names in one
+    (``Checker.pure_of``).
 
     Sharing: every subtree the substitution leaves unchanged comes back
     as the same object, ``x`` itself included, so a substitution rebuilds
     only the paths down to the occurrences it replaces.  This is safe
-    because no code assigns to an annotated node.  A binder whose name
-    is free in a replacement is renamed, with a globally fresh name,
-    only when a name still due under it occurs free in its body;
-    the replacements' free names are computed when the walk first reaches
-    a binder.  The walk itself tells: it substitutes into the body with
-    the binder renamed, and keeps both as they were when it replaced
-    nothing there but the binder's own occurrences, so nested capturing
-    binders cost one walk in all.  Recursive: annotated syntax stays
-    shallow (unlike erasures).
+    because no code assigns to a node it did not build (module
+    docstring).  A binder whose name is free in a replacement is
+    renamed, with a globally fresh name, only when a name still due
+    under it occurs free in its body; the replacements' free names are
+    computed when the walk first reaches a binder.  The walk itself
+    tells: it substitutes into the body with the binder renamed, and
+    keeps both as they were when it replaced nothing there but the
+    binder's own occurrences, so nested capturing binders cost one walk
+    in all.  An application spine is walked by a loop, so its length
+    costs no recursion; the walk recurses once per binder scope and per
+    argument.
     """
     if not env:
         return x
-    top = {k: v for k, v in env.items() if k != "_" and not (type(v) in (Var, TVar) and v.name == k)}
+    top = {k: v for k, v in env.items() if k != "_" and not (type(v) in (PVar, Var, TVar) and v.name == k)}
     if not top:
         return x
     fvs: Optional[set[str]] = None
@@ -583,23 +549,39 @@ def subst_syntax(x, env: dict[str, Union[Term, Type]]):
     def go(cur, env):
         nonlocal hits
         cls = type(cur)
-        if cls is Var or cls is TVar:
+        if cls is Var or cls is TVar or cls is PVar:
             rep = env.get(cur.name)
             if rep is None:
                 return cur
             hits += 1
-            if type(rep) is Var and rep.name in own:
+            kind = type(rep)
+            if kind is Var and rep.name in own:
                 own[rep.name] += 1
-            if type(rep) is Var or type(rep) is TVar:
+            if kind is Var or kind is TVar or kind is PVar:
                 # a renaming keeps the occurrence's sort (a deferred name
                 # may be resolved at either) and its source span
-                return cls(rep.name, cur.span)
-            if cls is Var:
-                if isinstance(rep, Type):
-                    raise TypeError(f"type used at term position: {cur.name}")
-            elif isinstance(rep, Term):
-                raise TypeError(f"term used at type position: {cur.name}")
+                return PVar(rep.name) if cls is PVar else cls(rep.name, cur.span)
+            want = Term if cls is Var else Type if cls is TVar else PureTerm
+            if not isinstance(rep, want):
+                raise TypeError(f"{type(rep).__name__} used at {want.__name__} position: {cur.name}")
             return rep
+        if cls in _APPS:
+            # down the spine by a loop, then back up rebuilding what changed
+            apps = []
+            while cls in _APPS:
+                apps.append(cur)
+                cur = cur.fn
+                cls = type(cur)
+            out = go(cur, env)
+            for app in reversed(apps):
+                arg = app.arg
+                kind = type(arg)
+                if not ((kind is Var or kind is TVar or kind is PVar) and arg.name not in env):
+                    arg = go(arg, env)  # an untouched leaf costs no call
+                if out is not app.fn or arg is not app.arg:
+                    app = PApp(out, arg) if type(app) is PApp else type(app)(out, arg, app.span)
+                out = app
+            return out
         if cls is DeferredArg:
             # a type replacement hitting the skeleton resolves its sort
             hit_types = {
@@ -614,7 +596,7 @@ def subst_syntax(x, env: dict[str, Union[Term, Type]]):
                 continue
             if binder is None:
                 kind = type(sub)
-                if (kind is Var or kind is TVar) and sub.name not in env:
+                if (kind is Var or kind is TVar or kind is PVar) and sub.name not in env:
                     continue  # an untouched leaf costs no call
                 sub2 = go(sub, env)
                 if sub2 is not sub:
@@ -634,8 +616,8 @@ def subst_syntax(x, env: dict[str, Union[Term, Type]]):
     return go(x, top)
 
 
-def subst1(x, name: str, value: Union[Term, Type]):
-    """Single-variable substitution over annotated syntax."""
+def subst1(x, name: str, value: Union[PureTerm, Term, Type]):
+    """Single-variable substitution over any syntax."""
     return subst_syntax(x, {name: value})
 
 

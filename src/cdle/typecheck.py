@@ -111,7 +111,6 @@ from .syntax import (
     promote_skeleton,
     subst1,
     subst_syntax,
-    substitute_many,
 )
 
 
@@ -170,13 +169,15 @@ class Checker:
 
     def pure_of(self, t: Term) -> PureTerm:
         """Erasure of ``t`` with the top-level definitions it mentions
-        expanded.  The checker calls it only to fill ``pure_env``,
-        whose expanded entries callers read directly: conversions and ρ
-        normalize the plain erasure and pass ``pure_env`` to the machine,
-        which unfolds a global when it looks the name up."""
+        expanded, by one ``subst_syntax`` of their ``pure_env`` entries,
+        which it shares rather than copies.  The checker calls it only to
+        fill ``pure_env``, whose expanded entries callers read directly:
+        conversions and ρ normalize the plain erasure and pass
+        ``pure_env`` to the machine, which unfolds a global when it looks
+        the name up."""
         p = erase(t)
         env = self.pure_env
-        return substitute_many(p, {n: env[n] for n in free_names(p) if n in env})
+        return subst_syntax(p, {n: env[n] for n in free_names(p) if n in env})
 
     def terms_conv(self, a: Term, b: Term) -> bool:
         try:

@@ -15,6 +15,16 @@ NEGATIVE = os.path.join(REPO, "negative")
 NEGATIVE_FILES = 14
 
 
+def parse_type_expr(text):
+    """``text`` parsed as a classifier, which must be a type."""
+    from cdle.surface import parse_classifier
+    from cdle.syntax import Type
+
+    ty = parse_classifier(text)
+    assert isinstance(ty, Type), text
+    return ty
+
+
 @pytest.fixture(scope="session")
 def checked_corpus():
     """The fully checked corpus: (checker, report)."""

@@ -66,7 +66,6 @@ from cdle.syntax import (  # noqa: E402
     TVar,
     Var,
     subst1,
-    substitute_many,
 )
 
 TYPE_NAMES = ["T", "U", "F", "G", "P"]
@@ -183,12 +182,8 @@ def rename_binders(x, suffix):
             fields[child] = (hole + suffix, rename_binders(subst1(template, hole, Var(hole + suffix)), suffix))
         elif child == _SCOPES.get(type(x)):
             new = x.name + suffix
-            if isinstance(sub, PureTerm):
-                sub = substitute_many(sub, {x.name: PVar(new)})
-            else:
-                sub = subst1(sub, x.name, Var(new))
             fields["name"] = new
-            fields[child] = rename_binders(sub, suffix)
+            fields[child] = rename_binders(subst1(sub, x.name, Var(new)), suffix)
         else:
             fields[child] = rename_binders(sub, suffix)
     return _rebuild(x, fields) if fields else x

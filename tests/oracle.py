@@ -7,15 +7,17 @@ beta-normal form, eta-redexes are contracted bottom-up.  Step counts use
 the same convention as the engine (one tick per contraction, shared
 fuel budget), so both normal forms and counts must agree exactly.
 
-The pure-term helpers the tests share (subterms, size, single-variable
-substitution) live here too, since the kernel itself needs none of them.
+The pure-term helpers the tests share (subterms, size) live here too,
+since the kernel itself needs neither.  The substitution is the oracle's
+own, not the kernel's ``subst_syntax``, so that the reference shares no
+code with what it checks.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from cdle.syntax import PApp, PLam, PVar, PureTerm, free_names, substitute_many
+from cdle.syntax import PApp, PLam, PVar, PureTerm, free_names, fresh_name
 
 
 def pure_subterms(t: PureTerm) -> Iterator[PureTerm]:
@@ -39,9 +41,41 @@ def substitute(body: PureTerm, name: str, value: PureTerm) -> PureTerm:
     """Capture-avoiding substitution ``body[name := value]``.
 
     Binders in ``body`` that would capture a free variable of ``value``
-    are renamed with globally fresh names.
+    are renamed with globally fresh names.  Iterative, since the terms
+    the oracle reduces nest deeply in argument position.
     """
-    return substitute_many(body, {name: value})
+    fvs = free_names(value)
+    results: list[PureTerm] = []
+    work: list[tuple] = [("go", body, {name: value})]
+    while work:
+        frame = work.pop()
+        tag = frame[0]
+        if tag == "go":
+            _, cur, env = frame
+            if isinstance(cur, PVar):
+                results.append(env.get(cur.name, cur))
+            elif isinstance(cur, PApp):
+                work.append(("app",))
+                work.append(("go", cur.arg, env))
+                work.append(("go", cur.fn, env))
+            else:
+                env2 = {k: v for k, v in env.items() if k != cur.name}
+                if not env2:
+                    results.append(cur)
+                    continue
+                binder = cur.name
+                if binder in fvs:
+                    binder = fresh_name(binder)
+                    env2[cur.name] = PVar(binder)
+                work.append(("lam", binder))
+                work.append(("go", cur.body, env2))
+        elif tag == "lam":
+            results.append(PLam(frame[1], results.pop()))
+        else:
+            arg = results.pop()
+            fn = results.pop()
+            results.append(PApp(fn, arg))
+    return results[0]
 
 
 class OracleFuelExhausted(Exception):

@@ -22,7 +22,7 @@ from cdle.cli import classify_costs
 from cdle.corpus import negative_expectations, synth_input_nf, parse_pure
 from cdle.loader import load_program
 from cdle.reduction import apply_and_count, beta_eta_eq, normalize
-from cdle.surface import parse_classifier, parse_term, parse_type_expr
+from cdle.surface import parse_classifier, parse_term
 from cdle.syntax import PLam, PVar, alpha_eq
 from cdle.typecheck import Checker, check_defs
 
@@ -154,8 +154,7 @@ def test_acceptance_6_normalizer_oracle_equivalence(oracle_samples):
 
 def test_acceptance_7_property_suites(corpus_defs):
     from cdle.pretty import pretty
-    from cdle.syntax import free_names
-    from oracle import substitute
+    from cdle.syntax import free_names, subst1
 
     problems = []
 
@@ -170,7 +169,7 @@ def test_acceptance_7_property_suites(corpus_defs):
     for _ in range(200):
         t = gen_pure(rng, 18, scope=("u", "v"))
         for x in sorted(free_names(t)) or ["u"]:
-            if not alpha_eq(substitute(t, x, PVar(x)), t):
+            if not alpha_eq(subst1(t, x, PVar(x)), t):
                 problems.append("substitution identity")
                 break
 

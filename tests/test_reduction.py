@@ -22,7 +22,7 @@ from cdle.reduction import (
     normalize,
 )
 from cdle.corpus import COST_CLASSES, synth_input_nf
-from cdle.syntax import PApp, PLam, PVar, alpha_eq, free_names, substitute_many
+from cdle.syntax import PApp, PLam, PVar, alpha_eq, free_names, subst_syntax
 from gen import gen_pure, gen_pure_open
 from oracle import oracle_normalize, pure_subterms
 
@@ -164,14 +164,14 @@ def test_globals_unfold_like_their_substitution():
     and ``v`` are globals and ``w`` stays a free variable."""
     t = ap(v("k"), v("id"), ap(v("id"), v("y")))
     out = normalize(t, Fuel(100), DEFS)
-    assert out == normalize(substitute_many(t, DEFS), Fuel(100))
+    assert out == normalize(subst_syntax(t, DEFS), Fuel(100))
     assert out.result == lam("x", v("x")) and out.beta_steps == 2 and out.eta_steps == 0
     rng = random.Random(43)
     for _ in range(200):
         defs = {"u": gen_pure(rng, 8), "v": gen_pure(rng, 8)}
         t = gen_pure_open(rng, 16)
         for limit in (30, 300):
-            assert normalize(t, Fuel(limit), defs) == normalize(substitute_many(t, defs), Fuel(limit))
+            assert normalize(t, Fuel(limit), defs) == normalize(subst_syntax(t, defs), Fuel(limit))
 
 
 def test_bound_name_shadows_a_global():

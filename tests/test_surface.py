@@ -17,10 +17,9 @@ from cdle.surface import (
     parse_classifier,
     parse_module,
     parse_term,
-    parse_type_expr,
 )
 from cdle.syntax import Kind, Span, Term, Type, alpha_eq
-from conftest import CORPUS, NEGATIVE, NEGATIVE_FILES
+from conftest import CORPUS, NEGATIVE, NEGATIVE_FILES, parse_type_expr
 from gen import gen_kind, gen_term, gen_type
 
 

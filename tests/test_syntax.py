@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cdle.syntax
+from cdle.erasure import erase
 from cdle.syntax import (
     All,
     AllK,
@@ -55,7 +56,7 @@ from cdle.syntax import (
     subst1,
 )
 from gen import change_leaf, count_leaves, gen_kind, gen_pure, gen_pure_open, gen_term, gen_type, rename_binders
-from oracle import pure_size, substitute
+from oracle import pure_size
 
 
 def lam(x, b):
@@ -106,13 +107,13 @@ def test_alpha_eq_deep_terms():
 
 def test_substitute_examples():
     ident = lam("y", v("y"))
-    assert substitute(v("x"), "x", ident) == ident
+    assert subst1(v("x"), "x", ident) == ident
     # capture is avoided by renaming the binder
-    out = substitute(lam("y", v("x")), "x", v("y"))
+    out = subst1(lam("y", v("x")), "x", v("y"))
     assert isinstance(out, PLam)
     assert out.name != "y" and out.body == v("y")
     # (x x)[x := λy.y]
-    assert substitute(ap(v("x"), v("x")), "x", ident) == ap(ident, ident)
+    assert subst1(ap(v("x"), v("x")), "x", ident) == ap(ident, ident)
 
 
 def test_free_vars_examples():
@@ -163,7 +164,7 @@ def test_alpha_eq_is_equivalence_on_1000_samples():
 def test_substitute_self_is_identity_sampled():
     for t in _samples(300, seed=5, open_terms=True):
         for x in sorted(free_names(t)) or ["u"]:
-            assert alpha_eq(substitute(t, x, PVar(x)), t)
+            assert alpha_eq(subst1(t, x, PVar(x)), t)
 
 
 def test_free_vars_of_substitution_sampled():
@@ -172,7 +173,7 @@ def test_free_vars_of_substitution_sampled():
         b = gen_pure_open(rng, 18)
         val = gen_pure_open(rng, 10)
         x = rng.choice(["u", "v", "w"])
-        got = free_names(substitute(b, x, val))
+        got = free_names(subst1(b, x, val))
         bound = (free_names(b) - {x}) | free_names(val)
         if x in free_names(b):
             assert got <= bound
@@ -195,8 +196,8 @@ def test_substitution_composition_hypothesis(seed):
     t = gen_pure(rng, 16, scope=("x", "y"))
     u = gen_pure(rng, 8, scope=("x",))
     val = gen_pure(rng, 8)  # closed
-    lhs = substitute(substitute(t, "y", u), "x", val)
-    rhs = substitute(substitute(t, "x", val), "y", substitute(u, "x", val))
+    lhs = subst1(subst1(t, "y", u), "x", val)
+    rhs = subst1(subst1(t, "x", val), "y", subst1(u, "x", val))
     assert alpha_eq(lhs, rhs)
 
 
@@ -217,9 +218,10 @@ def test_nodes_are_slotted_and_compare_without_spans():
 
 
 def reference_subst_syntax(x, env):
-    """``subst_syntax`` as it was before it shared unchanged subtrees: it
-    rebuilds every node it walks, keeps ``x ↦ x`` entries, and computes
-    the replacements' free names up front."""
+    """``subst_syntax`` as it was before it shared unchanged subtrees,
+    extended to pure terms: it rebuilds every node it walks, keeps
+    ``x ↦ x`` entries, computes the replacements' free names up front,
+    and recurses once per node."""
     if not env:
         return x
     fvs = set()
@@ -239,6 +241,20 @@ def reference_subst_syntax(x, env):
     def go(cur, env):
         if not env:
             return cur
+        cls = type(cur)
+        if cls is PVar:
+            rep = env.get(cur.name)
+            if rep is None:
+                return cur
+            if isinstance(rep, (Var, TVar)):
+                return PVar(rep.name)
+            if not isinstance(rep, PureTerm):
+                raise TypeError(f"annotated syntax used at pure position: {cur.name}")
+            return rep
+        if cls is PLam:
+            return PLam(*under(cur.name, cur.body, env))
+        if cls is PApp:
+            return PApp(go(cur.fn, env), go(cur.arg, env))
         if isinstance(cur, DeferredArg):
             hit_types = {
                 k for k, v in env.items() if isinstance(v, Type) and not isinstance(v, TVar)
@@ -246,7 +262,6 @@ def reference_subst_syntax(x, env):
             if hit_types and not hit_types.isdisjoint(free_names(cur.expr)):
                 return go(promote_skeleton(cur.expr), env)
             return DeferredArg(go(cur.expr, env), cur.span)
-        cls = type(cur)
         if cls is Var:
             rep = env.get(cur.name)
             if rep is None:
@@ -302,8 +317,8 @@ def reference_subst_syntax(x, env):
 
 
 def _binders(x):
-    """Every binder in annotated syntax ``x``: ``(node, name, scope)``,
-    in one walk over ``LAYOUT``."""
+    """Every binder in syntax ``x``, pure or annotated: ``(node, name,
+    scope)``, in one walk over ``LAYOUT``."""
     out, stack = [], [x]
     while stack:
         cur = stack.pop()
@@ -333,14 +348,18 @@ def _binds_a_type(node):
 
 
 @pytest.fixture(scope="module")
-def corpus_substitutions(corpus_defs):
+def corpus_substitutions(corpus_defs, checked_corpus):
     """``(target, env, result)`` for the scope of every binder in every
     corpus classifier and body, instantiated four ways: at an argument
     the corpus applies somewhere (a type argument for a type variable, a
     fresh variable where the sort is open); at a variable that a binder
     inside the scope would capture; at a term together with the next
     binder of a term telescope, as the checker instantiates spines; and
-    at a name that is not free there."""
+    at a name that is not free there.  Then the calls ``Checker.pure_of``
+    makes, each term body's erasure with the ``pure_env`` entries of the
+    globals it names, and into the scope of every binder of those
+    erasures, a variable, and an application of it, that a binder inside
+    the scope would capture."""
     terms, types = [], []
     for _, d in corpus_defs:
         stack = [d.classifier, d.body]
@@ -361,6 +380,18 @@ def corpus_substitutions(corpus_defs):
             if inner and inner[0][0] is scope and _binds_a_type(scope) is False:
                 envs.append({name: value, scope.name: terms[(i + 1) % len(terms)]})
             calls += [(scope, env, cdle.syntax.subst_syntax(scope, env)) for env in envs]
+    pure_env = checked_corpus[0].pure_env
+    for _, d in corpus_defs:
+        if not isinstance(d.body, Term):
+            continue
+        p = erase(d.body)
+        envs = [(p, {n: pure_env[n] for n in free_names(p) if n in pure_env})]
+        for _, name, scope in _binders(p):
+            inner = _binders(scope)
+            if inner:
+                other = PVar(inner[0][1])
+                envs += [(scope, {name: other}), (scope, {name: PApp(other, PVar(name))})]
+        calls += [(x, env, cdle.syntax.subst_syntax(x, env)) for x, env in envs]
     return calls
 
 
@@ -369,6 +400,7 @@ def test_subst_matches_reference_on_corpus_check(corpus_substitutions):
     is α-equal to the reference's, and a target with no free name that
     the substitution replaces comes back as is."""
     assert len(corpus_substitutions) > 3000
+    assert sum(isinstance(x, PureTerm) for x, _, _ in corpus_substitutions) > 300
     shared = 0
     for x, env, out in corpus_substitutions:
         assert alpha_eq(out, reference_subst_syntax(x, env))
@@ -727,22 +759,23 @@ def test_free_names_and_alpha_eq_of_10000_deep_chains():
 
 
 def test_every_syntax_function_has_a_caller_in_the_kernel():
-    """No function of ``cdle.syntax`` lives for the tests alone: each
-    top-level one is referred to by some module of ``src/cdle`` outside
-    its own body (an import alone does not count).  The pure-term helpers
-    only the tests need live in ``tests/oracle.py``."""
+    """No top-level function or class of any ``src/cdle`` module lives
+    for the tests alone: each is referred to by some module of
+    ``src/cdle`` outside its own body (an import alone does not count).
+    The pure-term helpers only the tests need live in ``tests/oracle.py``,
+    and ``subst_syntax`` is the one substitution, pure terms included."""
     src = os.path.dirname(cdle.syntax.__file__)
     used: set[str] = set()
-    for path in glob.glob(os.path.join(src, "*.py")):
+    defined: dict[str, str] = {}  # top-level function or class name -> its module
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
         for stmt in tree.body:
             names = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
             names |= {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
-            if isinstance(stmt, ast.FunctionDef):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 names.discard(stmt.name)
+                defined[stmt.name] = os.path.basename(path)
             used |= names
-    with open(cdle.syntax.__file__, encoding="utf-8") as fh:
-        functions = {stmt.name for stmt in ast.parse(fh.read()).body if isinstance(stmt, ast.FunctionDef)}
-    assert {"subst_syntax", "substitute_many"} <= functions
-    assert sorted(functions - used) == []
+    assert defined.get("subst_syntax") == "syntax.py" and "substitute_many" not in defined
+    assert sorted(f"{defined[n]}: {n}" for n in defined.keys() - used) == []

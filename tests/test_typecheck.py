@@ -9,11 +9,11 @@ import pytest
 
 from cdle.corpus import negative_expectations
 from cdle.loader import load_program
-from cdle.surface import parse_term, parse_type_expr
+from cdle.surface import parse_term
 from cdle.syntax import Eq, Kind, Pi, Star, TermBind, TVar, free_names
 from cdle.typecheck import CheckError, Checker, ErrorCode, check_defs
 
-from conftest import CORPUS, NEGATIVE, NEGATIVE_FILES
+from conftest import CORPUS, NEGATIVE, NEGATIVE_FILES, parse_type_expr
 
 
 @contextmanager
@@ -854,6 +854,47 @@ def test_rho_rewrite_of_a_10000_deep_normal_form():
         assert type(out.body) is App and out.body.fn == Var("g")
         out = out.body.arg
     assert out == Var("a")
+
+
+def test_long_application_spines_check(tmp_path):
+    """An application spine costs no recursion in checking or in
+    substitution, at a recursion limit of 5,000: ``id -T id …`` with
+    8,000 arguments checks and its erasure is expanded, sharing ``id``'s
+    entry, and so does ``λ id. id -T id …`` with 3,000, whose binder
+    shadows the global ``id`` and is renamed in its body (a renaming that
+    recursed once per application ran out of stack there)."""
+    import sys
+
+    from cdle.syntax import PApp, PLam, PVar
+
+    T = "(∀ X : ★. X ➔ X)"
+    path = tmp_path / "m.cdl"
+    path.write_text("\n".join([
+        "id ◂ ∀ X : ★. X ➔ X = Λ X. λ x. x.",
+        f"big ◂ {T} = id" + f" -{T} id" * 8000 + ".",
+        f"shadowed ◂ {T} ➔ {T} = λ id. id" + f" -{T} id" * 3000 + ".",
+    ]) + "\n", encoding="utf-8")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(5_000)
+    try:
+        ck, report = check_defs(load_program([str(path)]))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [(r.name, r.code) for r in report.results] == [("id", None), ("big", None), ("shadowed", None)]
+    ident = ck.pure_env["id"]
+    assert ident == PLam("x", PVar("x"))
+    out = ck.pure_env["big"]
+    for _ in range(8000):
+        assert type(out) is PApp and out.arg is ident
+        out = out.fn
+    assert out is ident
+    out = ck.pure_env["shadowed"]
+    assert type(out) is PLam
+    name, out = out.name, out.body
+    for _ in range(3000):
+        assert out.arg == PVar(name)
+        out = out.fn
+    assert out == PVar(name)
 
 
 # --- conversion and ρ's type rewrite against the per-class code they replaced
