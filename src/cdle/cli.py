@@ -169,8 +169,8 @@ def _cost_table(ck, name, sizes, fuel, csv=False) -> bool:
     classification matches the manifest and every result is right."""
     try:
         rows = cost_rows(ck, name, sizes, fuel)
-    except FuelExhaustedError:
-        raise CliError("fuel exhausted normalizing the conversion", EXIT_SEMANTIC) from None
+    except FuelExhaustedError as e:
+        raise CliError(f"fuel exhausted normalizing {e.what}", EXIT_SEMANTIC) from None
     if csv:
         print("name,n,beta_steps,eta_steps,fuel_exhausted")
         for n, b, e, ex, _ in rows:

@@ -199,7 +199,7 @@ def parse_pure(text: str) -> PureTerm:
 def verify_goldens(manifest: list[CorpusEntry], checker: Checker, fuel: Fuel = Fuel()) -> list[GoldenResult]:
     """Check every golden erasure, then every shared-erasure pair, in
     manifest order; a check that names a definition without a checked
-    body fails."""
+    body, or whose comparison runs out of fuel, fails."""
     env = checker.pure_env
     checks = [(e.name, [e.name], e.golden_erasure) for e in manifest if e.golden_erasure is not None]
     checks += [(f"{e.same_erasure}={e.name}", [e.same_erasure, e.name], None)
@@ -208,12 +208,13 @@ def verify_goldens(manifest: list[CorpusEntry], checker: Checker, fuel: Fuel = F
     for label, names, golden in checks:
         if any(n not in env for n in names):
             out.append(GoldenResult(label, False, "definition has no checked body"))
-        elif golden is not None:
-            ok = beta_eta_eq(env[names[0]], parse_pure(golden), fuel)
-            out.append(GoldenResult(label, ok, "" if ok else f"erasure differs from {golden}"))
-        else:
-            ok = beta_eta_eq(env[names[0]], env[names[1]], fuel)
-            out.append(GoldenResult(label, ok, "" if ok else "erasures differ"))
+            continue
+        differ = "erasures differ" if golden is None else f"erasure differs from {golden}"
+        try:
+            ok = beta_eta_eq(env[names[0]], env[names[1]] if golden is None else parse_pure(golden), fuel)
+        except FuelExhaustedError as e:
+            ok, differ = False, str(e)
+        out.append(GoldenResult(label, ok, "" if ok else differ))
     return out
 
 
@@ -230,10 +231,15 @@ def synth_input_nf(checker: Checker, kind: str, n: int, fuel: Fuel = Fuel()) -> 
     Lists and vectors share one erasure (vector indices are erased), and
     this is the term, binder names included, that normalizing
     ``cons unit (… nil)`` reaches; ``tests/test_cost_oracle.py`` checks
-    the two agree.  Raises ``ValueError`` for any other ``kind``."""
+    the two agree.  Raises ``ValueError`` for any other ``kind``, and
+    ``FuelExhaustedError`` (``what`` is ``"unit"``) when ``unit`` does
+    not normalize within ``fuel``."""
     if kind not in ("list", "vec"):
         raise ValueError(f"unknown input kind {kind!r}")
-    u = normalize(PVar("unit"), fuel, checker.pure_env).result
+    nf = normalize(PVar("unit"), fuel, checker.pure_env)
+    if nf.fuel_exhausted:
+        raise FuelExhaustedError(nf.beta_steps, nf.eta_steps, what="unit")
+    u = nf.result
     cc = PVar("cC")
     spine: PureTerm = PVar("cN")
     for _ in range(n):
@@ -250,11 +256,12 @@ def cost_rows(
     given.  Every measured conversion returns its input's erasure, so
     ``same`` is False only when the counted run returned a term that is
     not alpha-equal to its input.  Raises ``FuelExhaustedError`` when the
-    conversion itself does not normalize within fuel."""
+    conversion itself (``what`` is ``"the conversion"``) or ``unit`` does
+    not normalize within fuel."""
     kind = COST_CLASSES[name][1]
     fn = normalize(checker.pure_env[name], fuel)
     if fn.fuel_exhausted:
-        raise FuelExhaustedError(fn.beta_steps, fn.eta_steps)
+        raise FuelExhaustedError(fn.beta_steps, fn.eta_steps, what="the conversion")
     rows = []
     for n in sorted(set(sizes)):
         inp = synth_input_nf(checker, kind, n, fuel)

@@ -54,11 +54,12 @@ _NO_DEFS: Mapping[str, PureTerm] = MappingProxyType({})
 class FuelExhaustedError(Exception):
     """Raised when normalization exceeds its contraction budget."""
 
-    def __init__(self, beta_steps: int, eta_steps: int, side: Optional[int] = None):
+    def __init__(self, beta_steps: int, eta_steps: int, side: Optional[int] = None, what: str = ""):
         super().__init__(f"fuel exhausted after {beta_steps} beta / {eta_steps} eta steps")
         self.beta_steps = beta_steps
         self.eta_steps = eta_steps
         self.side = side  # from beta_eta_eq: 0 or 1, the argument that ran out
+        self.what = what  # from the cost harness: the term that ran out
 
 
 @dataclass(frozen=True)

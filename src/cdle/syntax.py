@@ -1,4 +1,4 @@
-"""Kernel syntax: pure terms, annotated terms, types, kinds, and contexts.
+"""Kernel syntax: pure terms, annotated terms, types and kinds.
 
 Pure terms are exactly untyped lambda terms (variables, abstractions,
 applications) with named binders.  Annotated terms add the erased binders,
@@ -364,21 +364,17 @@ class KPiK(Kind):
 
 
 # ---------------------------------------------------------------------------
-# Contexts
+# Scope entries
 # ---------------------------------------------------------------------------
 
 
 @_node
-class TermBind:
-    name: str
-    type: Type
-    erased: bool = False
+class Bind:
+    """A binder in scope: a term variable when ``classifier`` is a Type,
+    a type variable when it is a Kind."""
 
-
-@_node
-class TypeBind:
     name: str
-    kind: Kind
+    classifier: Classifier
 
 
 @_node
@@ -389,35 +385,6 @@ class Defn:
     name: str
     classifier: Classifier
     body: Optional[Union[Term, Type]]
-    span: Optional[Span] = _span_field()
-
-
-Entry = Union[TermBind, TypeBind, Defn]
-
-
-class Context:
-    """Bindings and definitions by name.
-
-    Lookup returns the latest entry for a name.  Contexts are persistent:
-    ``extend`` returns a new context and leaves this one unchanged, so a
-    fully-checked prelude can be shared between concurrent checkers.
-    """
-
-    __slots__ = ("_index",)
-
-    def __init__(self, index: Optional[dict[str, Entry]] = None):
-        self._index = {} if index is None else index
-
-    def extend(self, entry: Entry) -> "Context":
-        idx = dict(self._index)
-        idx[entry.name] = entry
-        return Context(idx)
-
-    def lookup(self, name: str) -> Optional[Entry]:
-        return self._index.get(name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
 
 
 # ---------------------------------------------------------------------------

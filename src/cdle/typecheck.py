@@ -30,9 +30,9 @@ an unfolded body may mention a global whose name a key shadows.  For a
 telescope one simultaneous substitution equals the sequential ones up to
 alpha.
 
-Names are kept apart where the context is extended (``Checker._with``):
-a binder whose name is already bound, by a global or an outer binder, is
-opened under a fresh name renamed in its scope, so none captures an outer
+Each name is bound once: where a binder is opened (``Checker._with``), a
+name already in scope, a global's or an outer binder's, is bound under a
+fresh name renamed in the binder's scope, so no binder captures an outer
 name or shadows a global.  A message can show such a name as ``x%1``.
 
 The equality constructs follow the usual reading:
@@ -51,9 +51,6 @@ The equality constructs follow the usual reading:
 * ``φ q - t1 {t2}`` checks against ``T`` when ``t1`` does, ``q`` proves
   ``t1 ≃ t2`` (by erasure comparison on both sides), and ``t2`` is
   scope-valid; the construct erases to ``|t2|``.
-
-A checker instance is single-threaded; distinct instances may share a
-fully-checked prelude context since all syntax values are immutable.
 """
 
 from __future__ import annotations
@@ -61,7 +58,7 @@ from __future__ import annotations
 import enum
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from . import pretty as pp
@@ -72,7 +69,8 @@ from .syntax import (
     AllK,
     App,
     Beta,
-    Context,
+    Bind,
+    Classifier,
     DeferredArg,
     Defn,
     EApp,
@@ -100,9 +98,7 @@ from .syntax import (
     TLam,
     TVar,
     Term,
-    TermBind,
     Type,
-    TypeBind,
     Var,
     alpha_eq,
     demote_skeleton,
@@ -158,9 +154,16 @@ def _canon_msg(s: str) -> str:
 
 
 class Checker:
+    """A single-threaded checker that owns its scope table ``ctx``: a dict
+    from each name in scope to its entry, a ``Defn`` for each checked
+    global and a ``Bind`` for each binder open.  Since each name is bound
+    once (module docstring), opening a binder adds its entry and closing
+    it deletes the entry again.  Distinct instances can share syntax
+    values, which are immutable."""
+
     def __init__(self, fuel: Fuel = Fuel()):
         self.fuel = fuel
-        self.ctx = Context()
+        self.ctx: dict[str, Union[Bind, Defn]] = {}
         self.pure_env: dict[str, PureTerm] = {}
 
     # ------------------------------------------------------------------
@@ -186,45 +189,37 @@ class Checker:
             raise _out_of_fuel("conversion", (a, b)[e.side])
 
     # ------------------------------------------------------------------
-    # context helpers
+    # scope helpers
     # ------------------------------------------------------------------
 
-    def _term_type_of(self, name: str, span) -> Type:
-        e = self.ctx.lookup(name)
-        if isinstance(e, TermBind):
-            return e.type
-        if isinstance(e, Defn) and isinstance(e.classifier, Type):
+    def _classifier_of(self, name: str, span, sort: type) -> Classifier:
+        """The classifier of ``name`` when it names a term (``sort`` is
+        ``Type``) or a type (``sort`` is ``Kind``)."""
+        e = self.ctx.get(name)
+        if e is not None and isinstance(e.classifier, sort):
             return e.classifier
         if e is None:
-            raise CheckError(ErrorCode.UnboundName, f"unbound name {name!r}", span)
-        raise CheckError(ErrorCode.UnboundName, f"{name!r} is not a term", span)
-
-    def _type_kind_of(self, name: str, span) -> Kind:
-        e = self.ctx.lookup(name)
-        if isinstance(e, TypeBind):
-            return e.kind
-        if isinstance(e, Defn) and isinstance(e.classifier, Kind):
-            return e.classifier
-        if e is None:
-            raise CheckError(ErrorCode.UnboundName, f"unbound type name {name!r}", span)
-        raise CheckError(ErrorCode.UnboundName, f"{name!r} is not a type", span)
+            raise CheckError(ErrorCode.UnboundName, f"unbound {'' if sort is Type else 'type '}name {name!r}", span)
+        raise CheckError(ErrorCode.UnboundName, f"{name!r} is not a {'term' if sort is Type else 'type'}", span)
 
     @contextmanager
-    def _with(self, entry, scope):
-        """Run a block with ``entry``, the binder of ``scope``, added to the
-        context, yielding the name and scope the block reads: a name already
-        bound is bound fresh and renamed in ``scope`` (module docstring),
-        except ``_``, which is never referred to."""
-        saved, name = self.ctx, entry.name
-        if name in saved and name != "_":
-            name = fresh_name(name)
-            scope = subst1(scope, entry.name, (TVar if isinstance(entry, TypeBind) else Var)(name))
-            entry = replace(entry, name=name)
-        self.ctx = saved.extend(entry)
+    def _with(self, name: str, classifier: Classifier, scope):
+        """Run a block with ``name``, the binder of ``scope``, in scope at
+        ``classifier``, yielding the name and scope the block reads: a name
+        already bound is bound fresh and renamed in ``scope`` (module
+        docstring).  ``_`` is never entered, since nothing refers to it."""
+        if name == "_":
+            yield name, scope
+            return
+        if name in self.ctx:
+            fresh = fresh_name(name)
+            scope = subst1(scope, name, (TVar if isinstance(classifier, Kind) else Var)(fresh))
+            name = fresh
+        self.ctx[name] = Bind(name, classifier)
         try:
             yield name, scope
         finally:
-            self.ctx = saved
+            del self.ctx[name]
 
     def scope_check(self, t: Union[Term, Type], span=None) -> None:
         for n in sorted(free_names(t)):
@@ -253,7 +248,7 @@ class Checker:
             head = head.fn
         if not isinstance(head, TVar) or ren and head.name in ren:
             return None
-        e = self.ctx.lookup(head.name)
+        e = self.ctx.get(head.name)
         if isinstance(e, Defn) and isinstance(e.classifier, Kind) and e.body is not None:
             return self._replace_head(subst_syntax(T, ren) if ren else T, e.body)
         return None
@@ -329,7 +324,7 @@ class Checker:
                     return False
                 continue
             x, y = getattr(A, binder), getattr(B, binder)
-            z = Var(fresh_name(x)) if x != y or isinstance(self.ctx.lookup(x), Defn) else None
+            z = Var(fresh_name(x)) if x != y or isinstance(self.ctx.get(x), Defn) else None
             saved = _rebind(ren_a, x, z), _rebind(ren_b, y, z)
             ok = self._conv(a, b, ren)
             _rebind(ren_a, x, saved[0]), _rebind(ren_b, y, saved[1])
@@ -369,12 +364,12 @@ class Checker:
             dk = self.infer_kind(k.dom)
             if not isinstance(dk, Star):
                 raise CheckError(ErrorCode.KindMismatch, "kind domain must be a ★-kinded type", k.span)
-            with self._with(TermBind(k.name, k.dom), k.cod) as (_, cod):
+            with self._with(k.name, k.dom, k.cod) as (_, cod):
                 self.kind_wf(cod)
             return
         if isinstance(k, KPiK):
             self.kind_wf(k.dom)
-            with self._with(TypeBind(k.name, k.dom), k.cod) as (_, cod):
+            with self._with(k.name, k.dom, k.cod) as (_, cod):
                 self.kind_wf(cod)
             return
         raise CheckError(ErrorCode.KindMismatch, f"malformed kind {k!r}")
@@ -382,19 +377,19 @@ class Checker:
     def infer_kind(self, T: Type) -> Kind:
         match T:
             case TVar(name=n, span=sp):
-                return self._type_kind_of(n, sp)
+                return self._classifier_of(n, sp, Kind)
             case Pi(name=n, dom=d, cod=c, span=sp) | All(name=n, dom=d, cod=c, span=sp):
                 dk = self.infer_kind(d)
                 if not isinstance(dk, Star):
                     raise CheckError(ErrorCode.KindMismatch, "product domain must be ★-kinded", sp)
-                with self._with(TermBind(n, d, erased=isinstance(T, All)), c) as (_, c):
+                with self._with(n, d, c) as (_, c):
                     ck = self.infer_kind(c)
                 if not isinstance(ck, Star):
                     raise CheckError(ErrorCode.KindMismatch, "product codomain must be ★-kinded", sp)
                 return Star()
             case AllK(name=n, dom=d, cod=c, span=sp):
                 self.kind_wf(d)
-                with self._with(TypeBind(n, d), c) as (_, c):
+                with self._with(n, d, c) as (_, c):
                     ck = self.infer_kind(c)
                 if not isinstance(ck, Star):
                     raise CheckError(ErrorCode.KindMismatch, "∀ codomain must be ★-kinded", sp)
@@ -403,7 +398,7 @@ class Checker:
                 fk = self.infer_kind(f)
                 if not isinstance(fk, Star):
                     raise CheckError(ErrorCode.KindMismatch, "ι first component must be ★-kinded", sp)
-                with self._with(TermBind(n, f), s) as (_, s):
+                with self._with(n, f, s) as (_, s):
                     sk = self.infer_kind(s)
                 if not isinstance(sk, Star):
                     raise CheckError(ErrorCode.KindMismatch, "ι second component must be ★-kinded", sp)
@@ -430,13 +425,13 @@ class Checker:
                     )
                 if isinstance(ann, Kind):
                     self.kind_wf(ann)
-                    with self._with(TypeBind(n, ann), b) as (x, b):
+                    with self._with(n, ann, b) as (x, b):
                         bk = self.infer_kind(b)
                     return KPiK(x, ann, bk)
                 dk = self.infer_kind(ann)
                 if not isinstance(dk, Star):
                     raise CheckError(ErrorCode.KindMismatch, "λ binder annotation must be ★-kinded", sp)
-                with self._with(TermBind(n, ann), b) as (x, b):
+                with self._with(n, ann, b) as (x, b):
                     bk = self.infer_kind(b)
                 return KPi(x, ann, bk)
             case TAppT() | TAppE():
@@ -466,11 +461,11 @@ class Checker:
     def check_type(self, T: Type, k: Kind) -> None:
         if isinstance(T, TLam) and T.ann is None:
             if isinstance(k, KPi):
-                with self._with(TermBind(T.name, k.dom), T.body) as (x, body):
+                with self._with(T.name, k.dom, T.body) as (x, body):
                     self.check_type(body, subst1(k.cod, k.name, Var(x)))
                 return
             if isinstance(k, KPiK):
-                with self._with(TypeBind(T.name, k.dom), T.body) as (x, body):
+                with self._with(T.name, k.dom, T.body) as (x, body):
                     self.check_type(body, subst1(k.cod, k.name, TVar(x)))
                 return
             raise CheckError(ErrorCode.KindMismatch, "type-level λ against a non-Π kind", T.span)
@@ -489,7 +484,7 @@ class Checker:
     def infer_term(self, t: Term) -> Type:
         match t:
             case Var(name=n, span=sp):
-                return self._term_type_of(n, sp)
+                return self._classifier_of(n, sp, Type)
             case App() | EApp():
                 # the spine's applications, innermost last; the head's type
                 # is instantiated once, at the end (see the module docstring)
@@ -547,7 +542,7 @@ class Checker:
                         ErrorCode.TypeMismatch, "cannot infer the type of an unannotated λ", sp
                     )
                 self.check_type(ann, Star())
-                with self._with(TermBind(n, ann), b) as (x, b):
+                with self._with(n, ann, b) as (x, b):
                     Tb = self.infer_term(b)
                 return Pi(x, ann, Tb)
             case ELam(span=sp):
@@ -628,7 +623,7 @@ class Checker:
                             f"λ annotation {pp.pretty(ann)} does not match domain {pp.pretty(W.dom)}",
                             sp,
                         )
-                with self._with(TermBind(n, W.dom), b) as (x, body):
+                with self._with(n, W.dom, b) as (x, body):
                     self.check_term(body, subst1(W.cod, W.name, Var(x)))
                 return
             case ELam(name=n, body=b, ann=ann, span=sp):
@@ -638,7 +633,7 @@ class Checker:
                         self.check_type(ann, Star())
                     if ann is not None and (not isinstance(ann, Type) or not self.types_conv(ann, W.dom)):
                         raise CheckError(ErrorCode.TypeMismatch, "Λ annotation mismatch", sp)
-                    with self._with(TermBind(n, W.dom, erased=True), b) as (x, body):
+                    with self._with(n, W.dom, b) as (x, body):
                         self.check_term(body, subst1(W.cod, W.name, Var(x)))
                     if n in free_names(erase(b)):
                         raise CheckError(
@@ -652,7 +647,7 @@ class Checker:
                         self.kind_wf(ann)
                     if ann is not None and (not isinstance(ann, Kind) or not self.kinds_conv(ann, W.dom)):
                         raise CheckError(ErrorCode.TypeMismatch, "Λ kind annotation mismatch", sp)
-                    with self._with(TypeBind(n, W.dom), b) as (x, body):
+                    with self._with(n, W.dom, b) as (x, body):
                         self.check_term(body, subst1(W.cod, W.name, TVar(x)))
                     return
                 raise CheckError(
@@ -891,9 +886,9 @@ class ModuleError(Exception):
 
 
 def check_defs(defs, checker: Optional[Checker] = None) -> tuple[Checker, CheckReport]:
-    """Check an ordered list of (file, RawDef) pairs, extending the
-    context with each definition; a failed definition is recorded and its
-    declared classifier still enters the context.  A duplicate name, or a
+    """Check an ordered list of (file, RawDef) pairs, entering each
+    definition into the checker's scope; a failed definition is recorded
+    and its declared classifier still enters the scope.  A duplicate name, or a
     definition nested too deeply for the recursive checker, raises
     ModuleError."""
     ck = checker or Checker()
@@ -908,7 +903,7 @@ def check_defs(defs, checker: Optional[Checker] = None) -> tuple[Checker, CheckR
             report.results.append(
                 DefResult(d.name, file, False, e.code.value, _canon_msg(e.message), e.span or d.span)
             )
-            ck.ctx = ck.ctx.extend(Defn(d.name, d.classifier, None, d.span))
+            ck.ctx[d.name] = Defn(d.name, d.classifier, None)
         except RecursionError:
             raise ModuleError(f"{d.span}: definition {d.name!r} is nested too deeply to check") from None
     return ck, report
@@ -921,7 +916,7 @@ def _check_one(ck: Checker, d) -> None:
             if not isinstance(d.body, Type):
                 raise CheckError(ErrorCode.KindMismatch, "a kind-classified definition needs a type body", d.span)
             ck.check_type(d.body, d.classifier)
-        ck.ctx = ck.ctx.extend(Defn(d.name, d.classifier, d.body, d.span))
+        ck.ctx[d.name] = Defn(d.name, d.classifier, d.body)
         return
     k = ck.infer_kind(d.classifier)
     if not isinstance(k, Star):
@@ -935,4 +930,4 @@ def _check_one(ck: Checker, d) -> None:
             raise CheckError(ErrorCode.TypeMismatch, "a type-classified definition needs a term body", d.span)
         ck.check_term(d.body, d.classifier)
         ck.pure_env[d.name] = ck.pure_of(d.body)
-    ck.ctx = ck.ctx.extend(Defn(d.name, d.classifier, d.body, d.span))
+    ck.ctx[d.name] = Defn(d.name, d.classifier, d.body)

@@ -65,6 +65,7 @@ from cdle.syntax import (  # noqa: E402
     TLam,
     TVar,
     Var,
+    free_names,
     subst1,
 )
 
@@ -175,17 +176,38 @@ def _rebuild(cur, fields):
 
 def rename_binders(x, suffix):
     """``x`` with every binder renamed by appending ``suffix``."""
+    return _rename_each(x, lambda name, scope, outer: name + suffix)
+
+
+def rename_binders_to_bound(x, names, rng: random.Random):
+    """``x`` with every binder renamed, without capture, to a name that is
+    bound where the binder stands: an enclosing binder's (as renamed) or
+    one of ``names``.  ``rng`` picks among those its scope does not
+    mention; a binder with none left keeps its name."""
+
+    def choose(name, scope, outer):
+        free = free_names(scope)
+        options = [n for n in dict.fromkeys((*outer, *names)) if n != name and n not in free]
+        return rng.choice(options) if options else name
+
+    return _rename_each(x, choose)
+
+
+def _rename_each(x, choose, outer=()):
+    """``x`` with each binder renamed to ``choose(name, scope, outer)``,
+    outermost first, where ``outer`` holds the enclosing binders' new
+    names."""
     fields = {}
     for child, sub in _children(x).items():
         if child == "guide":
             hole, template = sub
-            fields[child] = (hole + suffix, rename_binders(subst1(template, hole, Var(hole + suffix)), suffix))
+            new = choose(hole, template, outer)
+            fields[child] = (new, _rename_each(subst1(template, hole, Var(new)), choose, outer + (new,)))
         elif child == _SCOPES.get(type(x)):
-            new = x.name + suffix
-            fields["name"] = new
-            fields[child] = rename_binders(subst1(sub, x.name, Var(new)), suffix)
+            new = fields["name"] = choose(x.name, sub, outer)
+            fields[child] = _rename_each(subst1(sub, x.name, Var(new)), choose, outer + (new,))
         else:
-            fields[child] = rename_binders(sub, suffix)
+            fields[child] = _rename_each(sub, choose, outer)
     return _rebuild(x, fields) if fields else x
 
 

@@ -12,7 +12,7 @@ import pytest
 
 import cdle.corpus as cdle_corpus
 from cdle.cli import classify_costs, main
-from cdle.reduction import NormalizeOutcome
+from cdle.reduction import Fuel, NormalizeOutcome
 from cdle.surface import lex
 from cdle.syntax import PVar
 
@@ -402,6 +402,51 @@ def test_verify_wrong_expected_code_exit_one(capsys, tmp_path):
     assert "  BAD erased_var: ErasedVarOccursFree (expect: TypeMismatch)" in lines
     assert sum(line.startswith("  ok  ") for line in lines) == NEGATIVE_FILES - 1
     assert lines[-1] == "1 FAILURES"
+
+
+def test_verify_golden_out_of_fuel_is_a_failure(capsys, tmp_path, checked_corpus):
+    """A golden whose comparison runs out of fuel is a failed golden,
+    with a line that says so, and verify exits 1; a shared-erasure pair
+    that runs out fails the same way."""
+    root = _corpus_copy(tmp_path)
+    path = tmp_path / "corpus" / "examples.cdl"
+    text = path.read_text(encoding="utf-8")
+    line = "appV2appLG! ◂ AppV ➔ AppL = elimId -AppV -AppL appV2appLG.  // golden: λ x. x"
+    assert line in text
+    path.write_text(text.replace(line, line.replace("λ x. x", "(λ x. x x) (λ x. x x)")), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--root", root, "--max-steps", "5000")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert "goldens: 25/26 pass" in lines
+    assert "  GOLDEN FAIL appV2appLG!: fuel exhausted after 5000 beta / 0 eta steps" in lines
+    assert lines[-1] == "1 FAILURES"
+    ck, _ = checked_corpus
+    results = cdle_corpus.verify_goldens(cdle_corpus.corpus_manifest(CORPUS), ck, Fuel(1))
+    pairs = [g for g in results if "=" in g.name]
+    assert pairs and any(not g.ok and g.detail.startswith("fuel exhausted after ") for g in pairs)
+
+
+def test_cost_unit_out_of_fuel_exit_one(capsys, tmp_path):
+    """A ``unit`` that does not normalize within fuel ends ``cost`` and
+    ``verify`` with exit 1 and a message naming it; the corpus itself
+    checks without normalizing ``unit``."""
+    root = _corpus_copy(tmp_path)
+    path = tmp_path / "corpus" / "base.cdl"
+    text = path.read_text(encoding="utf-8")
+    line = "unit ◂ Unit = Λ X. λ x. x."
+    assert line in text
+    path.write_text(text.replace(line, "\n".join([
+        "unit0 ◂ Unit = Λ X. λ x. x.",
+        "dbl ◂ (Unit ➔ Unit) ➔ Unit ➔ Unit = λ f. λ u. f (f u).",
+        "unit ◂ Unit = dbl (dbl (dbl (dbl (dbl (dbl (dbl (dbl (dbl (dbl (λ u. u)))))))))) unit0.",
+    ])), encoding="utf-8")
+    code, out, err = run(capsys, "cost", "v2l!", "--sizes", "8,16", "--root", root, "--max-steps", "2000")
+    assert (code, out, err) == (1, "", "error: fuel exhausted normalizing unit\n")
+    code, out, err = run(capsys, "verify", "--root", root, "--max-steps", "2000")
+    assert (code, err) == (1, "error: fuel exhausted normalizing unit\n")
+    assert "-- 119/119 definitions checked" in out.splitlines()
+    code, out, _ = run(capsys, "cost", "v2l!", "--sizes", "8,16", "--root", root, "--max-steps", "4000")
+    assert code == 0 and "classification: constant (manifest: constant)" in out
 
 
 def test_verify_counts_a_counted_run_that_changes_its_input(capsys, monkeypatch):

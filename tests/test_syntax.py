@@ -779,3 +779,23 @@ def test_every_syntax_function_has_a_caller_in_the_kernel():
             used |= names
     assert defined.get("subst_syntax") == "syntax.py" and "substitute_many" not in defined
     assert sorted(f"{defined[n]}: {n}" for n in defined.keys() - used) == []
+
+
+def test_every_syntax_field_is_read_in_the_kernel():
+    """No field of a ``cdle.syntax`` dataclass is carried for nothing: each
+    is read by name somewhere in ``src/cdle``, as an attribute load, a
+    keyword of a ``match`` class pattern, or a field string of
+    ``LAYOUT``."""
+    src = os.path.dirname(cdle.syntax.__file__)
+    read = {name for row in LAYOUT.values() for pair in row for name in pair if name not in (None, GUIDE)}
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif isinstance(n, ast.MatchClass):
+                read.update(n.kwd_attrs)
+    classes = [c for c in vars(cdle.syntax).values() if dataclasses.is_dataclass(c) and c.__module__ == "cdle.syntax"]
+    assert {"Defn", "Var", "Rho"} <= {c.__name__ for c in classes}
+    assert sorted(f"{c.__name__}.{f.name}" for c in classes for f in dataclasses.fields(c) if f.name not in read) == []

@@ -10,22 +10,25 @@ import pytest
 from cdle.corpus import negative_expectations
 from cdle.loader import load_program
 from cdle.surface import parse_term
-from cdle.syntax import Eq, Kind, Pi, Star, TermBind, TVar, free_names
-from cdle.typecheck import CheckError, Checker, ErrorCode, check_defs
+from cdle.syntax import Bind, Eq, Kind, Pi, Star, TVar, free_names
+from cdle.typecheck import CheckError, Checker, ErrorCode, ModuleError, check_defs
 
 from conftest import CORPUS, NEGATIVE, NEGATIVE_FILES, parse_type_expr
 
 
 @contextmanager
-def _bound(ck, entry):
-    """Run a block with ``entry`` added to ``ck``'s context under its own
-    name, which ``Checker._with`` would rename if it were already bound."""
-    saved = ck.ctx
-    ck.ctx = saved.extend(entry)
+def _bound(ck, *entries):
+    """Run a block with ``entries`` in ``ck``'s scope under their own
+    names, none of them already bound (``Checker._with`` would rename
+    one that was)."""
+    for e in entries:
+        assert e.name not in ck.ctx
+        ck.ctx[e.name] = e
     try:
         yield
     finally:
-        ck.ctx = saved
+        for e in entries:
+            del ck.ctx[e.name]
 
 
 # --- kind synthesis ---------------------------------------------------------
@@ -36,7 +39,7 @@ def test_infer_kind_examples(checked_corpus):
     assert isinstance(ck.infer_kind(parse_type_expr("List · Nat")), Star)
     assert isinstance(ck.infer_kind(parse_type_expr("Vec · Nat zero")), Star)
     # equality type formation on a typed term
-    with _bound(ck, TermBind("x", TVar("Bool"))):
+    with _bound(ck, Bind("x", TVar("Bool"))):
         assert isinstance(ck.infer_kind(parse_type_expr("x ≃ x")), Star)
 
 
@@ -53,26 +56,26 @@ def test_infer_kind_rejects_wrong_argument(checked_corpus):
 def test_infer_projection(checked_corpus):
     ck, _ = checked_corpus
     # first projection of a literal intersection type
-    with _bound(ck, TermBind("p", parse_type_expr("ι z : Bool. Unit"))):
+    with _bound(ck, Bind("p", parse_type_expr("ι z : Bool. Unit"))):
         t1 = ck.infer_term(parse_term("p.1"))
         assert ck.types_conv(t1, parse_type_expr("Bool"))
     # first projection of the derived dependent pair
     sig = parse_type_expr("Sigma · Nat · (λ n : Nat. Unit)")
-    with _bound(ck, TermBind("p", sig)):
+    with _bound(ck, Bind("p", sig)):
         t1 = ck.infer_term(parse_term("proj1 -Nat -(λ n : Nat. Unit) p"))
         assert ck.types_conv(t1, parse_type_expr("Nat"))
 
 
 def test_infer_symmetry_on_reflexivity(checked_corpus):
     ck, _ = checked_corpus
-    with _bound(ck, TermBind("q", parse_type_expr("zero ≃ zero"))):
+    with _bound(ck, Bind("q", parse_type_expr("zero ≃ zero"))):
         ty = ck.whnf_type(ck.infer_term(parse_term("ς q")))
         assert isinstance(ty, Eq)
 
 
 def test_infer_v2l_pres_len_statement(checked_corpus):
     ck, _ = checked_corpus
-    with _bound(ck, TermBind("xs", parse_type_expr("Vec · Nat zero"))):
+    with _bound(ck, Bind("xs", parse_type_expr("Vec · Nat zero"))):
         ty = ck.infer_term(parse_term("v2lPresLen -Nat -zero xs"))
         want = parse_type_expr("zero ≃ (len -Nat (v2l -Nat -zero xs))")
         assert ck.types_conv(ty, want)
@@ -122,7 +125,7 @@ def test_check_zero_cost_conversion_shape(checked_corpus):
 def test_beta_against_definitionally_equal_sides(checked_corpus):
     ck, _ = checked_corpus
     # add zero n reduces to n
-    with _bound(ck, TermBind("n", TVar("Nat"))):
+    with _bound(ck, Bind("n", TVar("Nat"))):
         ck.check_term(parse_term("β"), parse_type_expr("(add zero n) ≃ n"))
 
 
@@ -138,13 +141,13 @@ def test_type_level_beta_conversion(checked_corpus):
 
 def test_distinct_heads_not_convertible(checked_corpus):
     ck, _ = checked_corpus
-    with _bound(ck, TermBind("n", TVar("Nat"))):
+    with _bound(ck, Bind("n", TVar("Nat"))):
         assert not ck.types_conv(parse_type_expr("Vec · Nat n"), parse_type_expr("List · Nat"))
 
 
 def test_index_conversion_through_add_zero(checked_corpus):
     ck, _ = checked_corpus
-    with _bound(ck, TermBind("n", TVar("Nat"))):
+    with _bound(ck, Bind("n", TVar("Nat"))):
         a = parse_type_expr("Vec · Nat (add zero n)")
         b = parse_type_expr("Vec · Nat n")
         assert ck.types_conv(a, b)
@@ -176,46 +179,36 @@ def test_rho_rewrites_expected_type(checked_corpus):
     ck, _ = checked_corpus
     # goal Vec A (add n m) rewritten by n ≃ len (v2l xs)
     env = [
-        TermBind("n", TVar("Nat")),
-        TermBind("m", TVar("Nat")),
-        TermBind("xs", parse_type_expr("Vec · Bool n")),
-        TermBind("q", parse_type_expr("n ≃ (len -Bool (v2l -Bool -n xs))")),
-        TermBind("v", parse_type_expr("Vec · Bool (add (len -Bool (v2l -Bool -n xs)) m)")),
+        Bind("n", TVar("Nat")),
+        Bind("m", TVar("Nat")),
+        Bind("xs", parse_type_expr("Vec · Bool n")),
+        Bind("q", parse_type_expr("n ≃ (len -Bool (v2l -Bool -n xs))")),
+        Bind("v", parse_type_expr("Vec · Bool (add (len -Bool (v2l -Bool -n xs)) m)")),
     ]
-    saved = ck.ctx
-    try:
-        for e in env:
-            ck.ctx = ck.ctx.extend(e)
+    with _bound(ck, *env):
         ck.check_term(parse_term("ρ q - v"), parse_type_expr("Vec · Bool (add n m)"))
-    finally:
-        ck.ctx = saved
 
 
 def test_rho_no_occurrence(checked_corpus):
     ck, _ = checked_corpus
-    saved = ck.ctx
-    try:
-        ck.ctx = ck.ctx.extend(TermBind("q", parse_type_expr("zero ≃ zero")))
+    with _bound(ck, Bind("q", parse_type_expr("zero ≃ zero"))):
         with pytest.raises(CheckError) as e:
             ck.check_term(parse_term("ρ q - β"), parse_type_expr("unit ≃ unit"))
         assert e.value.code == ErrorCode.RhoNoOccurrence
-    finally:
-        ck.ctx = saved
 
 
 def test_guided_rho(checked_corpus):
     ck, _ = checked_corpus
-    saved = ck.ctx
-    try:
-        ck.ctx = ck.ctx.extend(TermBind("n", TVar("Nat")))
-        ck.ctx = ck.ctx.extend(TermBind("q", parse_type_expr("n ≃ (add zero n)")))
-        ck.ctx = ck.ctx.extend(TermBind("v", parse_type_expr("Vec · Bool (add zero n)")))
+    with _bound(
+        ck,
+        Bind("n", TVar("Nat")),
+        Bind("q", parse_type_expr("n ≃ (add zero n)")),
+        Bind("v", parse_type_expr("Vec · Bool (add zero n)")),
+    ):
         ck.check_term(
             parse_term("ρ q { h . Vec · Bool h } - v"),
             parse_type_expr("Vec · Bool n"),
         )
-    finally:
-        ck.ctx = saved
 
 
 # --- modules ----------------------------------------------------------------
@@ -336,7 +329,7 @@ def test_weakening_sampled(corpus_defs):
         ck = Checker()
         _, report = check_defs(prefix[:-1], ck)
         assert report.ok
-        ck.ctx = ck.ctx.extend(TermBind("weakening%fresh", TVar("Unit") if "Unit" in ck.ctx else parse_type_expr("∀ X : ★. X ➔ X")))
+        ck.ctx["weakening%fresh"] = Bind("weakening%fresh", TVar("Unit") if "Unit" in ck.ctx else parse_type_expr("∀ X : ★. X ➔ X"))
         file, d = prefix[-1]
         _, rep2 = check_defs([(file, d)], ck)
         assert rep2.ok, f"weakening broke {d.name}"
@@ -897,6 +890,87 @@ def test_long_application_spines_check(tmp_path):
     assert out == PVar(name)
 
 
+def _verdicts(defs):
+    ck, report = check_defs(defs)
+    return [(r.name, r.ok, r.code) for r in report.results], ck.pure_env
+
+
+@pytest.mark.parametrize("program", ["corpus", *NEG_EXPECT])
+def test_renaming_binders_changes_no_verdict(program, corpus_defs):
+    """Renaming bound variables without capture changes no definition's
+    verdict or error code, nor its erasure up to α, in the corpus and in
+    each negative program.  Every binder of every classifier and body is
+    renamed two ways: apart (``x`` to ``x_r``), and to a name already
+    bound where it stands, an enclosing binder's or an earlier global's
+    that the definition does not mention (``Λ zero. Λ suc. …``), which
+    the checker must open under a fresh name.  Messages may differ in
+    names."""
+    import dataclasses
+    import random
+
+    from cdle.syntax import alpha_eq
+    from gen import rename_binders, rename_binders_to_bound
+
+    if program == "corpus":
+        defs = corpus_defs
+    else:
+        defs = load_program([os.path.join(NEGATIVE, f"{program}.cdl")], root=CORPUS)
+    want, env = _verdicts(defs)
+    rng = random.Random(21)
+    apart, clashing, earlier = [], [], []
+    for file, d in defs:
+        mentioned = free_names(d.classifier) | (free_names(d.body) if d.body is not None else frozenset())
+        taken = [n for n in earlier if n not in mentioned]
+        for out, rename in (
+            (apart, lambda x: rename_binders(x, "_r")),
+            (clashing, lambda x: rename_binders_to_bound(x, taken, rng)),
+        ):
+            body = None if d.body is None else rename(d.body)
+            out.append((file, dataclasses.replace(d, classifier=rename(d.classifier), body=body)))
+        earlier.append(d.name)
+    if program == "corpus":  # the second renaming is not vacuous
+        assert clashing != list(defs)
+    for renamed in (apart, clashing):
+        got, env2 = _verdicts(renamed)
+        assert got == want
+        assert env2.keys() == env.keys()
+        assert [n for n in env if not alpha_eq(env2[n], env[n])] == []
+
+
+def test_check_defs_leaves_only_the_globals_in_scope(tmp_path):
+    """After ``check_defs`` returns or raises, the scope of the checker it
+    was given holds exactly the definitions checked so far: a definition
+    that fails under three binders leaves none of them behind, and
+    neither does one nested too deeply to check (the 2,000-level term of
+    ``test_check_deep_well_typed_term_exit_two``, at a recursion limit of
+    1,000)."""
+    import sys
+
+    path = tmp_path / "m.cdl"
+    path.write_text("\n".join([
+        "Id ◂ ★ = ∀ X : ★. X ➔ X.",
+        "id ◂ Id = Λ X. λ x. x.",
+        "bad ◂ ∀ X : ★. X ➔ X ➔ X = Λ X. λ x. λ y. z.",
+        "k ◂ ∀ X : ★. X ➔ X ➔ X = Λ X. λ x. λ y. x.",
+    ]) + "\n", encoding="utf-8")
+    ck = Checker()
+    _, report = check_defs(load_program([str(path)]), ck)
+    assert [r.code for r in report.results] == [None, None, "UnboundName", None]
+    assert set(ck.ctx) == {"Id", "id", "bad", "k"}
+    deep = tmp_path / "deep.cdl"
+    body = "f (" * 1999 + "f x" + ")" * 1999
+    deep.write_text(f"c ◂ ∀ A : ★. (A ➔ A) ➔ A ➔ A = Λ A. λ f. λ x. {body}.\n", encoding="utf-8")
+    defs = load_program([str(deep)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        with pytest.raises(ModuleError, match="nested too deeply"):
+            check_defs(defs, ck)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert set(ck.ctx) == {"Id", "id", "bad", "k"}
+
+
 # --- conversion and ρ's type rewrite against the per-class code they replaced
 
 
@@ -956,7 +1030,7 @@ class ReferenceChecker(Checker):
     def _open(self, a, body_a, b, body_b, sort):
         from cdle.syntax import Defn, fresh_name, subst1
 
-        if a == b and not isinstance(self.ctx.lookup(a), Defn):
+        if a == b and not isinstance(self.ctx.get(a), Defn):
             return body_a, body_b
         z = sort(fresh_name(a))
         return subst1(body_a, a, z), subst1(body_b, b, z)
