@@ -137,27 +137,21 @@ def cmd_eq(args) -> int:
 
 
 def classify_costs(rows: list[tuple[int, int, bool]]) -> str:
-    """Deterministic classification of (size, beta_steps, exhausted) rows.
+    """Deterministic classification of (size, beta_steps, exhausted) rows
+    by the exact law their step counts follow.
 
     * any exhausted row, or fewer than two distinct sizes -> "other"
     * all step counts equal        -> "constant"
-    * all per-size slopes within ±10% of their mean -> "linear"
+    * integers a > 0 and b put every row on beta = a·n + b -> "linear"
     * otherwise                    -> "other"
     """
     if any(ex for _, _, ex in rows) or len({n for n, _, _ in rows}) < 2:
         return "other"
-    steps = [s for _, s, _ in rows]
-    if all(s == steps[0] for s in steps):
+    if len({s for _, s, _ in rows}) == 1:
         return "constant"
-    slopes = []
-    for (n0, s0, _), (n1, s1, _) in zip(rows, rows[1:]):
-        if n1 == n0:
-            return "other"
-        slopes.append((s1 - s0) / (n1 - n0))
-    mean = sum(slopes) / len(slopes)
-    if mean <= 0:
-        return "other"
-    if all(abs(sl - mean) <= 0.10 * mean for sl in slopes):
+    (n0, s0, _), (n1, s1, _) = min(rows), max(rows)
+    a, rest = divmod(s1 - s0, n1 - n0)
+    if a > 0 and rest == 0 and all(s == a * (n - n0) + s0 for n, s, _ in rows):
         return "linear"
     return "other"
 

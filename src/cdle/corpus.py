@@ -262,9 +262,14 @@ def cost_rows(
     fn = normalize(checker.pure_env[name], fuel)
     if fn.fuel_exhausted:
         raise FuelExhaustedError(fn.beta_steps, fn.eta_steps, what="the conversion")
+    # one input of the largest size, so that ``unit`` is normalized once;
+    # the input of size n has the same binders over the last n cells
+    tails = [synth_input_nf(checker, kind, max(sizes, default=0), fuel).body.body]
+    while type(tails[-1]) is PApp:
+        tails.append(tails[-1].arg)
     rows = []
     for n in sorted(set(sizes)):
-        inp = synth_input_nf(checker, kind, n, fuel)
+        inp = PLam("cN", PLam("cC", tails[-1 - n]))
         out = apply_and_count(fn.result, [inp], fuel)
         same = out.fuel_exhausted or alpha_eq(out.result, inp)
         rows.append((n, out.beta_steps, out.eta_steps, out.fuel_exhausted, same))

@@ -14,7 +14,6 @@ from .syntax import (
     AllK,
     App,
     Beta,
-    DeferredArg,
     EApp,
     ELam,
     Eq,
@@ -105,15 +104,11 @@ class _Printer:
                 return self.term_atom(t)
 
     def erased_arg(self, a) -> str:
-        if isinstance(a, DeferredArg):
-            a = a.expr
-        if isinstance(a, Var):
-            return a.name
-        if isinstance(a, TVar):
+        if isinstance(a, (Var, TVar)):
             return a.name
         if isinstance(a, Proj):
             return self.term_atom(a)
-        if isinstance(a, (Term,)):
+        if isinstance(a, Term):
             return f"({self.term(a)})"
         return f"({self.type(a)})"
 

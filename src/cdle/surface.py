@@ -19,10 +19,12 @@ classifier.  Application binds tighter than ➔/➾; erased application
 juxtaposed arguments of a type are terms.  Binders and parentheses in a
 term nest on an explicit stack, up to a fixed depth.
 
-Grammar corner: an erased argument that is a bare name (or a plain
-application skeleton) is stored as a :class:`~cdle.syntax.DeferredArg`
-and resolved to a term or type argument by the checker, which knows the
-sort expected by the implicit product being instantiated.
+Grammar corner: an erased argument whose sort the tokens do not decide
+(a name, or a parenthesized application or λ over names, such as ``-x``
+or ``-(F x)``) is its term skeleton, a ``Var``, ``App`` or ``Lam``.  The
+checker reads it at the sort the implicit product it instantiates asks
+for, promoting it to a type where that is a type; every node the parser
+builds has its sort in its class.
 
 Parsing distinct files may proceed concurrently.  A parsed module is
 immutable, and this is load-bearing: ``loader`` hands one
@@ -42,7 +44,6 @@ from .syntax import (
     AllK,
     App,
     Beta,
-    DeferredArg,
     EApp,
     ELam,
     Eq,
@@ -260,83 +261,73 @@ class Parser:
         name_tok = self.expect("IDENT", "definition")
         self.reference(name_tok)
         self.expect("ASCRIBE", "definition")
-        sort, classifier = self.parse_classifier()
+        classifier = self.parse_classifier()
         body: Optional[Union[Term, Type]] = None
         if self.eat("EQUALS"):
-            if sort == "kind":
-                body = self.parse_type()
-            else:
-                body = self.parse_term()
+            body = self.parse_type() if isinstance(classifier, Kind) else self.parse_term()
         self.expect("DOT", f"end of definition {name_tok.lexeme}")
         return RawDef(name_tok.lexeme, classifier, body, name_tok.span)
 
     # -- classifiers (types or kinds, one grammar) ----------------------------
+    #
+    # Each rule returns the node it parsed, whose class is its sort.
+    # ``_class_spine`` and ``_class_atom`` may also return a term (a
+    # parenthesized term, or an application spine over one), which
+    # ``_class_eq`` takes as the left side of ≃ or promotes to a type.
 
-    def parse_classifier(self) -> tuple[str, Union[Type, Kind]]:
-        """Parse a type-or-kind; returns ('type', T) or ('kind', K)."""
-        return self._class_arrow()
+    def parse_classifier(self) -> Union[Type, Kind]:
+        lhs = self._class_binder()
+        tok = self.peek()
+        if tok.kind == "ARROW":
+            self.next()
+            rhs = self.parse_classifier()
+            if isinstance(rhs, Kind):
+                return (KPiK if isinstance(lhs, Kind) else KPi)("_", lhs, rhs, span=tok.span)
+            if isinstance(lhs, Kind):
+                raise ParseError("a kind cannot be the domain of a type arrow", tok.span)
+            return Pi("_", lhs, rhs, span=tok.span)
+        if tok.kind == "EARROW":
+            self.next()
+            rhs = self.parse_classifier()
+            if isinstance(lhs, Kind) or isinstance(rhs, Kind):
+                raise ParseError("➾ connects types", tok.span)
+            return All("_", lhs, rhs, span=tok.span)
+        return lhs
 
     def parse_type(self) -> Type:
-        sort, node = self._class_arrow()
-        if sort != "type":
+        node = self.parse_classifier()
+        if isinstance(node, Kind):
             raise ParseError("expected a type, found a kind", self._span_of(node))
         return node
 
     def _span_of(self, node) -> Span:
         return getattr(node, "span", None) or self.peek().span
 
-    def _class_arrow(self) -> tuple[str, Union[Type, Kind]]:
-        sort, lhs = self._class_binder()
-        tok = self.peek()
-        if tok.kind == "ARROW":
-            self.next()
-            rsort, rhs = self._class_arrow()
-            if rsort == "kind":
-                if sort == "kind":
-                    return "kind", KPiK("_", lhs, rhs, span=tok.span)
-                return "kind", KPi("_", lhs, rhs, span=tok.span)
-            if sort != "type":
-                raise ParseError("a kind cannot be the domain of a type arrow", tok.span)
-            return "type", Pi("_", lhs, rhs, span=tok.span)
-        if tok.kind == "EARROW":
-            self.next()
-            rsort, rhs = self._class_arrow()
-            if rsort != "type" or sort != "type":
-                raise ParseError("➾ connects types", tok.span)
-            return "type", All("_", lhs, rhs, span=tok.span)
-        return sort, lhs
-
-    def _class_binder(self) -> tuple[str, Union[Type, Kind]]:
+    def _class_binder(self) -> Union[Type, Kind]:
         tok = self.peek()
         if tok.kind == "PI":
             self.next()
-            binders, (dsort, dom) = self._binder_group()
+            binders, dom = self._binder_group()
             self.expect("DOT", "Π binder")
-            bsort, body = self._class_arrow()
+            body = self.parse_classifier()
             for name in reversed(binders):
-                if bsort == "kind":
-                    body = KPiK(name, dom, body, span=tok.span) if dsort == "kind" else KPi(
-                        name, dom, body, span=tok.span
-                    )
+                if isinstance(body, Kind):
+                    body = (KPiK if isinstance(dom, Kind) else KPi)(name, dom, body, span=tok.span)
+                elif isinstance(dom, Kind):
+                    raise ParseError("Π over a kind must end in a kind (use ∀ for types)", tok.span)
                 else:
-                    if dsort == "kind":
-                        raise ParseError("Π over a kind must end in a kind (use ∀ for types)", tok.span)
                     body = Pi(name, dom, body, span=tok.span)
-            return bsort, body
+            return body
         if tok.kind == "ALL":
             self.next()
-            binders, (dsort, dom) = self._binder_group()
+            binders, dom = self._binder_group()
             self.expect("DOT", "∀ binder")
-            bsort, body = self._class_arrow()
-            if bsort != "type":
+            body = self.parse_classifier()
+            if isinstance(body, Kind):
                 raise ParseError("∀ body must be a type", tok.span)
             for name in reversed(binders):
-                body = (
-                    AllK(name, dom, body, span=tok.span)
-                    if dsort == "kind"
-                    else All(name, dom, body, span=tok.span)
-                )
-            return "type", body
+                body = (AllK if isinstance(dom, Kind) else All)(name, dom, body, span=tok.span)
+            return body
         if tok.kind == "IOTA":
             self.next()
             name = self.expect("IDENT", "ι binder").lexeme
@@ -344,76 +335,71 @@ class Parser:
             fst = self.parse_type()
             self.expect("DOT", "ι binder")
             snd = self.parse_type()
-            return "type", Iota(name, fst, snd, span=tok.span)
+            return Iota(name, fst, snd, span=tok.span)
         if tok.kind == "LAM":
             self.next()
-            binders, domspec = self._lam_binder_group()
+            binders, ann = self._lam_binder_group()
             self.expect("DOT", "type-level λ")
             body = self.parse_type()
-            ann = domspec[1] if domspec else None
             for name in reversed(binders):
                 body = TLam(name, body, ann, span=tok.span)
-            return "type", body
+            return body
         return self._class_eq()
 
-    def _binder_group(self) -> tuple[list[str], tuple[str, Union[Type, Kind]]]:
+    def _binder_group(self) -> tuple[list[str], Union[Type, Kind]]:
         names = [self.expect("IDENT", "binder").lexeme]
         while self.eat("COMMA"):
             names.append(self.expect("IDENT", "binder").lexeme)
         self.expect("COLON", "binder")
         return names, self.parse_classifier()
 
-    def _lam_binder_group(self):
+    def _lam_binder_group(self) -> tuple[list[str], Optional[Union[Type, Kind]]]:
         names = [self.expect("IDENT", "binder").lexeme]
         while self.eat("COMMA"):
             names.append(self.expect("IDENT", "binder").lexeme)
-        domspec = None
-        if self.eat("COLON"):
-            domspec = self.parse_classifier()
-        return names, domspec
+        return names, self.parse_classifier() if self.eat("COLON") else None
 
-    def _class_eq(self) -> tuple[str, Union[Type, Kind]]:
-        sort, lhs = self._class_spine()
+    def _class_eq(self) -> Union[Type, Kind]:
+        lhs = self._class_spine()
         if self.at("SIMEQ"):
             tok = self.next()
             lhs_term = self._as_term(lhs, tok.span)
             rhs = self.parse_term()
-            return "type", Eq(lhs_term, rhs, span=tok.span)
-        if sort == "term":
+            return Eq(lhs_term, rhs, span=tok.span)
+        if isinstance(lhs, Term):
             # a bare name / application skeleton in type position
-            return "type", self._as_type(lhs, self._span_of(lhs))
-        return sort, lhs
+            return self._as_type(lhs, self._span_of(lhs))
+        return lhs
 
-    def _class_spine(self) -> tuple[str, Union[Type, Kind, Term]]:
+    def _class_spine(self) -> Union[Type, Kind, Term]:
         tok = self.peek()
         if tok.kind == "STAR":
             self.next()
-            return "kind", Star(span=tok.span)
-        sort, head = self._class_atom()
+            return Star(span=tok.span)
+        head = self._class_atom()
         while True:
             nxt = self.peek()
             if nxt.kind == "CDOT":
                 self.next()
-                asort, arg = self._class_atom()
+                arg = self._class_atom()
                 head = TAppT(self._as_type(head, nxt.span), self._as_type(arg, nxt.span), span=nxt.span)
-                sort = "type"
             elif nxt.kind in ("IDENT", "LPAREN", "LBRACK", "BETA"):
                 arg = self.parse_term_atom()
-                if sort == "term":
+                if isinstance(head, Term):
                     head = App(head, arg, span=nxt.span)
                 else:
                     head = TAppE(self._as_type(head, nxt.span), arg, span=nxt.span)
             else:
-                return sort, head
+                return head
 
-    def _class_atom(self) -> tuple[str, Union[Type, Kind, Term]]:
+    def _class_atom(self) -> Union[Type, Kind, Term]:
         tok = self.peek()
         if tok.kind == "STAR":
             self.next()
-            return "kind", Star(span=tok.span)
+            return Star(span=tok.span)
         if tok.kind == "IDENT":
             self.next()
-            return "type", TVar(self.reference(tok), span=tok.span)
+            return TVar(self.reference(tok), span=tok.span)
         if tok.kind in ("PI", "ALL", "IOTA", "LAM"):
             return self._class_binder()
         if tok.kind == "LPAREN":
@@ -421,15 +407,15 @@ class Parser:
             save = self.i
             try:
                 self.next()
-                sort, inner = self._class_arrow()
+                inner = self.parse_classifier()
                 self.expect("RPAREN")
-                return sort, inner
+                return inner
             except ParseError:
                 self.i = save
             self.next()
             inner_t = self.parse_term()
             self.expect("RPAREN", "parenthesized term")
-            return "term", self._postfix_proj(inner_t)
+            return self._postfix_proj(inner_t)
         raise ParseError(f"unexpected {tok.kind} {tok.lexeme!r} in type", tok.span)
 
     # -- sort coercions ------------------------------------------------------
@@ -497,9 +483,9 @@ class Parser:
             else:
                 self.i += 1
                 if kind == "LAM" or kind == "ELAM":
-                    binders, domspec = self._lam_binder_group()
+                    binders, ann = self._lam_binder_group()
                     self.expect("DOT", "λ binder" if kind == "LAM" else "Λ binder")
-                    stack.append((kind, tok, binders, domspec))
+                    stack.append((kind, tok, binders, ann))
                     continue
                 proof = self.parse_proof_spine()
                 if kind == "SIGMA":
@@ -532,11 +518,11 @@ class Parser:
                 if kind == "RHO":
                     t = Rho(a, t, b, span=tok.span)
                     continue
-                if kind == "LAM" and b is not None and b[0] != "type":
+                if kind == "LAM" and isinstance(b, Kind):
                     raise ParseError("explicit λ binder annotation must be a type", tok.span)
                 node = Lam if kind == "LAM" else ELam
                 for name in reversed(a):
-                    t = node(name, t, b and b[1], span=tok.span)
+                    t = node(name, t, b, span=tok.span)
             else:
                 return t
 
@@ -579,27 +565,24 @@ class Parser:
             self.i += 1
         return t
 
-    def parse_erased_arg(self) -> Union[Term, Type, DeferredArg]:
+    def parse_erased_arg(self) -> Union[Term, Type]:
+        """The argument after ``-``: a term, or a type.  A name, and a
+        parenthesized term, stay terms, so that an argument that could be
+        read at either sort is its term skeleton (module docstring)."""
         tok = self.peek()
         if tok.kind == "BETA":
             self.next()
             return Beta(span=tok.span)
         if tok.kind == "IDENT":
             self.next()
-            base: Term = Var(self.reference(tok), span=tok.span)
-            if self.at("PROJ1") or self.at("PROJ2"):
-                return self._postfix_proj(base)
-            return DeferredArg(base, span=tok.span)
+            return self._postfix_proj(Var(self.reference(tok), span=tok.span))
         if tok.kind == "LPAREN":
             save = self.i
-            # term attempt first: erased term arguments are more common in
-            # parenthesized position; sort-ambiguous shapes stay deferred
+            # a term first, then a type
             try:
                 self.next()
                 inner = self.parse_term()
                 self.expect("RPAREN")
-                if _is_promotable(inner):
-                    return DeferredArg(inner, span=tok.span)
                 return inner
             except ParseError:
                 self.i = save
@@ -608,16 +591,6 @@ class Parser:
             self.expect("RPAREN", "erased type argument")
             return ty
         raise ParseError(f"unexpected {tok.kind} {tok.lexeme!r} after '-'", tok.span)
-
-
-def _is_promotable(t: Term) -> bool:
-    """Shapes readable as either a term or a type: variables, application
-    spines over them, and lambdas over such bodies."""
-    while isinstance(t, Lam):
-        t = t.body
-    while isinstance(t, App):
-        t = t.fn
-    return isinstance(t, Var)
 
 
 # ---------------------------------------------------------------------------
@@ -646,4 +619,4 @@ def parse_term(text: str, path: str = "<input>") -> Term:
 
 
 def parse_classifier(text: str, path: str = "<input>") -> Union[Type, Kind]:
-    return _parse(text, path, "classifier", lambda p: p.parse_classifier()[1])
+    return _parse(text, path, "classifier", Parser.parse_classifier)

@@ -169,22 +169,15 @@ class App(Term):
 class EApp(Term):
     """Erased application ``t -a``.
 
-    The argument carries a discriminator: a Term, a Type, or a
-    DeferredArg (a bare name or name-application whose sort is resolved
-    from the head's classifier during checking).
+    The argument is a Term or a Type.  One the parser cannot sort (a
+    name, an application or a λ over names, as in ``-x`` or ``-(F x)``)
+    is its term skeleton, a ``Var``, ``App`` or ``Lam``; the checker reads
+    it at the sort the head's implicit product asks for, promoting it to
+    a type (``promote_skeleton``) where that is a type.
     """
 
     fn: Term
-    arg: Union[Term, Type, "DeferredArg"]
-    span: Optional[Span] = _span_field()
-
-
-@_node
-class DeferredArg:
-    """Erased-argument surface form whose term/type sort is not decidable
-    at parse time (a name, or a juxtaposed application of names)."""
-
-    expr: Term  # var/app skeleton; promoted to a type when required
+    arg: Union[Term, Type]
     span: Optional[Span] = _span_field()
 
 
@@ -402,7 +395,9 @@ class Defn:
 # The other fields are ``span`` and the data the traversals read
 # themselves: the name of a ``PVar``, ``Var`` or ``TVar`` leaf and the
 # index of a ``Proj``.  Pure terms are the ``PVar``/``PLam``/``PApp``
-# rows.
+# rows.  Every row is a pure term, Term, Type or Kind class: a node's sort
+# is its class (an erased argument the parser cannot sort is its term
+# skeleton, see ``EApp``).
 GUIDE = "(hole, template)"
 _APPS = (PApp, App, EApp, TAppT, TAppE)  # application nodes: ``subst_syntax`` loops down their spines
 LAYOUT: dict[type, tuple[tuple[str, Optional[str]], ...]] = {
@@ -418,11 +413,10 @@ LAYOUT: dict[type, tuple[tuple[str, Optional[str]], ...]] = {
     Phi: (("proof", None), ("main", None), ("target", None)),
     Sym: (("proof", None),),
     Proj: (("subj", None),),
-    DeferredArg: (("expr", None),),
 }
 
 
-def free_names(x: Union[PureTerm, Term, Type, Kind, DeferredArg]) -> frozenset[str]:
+def free_names(x: Union[PureTerm, Term, Type, Kind]) -> frozenset[str]:
     """Free names (term and type alike) of any syntax value, pure or
     annotated, in one iterative walk that counts the binders of each name
     in scope."""
@@ -460,7 +454,10 @@ def subst_syntax(x, env: dict[str, Union[PureTerm, Term, Type]]):
 
     ``env`` maps names to replacements of the target's sort: pure terms
     into a pure term, Terms or Types into annotated syntax.  A variable
-    replacement is a renaming and keeps the occurrence's sort; any other
+    replacement is a renaming and keeps the occurrence's sort.  An erased
+    argument that is a term skeleton (see ``EApp``) and that a type other
+    than a variable hits is promoted to a type first: that is how a type
+    argument the parser could not sort is instantiated.  Any other
     replacement of the wrong sort (a Type hitting a Var, a Term hitting a
     TVar, pure and annotated syntax mixed) indicates an error upstream
     and raises.  Entries ``x ↦ x`` are dropped first, and so is one for
@@ -490,6 +487,7 @@ def subst_syntax(x, env: dict[str, Union[PureTerm, Term, Type]]):
     if not top:
         return x
     fvs: Optional[set[str]] = None
+    types: Optional[set[str]] = None  # the names replaced by a type that is no variable
     hits = 0  # occurrences replaced, less those of binders renamed and left
     own: dict[str, int] = {}  # occurrences replaced per binder being renamed, by fresh name
 
@@ -513,6 +511,13 @@ def subst_syntax(x, env: dict[str, Union[PureTerm, Term, Type]]):
         hits -= own.pop(fresh)
         return (name, body) if hits == before else (fresh, body2)
 
+    def promotes(arg, env) -> bool:
+        # whether a replacement that is a type but no variable hits ``arg``
+        nonlocal types
+        if types is None:
+            types = {k for k, v in top.items() if isinstance(v, Type) and type(v) is not TVar}
+        return bool(types) and any(isinstance(env.get(k), Type) for k in types.intersection(free_names(arg)))
+
     def go(cur, env):
         nonlocal hits
         cls = type(cur)
@@ -525,8 +530,8 @@ def subst_syntax(x, env: dict[str, Union[PureTerm, Term, Type]]):
             if kind is Var and rep.name in own:
                 own[rep.name] += 1
             if kind is Var or kind is TVar or kind is PVar:
-                # a renaming keeps the occurrence's sort (a deferred name
-                # may be resolved at either) and its source span
+                # a renaming keeps the occurrence's sort (an erased
+                # argument's name may be read at either) and its source span
                 return PVar(rep.name) if cls is PVar else cls(rep.name, cur.span)
             want = Term if cls is Var else Type if cls is TVar else PureTerm
             if not isinstance(rep, want):
@@ -544,18 +549,13 @@ def subst_syntax(x, env: dict[str, Union[PureTerm, Term, Type]]):
                 arg = app.arg
                 kind = type(arg)
                 if not ((kind is Var or kind is TVar or kind is PVar) and arg.name not in env):
+                    if type(app) is EApp and (kind is Var or kind is App or kind is Lam) and promotes(arg, env):
+                        arg = promote_skeleton(arg)
                     arg = go(arg, env)  # an untouched leaf costs no call
                 if out is not app.fn or arg is not app.arg:
                     app = PApp(out, arg) if type(app) is PApp else type(app)(out, arg, app.span)
                 out = app
             return out
-        if cls is DeferredArg:
-            # a type replacement hitting the skeleton resolves its sort
-            hit_types = {
-                k for k, v in env.items() if isinstance(v, Type) and not isinstance(v, TVar)
-            }
-            if hit_types and not hit_types.isdisjoint(free_names(cur.expr)):
-                return go(promote_skeleton(cur.expr), env)
         new = {}  # the fields that change, by name
         for child, binder in LAYOUT[cls]:
             sub = getattr(cur, child)
@@ -593,7 +593,8 @@ def alpha_eq(a, b) -> bool:
     up to renaming of bound names.  An equivalence relation on
     well-scoped values.
 
-    A deferred erased argument is compared through its skeleton.
+    Values of two classes differ, so an erased term skeleton is not
+    equal to the type it promotes to (a node's sort is its class).
     Non-dependent products with distinct unused binder names are equal
     (this is what makes the arrow resugaring of the printer round-trip).
     One iterative walk over both values at once, so any depth is fine
@@ -618,10 +619,6 @@ def alpha_eq(a, b) -> bool:
             stack.append((name_a, None, name_b, (levels_a.get(name_a), levels_b.get(name_b))))
             levels_a[name_a] = levels_b[name_b] = depth
             depth += 1
-        if type(x) is DeferredArg:
-            x = x.expr
-        if type(y) is DeferredArg:
-            y = y.expr
         cls = type(x)
         if cls is not type(y):
             return False

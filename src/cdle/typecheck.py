@@ -71,7 +71,6 @@ from .syntax import (
     Beta,
     Bind,
     Classifier,
-    DeferredArg,
     Defn,
     EApp,
     ELam,
@@ -360,15 +359,11 @@ class Checker:
     def kind_wf(self, k: Kind) -> None:
         if isinstance(k, Star):
             return
-        if isinstance(k, KPi):
-            dk = self.infer_kind(k.dom)
-            if not isinstance(dk, Star):
+        if isinstance(k, (KPi, KPiK)):
+            if isinstance(k.dom, Kind):
+                self.kind_wf(k.dom)
+            elif not isinstance(self.infer_kind(k.dom), Star):
                 raise CheckError(ErrorCode.KindMismatch, "kind domain must be a ★-kinded type", k.span)
-            with self._with(k.name, k.dom, k.cod) as (_, cod):
-                self.kind_wf(cod)
-            return
-        if isinstance(k, KPiK):
-            self.kind_wf(k.dom)
             with self._with(k.name, k.dom, k.cod) as (_, cod):
                 self.kind_wf(cod)
             return
@@ -460,15 +455,11 @@ class Checker:
 
     def check_type(self, T: Type, k: Kind) -> None:
         if isinstance(T, TLam) and T.ann is None:
-            if isinstance(k, KPi):
-                with self._with(T.name, k.dom, T.body) as (x, body):
-                    self.check_type(body, subst1(k.cod, k.name, Var(x)))
-                return
-            if isinstance(k, KPiK):
-                with self._with(T.name, k.dom, T.body) as (x, body):
-                    self.check_type(body, subst1(k.cod, k.name, TVar(x)))
-                return
-            raise CheckError(ErrorCode.KindMismatch, "type-level λ against a non-Π kind", T.span)
+            if not isinstance(k, (KPi, KPiK)):
+                raise CheckError(ErrorCode.KindMismatch, "type-level λ against a non-Π kind", T.span)
+            with self._with(T.name, k.dom, T.body) as (x, body):
+                self.check_type(body, subst1(k.cod, k.name, (TVar if isinstance(k.dom, Kind) else Var)(x)))
+            return
         inferred = self.infer_kind(T)
         if not self.kinds_conv(inferred, k):
             raise CheckError(
@@ -566,8 +557,6 @@ class Checker:
         return Tq.lhs, Tq.rhs
 
     def _resolve_term_arg(self, a, sp) -> Term:
-        if isinstance(a, DeferredArg):
-            return a.expr
         if isinstance(a, Term):
             return a
         try:
@@ -578,12 +567,10 @@ class Checker:
     def _resolve_type_arg(self, a, sp) -> Type:
         if isinstance(a, Type):
             return a
-        deferred = isinstance(a, DeferredArg)
         try:
-            return promote_skeleton(a.expr if deferred else a)
+            return promote_skeleton(a)
         except TypeError:
-            what = "erased argument is not a type" if deferred else "expected an erased type argument, found a term"
-            raise CheckError(ErrorCode.TypeMismatch, what, sp) from None
+            raise CheckError(ErrorCode.TypeMismatch, "expected an erased type argument, found a term", sp) from None
 
     def _phi_conditions(self, q: Term, main: Term, target: Term, sp) -> None:
         s1, s2 = self._eq_sides(q, sp)

@@ -45,7 +45,6 @@ from cdle.syntax import (  # noqa: E402
     AllK,
     App,
     Beta,
-    DeferredArg,
     EApp,
     ELam,
     Eq,
@@ -108,12 +107,12 @@ def gen_erased_arg(rng: random.Random, depth: int):
     """An erased argument in one of the shapes the parser can produce."""
     r = rng.random()
     if r < 0.5:
-        return DeferredArg(Var(rng.choice(TERM_NAMES)))
+        return Var(rng.choice(TERM_NAMES))
     if r < 0.75:
         ty = gen_type(rng, depth - 1)
         if isinstance(ty, (TVar, TAppE, TLam)):
-            # sort-ambiguous shapes would reparse deferred; wrap them
-            return DeferredArg(Var(rng.choice(TERM_NAMES)))
+            # sort-ambiguous shapes would reparse as term skeletons; draw a name
+            return Var(rng.choice(TERM_NAMES))
         return ty
     return Beta()
 

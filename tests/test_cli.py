@@ -361,6 +361,7 @@ def test_classify_costs_rule():
     assert classify_costs([(8, 5, True)]) == "other"
     assert classify_costs([(8, 5, False)]) == "other"
     assert classify_costs([(8, 5, False), (8, 5, False)]) == "other"
+    assert classify_costs([(8, 89, False), (16, 170, False), (32, 329, False)]) == "other"
 
 
 def test_verify_green_and_byte_stable():
@@ -447,6 +448,26 @@ def test_cost_unit_out_of_fuel_exit_one(capsys, tmp_path):
     assert "-- 119/119 definitions checked" in out.splitlines()
     code, out, _ = run(capsys, "cost", "v2l!", "--sizes", "8,16", "--root", root, "--max-steps", "4000")
     assert code == 0 and "classification: constant (manifest: constant)" in out
+
+
+def test_cost_rows_normalizes_unit_once(checked_corpus, monkeypatch):
+    """``unit`` is normalized once per ``cost_rows`` call, not once per
+    row, and the rows are those of inputs built one by one."""
+    ck, _ = checked_corpus
+    real = cdle_corpus.normalize
+    units = []
+
+    def counting(t, *args, **kwargs):
+        units.append(t == PVar("unit"))
+        return real(t, *args, **kwargs)
+
+    monkeypatch.setattr(cdle_corpus, "normalize", counting)
+    rows = cdle_corpus.cost_rows(ck, "v2l!", [8, 16, 32, 64], Fuel(4000))
+    assert sum(units) == 1
+    fn = real(ck.pure_env["v2l!"]).result
+    for n, beta, eta, exhausted, same in rows:
+        out = cdle_corpus.apply_and_count(fn, [cdle_corpus.synth_input_nf(ck, "vec", n)], Fuel(4000))
+        assert (beta, eta, exhausted, same) == (out.beta_steps, out.eta_steps, out.fuel_exhausted, True)
 
 
 def test_verify_counts_a_counted_run_that_changes_its_input(capsys, monkeypatch):

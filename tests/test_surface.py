@@ -136,6 +136,21 @@ def test_erased_application_forms():
     assert alpha_eq(t, t2)
 
 
+def test_an_erased_argument_is_a_term_or_a_type_node():
+    """An erased argument the parser cannot sort is its term skeleton (a
+    ``Var``, ``App`` or ``Lam``); a projection stays a term and a product
+    is a type."""
+    from cdle.syntax import App, EApp, Lam, Pi, Proj, Var
+
+    shapes = [("f -x", Var), ("f -(g x)", App), ("f -(λ y. g y)", Lam), ("f -x.1", Proj), ("f -(Nat ➔ Nat)", Pi)]
+    for text, cls in shapes:
+        t = parse_term(text)
+        assert type(t) is EApp and t.fn == Var("f") and type(t.arg) is cls, text
+        assert alpha_eq(parse_term(pretty(t)), t)
+    assert parse_term("f -x").arg == Var("x") and parse_term("f -(g x)").arg == App(Var("g"), Var("x"))
+    assert parse_term("f -x.1").arg == Proj(Var("x"), 1)
+
+
 def test_guided_rho_syntax_roundtrip():
     t = parse_term("ρ q { h . Vec · A h } - x")
     assert t.guide is not None and t.guide[0] == "h"

@@ -20,7 +20,6 @@ from cdle.syntax import (
     Beta,
     GUIDE,
     LAYOUT,
-    DeferredArg,
     Defn,
     EApp,
     ELam,
@@ -255,13 +254,6 @@ def reference_subst_syntax(x, env):
             return PLam(*under(cur.name, cur.body, env))
         if cls is PApp:
             return PApp(go(cur.fn, env), go(cur.arg, env))
-        if isinstance(cur, DeferredArg):
-            hit_types = {
-                k for k, v in env.items() if isinstance(v, Type) and not isinstance(v, TVar)
-            }
-            if hit_types and not hit_types.isdisjoint(free_names(cur.expr)):
-                return go(promote_skeleton(cur.expr), env)
-            return DeferredArg(go(cur.expr, env), cur.span)
         if cls is Var:
             rep = env.get(cur.name)
             if rep is None:
@@ -286,6 +278,13 @@ def reference_subst_syntax(x, env):
             ann = go(cur.ann, env) if cur.ann is not None else None
             n, b = under(cur.name, cur.body, env)
             return cls(n, b, ann, cur.span)
+        if cls is EApp and isinstance(cur.arg, (Var, App, Lam)):
+            # an erased term skeleton that a non-variable type hits is promoted
+            hit_types = {
+                k for k, v in env.items() if isinstance(v, Type) and not isinstance(v, TVar)
+            }
+            if hit_types and not hit_types.isdisjoint(free_names(cur.arg)):
+                return EApp(go(cur.fn, env), go(promote_skeleton(cur.arg), env), cur.span)
         if cls in (App, EApp, TAppT, TAppE):
             return cls(go(cur.fn, env), go(cur.arg, env), cur.span)
         if cls is Rho:
@@ -466,6 +465,25 @@ def test_subst_keeps_untouched_siblings():
     assert out.cod.cod == Eq(Var("u"), rhs)
 
 
+def test_subst_promotes_an_erased_term_skeleton_that_a_type_hits():
+    """A type that is no variable, replacing a name in an erased term
+    skeleton, turns the skeleton into a type; a renaming keeps it a term,
+    and so does a binder that shadows the name."""
+    from cdle.syntax import subst_syntax
+
+    rep = TAppT(TVar("L"), TVar("N"))
+    assert subst_syntax(EApp(Var("f"), Var("X")), {"X": rep}) == EApp(Var("f"), rep)
+    assert subst_syntax(EApp(Var("f"), Var("X")), {"X": TVar("Y")}) == EApp(Var("f"), Var("Y"))
+    skeleton = EApp(Var("f"), App(Var("X"), Var("n")))
+    assert subst_syntax(skeleton, {"X": rep}) == EApp(Var("f"), TAppE(rep, Var("n")))
+    assert subst_syntax(skeleton, {"X": TVar("Y")}).arg == App(Var("Y"), Var("n"))
+    shadowed = EApp(Var("f"), Lam("X", App(Var("X"), Var("n"))))
+    assert subst_syntax(shadowed, {"X": rep}) is shadowed
+    for t in (EApp(Var("f"), Var("X")), skeleton, shadowed):
+        for env in ({"X": rep}, {"X": TVar("Y")}):
+            assert subst_syntax(t, env) == reference_subst_syntax(t, env)
+
+
 def test_subst_under_nested_capturing_binders_walks_once(monkeypatch):
     """``x ↦ y`` into ``Π y : A. … Π y : A. x ≃ z`` renames all 300
     binders and takes the replacement's free names once, where a walk of
@@ -530,8 +548,7 @@ def test_layout_accounts_for_every_node_class_and_field():
     data = {(PVar, "name"), (Var, "name"), (TVar, "name"), (Proj, "idx")}
     bases = (PureTerm, Term, Type, Kind)
     classes = {c for c in vars(cdle.syntax).values() if isinstance(c, type) and c not in bases and issubclass(c, bases)}
-    classes.add(DeferredArg)
-    assert len(classes) == 27
+    assert len(classes) == 26
     assert set(LAYOUT) == classes
     for cls in classes:
         children = [child for child, _ in LAYOUT[cls]]
@@ -562,9 +579,6 @@ def reference_term_free_names(x):
         cur = stack.pop()
         if type(cur) is str:
             bound[cur] -= 1
-            continue
-        if isinstance(cur, DeferredArg):
-            stack.append(cur.expr)
             continue
         if isinstance(cur, (PVar, Var, TVar)):
             if not bound.get(cur.name):
@@ -617,10 +631,6 @@ def reference_syntax_alpha_eq(a, b):
     ladder over the node classes that copies both binder maps per binder."""
 
     def go(x, y, envx, envy):
-        if isinstance(x, DeferredArg):
-            x = x.expr
-        if isinstance(y, DeferredArg):
-            y = y.expr
         cx, cy = type(x), type(y)
         if cx is not cy:
             return False

@@ -393,6 +393,34 @@ g ◂ Nat ➔ Nat = λ a. f a.
     assert alpha_eq(nf, PLam("a1", PVar("a")))
 
 
+def test_an_erased_skeleton_is_read_at_the_sort_its_product_asks_for(tmp_path):
+    """``-(F zero)`` and ``-(suc zero)`` both parse to an ``App``; the
+    first instantiates a type binder and the second a term binder.  A
+    term that is no skeleton, given for a type binder, is a TypeMismatch."""
+    from cdle.syntax import App
+
+    path = tmp_path / "m.cdl"
+    path.write_text("""
+import base.
+F ◂ Nat ➔ ★ = λ n : Nat. Nat.
+idT ◂ ∀ X : ★. X ➔ X = Λ X. λ x. x.
+idE ◂ ∀ n : Nat. Nat ➔ Nat = Λ n. λ x. x.
+useT ◂ F zero ➔ F zero = idT -(F zero).
+useE ◂ Nat ➔ Nat = idE -(suc zero).
+bad ◂ Nat ➔ Nat = idT -β.
+""", encoding="utf-8")
+    defs = load_program([str(path)], root=CORPUS)
+    bodies = {d.name: d.body for _, d in defs}
+    assert type(bodies["useT"].arg) is App and type(bodies["useE"].arg) is App
+    _, report = check_defs(defs)
+    got = {r.name: (r.code, r.message) for r in report.results if r.name in ("useT", "useE", "bad")}
+    assert got == {
+        "useT": (None, ""),
+        "useE": (None, ""),
+        "bad": ("TypeMismatch", "expected an erased type argument, found a term"),
+    }
+
+
 def test_conversions_unfold_globals_as_expansion_does(monkeypatch):
     """Every side of every conversion the corpus check makes, normalized
     both ways: the erasure with the definitions it mentions expanded
