@@ -17,8 +17,7 @@ from __future__ import annotations
 import gc
 import os
 import re
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .erasure import erase
 from .loader import load_program
@@ -57,8 +56,7 @@ def corpus_paths(root: Optional[str] = None) -> list[str]:
     return [os.path.join(root, f"{stem}.cdl") for stem in CORPUS_FILE_ORDER]
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     name: str
     file: str
     golden_erasure: Optional[str] = None
@@ -172,8 +170,7 @@ def load_checked_corpus(root: Optional[str] = None, fuel: Fuel = Fuel()) -> tupl
     return out
 
 
-@dataclass
-class GoldenResult:
+class GoldenResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""

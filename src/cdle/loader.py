@@ -2,7 +2,9 @@
 
 Imports name sibling modules (``import base.`` loads ``<root>/base.cdl``)
 and must be acyclic; a program is the concatenation of all loaded
-definitions in dependency order, deduplicated by absolute path.
+definitions in dependency order, deduplicated by absolute path.  A
+module is displayed by the path it was reached by: a file given
+relative stays relative, and so do the siblings it imports.
 
 Every call reads each file, but parses it only when it changed: the
 module table maps each absolute path the last successful call loaded to
@@ -55,7 +57,8 @@ def load_program(paths: list[str], root: Optional[str] = None) -> list[tuple[str
         entry = previous.get(apath)
         if entry is None or entry[:2] != (path, text):
             entry = (path, text, parse_module(text, path))
-        base = root if root is not None else os.path.dirname(apath)
+        # an import is displayed relative to the importer's display path
+        base = root if root is not None else os.path.dirname(path)
         for imp in entry[2].imports:
             visit(os.path.join(base, imp + ".cdl"))
         visiting.pop()

@@ -40,9 +40,8 @@ counter left in the kernel is the ``itertools.count`` behind
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .syntax import PApp, PLam, PVar, PureTerm, alpha_eq
 
@@ -62,19 +61,18 @@ class FuelExhaustedError(Exception):
         self.what = what  # from the cost harness: the term that ran out
 
 
-@dataclass(frozen=True)
-class Fuel:
+class Fuel(NamedTuple("Fuel", [("max_steps", int)])):
     """Contraction budget; strictly positive."""
 
-    max_steps: int = DEFAULT_MAX_STEPS
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_steps <= 0:
+    def __new__(cls, max_steps: int = DEFAULT_MAX_STEPS):
+        if max_steps <= 0:
             raise ValueError("fuel must be strictly positive")
+        return super().__new__(cls, max_steps)
 
 
-@dataclass(frozen=True)
-class NormalizeOutcome:
+class NormalizeOutcome(NamedTuple):
     """Result of normalization: the normal form (or None on fuel
     exhaustion) plus exact tallies of contractions performed."""
 

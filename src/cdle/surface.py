@@ -36,7 +36,6 @@ draws no ``fresh_name``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
 from .syntax import (
@@ -176,19 +175,17 @@ def lex(text: str, filename: str = "<input>") -> list[Token]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RawDef:
+class RawDef(NamedTuple):
     name: str
     classifier: Union[Type, Kind]
     body: Optional[Union[Term, Type]]  # None for parameters
     span: Span
 
 
-@dataclass
-class SourceModule:
+class SourceModule(NamedTuple):
     path: str
-    imports: list[str] = field(default_factory=list)
-    defs: list[RawDef] = field(default_factory=list)
+    imports: list[str]
+    defs: list[RawDef]
 
 
 _TERM_ATOM_START = {"IDENT", "LPAREN", "LBRACK", "BETA"}
@@ -235,7 +232,7 @@ class Parser:
     # -- module --------------------------------------------------------------
 
     def parse_module(self, path: str) -> SourceModule:
-        mod = SourceModule(path=path)
+        mod = SourceModule(path, [], [])
         while self.at("IMPORT"):
             self.next()
             name = self.expect("IDENT", "import").lexeme

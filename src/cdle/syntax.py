@@ -6,17 +6,20 @@ the equality constructs (reflexivity, rewrite, cast, symmetry), and
 intersection introduction/projection; classifiers are split into a type
 layer and a kind layer.
 
-Syntax nodes are slotted dataclasses: they have no ``__dict__``, compare
-and hash by value (source spans excluded), and are immutable by
-convention rather than frozen, since a frozen dataclass costs more than
-twice as much to build.  No code assigns to a node, so nodes are safe to
-share between checker instances, and ``subst_syntax`` returns every
-subtree it leaves unchanged as the same object instead of a copy: a
-substitution rebuilds only the paths down to the occurrences it
-replaces.  The one exception is readback in
-``reduction._quote``, which names binders by assigning ``name`` to the
-``PLam`` and ``PVar`` nodes it built itself, before ``normalize`` returns
-them; no other code has seen those nodes yet.
+Syntax nodes are plain slotted classes under one base, ``Node``: they
+have no ``__dict__``, compare and hash by value (source spans excluded),
+and print without their spans.  Each class writes its own ``__init__``,
+so building a node costs a call that only stores its fields, and
+importing the kernel loads no class-generating machinery.  Nodes are
+immutable by convention rather than frozen, since guarding every store
+would make each node dearer to build.  No code assigns to a node, so
+nodes are safe to share between checker instances, and ``subst_syntax``
+returns every subtree it leaves unchanged as the same object instead of
+a copy: a substitution rebuilds only the paths down to the occurrences
+it replaces.  The one exception is readback in ``reduction._quote``,
+which names binders by assigning ``name`` to the ``PLam`` and ``PVar``
+nodes it built itself, before ``normalize`` returns them; no other code
+has seen those nodes yet.
 
 One layout table, ``LAYOUT``, lists the children and binders of every
 node class, pure and annotated, and the traversals walk it: one free-name
@@ -34,7 +37,7 @@ loops), so Python's recursion limit bounds the depth they reach.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import NamedTuple, Optional, Union
 
 
@@ -54,37 +57,73 @@ class Span(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-# every syntax node: slotted, compared and hashed by value (see the module docstring)
-_node = dataclass(slots=True, unsafe_hash=True)
+class Node:
+    """Base of every syntax node and scope entry (see the module docstring).
+
+    A subclass lists its fields in ``__slots__``, in constructor order,
+    with ``span``, when it has one, last.  From them it gets
+    ``__match_args__`` and ``_key``, which reads every field but ``span``
+    (or, for a class with no other field, the class): two nodes are
+    equal when they are of one class and their keys are equal, and a
+    node hashes as its key.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls.__match_args__ = slots = cls.__dict__.get("__slots__", ())
+        key = [f for f in slots if f != "span"]
+        cls._key = attrgetter(*key) if key else attrgetter("__class__")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__ if f != "span")
+        return f"{type(self).__name__}({fields})"
 
 
-class PureTerm:
+class PureTerm(Node):
     """Base class for untyped lambda terms (no constants of any kind)."""
 
     __slots__ = ()
 
 
-@_node
 class PVar(PureTerm):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
     def __repr__(self) -> str:
         return f"PVar({self.name!r})"
 
 
-@_node
 class PLam(PureTerm):
-    name: str
-    body: PureTerm
+    __slots__ = ("name", "body")
+
+    def __init__(self, name: str, body: PureTerm):
+        self.name = name
+        self.body = body
 
     def __repr__(self) -> str:
         return f"PLam({self.name!r}, {self.body!r})"
 
 
-@_node
 class PApp(PureTerm):
-    fn: PureTerm
-    arg: PureTerm
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn: PureTerm, arg: PureTerm):
+        self.fn = fn
+        self.arg = arg
 
     def __repr__(self) -> str:
         return f"PApp({self.fn!r}, {self.arg!r})"
@@ -106,19 +145,19 @@ def fresh_name(hint: str = "x") -> str:
 # ---------------------------------------------------------------------------
 
 
-class Term:
+class Term(Node):
     """Base class for annotated terms."""
 
     __slots__ = ()
 
 
-class Type:
+class Type(Node):
     """Base class for type expressions."""
 
     __slots__ = ()
 
 
-class Kind:
+class Kind(Node):
     """Base class for kind expressions."""
 
     __slots__ = ()
@@ -127,45 +166,48 @@ class Kind:
 Classifier = Union[Type, Kind]
 
 
-def _span_field():
-    return field(default=None, compare=False, repr=False)
-
-
-@_node
 class Var(Term):
-    name: str
-    span: Optional[Span] = _span_field()
+    __slots__ = ("name", "span")
+
+    def __init__(self, name: str, span: Optional[Span] = None):
+        self.name = name
+        self.span = span
 
 
-@_node
 class Lam(Term):
     """Explicit abstraction; annotation optional (checking mode fills it)."""
 
-    name: str
-    body: Term
-    ann: Optional[Type] = None
-    span: Optional[Span] = _span_field()
+    __slots__ = ("name", "body", "ann", "span")
+
+    def __init__(self, name: str, body: Term, ann: Optional[Type] = None, span: Optional[Span] = None):
+        self.name = name
+        self.body = body
+        self.ann = ann
+        self.span = span
 
 
-@_node
 class ELam(Term):
     """Erased abstraction; binds a term or a type variable, which is
     resolved against the expected implicit product when checking."""
 
-    name: str
-    body: Term
-    ann: Optional[Classifier] = None
-    span: Optional[Span] = _span_field()
+    __slots__ = ("name", "body", "ann", "span")
+
+    def __init__(self, name: str, body: Term, ann: Optional[Classifier] = None, span: Optional[Span] = None):
+        self.name = name
+        self.body = body
+        self.ann = ann
+        self.span = span
 
 
-@_node
 class App(Term):
-    fn: Term
-    arg: Term
-    span: Optional[Span] = _span_field()
+    __slots__ = ("fn", "arg", "span")
+
+    def __init__(self, fn: Term, arg: Term, span: Optional[Span] = None):
+        self.fn = fn
+        self.arg = arg
+        self.span = span
 
 
-@_node
 class EApp(Term):
     """Erased application ``t -a``.
 
@@ -176,63 +218,80 @@ class EApp(Term):
     a type (``promote_skeleton``) where that is a type.
     """
 
-    fn: Term
-    arg: Union[Term, Type]
-    span: Optional[Span] = _span_field()
+    __slots__ = ("fn", "arg", "span")
+
+    def __init__(self, fn: Term, arg: Union[Term, Type], span: Optional[Span] = None):
+        self.fn = fn
+        self.arg = arg
+        self.span = span
 
 
-@_node
 class Beta(Term):
     """Reflexivity introduction for the heterogeneous equality type."""
 
-    span: Optional[Span] = _span_field()
+    __slots__ = ("span",)
+
+    def __init__(self, span: Optional[Span] = None):
+        self.span = span
 
 
-@_node
 class Rho(Term):
     """Rewrite: ``ρ q - t``, with an optional ``{x . T}`` guide naming a
     hole and a template type."""
 
-    proof: Term
-    body: Term
-    guide: Optional[tuple[str, Type]] = None
-    span: Optional[Span] = _span_field()
+    __slots__ = ("proof", "body", "guide", "span")
+
+    def __init__(
+        self, proof: Term, body: Term, guide: Optional[tuple[str, Type]] = None, span: Optional[Span] = None
+    ):
+        self.proof = proof
+        self.body = body
+        self.guide = guide
+        self.span = span
 
 
-@_node
 class Phi(Term):
     """Cast: ``φ q - t1 {t2}`` erases to ``|t2|``."""
 
-    proof: Term
-    main: Term
-    target: Term
-    span: Optional[Span] = _span_field()
+    __slots__ = ("proof", "main", "target", "span")
+
+    def __init__(self, proof: Term, main: Term, target: Term, span: Optional[Span] = None):
+        self.proof = proof
+        self.main = main
+        self.target = target
+        self.span = span
 
 
-@_node
 class Sym(Term):
     """Equality symmetry ``ς q``."""
 
-    proof: Term
-    span: Optional[Span] = _span_field()
+    __slots__ = ("proof", "span")
+
+    def __init__(self, proof: Term, span: Optional[Span] = None):
+        self.proof = proof
+        self.span = span
 
 
-@_node
 class IotaPair(Term):
     """Intersection introduction ``[t1, t2]``."""
 
-    fst: Term
-    snd: Term
-    span: Optional[Span] = _span_field()
+    __slots__ = ("fst", "snd", "span")
+
+    def __init__(self, fst: Term, snd: Term, span: Optional[Span] = None):
+        self.fst = fst
+        self.snd = snd
+        self.span = span
 
 
-@_node
 class Proj(Term):
     """Intersection projection ``t.1`` / ``t.2``."""
 
-    subj: Term
-    idx: int  # 1 or 2
-    span: Optional[Span] = _span_field()
+    __slots__ = ("subj", "idx", "span")
+
+    def __init__(self, subj: Term, idx: int, span: Optional[Span] = None):
+        self.subj = subj
+        self.idx = idx
+        self.span = span
 
 
 # ---------------------------------------------------------------------------
@@ -240,90 +299,108 @@ class Proj(Term):
 # ---------------------------------------------------------------------------
 
 
-@_node
 class TVar(Type):
-    name: str
-    span: Optional[Span] = _span_field()
+    __slots__ = ("name", "span")
+
+    def __init__(self, name: str, span: Optional[Span] = None):
+        self.name = name
+        self.span = span
 
 
-@_node
 class Pi(Type):
     """Explicit product over a term: ``Π x : T. T'``; a domain name of
     ``_``, which no variable can refer to, marks the non-dependent arrow
     sugar ``T ➔ T'``."""
 
-    name: str
-    dom: Type
-    cod: Type
-    span: Optional[Span] = _span_field()
+    __slots__ = ("name", "dom", "cod", "span")
+
+    def __init__(self, name: str, dom: Type, cod: Type, span: Optional[Span] = None):
+        self.name = name
+        self.dom = dom
+        self.cod = cod
+        self.span = span
 
 
-@_node
 class All(Type):
     """Implicit product over a term: ``∀ x : T. T'`` (sugar ``T ➾ T'``)."""
 
-    name: str
-    dom: Type
-    cod: Type
-    span: Optional[Span] = _span_field()
+    __slots__ = ("name", "dom", "cod", "span")
+
+    def __init__(self, name: str, dom: Type, cod: Type, span: Optional[Span] = None):
+        self.name = name
+        self.dom = dom
+        self.cod = cod
+        self.span = span
 
 
-@_node
 class AllK(Type):
     """Impredicative quantification over a type: ``∀ X : κ. T``."""
 
-    name: str
-    dom: Kind
-    cod: Type
-    span: Optional[Span] = _span_field()
+    __slots__ = ("name", "dom", "cod", "span")
+
+    def __init__(self, name: str, dom: Kind, cod: Type, span: Optional[Span] = None):
+        self.name = name
+        self.dom = dom
+        self.cod = cod
+        self.span = span
 
 
-@_node
 class Iota(Type):
     """Dependent intersection ``ι x : T. T'``."""
 
-    name: str
-    fst: Type
-    snd: Type
-    span: Optional[Span] = _span_field()
+    __slots__ = ("name", "fst", "snd", "span")
+
+    def __init__(self, name: str, fst: Type, snd: Type, span: Optional[Span] = None):
+        self.name = name
+        self.fst = fst
+        self.snd = snd
+        self.span = span
 
 
-@_node
 class Eq(Type):
     """Heterogeneous equality ``t1 ≃ t2`` between typed terms."""
 
-    lhs: Term
-    rhs: Term
-    span: Optional[Span] = _span_field()
+    __slots__ = ("lhs", "rhs", "span")
+
+    def __init__(self, lhs: Term, rhs: Term, span: Optional[Span] = None):
+        self.lhs = lhs
+        self.rhs = rhs
+        self.span = span
 
 
-@_node
 class TLam(Type):
     """Type-level abstraction over a term or type variable; the binder
     sort follows the annotation (or the kind it is checked against)."""
 
-    name: str
-    body: Type
-    ann: Optional[Classifier] = None
-    span: Optional[Span] = _span_field()
+    __slots__ = ("name", "body", "ann", "span")
+
+    def __init__(self, name: str, body: Type, ann: Optional[Classifier] = None, span: Optional[Span] = None):
+        self.name = name
+        self.body = body
+        self.ann = ann
+        self.span = span
 
 
-@_node
 class TAppT(Type):
     """Application of a type to a type (written ``T · T'``)."""
 
-    fn: Type
-    arg: Type
-    span: Optional[Span] = _span_field()
+    __slots__ = ("fn", "arg", "span")
+
+    def __init__(self, fn: Type, arg: Type, span: Optional[Span] = None):
+        self.fn = fn
+        self.arg = arg
+        self.span = span
 
 
-@_node
 class TAppE(Type):
     """Application of a type to a term (juxtaposition)."""
 
-    fn: Type
-    arg: Term
-    span: Optional[Span] = _span_field()
+    __slots__ = ("fn", "arg", "span")
+
+    def __init__(self, fn: Type, arg: Term, span: Optional[Span] = None):
+        self.fn = fn
+        self.arg = arg
+        self.span = span
 
 
 # ---------------------------------------------------------------------------
@@ -331,29 +408,35 @@ class TAppE(Type):
 # ---------------------------------------------------------------------------
 
 
-@_node
 class Star(Kind):
-    span: Optional[Span] = _span_field()
+    __slots__ = ("span",)
+
+    def __init__(self, span: Optional[Span] = None):
+        self.span = span
 
 
-@_node
 class KPi(Kind):
     """Kind depending on a term: ``Π x : T. κ`` (sugar ``T ➔ κ``)."""
 
-    name: str
-    dom: Type
-    cod: Kind
-    span: Optional[Span] = _span_field()
+    __slots__ = ("name", "dom", "cod", "span")
+
+    def __init__(self, name: str, dom: Type, cod: Kind, span: Optional[Span] = None):
+        self.name = name
+        self.dom = dom
+        self.cod = cod
+        self.span = span
 
 
-@_node
 class KPiK(Kind):
     """Kind depending on a type: ``Π X : κ. κ'`` (sugar ``κ ➔ κ'``)."""
 
-    name: str
-    dom: Kind
-    cod: Kind
-    span: Optional[Span] = _span_field()
+    __slots__ = ("name", "dom", "cod", "span")
+
+    def __init__(self, name: str, dom: Kind, cod: Kind, span: Optional[Span] = None):
+        self.name = name
+        self.dom = dom
+        self.cod = cod
+        self.span = span
 
 
 # ---------------------------------------------------------------------------
@@ -361,23 +444,27 @@ class KPiK(Kind):
 # ---------------------------------------------------------------------------
 
 
-@_node
-class Bind:
+class Bind(Node):
     """A binder in scope: a term variable when ``classifier`` is a Type,
     a type variable when it is a Kind."""
 
-    name: str
-    classifier: Classifier
+    __slots__ = ("name", "classifier")
+
+    def __init__(self, name: str, classifier: Classifier):
+        self.name = name
+        self.classifier = classifier
 
 
-@_node
-class Defn:
+class Defn(Node):
     """Top-level definition; ``body`` is None for parameters (classifier
     assumed, nothing to unfold)."""
 
-    name: str
-    classifier: Classifier
-    body: Optional[Union[Term, Type]]
+    __slots__ = ("name", "classifier", "body")
+
+    def __init__(self, name: str, classifier: Classifier, body: Optional[Union[Term, Type]]):
+        self.name = name
+        self.classifier = classifier
+        self.body = body
 
 
 # ---------------------------------------------------------------------------

@@ -58,8 +58,7 @@ from __future__ import annotations
 import enum
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import pretty as pp
 from .erasure import erase
@@ -131,10 +130,16 @@ class CheckError(Exception):
         self.span = span
 
 
-def _out_of_fuel(what: str, t: Term) -> CheckError:
+def _out_of_fuel(what: str, t: Term, site: Optional[str], sp: Optional[Span]) -> CheckError:
     """The FuelExhausted error for normalizing ``t``, naming where ``t``
-    is written when it has a source position."""
-    return CheckError(ErrorCode.FuelExhausted, f"{what} ran out of fuel" + (f" at {t.span}" if t.span else ""))
+    is written when it has a source position, and then the construct
+    that asked for it (φ, β, an ι pair or ρ) and where that is: ``t`` may
+    come from a type and be written in another definition.  The error's
+    own position is the construct's."""
+    msg = f"{what} ran out of fuel" + (f" at {t.span}" if t.span else "")
+    if site is not None:
+        msg += f", asked by the {site}" + (f" at {sp}" if sp else "")
+    return CheckError(ErrorCode.FuelExhausted, msg, sp)
 
 
 def _canon_msg(s: str) -> str:
@@ -181,11 +186,14 @@ class Checker:
         env = self.pure_env
         return subst_syntax(p, {n: env[n] for n in free_names(p) if n in env})
 
-    def terms_conv(self, a: Term, b: Term) -> bool:
+    def terms_conv(self, a: Term, b: Term, site: Optional[str] = None, sp: Optional[Span] = None) -> bool:
+        """Whether ``a`` and ``b`` have βη-equal erasures; ``site`` at
+        ``sp`` is the construct that asks, named when fuel runs out (a
+        conversion inside a type conversion has none)."""
         try:
             return beta_eta_eq(erase(a), erase(b), self.fuel, self.pure_env)
         except FuelExhaustedError as e:
-            raise _out_of_fuel("conversion", (a, b)[e.side])
+            raise _out_of_fuel("conversion", (a, b)[e.side], site, sp)
 
     # ------------------------------------------------------------------
     # scope helpers
@@ -575,13 +583,13 @@ class Checker:
     def _phi_conditions(self, q: Term, main: Term, target: Term, sp) -> None:
         s1, s2 = self._eq_sides(q, sp)
         self.scope_check(target, sp)
-        if not self.terms_conv(s1, main):
+        if not self.terms_conv(s1, main, "φ", sp):
             raise CheckError(
                 ErrorCode.PhiEqMismatch,
                 f"φ left side mismatch: proof equates {pp.pretty(s1)}, term is {pp.pretty(main)}",
                 sp,
             )
-        if not self.terms_conv(s2, target):
+        if not self.terms_conv(s2, target, "φ", sp):
             raise CheckError(
                 ErrorCode.PhiEqMismatch,
                 f"φ right side mismatch: proof equates {pp.pretty(s2)}, braces hold {pp.pretty(target)}",
@@ -652,7 +660,7 @@ class Checker:
                     )
                 self.check_term(t1, W.fst)
                 self.check_term(t2, subst1(W.snd, W.name, t1))
-                if not self.terms_conv(t1, t2):
+                if not self.terms_conv(t1, t2, "ι pair", sp):
                     raise CheckError(
                         ErrorCode.IntersectionErasureMismatch,
                         "the two components of an intersection must share one erasure",
@@ -669,7 +677,7 @@ class Checker:
                     )
                 self.scope_check(W.lhs, sp)
                 self.scope_check(W.rhs, sp)
-                if not self.terms_conv(W.lhs, W.rhs):
+                if not self.terms_conv(W.lhs, W.rhs, "β", sp):
                     raise CheckError(
                         ErrorCode.TypeMismatch,
                         f"β requires βη-equal erasures: {pp.pretty(W.lhs)} vs {pp.pretty(W.rhs)}",
@@ -713,12 +721,12 @@ class Checker:
 
         p1 = normalize(erase(s1), self.fuel, self.pure_env)
         if p1.fuel_exhausted:
-            raise _out_of_fuel("ρ pattern", s1)
+            raise _out_of_fuel("ρ pattern", s1, "ρ", sp)
         p2 = normalize(erase(s2), self.fuel, self.pure_env)
         if p2.fuel_exhausted:
-            raise _out_of_fuel("ρ replacement", s2)
+            raise _out_of_fuel("ρ replacement", s2, "ρ", sp)
         counter = [0]
-        out = self._rw_type(target, p1.result, p2.result, counter)
+        out = self._rw_type(target, p1.result, p2.result, counter, sp)
         if counter[0] == 0:
             raise CheckError(
                 ErrorCode.RhoNoOccurrence,
@@ -727,7 +735,7 @@ class Checker:
             )
         return out
 
-    def _rw_type(self, T: Type, pat: PureTerm, rep: PureTerm, counter) -> Type:
+    def _rw_type(self, T: Type, pat: PureTerm, rep: PureTerm, counter, sp: Optional[Span] = None) -> Type:
         avoid = free_names(pat) | free_names(rep)
 
         def go_ty(T: Type) -> Type:
@@ -756,7 +764,7 @@ class Checker:
         def go_tm(e: Term) -> Term:
             nf = normalize(erase(e), self.fuel, self.pure_env)
             if nf.fuel_exhausted:
-                raise _out_of_fuel("ρ target term", e)
+                raise _out_of_fuel("ρ target term", e, "ρ", sp)
             rewritten, n = _rewrite_nf(nf.result, pat, rep, avoid)
             if n == 0:
                 return e
@@ -838,8 +846,7 @@ def _rewrite_nf(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DefResult:
+class DefResult(NamedTuple):
     name: str
     file: str
     ok: bool
@@ -853,9 +860,21 @@ class DefResult:
         return f"{self.name}: ERROR[{self.code}] {self.message}"
 
 
-@dataclass
 class CheckReport:
-    results: list[DefResult] = field(default_factory=list)
+    """The results of checking a module, one per definition in order."""
+
+    __slots__ = ("results",)
+
+    def __init__(self, results: Optional[list[DefResult]] = None):
+        self.results = [] if results is None else results
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.results == other.results
+
+    def __repr__(self) -> str:
+        return f"CheckReport(results={self.results!r})"
 
     @property
     def ok(self) -> bool:

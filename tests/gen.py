@@ -5,10 +5,9 @@ suites."""
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
-from cdle.syntax import PApp, PLam, PVar, PureTerm
+from cdle.syntax import Node, PApp, PLam, PVar, PureTerm
 
 VAR_POOL = ["a", "b", "c", "f", "g", "x", "y", "z"]
 
@@ -163,9 +162,9 @@ _LEAVES = (PVar, Var, TVar)
 def _children(x):
     """The node- or guide-valued fields of ``x``, by name."""
     return {
-        f.name: getattr(x, f.name)
-        for f in dataclasses.fields(x)
-        if dataclasses.is_dataclass(getattr(x, f.name)) or f.name == "guide" and x.guide is not None
+        f: getattr(x, f)
+        for f in type(x).__slots__
+        if isinstance(getattr(x, f), Node) or f == "guide" and x.guide is not None
     }
 
 
@@ -229,7 +228,7 @@ def change_leaf(x, k):
     name that occurs nowhere; returns it with ``k`` less the leaves it
     passed."""
     if type(x) in _LEAVES:
-        return (dataclasses.replace(x, name=x.name + "%changed") if k == 0 else x), k - 1
+        return (_rebuild(x, {"name": x.name + "%changed"}) if k == 0 else x), k - 1
     fields = {}
     for child, sub in _children(x).items():
         if k < 0:

@@ -4,6 +4,7 @@ import glob
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -318,26 +319,46 @@ def test_cost_corpus_not_checked_within_fuel_exit_one(capsys):
 
 
 def test_check_names_the_site_that_ran_out_of_fuel(capsys):
-    """Each FuelExhausted error keeps its text and ends with the position
-    where the term being normalized is written."""
+    """Each FuelExhausted error names the position where the term being
+    normalized is written, and then the construct that asked for it and
+    its position: the term may be written in another definition (the
+    conversion of ``appV2appL!``'s φ runs out on a term of
+    ``appV2appLId``'s type)."""
     paths = sorted(glob.glob(os.path.join(CORPUS, "*.cdl")))
     code, out, _ = run(capsys, "check", *paths, "--max-steps", "60")
     assert code == 1
     fuel = [line for line in out.splitlines() if "ERROR[FuelExhausted]" in line]
     sites = [
-        ("v2lId", "ρ target term", "reuse.cdl:18:57"),
-        ("l2vId", "ρ target term", "reuse.cdl:29:49"),
-        ("v2lPresLen", "ρ target term", "reuse.cdl:37:58"),
-        ("appV2appLId", "ρ target term", "append.cdl:31:24"),
-        ("appV2appL!", "conversion", "append.cdl:31:24"),
-        ("appL2appV", "ρ pattern", "append.cdl:44:22"),
+        ("v2lId", "ρ target term", "reuse.cdl:18:57", "ρ", "reuse.cdl:19:32"),
+        ("l2vId", "ρ target term", "reuse.cdl:29:49", "ρ", "reuse.cdl:30:27"),
+        ("v2lPresLen", "ρ target term", "reuse.cdl:37:58", "ρ", "reuse.cdl:38:32"),
+        ("appV2appLId", "ρ target term", "append.cdl:31:24", "ρ", "append.cdl:33:5"),
+        ("appV2appL!", "conversion", "append.cdl:31:24", "φ", "append.cdl:39:5"),
+        ("appL2appV", "ρ pattern", "append.cdl:44:22", "ρ", "append.cdl:50:5"),
     ]
     assert len(fuel) == len(sites)
-    for line, (name, what, site) in zip(fuel, sites):
-        head = f"{name}: ERROR[FuelExhausted] {what} ran out of fuel at "
-        assert line.startswith(head) and line.endswith(os.sep + site), line
-        file = line.removeprefix(head).removesuffix(site[site.index(":"):])
-        assert os.path.isfile(file), line
+    for line, (name, what, at, by, by_at) in zip(fuel, sites):
+        m = re.fullmatch(
+            rf"{re.escape(name)}: ERROR\[FuelExhausted\] {what} ran out of fuel at (.+), asked by the {by} at (.+)", line
+        )
+        assert m, line
+        for pos, want in zip(m.groups(), (at, by_at)):
+            assert pos.endswith(os.sep + want), line
+            assert os.path.isfile(pos.removesuffix(want[want.index(":"):])), line
+
+
+def test_check_shows_imports_by_relative_paths_when_given_relative_paths(capsys, monkeypatch):
+    """Files named relative to the working directory are shown relative,
+    and so are the modules they import: every position in the report is
+    under ``corpus/``, whichever file was given or imported first."""
+    monkeypatch.chdir(REPO)
+    paths = sorted(os.path.join("corpus", os.path.basename(p)) for p in glob.glob(os.path.join(CORPUS, "*.cdl")))
+    code, out, _ = run(capsys, "check", *paths, "--max-steps", "60")
+    assert code == 1
+    positions = re.findall(r" at (\S+):\d+:\d+", out)
+    assert len(positions) == 12 and {os.path.join("corpus", f) for f in ("reuse.cdl", "append.cdl")} <= set(positions), positions
+    assert all(p.startswith("corpus" + os.sep) and os.path.isfile(p) for p in positions), positions
+    assert REPO not in out
 
 
 def test_cost_usage_errors(capsys):

@@ -1,6 +1,5 @@
 """Corpus manifest invariants and golden erasures."""
 
-import dataclasses
 import difflib
 import shutil
 
@@ -153,7 +152,7 @@ def test_verify_goldens_all_pass(manifest, checked_corpus):
 def test_mutated_golden_is_reported(manifest, checked_corpus):
     ck, _ = checked_corpus
     twisted = [
-        dataclasses.replace(e, golden_erasure="λ f. λ x. f")
+        e._replace(golden_erasure="λ f. λ x. f")
         if e.name == "appV2appL!"
         else e
         for e in manifest
@@ -167,7 +166,7 @@ def test_pair_without_a_checked_body_is_reported(manifest, checked_corpus):
     """A shared-erasure partner that has no erasure (a type) fails its
     pair, as a golden on such a definition fails, instead of raising."""
     ck, _ = checked_corpus
-    twisted = [dataclasses.replace(e, same_erasure="Nat") if e.name == "nilV" else e for e in manifest]
+    twisted = [e._replace(same_erasure="Nat") if e.name == "nilV" else e for e in manifest]
     bad = [r for r in verify_goldens(twisted, ck) if not r.ok]
     assert [(r.name, r.detail) for r in bad] == [("Nat=nilV", "definition has no checked body")]
 

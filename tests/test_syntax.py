@@ -1,7 +1,6 @@
 """Kernel syntax laws: alpha-equivalence, substitution, free variables."""
 
 import ast
-import dataclasses
 import glob
 import os
 import random
@@ -20,6 +19,7 @@ from cdle.syntax import (
     Beta,
     GUIDE,
     LAYOUT,
+    Bind,
     Defn,
     EApp,
     ELam,
@@ -30,6 +30,7 @@ from cdle.syntax import (
     KPi,
     KPiK,
     Lam,
+    Node,
     PApp,
     PLam,
     Phi,
@@ -553,12 +554,9 @@ def test_layout_accounts_for_every_node_class_and_field():
     for cls in classes:
         children = [child for child, _ in LAYOUT[cls]]
         binders = [b for _, b in LAYOUT[cls] if b not in (None, GUIDE)]
-        for f in dataclasses.fields(cls):
-            assert f.name in children or f.name in binders or f.name == "span" or (cls, f.name) in data, (
-                cls.__name__,
-                f.name,
-            )
-        assert set(children) | set(binders) <= {f.name for f in dataclasses.fields(cls)}, cls.__name__
+        for f in cls.__slots__:
+            assert f in children or f in binders or f == "span" or (cls, f) in data, (cls.__name__, f)
+        assert set(children) | set(binders) <= set(cls.__slots__), cls.__name__
     assert [b for cls in classes for _, b in LAYOUT[cls] if b is GUIDE] == [GUIDE]
     assert ("guide", GUIDE) in LAYOUT[Rho]
 
@@ -792,7 +790,7 @@ def test_every_syntax_function_has_a_caller_in_the_kernel():
 
 
 def test_every_syntax_field_is_read_in_the_kernel():
-    """No field of a ``cdle.syntax`` dataclass is carried for nothing: each
+    """No field of a ``cdle.syntax`` node class is carried for nothing: each
     is read by name somewhere in ``src/cdle``, as an attribute load, a
     keyword of a ``match`` class pattern, or a field string of
     ``LAYOUT``."""
@@ -806,6 +804,7 @@ def test_every_syntax_field_is_read_in_the_kernel():
                 read.add(n.attr)
             elif isinstance(n, ast.MatchClass):
                 read.update(n.kwd_attrs)
-    classes = [c for c in vars(cdle.syntax).values() if dataclasses.is_dataclass(c) and c.__module__ == "cdle.syntax"]
-    assert {"Defn", "Var", "Rho"} <= {c.__name__ for c in classes}
-    assert sorted(f"{c.__name__}.{f.name}" for c in classes for f in dataclasses.fields(c) if f.name not in read) == []
+    bases = (Node, PureTerm, Term, Type, Kind)
+    classes = [c for c in vars(cdle.syntax).values() if isinstance(c, type) and issubclass(c, Node) and c not in bases]
+    assert len(classes) == 28 and {Bind, Defn, Var, Rho} <= set(classes)
+    assert sorted(f"{c.__name__}.{f}" for c in classes for f in c.__slots__ if f not in read) == []

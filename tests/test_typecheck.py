@@ -435,9 +435,9 @@ def test_conversions_unfold_globals_as_expansion_does(monkeypatch):
     sides = {}
     conv = Checker.terms_conv
 
-    def recording(self, a, b):
+    def recording(self, a, b, *site):
         sides.update(dict.fromkeys((a, b)))
-        return conv(self, a, b)
+        return conv(self, a, b, *site)
 
     monkeypatch.setattr(Checker, "terms_conv", recording)
     ck, report = load_checked_corpus(CORPUS)
@@ -933,7 +933,6 @@ def test_renaming_binders_changes_no_verdict(program, corpus_defs):
     that the definition does not mention (``Λ zero. Λ suc. …``), which
     the checker must open under a fresh name.  Messages may differ in
     names."""
-    import dataclasses
     import random
 
     from cdle.syntax import alpha_eq
@@ -954,7 +953,7 @@ def test_renaming_binders_changes_no_verdict(program, corpus_defs):
             (clashing, lambda x: rename_binders_to_bound(x, taken, rng)),
         ):
             body = None if d.body is None else rename(d.body)
-            out.append((file, dataclasses.replace(d, classifier=rename(d.classifier), body=body)))
+            out.append((file, d._replace(classifier=rename(d.classifier), body=body)))
         earlier.append(d.name)
     if program == "corpus":  # the second renaming is not vacuous
         assert clashing != list(defs)
@@ -1132,7 +1131,7 @@ class ReferenceChecker(Checker):
         def go_tm(e):
             nf = normalize(erase(e), self.fuel, self.pure_env)
             if nf.fuel_exhausted:
-                raise _out_of_fuel("ρ target term", e)
+                raise _out_of_fuel("ρ target term", e, "ρ", None)
             rewritten, n = _rewrite_nf(nf.result, pat, rep, avoid)
             if n == 0:
                 return e
@@ -1202,7 +1201,7 @@ def _replay_against_reference(monkeypatch, defs, fuel=None):
             calls[name] += 1
             ref = _reference_for(self)
             if name == "_rw_type":
-                T, pat, rep, counter = args
+                T, pat, rep, counter, _ = args
                 ref_counter, before = [0], counter[0]
                 want = _outcome(ref._rw_type, T, pat, rep, ref_counter)
                 got = _outcome(real, self, *args)
