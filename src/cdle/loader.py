@@ -13,7 +13,11 @@ and text both equal its entry's reuses the entry's module, so a hit is
 never stale and spans name the current call's path.  Each call reads
 the table once and replaces it on return (a call that raises leaves it
 as it was), so it holds one program.  Sharing a module between calls is
-sound because parsed syntax is immutable (``surface``).
+sound because parsed syntax is immutable (``surface``).  The checker
+keeps a second table of the same shape, ``typecheck._checked``: it
+replays the definitions of the last program it checked when a new
+program starts with the same parsed ones, which this table hands out
+for every unchanged file.
 """
 
 from __future__ import annotations

@@ -35,6 +35,14 @@ name already in scope, a global's or an outer binder's, is bound under a
 fresh name renamed in the binder's scope, so no binder captures an outer
 name or shadows a global.  A message can show such a name as ``x%1``.
 
+Each definition is checked once per scope, as a module system checks an
+unchanged module once (Cardelli 1997): a ``check_defs`` call from an
+empty checker replays the prefix of its program that the last such call
+checked and checks only the rest.  That is sound because checking a
+definition is a deterministic function of its syntax, its scope and the
+fuel; the ``fresh_name`` draws a replay skips show in no message
+(``_canon_msg``).  See ``check_defs`` for when a prefix matches.
+
 The equality constructs follow the usual reading:
 
 * ``β`` checks against ``t1 ≃ t2`` when both sides are scope-valid and
@@ -133,9 +141,11 @@ class CheckError(Exception):
 def _out_of_fuel(what: str, t: Term, site: Optional[str], sp: Optional[Span]) -> CheckError:
     """The FuelExhausted error for normalizing ``t``, naming where ``t``
     is written when it has a source position, and then the construct
-    that asked for it (φ, β, an ι pair or ρ) and where that is: ``t`` may
-    come from a type and be written in another definition.  The error's
-    own position is the construct's."""
+    that asked for it (φ, β, an ι pair, ρ, a λ or Λ annotation, or the
+    check of a term or type against its classifier, for a conversion
+    inside a type conversion) and where that is: ``t`` may come from a
+    type and be written in another definition.  The error's own position
+    is the construct's."""
     msg = f"{what} ran out of fuel" + (f" at {t.span}" if t.span else "")
     if site is not None:
         msg += f", asked by the {site}" + (f" at {sp}" if sp else "")
@@ -189,7 +199,7 @@ class Checker:
     def terms_conv(self, a: Term, b: Term, site: Optional[str] = None, sp: Optional[Span] = None) -> bool:
         """Whether ``a`` and ``b`` have βη-equal erasures; ``site`` at
         ``sp`` is the construct that asks, named when fuel runs out (a
-        conversion inside a type conversion has none)."""
+        conversion inside a type conversion has that conversion's)."""
         try:
             return beta_eta_eq(erase(a), erase(b), self.fuel, self.pure_env)
         except FuelExhaustedError as e:
@@ -279,10 +289,12 @@ class Checker:
     # conversion
     # ------------------------------------------------------------------
 
-    def types_conv(self, A: Type, B: Type, ren=None) -> bool:
+    def types_conv(self, A: Type, B: Type, ren=None, at=(None, None)) -> bool:
         """Conversion of two types.  ``ren`` holds, for each side, the
         binder pairs opened so far that are renamed (a name to the ``Var``
-        of the pair's fresh variable); see the module docstring."""
+        of the pair's fresh variable); see the module docstring.  ``at``
+        is the ``(site, span)`` of the construct that asks, which a term
+        conversion inside names when fuel runs out (``terms_conv``)."""
         ren_a, ren_b = ren = ren or ({}, {})
         A = self.whnf_beta(A)
         B = self.whnf_beta(B)
@@ -294,25 +306,25 @@ class Checker:
         hb, sb = self._spine(B)
         if isinstance(ha, TVar) and isinstance(hb, TVar):
             if ren_a.get(ha.name, ha).name == ren_b.get(hb.name, hb).name and len(sa) == len(sb):
-                if all(self._conv(x, y, ren) for x, y in zip(sa, sb)):
+                if all(self._conv(x, y, ren, at) for x, y in zip(sa, sb)):
                     return True
             # an unfolded side has its renaming substituted in and drops it
             ua, ub = self._unfold_head(A, ren_a), self._unfold_head(B, ren_b)
             if ua is None and ub is None:
                 return False
-            return self.types_conv(ua or A, ub or B, ({} if ua else ren_a, {} if ub else ren_b))
+            return self.types_conv(ua or A, ub or B, ({} if ua else ren_a, {} if ub else ren_b), at)
         if isinstance(ha, TVar):
             ua = self._unfold_head(A, ren_a)
-            return ua is not None and self.types_conv(ua, B, ({}, ren_b))
+            return ua is not None and self.types_conv(ua, B, ({}, ren_b), at)
         if isinstance(hb, TVar):
             ub = self._unfold_head(B, ren_b)
-            return ub is not None and self.types_conv(A, ub, (ren_a, {}))
+            return ub is not None and self.types_conv(A, ub, (ren_a, {}), at)
 
         if sa:  # an application whose head is no variable (ill-kinded)
             return False
-        return self._congruent(A, B, ren)
+        return self._congruent(A, B, ren, at)
 
-    def _congruent(self, A, B, ren) -> bool:
+    def _congruent(self, A, B, ren, at) -> bool:
         """Whether two nodes of one class have children that convert
         pairwise, in ``LAYOUT`` order, each by its sort (``_conv``).  Two
         binders' scopes are compared through the pair, renamed in ``ren``
@@ -327,13 +339,13 @@ class Checker:
                 continue
             a, b = getattr(A, child), getattr(B, child)
             if binder is None:
-                if not self._conv(a, b, ren):
+                if not self._conv(a, b, ren, at):
                     return False
                 continue
             x, y = getattr(A, binder), getattr(B, binder)
             z = Var(fresh_name(x)) if x != y or isinstance(self.ctx.get(x), Defn) else None
             saved = _rebind(ren_a, x, z), _rebind(ren_b, y, z)
-            ok = self._conv(a, b, ren)
+            ok = self._conv(a, b, ren, at)
             _rebind(ren_a, x, saved[0]), _rebind(ren_b, y, saved[1])
             if not ok:
                 return False
@@ -346,19 +358,20 @@ class Checker:
             T = T.fn
         return T, list(reversed(args))
 
-    def _conv(self, x, y, ren) -> bool:
+    def _conv(self, x, y, ren, at) -> bool:
         """Conversion of two syntax values of one sort: types, terms or
-        kinds, under the renaming ``ren`` (applied to terms here)."""
+        kinds, under the renaming ``ren`` (applied to terms here), asked
+        for at ``at``."""
         if isinstance(x, Type) and isinstance(y, Type):
-            return self.types_conv(x, y, ren)
+            return self.types_conv(x, y, ren, at)
         if isinstance(x, Term) and isinstance(y, Term):
-            return self.terms_conv(subst_syntax(x, ren[0]), subst_syntax(y, ren[1]))
+            return self.terms_conv(subst_syntax(x, ren[0]), subst_syntax(y, ren[1]), *at)
         if isinstance(x, Kind) and isinstance(y, Kind):
-            return self.kinds_conv(x, y, ren)
+            return self.kinds_conv(x, y, ren, at)
         return False
 
-    def kinds_conv(self, k1: Kind, k2: Kind, ren=None) -> bool:
-        return self._congruent(k1, k2, ren or ({}, {}))
+    def kinds_conv(self, k1: Kind, k2: Kind, ren=None, at=(None, None)) -> bool:
+        return self._congruent(k1, k2, ren or ({}, {}), at)
 
     # ------------------------------------------------------------------
     # kinds
@@ -469,7 +482,7 @@ class Checker:
                 self.check_type(body, subst1(k.cod, k.name, (TVar if isinstance(k.dom, Kind) else Var)(x)))
             return
         inferred = self.infer_kind(T)
-        if not self.kinds_conv(inferred, k):
+        if not self.kinds_conv(inferred, k, at=("check of the type", T.span)):
             raise CheckError(
                 ErrorCode.KindMismatch,
                 f"expected kind {pp.pretty(k)}, found {pp.pretty(inferred)}",
@@ -612,7 +625,7 @@ class Checker:
                     )
                 if ann is not None:
                     self.check_type(ann, Star())
-                    if not self.types_conv(ann, W.dom):
+                    if not self.types_conv(ann, W.dom, at=("λ", sp)):
                         raise CheckError(
                             ErrorCode.TypeMismatch,
                             f"λ annotation {pp.pretty(ann)} does not match domain {pp.pretty(W.dom)}",
@@ -622,11 +635,11 @@ class Checker:
                     self.check_term(body, subst1(W.cod, W.name, Var(x)))
                 return
             case ELam(name=n, body=b, ann=ann, span=sp):
-                W = self.whnf_type(T)
+                W, at = self.whnf_type(T), ("Λ", sp)
                 if isinstance(W, All):
                     if isinstance(ann, Type):
                         self.check_type(ann, Star())
-                    if ann is not None and (not isinstance(ann, Type) or not self.types_conv(ann, W.dom)):
+                    if ann is not None and (not isinstance(ann, Type) or not self.types_conv(ann, W.dom, at=at)):
                         raise CheckError(ErrorCode.TypeMismatch, "Λ annotation mismatch", sp)
                     with self._with(n, W.dom, b) as (x, body):
                         self.check_term(body, subst1(W.cod, W.name, Var(x)))
@@ -640,7 +653,7 @@ class Checker:
                 if isinstance(W, AllK):
                     if isinstance(ann, Kind):
                         self.kind_wf(ann)
-                    if ann is not None and (not isinstance(ann, Kind) or not self.kinds_conv(ann, W.dom)):
+                    if ann is not None and (not isinstance(ann, Kind) or not self.kinds_conv(ann, W.dom, at=at)):
                         raise CheckError(ErrorCode.TypeMismatch, "Λ kind annotation mismatch", sp)
                     with self._with(n, W.dom, b) as (x, body):
                         self.check_term(body, subst1(W.cod, W.name, TVar(x)))
@@ -695,7 +708,7 @@ class Checker:
                 return
             case _:
                 inferred = self.infer_term(t)
-                if not self.types_conv(inferred, T):
+                if not self.types_conv(inferred, T, at=("check of the term", getattr(t, "span", None))):
                     raise CheckError(
                         ErrorCode.TypeMismatch,
                         f"expected {pp.pretty(T)}, found {pp.pretty(inferred)}",
@@ -710,7 +723,7 @@ class Checker:
         if guide is not None:
             hole, template = guide
             src = subst1(template, hole, s1)
-            if not self.types_conv(src, target):
+            if not self.types_conv(src, target, at=("ρ", sp)):
                 raise CheckError(
                     ErrorCode.TypeMismatch,
                     f"ρ guide instantiated with the left side gives {pp.pretty(src)}, "
@@ -891,15 +904,50 @@ class ModuleError(Exception):
     pass
 
 
+# The last program that ``check_defs`` checked from an empty checker: its
+# fuel and, per definition in order, (display path, RawDef, DefResult,
+# scope entry, ``pure_env`` entry or None).  Read once per call and
+# replaced on return, like ``loader._modules``.
+_checked: tuple[Fuel, list] = (Fuel(), [])
+
+
 def check_defs(defs, checker: Optional[Checker] = None) -> tuple[Checker, CheckReport]:
     """Check an ordered list of (file, RawDef) pairs, entering each
     definition into the checker's scope; a failed definition is recorded
     and its declared classifier still enters the scope.  A duplicate name, or a
     definition nested too deeply for the recursive checker, raises
-    ModuleError."""
+    ModuleError.
+
+    A call from an empty checker (none given, or one whose ``ctx`` and
+    ``pure_env`` are empty) first replays the longest prefix of ``defs``
+    that the last such call checked: the same ``RawDef`` objects in the
+    same order (the loader hands out one parsed object per unchanged
+    file), under the same display paths and at an equal fuel.  Each
+    replayed definition re-enters its recorded scope entry (body-less if
+    it failed), ``pure_env`` entry and result; the rest are checked, and
+    the call becomes the last one.  This is sound because checking a
+    definition is a deterministic function of its syntax, its scope and
+    the fuel, and a prefix's scope is the prefix itself.  The replay
+    skips only ``fresh_name`` draws, which no message shows
+    (``_canon_msg``).  A call given a running checker neither replays
+    nor records, and a call that raises leaves the record as it was."""
+    global _checked
     ck = checker or Checker()
     report = CheckReport()
-    for file, d in defs:
+    done = None if ck.ctx or ck.pure_env else []
+    if done is not None:
+        fuel, last = _checked
+        if fuel == ck.fuel:
+            for (file, d), entry in zip(defs, last):
+                was_file, was_d, result, scope, pure = entry
+                if was_d is not d or was_file != file:
+                    break
+                report.results.append(result)
+                ck.ctx[d.name] = scope
+                if pure is not None:
+                    ck.pure_env[d.name] = pure
+                done.append(entry)
+    for file, d in defs[len(done or ()):]:
         if d.name in ck.ctx:
             raise ModuleError(f"{file}: duplicate top-level name {d.name!r}")
         try:
@@ -912,6 +960,10 @@ def check_defs(defs, checker: Optional[Checker] = None) -> tuple[Checker, CheckR
             ck.ctx[d.name] = Defn(d.name, d.classifier, None)
         except RecursionError:
             raise ModuleError(f"{d.span}: definition {d.name!r} is nested too deeply to check") from None
+        if done is not None:
+            done.append((file, d, report.results[-1], ck.ctx[d.name], ck.pure_env.get(d.name)))
+    if done is not None:
+        _checked = (ck.fuel, done)
     return ck, report
 
 

@@ -25,6 +25,20 @@ def parse_type_expr(text):
     return ty
 
 
+def reparsed(defs):
+    """The program ``defs`` with each of its modules parsed afresh from
+    its file (``surface.parse_module``): new ``RawDef`` objects, so that
+    ``check_defs`` replays none of it and checks every definition."""
+    from cdle.surface import parse_module
+
+    modules = {}
+    for file, _ in defs:
+        if file not in modules:
+            with open(file, encoding="utf-8") as fh:
+                modules[file] = parse_module(fh.read(), file).defs
+    return [(file, d) for file, mod in modules.items() for d in mod]
+
+
 @pytest.fixture(scope="session")
 def checked_corpus():
     """The fully checked corpus: (checker, report)."""

@@ -1,12 +1,15 @@
 """Seeded random generators for well-scoped pure terms and small
-annotated syntax values, and variants of pure and annotated syntax
-(binder-renamed copies, one-leaf changes), shared by the property
-suites."""
+annotated syntax values, variants of pure and annotated syntax
+(binder-renamed copies, one-leaf changes), and one-token mutants of the
+corpus modules, shared by the property suites."""
 
 from __future__ import annotations
 
+import glob
+import os
 import random
 
+from cdle.surface import lex
 from cdle.syntax import Node, PApp, PLam, PVar, PureTerm
 
 VAR_POOL = ["a", "b", "c", "f", "g", "x", "y", "z"]
@@ -239,3 +242,25 @@ def change_leaf(x, k):
         else:
             fields[child], k = change_leaf(sub, k)
     return _rebuild(x, fields), k
+
+
+def corpus_mutants(corpus: str, rng: random.Random, count: int):
+    """``count`` seeded one-token mutants of the modules in ``corpus``: a
+    token deleted, duplicated, or swapped with another, written out as
+    the module's lexemes joined by blanks."""
+    sources = []
+    for path in sorted(glob.glob(os.path.join(corpus, "*.cdl"))):
+        with open(path, encoding="utf-8") as fh:
+            sources.append([tok.lexeme for tok in lex(fh.read())[:-1]])
+    for _ in range(count):
+        toks = list(rng.choice(sources))
+        i = rng.randrange(len(toks))
+        op = rng.choice(("delete", "duplicate", "swap"))
+        if op == "delete":
+            del toks[i]
+        elif op == "duplicate":
+            toks.insert(i, toks[i])
+        else:
+            j = rng.randrange(len(toks))
+            toks[i], toks[j] = toks[j], toks[i]
+        yield " ".join(toks) + "\n"

@@ -14,10 +14,10 @@ import pytest
 import cdle.corpus as cdle_corpus
 from cdle.cli import classify_costs, main
 from cdle.reduction import Fuel, NormalizeOutcome
-from cdle.surface import lex
 from cdle.syntax import PVar
 
 from conftest import CORPUS, NEGATIVE, NEGATIVE_FILES, REPO
+from gen import corpus_mutants
 
 
 def run(capsys, *argv):
@@ -201,34 +201,12 @@ def test_check_ill_sorted_binder_annotation_exit_one(capsys, tmp_path, form):
     assert bad == [{"def": "bad", "status": "error", "errorCode": "NotAFunction", "span": f"{path}:2:{col}"}]
 
 
-def _mutants(rng, count):
-    """``count`` seeded one-token mutants of corpus modules: a token
-    deleted, duplicated, or swapped with another, written out as the
-    module's lexemes joined by blanks."""
-    sources = []
-    for path in sorted(glob.glob(os.path.join(CORPUS, "*.cdl"))):
-        with open(path, encoding="utf-8") as fh:
-            sources.append([tok.lexeme for tok in lex(fh.read())[:-1]])
-    for _ in range(count):
-        toks = list(rng.choice(sources))
-        i = rng.randrange(len(toks))
-        op = rng.choice(("delete", "duplicate", "swap"))
-        if op == "delete":
-            del toks[i]
-        elif op == "duplicate":
-            toks.insert(i, toks[i])
-        else:
-            j = rng.randrange(len(toks))
-            toks[i], toks[j] = toks[j], toks[i]
-        yield " ".join(toks) + "\n"
-
-
 def test_check_mutated_corpus_modules_end_with_a_message(capsys, tmp_path):
     """Every input ends in exit 0, 1 or 2 with a message, never a
     traceback.  All mutants go through one path, so each load finds that
     path's last text in the loader's table and must parse it again."""
     path = tmp_path / "mutant.cdl"
-    inputs = list(_mutants(random.Random(20261019), 100))
+    inputs = list(corpus_mutants(CORPUS, random.Random(20261019), 100))
     inputs += [f"import base.\n{text}\n" for text in ILL_SORTED_ANNOTATIONS.values()]
     for text in inputs:
         path.write_text(text, encoding="utf-8")
@@ -404,6 +382,36 @@ def test_verify_green_and_byte_stable():
         verdict, manifest = line.removeprefix("classification: ").removesuffix(")").split(" (manifest: ")
         assert verdict == manifest
     assert lines[-1] == "ALL GREEN"
+
+
+def test_verify_twice_in_one_process(capsys, monkeypatch):
+    """``cdle verify`` run twice through ``cli.main`` in one process
+    prints the same bytes both times, ending in ALL GREEN.  Each run
+    checks ``base.cdl``'s 17 definitions twice: with the corpus, and in
+    the negative suite once more after the base-free
+    ``intersection_mismatch`` evicts them; every other negative file that
+    imports ``base`` replays them from the check before it.  (The first
+    run's corpus check may also replay them from a check made before the
+    test; the second's cannot, as the first ends on a base-free file.)"""
+    import cdle.typecheck
+
+    base, checked = os.path.join(CORPUS, "base.cdl"), []
+    real = cdle.typecheck._check_one
+
+    def counting(ck, d):
+        checked.append(os.path.abspath(d.span.file) == base)
+        return real(ck, d)
+
+    monkeypatch.setattr(cdle.typecheck, "_check_one", counting)
+    outs, base_checks = [], []
+    for _ in range(2):
+        checked.clear()
+        code, out, err = run(capsys, "verify")
+        assert (code, err) == (0, "")
+        outs.append(out)
+        base_checks.append(sum(checked))
+    assert outs[0] == outs[1] and outs[0].endswith("ALL GREEN\n")
+    assert base_checks[0] <= base_checks[1] == 2 * 17
 
 
 def _corpus_copy(tmp_path, with_negative=True):

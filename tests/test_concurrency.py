@@ -1,5 +1,9 @@
 """Concurrent use: normal forms, step counts and check reports computed
-on four threads at once equal those of a serial run."""
+on four threads at once equal those of a serial run.  Each program is
+checked from freshly parsed modules, which ``check_defs`` cannot replay,
+and twice as loaded, which it can replay from the program the last call
+checked, so the threads check concurrently and also read and replace
+that record concurrently."""
 
 import os
 import random
@@ -9,7 +13,7 @@ from cdle.loader import load_program
 from cdle.reduction import Fuel, normalize
 from cdle.typecheck import Checker, check_defs
 
-from conftest import CORPUS, NEGATIVE
+from conftest import CORPUS, NEGATIVE, reparsed
 from gen import gen_pure
 
 
@@ -22,10 +26,15 @@ def test_threads_match_a_serial_run(corpus_defs):
 
     def work():
         outcomes = [normalize(t, Fuel(1000)) for t in terms]
-        reports = [check_defs(defs, Checker())[1].render() for defs in programs]
+        reports = [
+            check_defs(program, Checker())[1].render()
+            for defs in programs
+            for program in (reparsed(defs), defs, defs)
+        ]
         return [(o.result, o.beta_steps, o.eta_steps) for o in outcomes], reports
 
     serial = work()
+    assert serial[1][0::3] == serial[1][1::3] == serial[1][2::3]
     with ThreadPoolExecutor(max_workers=4) as pool:
         runs = [f.result() for f in [pool.submit(work) for _ in range(4)]]
     for nfs, reports in runs:

@@ -13,7 +13,7 @@ from cdle.surface import parse_term
 from cdle.syntax import Bind, Eq, Kind, Pi, Star, TVar, free_names
 from cdle.typecheck import CheckError, Checker, ErrorCode, ModuleError, check_defs
 
-from conftest import CORPUS, NEGATIVE, NEGATIVE_FILES, parse_type_expr
+from conftest import CORPUS, NEGATIVE, NEGATIVE_FILES, parse_type_expr, reparsed
 
 
 @contextmanager
@@ -358,13 +358,15 @@ def test_substitution_property_on_corpus_applications(checked_corpus):
 
 
 def test_check_module_determinism(corpus_defs):
+    """Two checks of one program, the second of freshly parsed copies of
+    its modules, so that it replays nothing, render byte-identically."""
     r1 = check_defs(corpus_defs, Checker())[1].render()
-    r2 = check_defs(corpus_defs, Checker())[1].render()
+    r2 = check_defs(reparsed(corpus_defs), Checker())[1].render()
     assert r1 == r2
     # negative reports are byte-identical too (canonicalized messages)
     defs = load_program(["negative/phi_mismatch.cdl"], root=CORPUS)
     n1 = check_defs(defs, Checker())[1].render()
-    n2 = check_defs(defs, Checker())[1].render()
+    n2 = check_defs(reparsed(defs), Checker())[1].render()
     assert n1 == n2
 
 
@@ -421,14 +423,13 @@ bad ◂ Nat ➔ Nat = idT -β.
     }
 
 
-def test_conversions_unfold_globals_as_expansion_does(monkeypatch):
-    """Every side of every conversion the corpus check makes, normalized
-    both ways: the erasure with the definitions it mentions expanded
-    (``pure_of``), and the plain erasure with ``pure_env`` as the
-    machine's globals.  The two agree on the normal form and on beta and
-    eta, and where a side takes two or more beta steps, both exhaust at
-    the same counts with one step less fuel."""
-    from cdle.corpus import load_checked_corpus
+def test_conversions_unfold_globals_as_expansion_does(corpus_defs, monkeypatch):
+    """Every side of every conversion a check of freshly parsed corpus
+    modules makes, normalized both ways: the erasure with the
+    definitions it mentions expanded (``pure_of``), and the plain erasure
+    with ``pure_env`` as the machine's globals.  The two agree on the
+    normal form and on beta and eta, and where a side takes two or more
+    beta steps, both exhaust at the same counts with one step less fuel."""
     from cdle.erasure import erase
     from cdle.reduction import Fuel, normalize
 
@@ -440,7 +441,7 @@ def test_conversions_unfold_globals_as_expansion_does(monkeypatch):
         return conv(self, a, b, *site)
 
     monkeypatch.setattr(Checker, "terms_conv", recording)
-    ck, report = load_checked_corpus(CORPUS)
+    ck, report = check_defs(reparsed(corpus_defs))
     monkeypatch.undo()
     assert report.ok and len(sides) > 100
     for x in sides:
@@ -806,8 +807,8 @@ def _assert_rewrite_matches_reference(t, pat, rep, got):
 
 def test_rho_rewrite_matches_reference_on_corpus_check(corpus_defs, monkeypatch):
     """Every ``(term, pattern, replacement)`` that ρ rewrites while the
-    corpus is checked afresh gives the reference's term, up to α, and
-    its match count."""
+    corpus is checked afresh (its modules freshly parsed) gives the
+    reference's term, up to α, and its match count."""
     import cdle.typecheck
 
     calls = []
@@ -820,7 +821,7 @@ def test_rho_rewrite_matches_reference_on_corpus_check(corpus_defs, monkeypatch)
         return out
 
     monkeypatch.setattr(cdle.typecheck, "_rewrite_nf", record)
-    _, report = check_defs(corpus_defs)
+    _, report = check_defs(reparsed(corpus_defs))
     assert report.ok
     assert len(calls) > 40 and sum(out[1] > 0 for *_, out in calls) > 20
     for t, pat, rep, avoid, out in calls:
@@ -923,29 +924,22 @@ def _verdicts(defs):
     return [(r.name, r.ok, r.code) for r in report.results], ck.pure_env
 
 
-@pytest.mark.parametrize("program", ["corpus", *NEG_EXPECT])
-def test_renaming_binders_changes_no_verdict(program, corpus_defs):
-    """Renaming bound variables without capture changes no definition's
-    verdict or error code, nor its erasure up to α, in the corpus and in
-    each negative program.  Every binder of every classifier and body is
-    renamed two ways: apart (``x`` to ``x_r``), and to a name already
-    bound where it stands, an enclosing binder's or an earlier global's
-    that the definition does not mention (``Λ zero. Λ suc. …``), which
-    the checker must open under a fresh name.  Messages may differ in
-    names."""
-    import random
-
-    from cdle.syntax import alpha_eq
+def _renamed_both_ways(defs, rng, files=None):
+    """``defs`` with every binder of every classifier and body renamed two
+    ways: apart (``x`` to ``x_r``), and to a name already bound where it
+    stands, an enclosing binder's or an earlier global's that the
+    definition does not mention (``Λ zero. Λ suc. …``), which the checker
+    must open under a fresh name.  With ``files``, only the definitions
+    of those files are renamed."""
     from gen import rename_binders, rename_binders_to_bound
 
-    if program == "corpus":
-        defs = corpus_defs
-    else:
-        defs = load_program([os.path.join(NEGATIVE, f"{program}.cdl")], root=CORPUS)
-    want, env = _verdicts(defs)
-    rng = random.Random(21)
     apart, clashing, earlier = [], [], []
     for file, d in defs:
+        if files is not None and file not in files:
+            apart.append((file, d))
+            clashing.append((file, d))
+            earlier.append(d.name)
+            continue
         mentioned = free_names(d.classifier) | (free_names(d.body) if d.body is not None else frozenset())
         taken = [n for n in earlier if n not in mentioned]
         for out, rename in (
@@ -955,6 +949,25 @@ def test_renaming_binders_changes_no_verdict(program, corpus_defs):
             body = None if d.body is None else rename(d.body)
             out.append((file, d._replace(classifier=rename(d.classifier), body=body)))
         earlier.append(d.name)
+    return apart, clashing
+
+
+@pytest.mark.parametrize("program", ["corpus", *NEG_EXPECT])
+def test_renaming_binders_changes_no_verdict(program, corpus_defs):
+    """Renaming bound variables without capture (``_renamed_both_ways``)
+    changes no definition's verdict or error code, nor its erasure up to
+    α, in the corpus and in each negative program.  Messages may differ
+    in names."""
+    import random
+
+    from cdle.syntax import alpha_eq
+
+    if program == "corpus":
+        defs = corpus_defs
+    else:
+        defs = load_program([os.path.join(NEGATIVE, f"{program}.cdl")], root=CORPUS)
+    want, env = _verdicts(defs)
+    apart, clashing = _renamed_both_ways(defs, random.Random(21))
     if program == "corpus":  # the second renaming is not vacuous
         assert clashing != list(defs)
     for renamed in (apart, clashing):
@@ -962,6 +975,44 @@ def test_renaming_binders_changes_no_verdict(program, corpus_defs):
         assert got == want
         assert env2.keys() == env.keys()
         assert [n for n in env if not alpha_eq(env2[n], env[n])] == []
+
+
+def _verdicts_or_module_error(defs):
+    try:
+        return _verdicts(defs)[0]
+    except ModuleError as e:
+        return f"ModuleError: {e}"
+
+
+def test_renaming_a_mutants_binders_changes_no_verdict(tmp_path):
+    """The one-token corpus mutants of
+    ``test_check_mutated_corpus_modules_end_with_a_message`` that load,
+    each with its own definitions renamed both ways
+    (``_renamed_both_ways``): every verdict and error code stays, and a
+    program that raises ``ModuleError`` raises the same one.  Messages
+    may differ in names."""
+    import random
+
+    from cdle.loader import LoadError
+    from cdle.surface import ParseError
+    from gen import corpus_mutants
+
+    path = str(tmp_path / "mutant.cdl")
+    rng = random.Random(24)
+    outcomes = []
+    for text in corpus_mutants(CORPUS, random.Random(20261019), 100):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        try:
+            defs = load_program([path], root=CORPUS)
+        except (LoadError, ParseError):
+            continue
+        want = _verdicts_or_module_error(defs)
+        for renamed in _renamed_both_ways(defs, rng, {path}):
+            assert _verdicts_or_module_error(renamed) == want, text
+        outcomes.append(want)
+    rejected = [o for o in outcomes if isinstance(o, str) or not all(ok for _, ok, _ in o)]
+    assert len(outcomes) > 20 and len(rejected) > 15, (len(outcomes), len(rejected))
 
 
 def test_check_defs_leaves_only_the_globals_in_scope(tmp_path):
@@ -1184,7 +1235,8 @@ def _opened(args):
 
 
 def _replay_against_reference(monkeypatch, defs, fuel=None):
-    """Check ``defs`` afresh, repeating every ``types_conv`` and
+    """Check ``defs`` afresh (its modules freshly parsed, so that nothing
+    is replayed), repeating every ``types_conv`` and
     ``kinds_conv`` call and every ρ type rewrite on the reference in the
     same checker state, a call under renamed binder pairs with the
     renaming substituted in.  Returns the report, the calls made by name,
@@ -1197,7 +1249,7 @@ def _replay_against_reference(monkeypatch, defs, fuel=None):
     def replayed(name):
         real = getattr(Checker, name)
 
-        def call(self, *args):
+        def call(self, *args, **at):
             calls[name] += 1
             ref = _reference_for(self)
             if name == "_rw_type":
@@ -1208,7 +1260,7 @@ def _replay_against_reference(monkeypatch, defs, fuel=None):
                 same = _same(got, want) and counter[0] - before == ref_counter[0]
             else:
                 want = _outcome(getattr(ref, name), *_opened(args))
-                got = _outcome(real, self, *args)
+                got = _outcome(lambda *a: real(self, *a, **at), *args)
                 same = _same(got, want)
             if not same:
                 mismatches.append((name, args, got, want))
@@ -1222,7 +1274,7 @@ def _replay_against_reference(monkeypatch, defs, fuel=None):
     with monkeypatch.context() as mp:
         for name in calls:
             mp.setattr(Checker, name, replayed(name))
-        _, report = check_defs(defs, Checker(fuel or Fuel()))
+        _, report = check_defs(reparsed(defs), Checker(fuel or Fuel()))
     return report, calls, errors, mismatches
 
 
@@ -1316,3 +1368,144 @@ def test_rho_type_rewrite_matches_reference_on_seeded_types():
         assert got_n == want_n
         matched += got_n[0] > 0
     assert matched > 100
+
+
+# --- replaying the prefix the last fresh check checked -----------------------
+
+
+def _check_counting(monkeypatch, defs, checker=None):
+    """``check_defs(defs, checker)`` with the names of the definitions it
+    checks rather than replays, in order, and the ``terms_conv`` and
+    ``pure_of`` calls made while checking each, by file."""
+    import cdle.typecheck
+
+    checked, calls, current = [], {}, [None]
+    real_one, real_conv, real_pure = cdle.typecheck._check_one, Checker.terms_conv, Checker.pure_of
+
+    def check_one(ck, d):
+        checked.append(d.name)
+        current[0] = d.span.file
+        return real_one(ck, d)
+
+    def counted(real):
+        def call(self, *args):
+            calls[current[0]] = calls.get(current[0], 0) + 1
+            return real(self, *args)
+
+        return call
+
+    with monkeypatch.context() as mp:
+        mp.setattr(cdle.typecheck, "_check_one", check_one)
+        mp.setattr(Checker, "terms_conv", counted(real_conv))
+        mp.setattr(Checker, "pure_of", counted(real_pure))
+        ck, report = check_defs(defs, checker)
+    return checked, calls, ck, report
+
+
+def test_a_fresh_check_replays_the_prefix_the_last_one_checked(monkeypatch):
+    """Two negative files that import ``base``, each loaded and checked
+    from a fresh checker: the second replays ``base.cdl``'s 17
+    definitions, making no conversion and no expansion for them, and its
+    report, scope and ``pure_env`` equal those of a check of freshly
+    parsed copies of its modules."""
+    base = os.path.join(CORPUS, "base.cdl")
+    first = load_program([os.path.join(NEGATIVE, "beta_mismatch.cdl")], root=CORPUS)
+    checked, calls, _, _ = _check_counting(monkeypatch, first)
+    assert len(checked) == len(first)
+    assert calls[base] > 10
+    defs = load_program([os.path.join(NEGATIVE, "erased_var.cdl")], root=CORPUS)
+    n_base = sum(file == base for file, _ in defs)
+    assert n_base == 17 and [d for _, d in defs[:n_base]] == [d for _, d in first[:n_base]]
+    checked, calls, ck, report = _check_counting(monkeypatch, defs)
+    assert checked == ["bad"] and base not in calls
+    fresh, fresh_report = check_defs(reparsed(defs))
+    assert report == fresh_report and report.render() == fresh_report.render()
+    assert ck.ctx == fresh.ctx and ck.pure_env == fresh.pure_env
+
+
+def _small_program(tmp_path, text=""):
+    path = tmp_path / "m.cdl"
+    path.write_text(text + "\n".join([
+        "Id ◂ ★ = ∀ X : ★. X ➔ X.",
+        "id ◂ Id = Λ X. λ x. x.",
+        "bad ◂ Id = Λ X. λ x. y.",
+        "k ◂ Id = bad.",
+    ]) + "\n", encoding="utf-8")
+    return load_program([str(path)])
+
+
+def test_nothing_replays_from_a_different_text_fuel_path_or_scope(tmp_path, monkeypatch):
+    """A program checked again from a fresh checker replays all of it;
+    nothing replays once the file's text changed, at a different fuel,
+    under a different display path, or into a checker that arrives with
+    a scope, as in ``test_weakening_sampled``, which still checks every
+    definition under the weakened context.  A call given such a checker
+    records nothing: the program checked before it still replays."""
+    from cdle.erasure import erase
+    from cdle.reduction import Fuel
+
+    defs = _small_program(tmp_path)
+    names = [d.name for _, d in defs]
+    assert _check_counting(monkeypatch, defs)[0] == names
+    assert _check_counting(monkeypatch, defs)[0] == []
+    assert _check_counting(monkeypatch, defs, Checker(Fuel(500)))[0] == names
+    assert _check_counting(monkeypatch, defs)[0] == names
+    assert _check_counting(monkeypatch, [("other.cdl", d) for _, d in defs])[0] == names
+    assert _check_counting(monkeypatch, defs)[0] == names
+    weakened = Checker()
+    weakened.ctx["weakening%fresh"] = Bind("weakening%fresh", parse_type_expr("∀ X : ★. X ➔ X"))
+    checked, _, _, report = _check_counting(monkeypatch, defs, weakened)
+    assert checked == names and [r.code for r in report.results] == [None, None, "UnboundName", None]
+    with_env = Checker()
+    with_env.pure_env["unused"] = erase(parse_term("λ x. x"))
+    assert _check_counting(monkeypatch, defs, with_env)[0] == names
+    assert _check_counting(monkeypatch, defs)[0] == []
+    changed = _small_program(tmp_path, "// a comment\n")
+    assert _check_counting(monkeypatch, changed)[0] == names
+
+
+def test_a_failed_definition_replays_as_failed(tmp_path, monkeypatch):
+    """A definition that failed in the replayed prefix comes back with the
+    same result and a body-less scope entry, and a later definition
+    checks against its declared classifier."""
+    from cdle.syntax import Defn
+
+    defs = _small_program(tmp_path)
+    _, _, ck1, rep1 = _check_counting(monkeypatch, defs[:3])
+    extra = tmp_path / "extra.cdl"
+    extra.write_text("k2 ◂ Id = bad.\n", encoding="utf-8")
+    longer = defs[:3] + load_program([str(extra)])
+    checked, _, ck2, rep2 = _check_counting(monkeypatch, longer)
+    assert checked == ["k2"]
+    assert rep2.results[:3] == rep1.results and all(a is b for a, b in zip(rep2.results, rep1.results))
+    assert rep2.results[2].code == "UnboundName" and rep2.results[3].ok
+    assert ck2.ctx["bad"] is ck1.ctx["bad"] and ck2.ctx["bad"] == Defn("bad", defs[2][1].classifier, None)
+    assert "bad" not in ck2.pure_env
+
+
+def test_a_module_error_leaves_the_record_as_it_was(tmp_path, monkeypatch):
+    """A call that raises ``ModuleError``, for a duplicate name or for a
+    definition nested too deeply, leaves the record of the last program
+    as it was, so that program still replays whole."""
+    import sys
+
+    import cdle.typecheck
+
+    defs = _small_program(tmp_path)
+    _check_counting(monkeypatch, defs)
+    before = cdle.typecheck._checked
+    with pytest.raises(ModuleError, match="duplicate"):
+        check_defs(defs + defs[1:2])
+    assert cdle.typecheck._checked is before
+    deep = tmp_path / "deep.cdl"
+    body = "f (" * 1999 + "f x" + ")" * 1999
+    deep.write_text(f"c ◂ ∀ A : ★. (A ➔ A) ➔ A ➔ A = Λ A. λ f. λ x. {body}.\n", encoding="utf-8")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        with pytest.raises(ModuleError, match="nested too deeply"):
+            check_defs(defs + load_program([str(deep)]))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert cdle.typecheck._checked is before
+    assert _check_counting(monkeypatch, defs)[0] == []
