@@ -1,10 +1,22 @@
 """Deterministic pretty-printer for all syntax sorts.
 
-Output re-parses to an alpha-equal value (round-trip is property-tested
-over the corpus).  Non-dependent products resugar to ➔ / ➾.  An
-``ascii_only`` rendering replaces every Unicode token by its ASCII alias
-so the two renditions of one AST can be compared for lexer-alias
+The printer mirrors the parser's two grammars (``surface.Parser``): one
+rule set prints terms, pure or annotated (``term``, ``term_app``,
+``term_atom``), and one prints classifiers, types or kinds
+(``classifier``, ``arrow_lhs``, ``class_spine``, ``class_atom``).  One
+product rule serves Π, ∀ and kind Π: an unused binder resugars to ➔, or
+➾ for a ∀ over a term; a ∀ over a type never does.  Output re-parses to
+an alpha-equal value (round-trip is property-tested over the corpus).
+An ``ascii_only`` rendering replaces every Unicode token by its ASCII
+alias so the two renditions of one AST can be compared for lexer-alias
 invariance.
+
+The rules recurse once per nesting level: three frames (``term_atom``,
+``term``, ``term_app``) per application level of a pure term.  The
+benchmark pins that depth from both sides, and
+``test_printing_depth_is_pinned`` guards it: at the recursion limit that
+``normalize`` sets, the normal form of ``mul 40 40`` (1,600 levels)
+prints and that of ``exp 3 7`` (2,187 levels) raises RecursionError.
 """
 
 from __future__ import annotations
@@ -46,113 +58,93 @@ from .surface import SPELLINGS
 
 # the token spellings by kind, Unicode and ASCII (``surface.SPELLINGS``)
 _SYMBOLS = tuple({kind: pair[i] for kind, pair in SPELLINGS.items()} for i in (0, 1))
+_PRODUCTS = (Pi, All, AllK, KPi, KPiK)
+_ATOMS = (Var, Beta, IotaPair, Proj)  # the terms a proof's spine shows bare
+_SPINES = (TVar, TAppT, TAppE, Star)  # the classifiers an arrow's domain shows bare
 
 
 class _Printer:
     def __init__(self, ascii_only: bool = False):
         self.sym = _SYMBOLS[ascii_only]
 
-    # -- terms ---------------------------------------------------------------
+    # -- terms, pure or annotated (pure classes are tested first) --------------
 
-    def term(self, t: Term) -> str:
+    def term(self, t) -> str:
         s = self.sym
+        cls = type(t)
+        if cls is PApp:
+            return self.term_app(t)
+        if cls is PVar:
+            return t.name
+        if cls is PLam or cls is Lam or cls is ELam:
+            a = None if cls is PLam else t.ann
+            dom = f" : {self.classifier(a)}" if a is not None else ""
+            return f"{s['ELAM' if cls is ELam else 'LAM']} {t.name}{dom}. {self.term(t.body)}"
         match t:
-            case Lam(name=n, body=b, ann=a):
-                dom = f" : {self.type(a)}" if a is not None else ""
-                return f"{s['LAM']} {n}{dom}. {self.term(b)}"
-            case ELam(name=n, body=b, ann=a):
-                dom = f" : {self.classifier(a)}" if a is not None else ""
-                return f"{s['ELAM']} {n}{dom}. {self.term(b)}"
-            case Rho(proof=q, body=b, guide=g):
-                guide = ""
-                if g is not None:
-                    guide = f" {{ {g[0]} . {self.type(g[1])} }}"
+            case Rho(proof=q, body=b, hole=h, template=g):
+                guide = f" {{ {h} . {self.classifier(g)} }}" if g is not None else ""
                 return f"{s['RHO']} {self.proof(q)}{guide} - {self.term(b)}"
             case Phi(proof=q, main=m, target=tg):
                 return f"{s['PHI']} {self.proof(q)} - {self.term_app(m)} {{ {self.term(tg)} }}"
             case Sym(proof=q):
                 return f"{s['SIGMA']} {self.proof(q)}"
-            case _:
-                return self.term_app(t)
+        return self.term_app(t)
 
     def proof(self, t: Term) -> str:
         """Proofs of ρ/φ/ς: spines of atoms, parenthesized otherwise."""
-        if self._is_atom_spine(t):
-            parts = []
-            cur = t
-            while isinstance(cur, App):
-                parts.append(self.term_atom(cur.arg))
-                cur = cur.fn
-            parts.append(self.term_atom(cur))
-            return " ".join(reversed(parts))
-        return f"({self.term(t)})"
+        head = t
+        while isinstance(head, App) and isinstance(head.arg, _ATOMS):
+            head = head.fn
+        return self.term_app(t) if isinstance(head, _ATOMS) else f"({self.term(t)})"
 
-    def _is_atom_spine(self, t: Term) -> bool:
-        while isinstance(t, App):
-            if not self._is_atomic(t.arg):
-                return False
-            t = t.fn
-        return self._is_atomic(t)
-
-    def term_app(self, t: Term) -> str:
-        match t:
-            case App(fn=f, arg=a):
-                return f"{self.term_app(f)} {self.term_atom(a)}"
-            case EApp(fn=f, arg=a):
-                return f"{self.term_app(f)} -{self.erased_arg(a)}"
-            case _:
-                return self.term_atom(t)
+    def term_app(self, t) -> str:
+        cls = type(t)
+        if cls is PApp or cls is App:
+            return f"{self.term_app(t.fn)} {self.term_atom(t.arg)}"
+        if cls is EApp:
+            return f"{self.term_app(t.fn)} -{self.erased_arg(t.arg)}"
+        return self.term_atom(t)
 
     def erased_arg(self, a) -> str:
         if isinstance(a, (Var, TVar)):
             return a.name
         if isinstance(a, Proj):
             return self.term_atom(a)
-        if isinstance(a, Term):
-            return f"({self.term(a)})"
-        return f"({self.type(a)})"
+        return f"({self.term(a) if isinstance(a, Term) else self.classifier(a)})"
 
-    def term_atom(self, t: Term) -> str:
-        s = self.sym
+    def term_atom(self, t) -> str:
+        cls = type(t)
+        if cls is PVar or cls is Var:
+            return t.name
         match t:
-            case Var(name=n):
-                return n
             case Beta():
-                return s["BETA"]
+                return self.sym["BETA"]
             case IotaPair(fst=a, snd=b):
                 return f"[ {self.term(a)} , {self.term(b)} ]"
             case Proj(subj=x, idx=i):
                 return f"{self.term_atom(x)}.{i}"
-            case _:
-                return f"({self.term(t)})"
+        return f"({self.term(t)})"
 
-    def _is_atomic(self, t: Term) -> bool:
-        return isinstance(t, (Var, Beta, IotaPair, Proj))
+    # -- classifiers: types and kinds --------------------------------------------
 
-    # -- types ----------------------------------------------------------------
-
-    def type(self, ty: Type) -> str:
+    def classifier(self, c) -> str:
         s = self.sym
-        match ty:
-            case Pi(name=n, dom=d, cod=c):
-                if n == "_" or n not in free_names(c):
-                    return f"{self.type_arrow_lhs(d)} {s['ARROW']} {self.type(c)}"
-                return f"{s['PI']} {n} : {self.type(d)}. {self.type(c)}"
-            case All(name=n, dom=d, cod=c):
-                if n == "_" or n not in free_names(c):
-                    return f"{self.type_arrow_lhs(d)} {s['EARROW']} {self.type(c)}"
-                return f"{s['ALL']} {n} : {self.type(d)}. {self.type(c)}"
-            case AllK(name=n, dom=d, cod=c):
-                return f"{s['ALL']} {n} : {self.kind(d)}. {self.type(c)}"
+        cls = type(c)
+        if cls in _PRODUCTS:
+            n, d, cod = c.name, c.dom, c.cod
+            if cls is not AllK and (n == "_" or n not in free_names(cod)):
+                return f"{self.arrow_lhs(d)} {s['EARROW' if cls is All else 'ARROW']} {self.classifier(cod)}"
+            q = s["ALL" if cls is All or cls is AllK else "PI"]
+            return f"{q} {n} : {self.classifier(d)}. {self.classifier(cod)}"
+        match c:
             case Iota(name=n, fst=a, snd=b):
-                return f"{s['IOTA']} {n} : {self.type(a)}. {self.type(b)}"
+                return f"{s['IOTA']} {n} : {self.classifier(a)}. {self.classifier(b)}"
             case TLam(name=n, body=b, ann=a):
                 dom = f" : {self.classifier(a)}" if a is not None else ""
-                return f"{s['LAM']} {n}{dom}. {self.type(b)}"
+                return f"{s['LAM']} {n}{dom}. {self.classifier(b)}"
             case Eq(lhs=a, rhs=b):
                 return f"{self.eq_side(a)} {s['SIMEQ']} {self.eq_side(b)}"
-            case _:
-                return self.type_spine(ty)
+        return self.class_spine(c)
 
     def eq_side(self, t: Term) -> str:
         # only a variable-headed application spine re-parses bare on the
@@ -165,84 +157,32 @@ class _Printer:
             return self.term_app(t)
         return f"({self.term(t)})"
 
-    def type_arrow_lhs(self, ty: Type) -> str:
-        if isinstance(ty, (Pi, All, AllK, Iota, TLam, Eq)):
-            return f"({self.type(ty)})"
-        return self.type_spine(ty)
+    def arrow_lhs(self, c) -> str:
+        if isinstance(c, _SPINES):
+            return self.class_spine(c)
+        return f"({self.classifier(c)})"
 
-    def type_spine(self, ty: Type) -> str:
-        s = self.sym
-        match ty:
+    def class_spine(self, c) -> str:
+        match c:
             case TAppT(fn=f, arg=a):
-                return f"{self.type_spine(f)} {s['CDOT']} {self.type_atom(a)}"
+                return f"{self.class_spine(f)} {self.sym['CDOT']} {self.class_atom(a)}"
             case TAppE(fn=f, arg=a):
-                return f"{self.type_spine(f)} {self.term_atom(a)}"
-            case _:
-                return self.type_atom(ty)
+                return f"{self.class_spine(f)} {self.term_atom(a)}"
+        return self.class_atom(c)
 
-    def type_atom(self, ty: Type) -> str:
-        if isinstance(ty, TVar):
-            return ty.name
-        return f"({self.type(ty)})"
-
-    # -- kinds ----------------------------------------------------------------
-
-    def kind(self, k: Kind) -> str:
-        s = self.sym
-        match k:
-            case Star():
-                return s["STAR"]
-            case KPi(name=n, dom=d, cod=c):
-                if n == "_" or n not in free_names(c):
-                    return f"{self.type_arrow_lhs(d)} {s['ARROW']} {self.kind(c)}"
-                return f"{s['PI']} {n} : {self.type(d)}. {self.kind(c)}"
-            case KPiK(name=n, dom=d, cod=c):
-                if n == "_" or n not in free_names(c):
-                    return f"{self.kind_arrow_lhs(d)} {s['ARROW']} {self.kind(c)}"
-                return f"{s['PI']} {n} : {self.kind(d)}. {self.kind(c)}"
-        raise TypeError(f"not a kind: {k!r}")
-
-    def kind_arrow_lhs(self, k: Kind) -> str:
-        if isinstance(k, Star):
+    def class_atom(self, c) -> str:
+        if isinstance(c, TVar):
+            return c.name
+        if isinstance(c, Star):
             return self.sym["STAR"]
-        return f"({self.kind(k)})"
-
-    def classifier(self, c) -> str:
-        return self.kind(c) if isinstance(c, Kind) else self.type(c)
-
-    # -- pure terms ------------------------------------------------------------
-
-    def pure(self, t: PureTerm) -> str:
-        s = self.sym
-        match t:
-            case PVar(name=n):
-                return n
-            case PLam(name=n, body=b):
-                return f"{s['LAM']} {n}. {self.pure(b)}"
-            case PApp():
-                return self.pure_app(t)
-        raise TypeError(f"not a pure term: {t!r}")
-
-    def pure_app(self, t: PureTerm) -> str:
-        if isinstance(t, PApp):
-            return f"{self.pure_app(t.fn)} {self.pure_atom(t.arg)}"
-        return self.pure_atom(t)
-
-    def pure_atom(self, t: PureTerm) -> str:
-        if isinstance(t, PVar):
-            return t.name
-        return f"({self.pure(t)})"
+        return f"({self.classifier(c)})"
 
 
 def pretty(x, ascii_only: bool = False) -> str:
-    """Pretty-print any syntax value (pure/annotated term, type, kind)."""
-    p = _Printer(ascii_only)
-    if isinstance(x, PureTerm):
-        return p.pure(x)
-    if isinstance(x, Term):
-        return p.term(x)
-    if isinstance(x, Type):
-        return p.type(x)
-    if isinstance(x, Kind):
-        return p.kind(x)
+    """Pretty-print any syntax value: a term, pure or annotated, or a
+    classifier, type or kind."""
+    if isinstance(x, (PureTerm, Term)):
+        return _Printer(ascii_only).term(x)
+    if isinstance(x, (Type, Kind)):
+        return _Printer(ascii_only).classifier(x)
     raise TypeError(f"cannot pretty-print {type(x).__name__}")

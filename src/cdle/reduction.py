@@ -43,7 +43,7 @@ import sys
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .syntax import PApp, PLam, PVar, PureTerm, alpha_eq
+from .syntax import PApp, PLam, PVar, PureTerm, alpha_eq, base_name
 
 DEFAULT_MAX_STEPS = 1_000_000
 
@@ -184,11 +184,11 @@ def _quote(v, ctr: _Counter) -> tuple[PureTerm, dict[str, int]]:
     exactly when ``x`` is emitted once, as that very argument node.
 
     Binders are named at the end, when the normal form's free variables
-    and the surviving binders are known.  A binder's base is its hint
-    before any ``%``, without trailing digits (``x`` if empty); bases
-    that differ never compete for a name, and a surviving binder under
-    ``k`` surviving binders of its base takes the ``k``-th of ``base,
-    base1, base2, …`` that is not free.  Naming writes into the
+    and the surviving binders are known.  A binder's base is its hint's
+    (``syntax.base_name``: the hint before any ``%``, without trailing
+    digits); bases that differ never compete for a name, and a surviving
+    binder under ``k`` surviving binders of its base takes the ``k``-th
+    of ``base, base1, base2, …`` that is not free.  Naming writes into the
     ``PLam`` and ``PVar`` of each binder, nodes no caller has seen yet,
     so readback is linear in the size of the normal form.
 
@@ -224,7 +224,7 @@ def _quote(v, ctr: _Counter) -> tuple[PureTerm, dict[str, int]]:
                 out.append(node)
         elif cls is _VLam:
             i = len(bases)
-            base = item.name.split("%")[0].rstrip("0123456789") or "x"
+            base = base_name(item.name)
             bases.append(base)
             parents.append(innermost.get(base, -1))
             innermost[base] = i

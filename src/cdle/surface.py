@@ -494,7 +494,7 @@ class Parser:
                     t = Phi(proof, main, self.parse_term(), span=tok.span)
                     self.expect("RBRACE", "φ")
                 else:  # RHO
-                    guide = None
+                    guide = (None, None)
                     if self.eat("LBRACE"):
                         hole = self.expect("IDENT", "ρ guide").lexeme
                         self.expect("DOT", "ρ guide")
@@ -513,7 +513,7 @@ class Parser:
                     head = t if a is None else App(a, t, span=tok.span)
                     break
                 if kind == "RHO":
-                    t = Rho(a, t, b, span=tok.span)
+                    t = Rho(a, t, *b, span=tok.span)
                     continue
                 if kind == "LAM" and isinstance(b, Kind):
                     raise ParseError("explicit λ binder annotation must be a type", tok.span)

@@ -30,8 +30,8 @@ normal form (``typecheck._rewrite_nf``), because erased terms can be
 deep (spines of a few thousand applications occur in the cost harness).
 ``subst_syntax`` goes down an application spine by a loop and recurses
 once per binder scope and argument; the skeleton coercions recurse once
-per nesting level, as do the checker and the printer (bar their spine
-loops), so Python's recursion limit bounds the depth they reach.
+per nesting level, as do the checker (bar its spine loops) and the
+printer, so Python's recursion limit bounds the depth they reach.
 """
 
 from __future__ import annotations
@@ -132,12 +132,16 @@ class PApp(PureTerm):
 _fresh_counter = itertools.count(1)
 
 
+def base_name(name: str) -> str:
+    """A binder's base: ``name`` before any ``%``, without trailing
+    digits (``x`` if that leaves nothing)."""
+    return name.split("%")[0].rstrip("0123456789") or "x"
+
+
 def fresh_name(hint: str = "x") -> str:
-    """A globally fresh variable name derived from ``hint``."""
-    base = hint.rstrip("0123456789")
-    if not base:
-        base = "x"
-    return f"{base}%{next(_fresh_counter)}"
+    """A globally fresh variable name: the base of ``hint``, ``%`` and a
+    number, so renaming a fresh name again keeps one ``%``."""
+    return f"{base_name(hint)}%{next(_fresh_counter)}"
 
 
 # ---------------------------------------------------------------------------
@@ -237,16 +241,22 @@ class Beta(Term):
 
 class Rho(Term):
     """Rewrite: ``ρ q - t``, with an optional ``{x . T}`` guide naming a
-    hole and a template type."""
+    hole, which binds in the template type."""
 
-    __slots__ = ("proof", "body", "guide", "span")
+    __slots__ = ("proof", "body", "hole", "template", "span")
 
     def __init__(
-        self, proof: Term, body: Term, guide: Optional[tuple[str, Type]] = None, span: Optional[Span] = None
+        self,
+        proof: Term,
+        body: Term,
+        hole: Optional[str] = None,
+        template: Optional[Type] = None,
+        span: Optional[Span] = None,
     ):
         self.proof = proof
         self.body = body
-        self.guide = guide
+        self.hole = hole
+        self.template = template
         self.span = span
 
 
@@ -476,16 +486,14 @@ class Defn(Node):
 # ``subst_syntax``, and by the checker's type and kind conversion and ρ's
 # type rewrite: for each node class, its child fields in the order they
 # are walked, each with the field holding the binder name that scopes it,
-# or None.  Rho's guide is the one special child, a ``(hole, template)``
-# pair whose hole binds in its template; its binder entry is GUIDE.  A
-# child that may be None (an annotation, a guide) is skipped when it is.
+# or None.  A child that may be None (an annotation, a ρ guide's
+# template) is skipped when it is.
 # The other fields are ``span`` and the data the traversals read
 # themselves: the name of a ``PVar``, ``Var`` or ``TVar`` leaf and the
 # index of a ``Proj``.  Pure terms are the ``PVar``/``PLam``/``PApp``
 # rows.  Every row is a pure term, Term, Type or Kind class: a node's sort
 # is its class (an erased argument the parser cannot sort is its term
 # skeleton, see ``EApp``).
-GUIDE = "(hole, template)"
 _APPS = (PApp, App, EApp, TAppT, TAppE)  # application nodes: ``subst_syntax`` loops down their spines
 LAYOUT: dict[type, tuple[tuple[str, Optional[str]], ...]] = {
     **dict.fromkeys((PVar, Var, TVar, Beta, Star), ()),
@@ -496,7 +504,7 @@ LAYOUT: dict[type, tuple[tuple[str, Optional[str]], ...]] = {
     Iota: (("fst", None), ("snd", "name")),
     IotaPair: (("fst", None), ("snd", None)),
     Eq: (("lhs", None), ("rhs", None)),
-    Rho: (("guide", GUIDE), ("proof", None), ("body", None)),
+    Rho: (("template", "hole"), ("proof", None), ("body", None)),
     Phi: (("proof", None), ("main", None), ("target", None)),
     Sym: (("proof", None),),
     Proj: (("subj", None),),
@@ -528,7 +536,7 @@ def free_names(x: Union[PureTerm, Term, Type, Kind]) -> frozenset[str]:
                 sub = getattr(cur, child)
                 if sub is None:
                     continue
-                if binder is None or binder is GUIDE:  # a guide is such a pair
+                if binder is None:
                     stack.append(sub)
                 else:
                     stack.append((getattr(cur, binder), sub))
@@ -656,13 +664,10 @@ def subst_syntax(x, env: dict[str, Union[PureTerm, Term, Type]]):
                 if sub2 is not sub:
                     new[child] = sub2
                 continue
-            name, scope = sub if binder is GUIDE else (getattr(cur, binder), sub)
-            name2, scope2 = under(name, scope, env)
-            if name2 is not name or scope2 is not scope:
-                if binder is GUIDE:
-                    new[child] = (name2, scope2)
-                else:
-                    new[binder], new[child] = name2, scope2
+            name = getattr(cur, binder)
+            name2, sub2 = under(name, sub, env)
+            if name2 is not name or sub2 is not sub:
+                new[binder], new[child] = name2, sub2
         if not new:
             return cur
         return cls(*[new[f] if f in new else getattr(cur, f) for f in cls.__slots__])
@@ -723,8 +728,6 @@ def alpha_eq(a, b) -> bool:
                     return False
             elif binder is None:
                 stack.append((None, sub_a, None, sub_b))
-            elif binder is GUIDE:
-                stack.append((sub_a[0], sub_a[1], sub_b[0], sub_b[1]))
             else:
                 stack.append((getattr(x, binder), sub_a, getattr(y, binder), sub_b))
     return True

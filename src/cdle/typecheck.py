@@ -164,7 +164,7 @@ def _canon_msg(s: str) -> str:
             seen[tok] = f"%{len(seen) + 1}"
         return seen[tok]
 
-    return re.sub(r"%q?\d+", sub, s)
+    return re.sub(r"%\d+", sub, s)
 
 
 class Checker:
@@ -540,10 +540,10 @@ class Checker:
                 if not isinstance(Tq, Eq):
                     raise CheckError(ErrorCode.TypeMismatch, "ς expects an equality proof", sp)
                 return Eq(Tq.rhs, Tq.lhs)
-            case Rho(proof=q, body=b, guide=g, span=sp):
+            case Rho(proof=q, body=b, hole=h, template=g, span=sp):
                 s1, s2 = self._eq_sides(q, sp)
                 T = self.infer_term(b)
-                return self._rho_rewrite(s1, s2, T, g, sp)
+                return self._rho_rewrite(s1, s2, T, h, g, sp)
             case Phi(proof=q, main=m, target=tg, span=sp):
                 T = self.infer_term(m)
                 self._phi_conditions(q, m, tg, sp)
@@ -701,9 +701,9 @@ class Checker:
                 self.check_term(m, T)
                 self._phi_conditions(q, m, tg, sp)
                 return
-            case Rho(proof=q, body=b, guide=g, span=sp):
+            case Rho(proof=q, body=b, hole=h, template=g, span=sp):
                 s1, s2 = self._eq_sides(q, sp)
-                G = self._rho_rewrite(s1, s2, T, g, sp)
+                G = self._rho_rewrite(s1, s2, T, h, g, sp)
                 self.check_term(b, G)
                 return
             case _:
@@ -719,9 +719,10 @@ class Checker:
     # rho rewriting
     # ------------------------------------------------------------------
 
-    def _rho_rewrite(self, s1: Term, s2: Term, target: Type, guide, sp) -> Type:
-        if guide is not None:
-            hole, template = guide
+    def _rho_rewrite(
+        self, s1: Term, s2: Term, target: Type, hole: Optional[str], template: Optional[Type], sp
+    ) -> Type:
+        if template is not None:
             src = subst1(template, hole, s1)
             if not self.types_conv(src, target, at=("ρ", sp)):
                 raise CheckError(
@@ -913,10 +914,13 @@ _checked: tuple[Fuel, list] = (Fuel(), [])
 
 def check_defs(defs, checker: Optional[Checker] = None) -> tuple[Checker, CheckReport]:
     """Check an ordered list of (file, RawDef) pairs, entering each
-    definition into the checker's scope; a failed definition is recorded
-    and its declared classifier still enters the scope.  A duplicate name, or a
-    definition nested too deeply for the recursive checker, raises
-    ModuleError.
+    definition into the checker's scope.  A failed definition is
+    recorded; it enters the scope with its classifier, but without its
+    body, when only its body fails, and not at all when its classifier
+    fails, so a later use of it reads as an unbound name.  A name
+    defined twice in ``defs``, or once in ``defs`` and once in the
+    checker's scope, or a definition nested too deeply for the recursive
+    checker, raises ModuleError.
 
     A call from an empty checker (none given, or one whose ``ctx`` and
     ``pure_env`` are empty) first replays the longest prefix of ``defs``
@@ -924,16 +928,18 @@ def check_defs(defs, checker: Optional[Checker] = None) -> tuple[Checker, CheckR
     same order (the loader hands out one parsed object per unchanged
     file), under the same display paths and at an equal fuel.  Each
     replayed definition re-enters its recorded scope entry (body-less if
-    it failed), ``pure_env`` entry and result; the rest are checked, and
-    the call becomes the last one.  This is sound because checking a
-    definition is a deterministic function of its syntax, its scope and
-    the fuel, and a prefix's scope is the prefix itself.  The replay
-    skips only ``fresh_name`` draws, which no message shows
-    (``_canon_msg``).  A call given a running checker neither replays
-    nor records, and a call that raises leaves the record as it was."""
+    its body failed, none if its classifier did), ``pure_env`` entry and
+    result; the rest are checked, and the call becomes the last one.
+    This is sound because checking a definition is a deterministic
+    function of its syntax, its scope and the fuel, and a prefix's scope
+    is the prefix itself.  The replay skips only ``fresh_name`` draws,
+    which no message shows (``_canon_msg``).  A call given a running
+    checker neither replays nor records, and a call that raises leaves
+    the record as it was."""
     global _checked
     ck = checker or Checker()
     report = CheckReport()
+    names: set[str] = set()  # this call's definitions, in scope or not
     done = None if ck.ctx or ck.pure_env else []
     if done is not None:
         fuel, last = _checked
@@ -943,13 +949,16 @@ def check_defs(defs, checker: Optional[Checker] = None) -> tuple[Checker, CheckR
                 if was_d is not d or was_file != file:
                     break
                 report.results.append(result)
-                ck.ctx[d.name] = scope
+                names.add(d.name)
+                if scope is not None:
+                    ck.ctx[d.name] = scope
                 if pure is not None:
                     ck.pure_env[d.name] = pure
                 done.append(entry)
     for file, d in defs[len(done or ()):]:
-        if d.name in ck.ctx:
+        if d.name in names or d.name in ck.ctx:
             raise ModuleError(f"{file}: duplicate top-level name {d.name!r}")
+        names.add(d.name)
         try:
             _check_one(ck, d)
             report.results.append(DefResult(d.name, file, True, span=d.span))
@@ -957,35 +966,40 @@ def check_defs(defs, checker: Optional[Checker] = None) -> tuple[Checker, CheckR
             report.results.append(
                 DefResult(d.name, file, False, e.code.value, _canon_msg(e.message), e.span or d.span)
             )
-            ck.ctx[d.name] = Defn(d.name, d.classifier, None)
         except RecursionError:
             raise ModuleError(f"{d.span}: definition {d.name!r} is nested too deeply to check") from None
         if done is not None:
-            done.append((file, d, report.results[-1], ck.ctx[d.name], ck.pure_env.get(d.name)))
+            done.append((file, d, report.results[-1], ck.ctx.get(d.name), ck.pure_env.get(d.name)))
     if done is not None:
         _checked = (ck.fuel, done)
     return ck, report
 
 
 def _check_one(ck: Checker, d) -> None:
+    """Check ``d`` and enter it into scope: whole when it checks, without
+    its body when only its classifier does, not at all otherwise."""
     if isinstance(d.classifier, Kind):
         ck.kind_wf(d.classifier)
-        if d.body is not None:
-            if not isinstance(d.body, Type):
-                raise CheckError(ErrorCode.KindMismatch, "a kind-classified definition needs a type body", d.span)
-            ck.check_type(d.body, d.classifier)
-        ck.ctx[d.name] = Defn(d.name, d.classifier, d.body)
-        return
-    k = ck.infer_kind(d.classifier)
-    if not isinstance(k, Star):
-        raise CheckError(
-            ErrorCode.KindMismatch,
-            f"classifier of {d.name} has kind {pp.pretty(k)}, expected ★",
-            d.span,
-        )
+    else:
+        k = ck.infer_kind(d.classifier)
+        if not isinstance(k, Star):
+            raise CheckError(
+                ErrorCode.KindMismatch,
+                f"classifier of {d.name} has kind {pp.pretty(k)}, expected ★",
+                d.span,
+            )
     if d.body is not None:
-        if not isinstance(d.body, Term):
-            raise CheckError(ErrorCode.TypeMismatch, "a type-classified definition needs a term body", d.span)
-        ck.check_term(d.body, d.classifier)
-        ck.pure_env[d.name] = ck.pure_of(d.body)
+        try:
+            if isinstance(d.classifier, Kind):
+                if not isinstance(d.body, Type):
+                    raise CheckError(ErrorCode.KindMismatch, "a kind-classified definition needs a type body", d.span)
+                ck.check_type(d.body, d.classifier)
+            else:
+                if not isinstance(d.body, Term):
+                    raise CheckError(ErrorCode.TypeMismatch, "a type-classified definition needs a term body", d.span)
+                ck.check_term(d.body, d.classifier)
+                ck.pure_env[d.name] = ck.pure_of(d.body)
+        except CheckError:
+            ck.ctx[d.name] = Defn(d.name, d.classifier, None)
+            raise
     ck.ctx[d.name] = Defn(d.name, d.classifier, d.body)

@@ -14,6 +14,23 @@ NEGATIVE = os.path.join(REPO, "negative")
 # them against this
 NEGATIVE_FILES = 14
 
+# Programs with a definition whose own classifier fails, then a use of
+# it that would instantiate that ill-sorted classifier, and substitution
+# reject it with a TypeError, if the definition were in scope.
+CLASSIFIER_FAILS = {
+    "type_lambda": [
+        "U ◂ ★ = ∀ X : ★. X ➔ X.",
+        "f ◂ ∀ B : ★ ➔ ★. B B.",
+        "g ◂ U = f -(λ X : ★. X).",
+    ],
+    "application": [
+        "U ◂ ★ = ∀ X : ★. X ➔ X.",
+        "u ◂ U = Λ X. λ x. x.",
+        "f ◂ Π a : U. a.",
+        "g ◂ U = f (u -U u).",
+    ],
+}
+
 
 def parse_type_expr(text):
     """``text`` parsed as a classifier, which must be a type."""

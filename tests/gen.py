@@ -137,10 +137,10 @@ def gen_term(rng: random.Random, depth: int):
     if r < 0.65:
         return Beta()
     if r < 0.72:
-        guide = None
+        hole = template = None
         if rng.random() < 0.4:
-            guide = (rng.choice(TERM_NAMES), gen_type(rng, depth - 1))
-        return Rho(gen_term(rng, depth - 1), gen_term(rng, depth - 1), guide)
+            hole, template = rng.choice(TERM_NAMES), gen_type(rng, depth - 1)
+        return Rho(gen_term(rng, depth - 1), gen_term(rng, depth - 1), hole, template)
     if r < 0.80:
         return Phi(gen_term(rng, depth - 1), gen_term(rng, depth - 1), gen_term(rng, depth - 1))
     if r < 0.85:
@@ -152,23 +152,21 @@ def gen_term(rng: random.Random, depth: int):
 
 # --- variants of pure and annotated syntax ----------------------------------
 
-# the child each binder name scopes, written out apart from LAYOUT so that
-# the helpers below do not share a mistake with the code they test
+# each binder field and the child its name scopes, written out apart from
+# LAYOUT so that the helpers below do not share a mistake with the code
+# they test
 _SCOPES = {
-    **dict.fromkeys((PLam, Lam, ELam, TLam), "body"),
-    **dict.fromkeys((Pi, All, AllK, KPi, KPiK), "cod"),
-    Iota: "snd",
+    **dict.fromkeys((PLam, Lam, ELam, TLam), ("name", "body")),
+    **dict.fromkeys((Pi, All, AllK, KPi, KPiK), ("name", "cod")),
+    Iota: ("name", "snd"),
+    Rho: ("hole", "template"),
 }
 _LEAVES = (PVar, Var, TVar)
 
 
 def _children(x):
-    """The node- or guide-valued fields of ``x``, by name."""
-    return {
-        f: getattr(x, f)
-        for f in type(x).__slots__
-        if isinstance(getattr(x, f), Node) or f == "guide" and x.guide is not None
-    }
+    """The node-valued fields of ``x``, by name."""
+    return {f: getattr(x, f) for f in type(x).__slots__ if isinstance(getattr(x, f), Node)}
 
 
 def _rebuild(cur, fields):
@@ -199,14 +197,12 @@ def _rename_each(x, choose, outer=()):
     outermost first, where ``outer`` holds the enclosing binders' new
     names."""
     fields = {}
+    binder, scope = _SCOPES.get(type(x), (None, None))
     for child, sub in _children(x).items():
-        if child == "guide":
-            hole, template = sub
-            new = choose(hole, template, outer)
-            fields[child] = (new, _rename_each(subst1(template, hole, Var(new)), choose, outer + (new,)))
-        elif child == _SCOPES.get(type(x)):
-            new = fields["name"] = choose(x.name, sub, outer)
-            fields[child] = _rename_each(subst1(sub, x.name, Var(new)), choose, outer + (new,))
+        if child == scope:
+            name = getattr(x, binder)
+            new = fields[binder] = choose(name, sub, outer)
+            fields[child] = _rename_each(subst1(sub, name, Var(new)), choose, outer + (new,))
         else:
             fields[child] = _rename_each(sub, choose, outer)
     return _rebuild(x, fields) if fields else x
@@ -219,8 +215,6 @@ def count_leaves(x):
         cur = stack.pop()
         if type(cur) in _LEAVES:
             n += 1
-        elif type(cur) is tuple:
-            stack.append(cur[1])
         else:
             stack.extend(_children(cur).values())
     return n
@@ -236,11 +230,7 @@ def change_leaf(x, k):
     for child, sub in _children(x).items():
         if k < 0:
             break
-        if child == "guide":
-            template, k = change_leaf(sub[1], k)
-            fields[child] = (sub[0], template)
-        else:
-            fields[child], k = change_leaf(sub, k)
+        fields[child], k = change_leaf(sub, k)
     return _rebuild(x, fields), k
 
 

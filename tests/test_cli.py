@@ -16,7 +16,7 @@ from cdle.cli import classify_costs, main
 from cdle.reduction import Fuel, NormalizeOutcome
 from cdle.syntax import PVar
 
-from conftest import CORPUS, NEGATIVE, NEGATIVE_FILES, REPO
+from conftest import CLASSIFIER_FAILS, CORPUS, NEGATIVE, NEGATIVE_FILES, REPO
 from gen import corpus_mutants
 
 
@@ -176,6 +176,22 @@ def test_check_duplicate_name_across_modules_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "check", *paths)
     assert code == 2
     assert err == f"error: {paths[1]}: duplicate top-level name 'Unit2'\n"
+
+
+@pytest.mark.parametrize("case", ["type_lambda", "application"])
+def test_check_use_of_a_definition_whose_classifier_fails_exit_one(capsys, tmp_path, case):
+    """A use of a definition whose classifier failed is reported as an
+    unbound name, not a traceback from instantiating that classifier; a
+    redefinition of it in an importing module is still a duplicate."""
+    path = tmp_path / "m.cdl"
+    path.write_text("\n".join(CLASSIFIER_FAILS[case]) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-2] == "g: ERROR[UnboundName] unbound name 'f'"
+    importer = tmp_path / "importer.cdl"
+    importer.write_text("import m.\nf ◂ U.\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(importer))
+    assert (code, out, err) == (2, "", f"error: {importer}: duplicate top-level name 'f'\n")
 
 
 # A λ or Λ annotation whose type-level β redex substitutes a type for a

@@ -5,6 +5,8 @@ import glob
 import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -19,7 +21,7 @@ from cdle.surface import (
     parse_term,
 )
 from cdle.syntax import Kind, Span, Term, Type, alpha_eq
-from conftest import CORPUS, NEGATIVE, NEGATIVE_FILES, parse_type_expr
+from conftest import CORPUS, NEGATIVE, NEGATIVE_FILES, REPO, parse_type_expr
 from gen import gen_kind, gen_term, gen_type
 
 
@@ -153,17 +155,66 @@ def test_an_erased_argument_is_a_term_or_a_type_node():
 
 def test_guided_rho_syntax_roundtrip():
     t = parse_term("ρ q { h . Vec · A h } - x")
-    assert t.guide is not None and t.guide[0] == "h"
+    assert t.hole == "h" and t.template is not None
     assert alpha_eq(t, parse_term(pretty(t)))
 
 
 def test_arrow_resugaring():
-    ty = parse_type_expr("Π x : A. B")
-    assert pretty(ty) == "A ➔ B"
-    ty2 = parse_type_expr("∀ x : A. B")
-    assert pretty(ty2) == "A ➾ B"
-    dep = parse_type_expr("Π x : A. B x")
-    assert pretty(dep).startswith("Π x")
+    """Π, ∀ and kind Π print by one rule: an unused binder resugars to ➔,
+    or ➾ for a ∀ over a term, a ∀ over a type never does, and the
+    domain prints by its own sort."""
+    cases = {
+        "Π x : A. B": ("A ➔ B", "A -> B"),
+        "∀ x : A. B": ("A ➾ B", "A => B"),
+        "Π x : A. B x": ("Π x : A. B x", "Pi x : A. B x"),
+        "∀ X : ★. B": ("∀ X : ★. B", "All X : Star. B"),
+        "Π x : A. ★": ("A ➔ ★", "A -> Star"),
+        "Π X : ★. ★": ("★ ➔ ★", "Star -> Star"),
+        "Π X : ★ ➔ ★. a ≃ b ➔ ★": ("(★ ➔ ★) ➔ (a ≃ b) ➔ ★", "(Star -> Star) -> (a == b) -> Star"),
+        "Π x : A ➔ B. Π y : P x. ★": ("Π x : A ➔ B. P x ➔ ★", "Pi x : A -> B. P x -> Star"),
+        "(Π x : A. B) ➾ F · A a": ("(A ➔ B) ➾ F · A a", "(A -> B) => F @ A a"),
+    }
+    for text, spellings in cases.items():
+        c = parse_classifier(text)
+        assert (pretty(c), pretty(c, ascii_only=True)) == spellings, text
+        assert alpha_eq(parse_classifier(spellings[1]), c), text
+
+
+def test_printing_depth_is_pinned():
+    """The printer recurses three frames per application level of a pure
+    term, and the benchmark pins that depth from both sides.  In a fresh
+    interpreter, as each benchmark sample runs, at the recursion limit
+    that ``normalize`` sets, the normal forms of reduce-stress's
+    ``mul 40 40`` (1,600 levels) and ``exp 2 10`` (1,024 levels) print
+    and re-parse α-equal, and that of ``exp 3 7`` (2,187 levels) raises
+    RecursionError.  A printer that takes more frames per level breaks
+    the first two; one that takes fewer breaks the benchmark's
+    expectation of the third, which an explicit-stack printer flips
+    together with this assertion."""
+    script = r"""
+from cdle.erasure import erase
+from cdle.pretty import pretty
+from cdle.reduction import normalize
+from cdle.surface import parse_term
+from cdle.syntax import alpha_eq
+
+def numeral(n):
+    return "(λ f. λ x. " + "f (" * n + "x" + ")" * n + ")"
+
+mul, exp = "(λ m. λ n. λ f. m (n f))", "(λ m. λ n. n m)"
+for op, m, n in ((mul, 40, 40), (exp, 2, 10), (exp, 3, 7)):
+    nf = normalize(erase(parse_term(f"{op} {numeral(m)} {numeral(n)}"))).result
+    try:
+        text = pretty(nf)
+    except RecursionError:
+        print("RecursionError")
+        continue
+    print(alpha_eq(erase(parse_term(text)), nf))
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split() == ["True", "True", "RecursionError"]
 
 
 def test_underscore_binds_everywhere_and_round_trips():

@@ -4,6 +4,7 @@ import ast
 import glob
 import os
 import random
+import re
 import sys
 
 import pytest
@@ -17,7 +18,6 @@ from cdle.syntax import (
     AllK,
     App,
     Beta,
-    GUIDE,
     LAYOUT,
     Bind,
     Defn,
@@ -50,6 +50,7 @@ from cdle.syntax import (
     Type,
     Var,
     alpha_eq,
+    base_name,
     free_names,
     fresh_name,
     promote_skeleton,
@@ -289,10 +290,10 @@ def reference_subst_syntax(x, env):
         if cls in (App, EApp, TAppT, TAppE):
             return cls(go(cur.fn, env), go(cur.arg, env), cur.span)
         if cls is Rho:
-            guide = cur.guide
-            if guide is not None:
-                guide = under(guide[0], guide[1], env)
-            return Rho(go(cur.proof, env), go(cur.body, env), guide, cur.span)
+            hole, template = cur.hole, cur.template
+            if template is not None:
+                hole, template = under(hole, template, env)
+            return Rho(go(cur.proof, env), go(cur.body, env), hole, template, cur.span)
         if cls is Phi:
             return Phi(go(cur.proof, env), go(cur.main, env), go(cur.target, env), cur.span)
         if cls is Sym:
@@ -328,10 +329,7 @@ def _binders(x):
             sub = getattr(cur, child)
             if sub is None:
                 continue
-            if binder is GUIDE:
-                out.append((cur, *sub))
-                sub = sub[1]
-            elif binder is not None:
+            if binder is not None:
                 out.append((cur, getattr(cur, binder), sub))
             stack.append(sub)
     return out
@@ -370,7 +368,7 @@ def corpus_substitutions(corpus_defs, checked_corpus):
             elif isinstance(cur, TAppT):
                 types.append(cur.arg)
             if type(cur) in LAYOUT:
-                stack += [getattr(cur, c) for c, b in LAYOUT[type(cur)] if b is not GUIDE]
+                stack += [getattr(cur, c) for c, _ in LAYOUT[type(cur)]]
     calls = []
     for _, d in corpus_defs:
         for node, name, scope in _binders(d.classifier) + _binders(d.body):
@@ -538,6 +536,23 @@ def test_subst_renames_a_capturing_binder_only_for_a_name_due_in_its_body():
     assert subst1(t, "x", rep).body.arg is t.body.arg
 
 
+def test_a_renamed_binder_renamed_again_keeps_one_percent_sign():
+    """A fresh name is the base of its hint, ``%`` and a number, where
+    the base is the hint before any ``%``, without trailing digits, as
+    readback reads it; so a substitution that renames a binder it
+    renamed before gives it one ``%``, not one more."""
+    once = fresh_name("x")
+    twice = fresh_name(once)
+    assert re.fullmatch(r"x%\d+", once) and re.fullmatch(r"x%\d+", twice) and once != twice
+    hints = ("x", "x12", "x%3", "x1%3", "a%", "f2%q", "%7", "")
+    assert [base_name(h) for h in hints] == ["x", "x", "x", "x", "a", "f", "x", "x"]
+    t = subst1(Lam("y", App(Var("x"), Var("y"))), "x", Var("y"))
+    assert re.fullmatch(r"y%\d+", t.name)
+    again = subst1(t, "y", Var(t.name))
+    assert re.fullmatch(r"y%\d+", again.name) and again.name != t.name
+    assert alpha_eq(again, Lam("z", App(Var(t.name), Var("z"))))
+
+
 # --- the layout table, and free names and α-equality against the ladders it replaced
 
 
@@ -553,12 +568,13 @@ def test_layout_accounts_for_every_node_class_and_field():
     assert set(LAYOUT) == classes
     for cls in classes:
         children = [child for child, _ in LAYOUT[cls]]
-        binders = [b for _, b in LAYOUT[cls] if b not in (None, GUIDE)]
+        binders = [b for _, b in LAYOUT[cls] if b is not None]
         for f in cls.__slots__:
             assert f in children or f in binders or f == "span" or (cls, f) in data, (cls.__name__, f)
         assert set(children) | set(binders) <= set(cls.__slots__), cls.__name__
-    assert [b for cls in classes for _, b in LAYOUT[cls] if b is GUIDE] == [GUIDE]
-    assert ("guide", GUIDE) in LAYOUT[Rho]
+    # a binder field holds a name, and only ρ's guide names it otherwise
+    assert {(cls, b) for cls in classes for _, b in LAYOUT[cls] if b not in (None, "name")} == {(Rho, "hole")}
+    assert ("template", "hole") in LAYOUT[Rho]
 
 
 def reference_term_free_names(x):
@@ -603,8 +619,8 @@ def reference_term_free_names(x):
         elif cls is Rho:
             stack.append(cur.proof)
             stack.append(cur.body)
-            if cur.guide is not None:
-                under(cur.guide[0], cur.guide[1])
+            if cur.template is not None:
+                under(cur.hole, cur.template)
         elif cls is Phi:
             stack.append(cur.proof)
             stack.append(cur.main)
@@ -651,10 +667,10 @@ def reference_syntax_alpha_eq(a, b):
         if cx in (PApp, App, EApp, TAppT, TAppE):
             return go(x.fn, y.fn, envx, envy) and go(x.arg, y.arg, envx, envy)
         if cx is Rho:
-            if (x.guide is None) != (y.guide is None):
+            if (x.template is None) != (y.template is None):
                 return False
-            if x.guide is not None:
-                if not bound(x.guide[0], x.guide[1], y.guide[0], y.guide[1], envx, envy):
+            if x.template is not None:
+                if not bound(x.hole, x.template, y.hole, y.template, envx, envy):
                     return False
             return go(x.proof, y.proof, envx, envy) and go(x.body, y.body, envx, envy)
         if cx is Phi:
@@ -732,7 +748,7 @@ def test_syntax_alpha_eq_matches_reference(corpus_defs, checked_corpus):
     assert renamed > 500 and changed > 500
     assert not alpha_eq(Proj(Var("p"), 1), Proj(Var("p"), 2))
     assert not alpha_eq(Lam("x", Var("x"), TVar("A")), Lam("x", Var("x")))
-    assert not alpha_eq(Rho(Beta(), Beta(), ("x", TVar("A"))), Rho(Beta(), Beta()))
+    assert not alpha_eq(Rho(Beta(), Beta(), "x", TVar("A")), Rho(Beta(), Beta()))
 
 
 def test_free_names_and_alpha_eq_of_10000_deep_chains():
@@ -795,7 +811,7 @@ def test_every_syntax_field_is_read_in_the_kernel():
     keyword of a ``match`` class pattern, or a field string of
     ``LAYOUT``."""
     src = os.path.dirname(cdle.syntax.__file__)
-    read = {name for row in LAYOUT.values() for pair in row for name in pair if name not in (None, GUIDE)}
+    read = {name for row in LAYOUT.values() for pair in row for name in pair if name is not None}
     for path in sorted(glob.glob(os.path.join(src, "*.py"))):
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())

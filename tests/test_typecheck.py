@@ -13,7 +13,7 @@ from cdle.surface import parse_term
 from cdle.syntax import Bind, Eq, Kind, Pi, Star, TVar, free_names
 from cdle.typecheck import CheckError, Checker, ErrorCode, ModuleError, check_defs
 
-from conftest import CORPUS, NEGATIVE, NEGATIVE_FILES, parse_type_expr, reparsed
+from conftest import CLASSIFIER_FAILS, CORPUS, NEGATIVE, NEGATIVE_FILES, parse_type_expr, reparsed
 
 
 @contextmanager
@@ -680,14 +680,14 @@ def test_an_unfolded_body_is_not_read_through_renamed_binders(monkeypatch, tmp_p
 
 def _nodes(x):
     """The annotated syntax nodes in ``x``."""
-    from cdle.syntax import GUIDE, LAYOUT
+    from cdle.syntax import LAYOUT
 
     n, stack = 0, [x]
     while stack:
         cur = stack.pop()
         if type(cur) in LAYOUT:
             n += 1
-            stack += [getattr(cur, c) if b is not GUIDE else getattr(cur, c)[1] for c, b in LAYOUT[type(cur)]]
+            stack += [getattr(cur, c) for c, _ in LAYOUT[type(cur)]]
     return n
 
 
@@ -1481,6 +1481,56 @@ def test_a_failed_definition_replays_as_failed(tmp_path, monkeypatch):
     assert rep2.results[2].code == "UnboundName" and rep2.results[3].ok
     assert ck2.ctx["bad"] is ck1.ctx["bad"] and ck2.ctx["bad"] == Defn("bad", defs[2][1].classifier, None)
     assert "bad" not in ck2.pure_env
+
+
+@pytest.mark.parametrize("case", sorted(CLASSIFIER_FAILS))
+def test_a_definition_whose_classifier_fails_is_not_in_scope(tmp_path, case):
+    """A definition whose own classifier fails is recorded and left out
+    of the scope, so a later use of it is an unbound name; a definition
+    whose body fails stays in scope at its classifier."""
+    lines = CLASSIFIER_FAILS[case]
+    path = tmp_path / "m.cdl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ck, report = check_defs(load_program([str(path)]))
+    codes = [r.code for r in report.results]
+    assert codes[:-2] == [None] * (len(lines) - 2) and codes[-2] in ("NotAFunction", "UnboundName")
+    assert (codes[-1], report.results[-1].message) == ("UnboundName", "unbound name 'f'")
+    assert "f" not in ck.ctx and "g" in ck.ctx and ck.ctx["g"].body is None
+
+
+def test_a_definition_whose_classifier_fails_replays_out_of_scope(tmp_path, monkeypatch):
+    """The replay record holds no scope entry for a definition whose
+    classifier failed: a program that holds one replays whole, with
+    equal results and scope, and a longer one checks only its new part,
+    in which a use of that definition is unbound."""
+    path = tmp_path / "m.cdl"
+    path.write_text("\n".join(CLASSIFIER_FAILS["type_lambda"][:2]) + "\n", encoding="utf-8")
+    defs = load_program([str(path)])
+    _, _, ck1, rep1 = _check_counting(monkeypatch, defs)
+    assert [r.code for r in rep1.results] == [None, "NotAFunction"]
+    checked, _, ck2, rep2 = _check_counting(monkeypatch, defs)
+    assert checked == [] and rep2 == rep1 and ck2.ctx == ck1.ctx and "f" not in ck2.ctx
+    extra = tmp_path / "extra.cdl"
+    extra.write_text(CLASSIFIER_FAILS["type_lambda"][2] + "\n", encoding="utf-8")
+    checked, _, ck3, rep3 = _check_counting(monkeypatch, defs + load_program([str(extra)]))
+    assert checked == ["g"] and rep3.results[:2] == rep1.results
+    assert (rep3.results[2].code, rep3.results[2].message) == ("UnboundName", "unbound name 'f'")
+
+
+def test_a_definition_whose_classifier_fails_still_takes_its_name(tmp_path):
+    """A later definition of the name of one whose classifier failed is
+    a duplicate, whether checked afresh, replayed, or in an importing
+    module."""
+    a = tmp_path / "a.cdl"
+    a.write_text("\n".join(CLASSIFIER_FAILS["type_lambda"][:2]) + "\n", encoding="utf-8")
+    b = tmp_path / "b.cdl"
+    b.write_text("import a.\nf ◂ U.\n", encoding="utf-8")
+    defs = load_program([str(b)])
+    assert [d.name for _, d in defs] == ["U", "f", "f"]
+    for _ in range(2):  # checked afresh, then with the first two replayed
+        with pytest.raises(ModuleError, match="duplicate top-level name 'f'"):
+            check_defs(defs)
+        check_defs(defs[:2])
 
 
 def test_a_module_error_leaves_the_record_as_it_was(tmp_path, monkeypatch):
