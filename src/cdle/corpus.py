@@ -155,12 +155,11 @@ def corpus_manifest(root: Optional[str] = None) -> list[CorpusEntry]:
 
 def load_checked_corpus(root: Optional[str] = None, fuel: Fuel = Fuel()) -> tuple[Checker, CheckReport]:
     """Load and check the full corpus under ``root`` (default: the repo
-    corpus).  A module file unchanged since the last load is not parsed
-    again (``loader``), and the check replays the definitions that the
-    last check from an empty checker checked in the same order, at the
-    same fuel and from the same parsed modules (``check_defs``): right
-    after a load of the same corpus every definition replays, and right
-    after a negative file that imports ``base``, ``base.cdl``'s do.
+    corpus).  A module file unchanged since it was last loaded is not
+    parsed again (``loader``), and the check replays each definition
+    that an earlier check from an empty checker checked from the same
+    parsed module, in the same scope and at the same fuel
+    (``check_defs``): so the corpus is checked once per process.
 
     The checked corpus is long-lived and no code changes it, so the call
     ends by collecting garbage and freezing every object then alive

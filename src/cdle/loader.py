@@ -7,17 +7,14 @@ module is displayed by the path it was reached by: a file given
 relative stays relative, and so do the siblings it imports.
 
 Every call reads each file, but parses it only when it changed: the
-module table maps each absolute path the last successful call loaded to
-``(display path, text, SourceModule)``, and a file whose display path
-and text both equal its entry's reuses the entry's module, so a hit is
-never stale and spans name the current call's path.  Each call reads
-the table once and replaces it on return (a call that raises leaves it
-as it was), so it holds one program.  Sharing a module between calls is
-sound because parsed syntax is immutable (``surface``).  The checker
-keeps a second table of the same shape, ``typecheck._checked``: it
-replays the definitions of the last program it checked when a new
-program starts with the same parsed ones, which this table hands out
-for every unchanged file.
+module table maps each absolute path ever loaded to ``(display path,
+text, SourceModule)``, and a file whose display path and text both equal
+its entry's reuses the entry's module, so a hit is never stale and spans
+name the current call's path; otherwise the file is parsed and its entry
+replaced.  Sharing a module between calls is sound because parsed syntax
+is immutable (``surface``), and it hands the checker the same ``RawDef``
+objects for an unchanged file, which is what lets ``check_defs`` replay
+them.
 """
 
 from __future__ import annotations
@@ -38,9 +35,7 @@ _modules: dict[str, tuple[str, str, SourceModule]] = {}
 def load_program(paths: list[str], root: Optional[str] = None) -> list[tuple[str, RawDef]]:
     """Load the given module files (and their imports, depth-first) and
     return the ordered list of (display-path, definition) pairs."""
-    global _modules
-    previous = _modules
-    loaded: dict[str, tuple[str, str, SourceModule]] = {}
+    loaded: dict[str, SourceModule] = {}
     visiting: list[str] = []
 
     def visit(path: str):
@@ -58,17 +53,16 @@ def load_program(paths: list[str], root: Optional[str] = None) -> list[tuple[str
             raise LoadError(f"cannot read {path}: {e.strerror}")
         except UnicodeDecodeError as e:
             raise LoadError(f"cannot read {path}: not UTF-8 ({e.reason} at byte {e.start})")
-        entry = previous.get(apath)
+        entry = _modules.get(apath)
         if entry is None or entry[:2] != (path, text):
-            entry = (path, text, parse_module(text, path))
+            entry = _modules[apath] = (path, text, parse_module(text, path))
         # an import is displayed relative to the importer's display path
         base = root if root is not None else os.path.dirname(path)
         for imp in entry[2].imports:
             visit(os.path.join(base, imp + ".cdl"))
         visiting.pop()
-        loaded[apath] = entry
+        loaded[apath] = entry[2]
 
     for p in paths:
         visit(p)
-    _modules = loaded
-    return [(mod.path, d) for _, _, mod in loaded.values() for d in mod.defs]
+    return [(mod.path, d) for mod in loaded.values() for d in mod.defs]

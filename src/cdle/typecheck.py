@@ -36,12 +36,9 @@ fresh name renamed in the binder's scope, so no binder captures an outer
 name or shadows a global.  A message can show such a name as ``x%1``.
 
 Each definition is checked once per scope, as a module system checks an
-unchanged module once (Cardelli 1997): a ``check_defs`` call from an
-empty checker replays the prefix of its program that the last such call
-checked and checks only the rest.  That is sound because checking a
-definition is a deterministic function of its syntax, its scope and the
-fuel; the ``fresh_name`` draws a replay skips show in no message
-(``_canon_msg``).  See ``check_defs`` for when a prefix matches.
+unchanged module once (Cardelli 1997): ``check_defs`` keeps a record of
+each definition it checked from an empty checker, and replays one whose
+syntax, fuel and scope match.  See ``check_defs`` for when they do.
 
 The equality constructs follow the usual reading:
 
@@ -905,11 +902,22 @@ class ModuleError(Exception):
     pass
 
 
-# The last program that ``check_defs`` checked from an empty checker: its
-# fuel and, per definition in order, (display path, RawDef, DefResult,
-# scope entry, ``pure_env`` entry or None).  Read once per call and
-# replaced on return, like ``loader._modules``.
-_checked: tuple[Fuel, list] = (Fuel(), [])
+class _Checked(NamedTuple):
+    """What checking the ``RawDef`` ``d`` at ``fuel`` left behind, and
+    the records of the definitions checked right after it, by display
+    path."""
+
+    d: object
+    fuel: Fuel
+    result: DefResult
+    scope: Optional[Defn]
+    pure: Optional[PureTerm]
+    then: dict[str, _Checked]
+
+
+# The records of the first definitions ``check_defs`` checked from an
+# empty checker, by display path: a tree with one path per program.
+_checked: dict[str, _Checked] = {}
 
 
 def check_defs(defs, checker: Optional[Checker] = None) -> tuple[Checker, CheckReport]:
@@ -923,42 +931,40 @@ def check_defs(defs, checker: Optional[Checker] = None) -> tuple[Checker, CheckR
     checker, raises ModuleError.
 
     A call from an empty checker (none given, or one whose ``ctx`` and
-    ``pure_env`` are empty) first replays the longest prefix of ``defs``
-    that the last such call checked: the same ``RawDef`` objects in the
-    same order (the loader hands out one parsed object per unchanged
-    file), under the same display paths and at an equal fuel.  Each
-    replayed definition re-enters its recorded scope entry (body-less if
-    its body failed, none if its classifier did), ``pure_env`` entry and
-    result; the rest are checked, and the call becomes the last one.
-    This is sound because checking a definition is a deterministic
-    function of its syntax, its scope and the fuel, and a prefix's scope
-    is the prefix itself.  The replay skips only ``fresh_name`` draws,
-    which no message shows (``_canon_msg``).  A call given a running
-    checker neither replays nor records, and a call that raises leaves
-    the record as it was."""
-    global _checked
+    ``pure_env`` are empty) replays each definition whose record
+    matches and records each one it checks.  The records form a tree:
+    the one for a definition is looked up by its display path among
+    those that follow the record this call replayed or wrote just before
+    (``_checked`` for the first definition), and it matches when it
+    holds the same ``RawDef`` object (the loader hands out one parsed
+    object per unchanged file) and an equal fuel.  So a record replays
+    only into the scope it was checked in, as the definitions before it
+    are the path to it; it re-enters its recorded scope entry (body-less
+    if its body failed, none if its classifier did), ``pure_env`` entry
+    and result.  This is sound because checking a definition is a
+    deterministic function of its syntax, its scope and the fuel; the
+    replay skips only ``fresh_name`` draws, which no message shows
+    (``_canon_msg``).  A record that does not match is replaced, which
+    drops the records after it, so an edited file keeps no records of
+    its old text.  A call given a running checker neither replays nor
+    records."""
     ck = checker or Checker()
     report = CheckReport()
     names: set[str] = set()  # this call's definitions, in scope or not
-    done = None if ck.ctx or ck.pure_env else []
-    if done is not None:
-        fuel, last = _checked
-        if fuel == ck.fuel:
-            for (file, d), entry in zip(defs, last):
-                was_file, was_d, result, scope, pure = entry
-                if was_d is not d or was_file != file:
-                    break
-                report.results.append(result)
-                names.add(d.name)
-                if scope is not None:
-                    ck.ctx[d.name] = scope
-                if pure is not None:
-                    ck.pure_env[d.name] = pure
-                done.append(entry)
-    for file, d in defs[len(done or ()):]:
+    then = None if ck.ctx or ck.pure_env else _checked
+    for file, d in defs:
         if d.name in names or d.name in ck.ctx:
             raise ModuleError(f"{file}: duplicate top-level name {d.name!r}")
         names.add(d.name)
+        rec = None if then is None else then.get(file)
+        if rec is not None and rec.d is d and rec.fuel == ck.fuel:
+            report.results.append(rec.result)
+            if rec.scope is not None:
+                ck.ctx[d.name] = rec.scope
+            if rec.pure is not None:
+                ck.pure_env[d.name] = rec.pure
+            then = rec.then
+            continue
         try:
             _check_one(ck, d)
             report.results.append(DefResult(d.name, file, True, span=d.span))
@@ -968,10 +974,9 @@ def check_defs(defs, checker: Optional[Checker] = None) -> tuple[Checker, CheckR
             )
         except RecursionError:
             raise ModuleError(f"{d.span}: definition {d.name!r} is nested too deeply to check") from None
-        if done is not None:
-            done.append((file, d, report.results[-1], ck.ctx.get(d.name), ck.pure_env.get(d.name)))
-    if done is not None:
-        _checked = (ck.fuel, done)
+        if then is not None:
+            rec = then[file] = _Checked(d, ck.fuel, report.results[-1], ck.ctx.get(d.name), ck.pure_env.get(d.name), {})
+            then = rec.then
     return ck, report
 
 

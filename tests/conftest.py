@@ -12,7 +12,7 @@ NEGATIVE = os.path.join(REPO, "negative")
 # the size of the negative suite: the files of ``negative/``, each of which
 # must be rejected with its one expected code; tests check exact counts of
 # them against this
-NEGATIVE_FILES = 14
+NEGATIVE_FILES = 15
 
 # Programs with a definition whose own classifier fails, then a use of
 # it that would instantiate that ill-sorted classifier, and substitution

@@ -402,32 +402,28 @@ def test_verify_green_and_byte_stable():
 
 def test_verify_twice_in_one_process(capsys, monkeypatch):
     """``cdle verify`` run twice through ``cli.main`` in one process
-    prints the same bytes both times, ending in ALL GREEN.  Each run
-    checks ``base.cdl``'s 17 definitions twice: with the corpus, and in
-    the negative suite once more after the base-free
-    ``intersection_mismatch`` evicts them; every other negative file that
-    imports ``base`` replays them from the check before it.  (The first
-    run's corpus check may also replay them from a check made before the
-    test; the second's cannot, as the first ends on a base-free file.)"""
+    prints the same bytes both times, ending in ALL GREEN, and the
+    second run checks no definition: the corpus and every negative file
+    replay from the records the first run left."""
     import cdle.typecheck
 
-    base, checked = os.path.join(CORPUS, "base.cdl"), []
+    checked = []
     real = cdle.typecheck._check_one
 
     def counting(ck, d):
-        checked.append(os.path.abspath(d.span.file) == base)
+        checked.append(d.name)
         return real(ck, d)
 
     monkeypatch.setattr(cdle.typecheck, "_check_one", counting)
-    outs, base_checks = [], []
+    outs, checks = [], []
     for _ in range(2):
         checked.clear()
         code, out, err = run(capsys, "verify")
         assert (code, err) == (0, "")
         outs.append(out)
-        base_checks.append(sum(checked))
+        checks.append(len(checked))
     assert outs[0] == outs[1] and outs[0].endswith("ALL GREEN\n")
-    assert base_checks[0] <= base_checks[1] == 2 * 17
+    assert checks[1] == 0
 
 
 def _corpus_copy(tmp_path, with_negative=True):

@@ -1,9 +1,9 @@
 """Concurrent use: normal forms, step counts and check reports computed
 on four threads at once equal those of a serial run.  Each program is
 checked from freshly parsed modules, which ``check_defs`` cannot replay,
-and twice as loaded, which it can replay from the program the last call
-checked, so the threads check concurrently and also read and replace
-that record concurrently."""
+and twice as loaded, which it can replay from the records earlier calls
+left, so the threads check concurrently and also read and replace those
+records concurrently."""
 
 import os
 import random

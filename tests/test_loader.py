@@ -1,5 +1,5 @@
 """The loader's module table: an unchanged file is parsed once, a changed
-one again, and the table holds only the last program's modules."""
+one again, and the table keeps every file it has loaded."""
 
 import glob
 import os
@@ -73,12 +73,22 @@ def test_a_file_that_failed_to_parse_reloads_once_fixed(parses, tmp_path):
     assert parses == [path, path]
 
 
-def test_the_table_holds_only_the_last_programs_modules(tmp_path):
+def test_the_table_keeps_every_loaded_file(parses, tmp_path):
+    """Each path loaded keeps its entry when other programs are loaded,
+    so loading a program again after an edit to one of its files parses
+    that file alone."""
+    a = write(tmp_path / "a.cdl", "T ◂ ★ = ∀ X : ★. X ➔ X.\n")
+    b = write(tmp_path / "b.cdl", "import a.\nU ◂ ★ = T.\n")
+    c = write(tmp_path / "c.cdl", "import b.\nV ◂ ★ = U.\n")
+    negative = os.path.join(NEGATIVE, "erased_var.cdl")
+    load_program([c])
     load_program(corpus_paths(CORPUS))
-    assert sorted(loader._modules) == sorted(corpus_paths(CORPUS))
-    path = write(tmp_path / "a.cdl", "import base.\nT ◂ ★ = ∀ X : ★. X ➔ X.\n")
-    load_program([path], root=CORPUS)
-    assert list(loader._modules) == [os.path.join(CORPUS, "base.cdl"), path]
+    load_program([negative], root=CORPUS)
+    assert {a, b, c, negative} | set(corpus_paths(CORPUS)) <= set(loader._modules)
+    write(tmp_path / "b.cdl", "import a.\nU ◂ ★ = ∀ X : ★. T.\n")
+    parses.clear()
+    assert [d.name for _, d in load_program([c])] == ["T", "U", "V"]
+    assert parses == [b]
 
 
 def _snapshot(defs):

@@ -1370,7 +1370,7 @@ def test_rho_type_rewrite_matches_reference_on_seeded_types():
     assert matched > 100
 
 
-# --- replaying the prefix the last fresh check checked -----------------------
+# --- replaying the definitions a fresh check recorded -----------------------
 
 
 def _check_counting(monkeypatch, defs, checker=None):
@@ -1440,7 +1440,9 @@ def test_nothing_replays_from_a_different_text_fuel_path_or_scope(tmp_path, monk
     under a different display path, or into a checker that arrives with
     a scope, as in ``test_weakening_sampled``, which still checks every
     definition under the weakened context.  A call given such a checker
-    records nothing: the program checked before it still replays."""
+    records nothing, and one under another display path records beside
+    the original path's records: in both cases the program checked
+    before it still replays whole."""
     from cdle.erasure import erase
     from cdle.reduction import Fuel
 
@@ -1451,7 +1453,7 @@ def test_nothing_replays_from_a_different_text_fuel_path_or_scope(tmp_path, monk
     assert _check_counting(monkeypatch, defs, Checker(Fuel(500)))[0] == names
     assert _check_counting(monkeypatch, defs)[0] == names
     assert _check_counting(monkeypatch, [("other.cdl", d) for _, d in defs])[0] == names
-    assert _check_counting(monkeypatch, defs)[0] == names
+    assert _check_counting(monkeypatch, defs)[0] == []
     weakened = Checker()
     weakened.ctx["weakening%fresh"] = Bind("weakening%fresh", parse_type_expr("∀ X : ★. X ➔ X"))
     checked, _, _, report = _check_counting(monkeypatch, defs, weakened)
@@ -1462,6 +1464,112 @@ def test_nothing_replays_from_a_different_text_fuel_path_or_scope(tmp_path, monk
     assert _check_counting(monkeypatch, defs)[0] == []
     changed = _small_program(tmp_path, "// a comment\n")
     assert _check_counting(monkeypatch, changed)[0] == names
+
+
+def _chain(tmp_path, texts):
+    """Files ``m0.cdl``, ``m1.cdl``, … holding ``texts``, each importing
+    the one before it; returns the last one's path."""
+    for i, text in enumerate(texts):
+        imports = f"import m{i - 1}.\n" if i else ""
+        (tmp_path / f"m{i}.cdl").write_text(imports + text, encoding="utf-8")
+    return str(tmp_path / f"m{len(texts) - 1}.cdl")
+
+
+def test_an_edit_replays_the_files_before_it(tmp_path, monkeypatch):
+    """Editing the middle one of three files: the first file's
+    definitions replay, and everything from the edited file on is
+    checked again."""
+    texts = ["T ◂ ★ = ∀ X : ★. X ➔ X.\nt ◂ T = Λ X. λ x. x.\n", "u ◂ T = t.\n", "v ◂ T = u -T u.\n"]
+    last = _chain(tmp_path, texts)
+    assert _check_counting(monkeypatch, load_program([last]))[0] == ["T", "t", "u", "v"]
+    _chain(tmp_path, [texts[0], "u ◂ T = t -T t.\n", texts[2]])
+    checked, _, _, report = _check_counting(monkeypatch, load_program([last]))
+    assert checked == ["u", "v"] and report.ok
+
+
+def test_an_edited_file_leaves_no_records_behind(tmp_path, monkeypatch):
+    """Editing the first file of a two-file program 200 times, renaming
+    its last definition each time, leaves one record per definition of
+    the program: replacing a record drops the records after it, so no
+    record of an earlier text stays alive."""
+    import gc
+
+    import cdle.typecheck
+
+    monkeypatch.setattr(cdle.typecheck, "_checked", {})
+    last = _chain(tmp_path, ["T ◂ ★ = ∀ X : ★. X ➔ X.\nt ◂ T = Λ X. λ x. x.\n", "U ◂ ★ = T.\nu ◂ U = Λ X. λ x. x.\n"])
+    for i in range(200):
+        _chain(tmp_path, [f"T ◂ ★ = ∀ X : ★. X ➔ X.\nt{i} ◂ T = Λ X. λ x. x.\n"])
+        assert check_defs(load_program([last]))[1].ok
+    gc.collect()
+    live = [o for o in gc.get_objects() if isinstance(o, cdle.typecheck._Checked) and str(tmp_path) in o.result.file]
+    assert len(cdle.typecheck._checked) == 1 and len(live) == 4
+
+
+def test_replays_across_programs_equal_fresh_checks(tmp_path, monkeypatch):
+    """The corpus, the negative files, 50 one-token corpus mutants that
+    load, and the first 10 of them in the corpus, each program twice,
+    in a seeded shuffle, each checked from a fresh checker: every
+    report, scope and ``pure_env`` equals that of a check of freshly
+    parsed copies, and each program's second check replays at least one
+    definition."""
+    import random
+
+    import cdle.typecheck
+    from cdle.corpus import corpus_paths
+    from cdle.loader import LoadError
+    from cdle.surface import ParseError
+    from gen import corpus_mutants
+
+    corpus = load_program(corpus_paths(CORPUS))
+    programs = [corpus]
+    programs += [load_program([os.path.join(NEGATIVE, f)], root=CORPUS) for f in sorted(os.listdir(NEGATIVE))]
+    loaded = 0
+    for i, text in enumerate(corpus_mutants(CORPUS, random.Random(20261020), 400)):
+        path = tmp_path / f"mutant{i}.cdl"
+        path.write_text(text, encoding="utf-8")
+        try:
+            defs = load_program([str(path)], root=CORPUS)
+        except (LoadError, ParseError):
+            continue
+        programs.append(defs)
+        loaded += 1
+        if loaded <= 10:
+            # spliced into the corpus in place of the module it mutates,
+            # which puts the corpus files after it into a scope of its making
+            own = [(file, d) for file, d in defs if file == str(path)]
+            names = {d.name for _, d in own}
+            module = max(corpus_paths(CORPUS), key=lambda m: sum(f == m and d.name in names for f, d in corpus))
+            at = next(k for k, (file, _) in enumerate(corpus) if file == module)
+            programs.append(corpus[:at] + own + [(file, d) for file, d in corpus[at:] if file != module])
+        if loaded == 50:
+            break
+    assert loaded == 50
+
+    def outcome(defs):
+        try:
+            ck, report = check_defs(defs)
+        except ModuleError as e:
+            return str(e)
+        return report, report.render(), ck.ctx, ck.pure_env
+
+    want = [outcome(reparsed(defs)) for defs in programs]
+    checked = []
+    real = cdle.typecheck._check_one
+
+    def counting(ck, d):
+        checked.append(d.name)
+        return real(ck, d)
+
+    monkeypatch.setattr(cdle.typecheck, "_check_one", counting)
+    order = [k for k in range(len(programs)) for _ in range(2)]
+    random.Random(26).shuffle(order)
+    seen = set()
+    for k in order:
+        checked.clear()
+        assert outcome(programs[k]) == want[k]
+        assert k not in seen or len(checked) < len(programs[k])
+        seen.add(k)
 
 
 def test_a_failed_definition_replays_as_failed(tmp_path, monkeypatch):
@@ -1535,18 +1643,24 @@ def test_a_definition_whose_classifier_fails_still_takes_its_name(tmp_path):
 
 def test_a_module_error_leaves_the_record_as_it_was(tmp_path, monkeypatch):
     """A call that raises ``ModuleError``, for a duplicate name or for a
-    definition nested too deeply, leaves the record of the last program
-    as it was, so that program still replays whole."""
+    definition nested too deeply, spoils no record: after each such
+    call the program checked before it still replays whole, and its
+    report, scope and ``pure_env`` equal those of a check of freshly
+    parsed copies."""
     import sys
-
-    import cdle.typecheck
 
     defs = _small_program(tmp_path)
     _check_counting(monkeypatch, defs)
-    before = cdle.typecheck._checked
+    fresh, fresh_report = check_defs(reparsed(defs))
+
+    def replays_whole():
+        checked, _, ck, report = _check_counting(monkeypatch, defs)
+        assert checked == [] and report == fresh_report and report.render() == fresh_report.render()
+        assert ck.ctx == fresh.ctx and ck.pure_env == fresh.pure_env
+
     with pytest.raises(ModuleError, match="duplicate"):
         check_defs(defs + defs[1:2])
-    assert cdle.typecheck._checked is before
+    replays_whole()
     deep = tmp_path / "deep.cdl"
     body = "f (" * 1999 + "f x" + ")" * 1999
     deep.write_text(f"c ◂ ∀ A : ★. (A ➔ A) ➔ A ➔ A = Λ A. λ f. λ x. {body}.\n", encoding="utf-8")
@@ -1557,5 +1671,4 @@ def test_a_module_error_leaves_the_record_as_it_was(tmp_path, monkeypatch):
             check_defs(defs + load_program([str(deep)]))
     finally:
         sys.setrecursionlimit(limit)
-    assert cdle.typecheck._checked is before
-    assert _check_counting(monkeypatch, defs)[0] == []
+    replays_whole()
