@@ -10,6 +10,11 @@ tokens from it too:
 The lexer reads each token with one match of one regular expression,
 which also skips the blanks and the comments (``//`` to end of line)
 before it; a dictionary of fixed lexemes and keywords gives its kind.
+A token's position comes from its offset: the lexer keeps the current
+line, the offset that line begins at and the offset of the next
+newline, and counts lines again only when a token starts past that
+newline.  It builds each ``Token`` and ``Span`` with ``tuple.__new__``,
+so lexing makes no Python-level call per token.
 
 A module is a sequence of ``import name.`` declarations followed by
 definitions ``name ◂ classifier = body .`` (parameters omit ``= body``).
@@ -17,7 +22,10 @@ Bodies are parsed as terms or types according to the sort of the
 classifier.  Application binds tighter than ➔/➾; erased application
 ``-`` binds like application; ``·`` marks explicit type arguments while
 juxtaposed arguments of a type are terms.  Binders and parentheses in a
-term nest on an explicit stack, up to a fixed depth.
+term nest on an explicit stack, up to a fixed depth, checked as each is
+pushed.  The term loop reads the commonest atoms itself: a name with
+no ``.1``/``.2`` after it, and a λ or Λ over one unannotated name; other
+atoms and binder groups go through their own rules.
 
 Grammar corner: an erased argument whose sort the tokens do not decide
 (a name, or a parenthesized application or λ over names, such as ``-x``
@@ -144,29 +152,29 @@ _TOKEN_RE = re.compile(
 
 def lex(text: str, filename: str = "<input>") -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    pos = 0
+    new = tuple.__new__
+    line, bol = 1, 0  # the current line, and the offset it begins at
+    nl = text.find("\n")  # the first newline not yet counted
+    if nl < 0:
+        nl = len(text)
     for m in _TOKEN_RE.finditer(text):
-        start, end = m.span(1)
-        if start != pos:
-            newlines = text.count("\n", pos, start)
-            if newlines:
-                line += newlines
-                col = start - text.rfind("\n", pos, start)
-            else:
-                col += start - pos
+        start = m.start(1)
+        if start > nl:
+            line += text.count("\n", nl, start)
+            bol = text.rfind("\n", nl, start) + 1
+            nl = text.find("\n", start)
+            if nl < 0:
+                nl = len(text)
         lexeme = m.group(1)
         kind = _KINDS.get(lexeme)
         if kind is None:
             if not lexeme:
                 break
             if lexeme[0] not in _IDENT_START:
-                raise ParseError(f"unexpected character {lexeme!r}", Span(filename, line, col))
+                raise ParseError(f"unexpected character {lexeme!r}", Span(filename, line, start - bol + 1))
             kind = "IDENT"
-        tokens.append(Token(kind, lexeme, Span(filename, line, col)))
-        col += end - start
-        pos = end
-    tokens.append(Token("EOF", "", Span(filename, line, col)))
+        tokens.append(new(Token, (kind, lexeme, new(Span, (filename, line, start - bol + 1)))))
+    tokens.append(Token("EOF", "", Span(filename, line, start - bol + 1)))
     return tokens
 
 
@@ -190,6 +198,7 @@ class SourceModule(NamedTuple):
 
 _TERM_ATOM_START = {"IDENT", "LPAREN", "LBRACK", "BETA"}
 _TERM_PREFIX = {"LAM", "ELAM", "RHO", "PHI", "SIGMA"}
+_PROJ = {"PROJ1", "PROJ2"}
 
 # How deep a term may nest binders, ρ and parentheses (`exp 3 7`'s normal form: 2,188)
 _MAX_DEPTH = 2_500
@@ -450,22 +459,26 @@ class Parser:
     def _term(self, prefixes: bool) -> Term:
         """Binder chains and parenthesized sub-terms nest on an explicit
         stack, not on Python's, so a term may nest ``_MAX_DEPTH`` levels
-        whatever the interpreter's recursion limit."""
+        whatever the interpreter's recursion limit.  Names and
+        single-name binders are read inline (module docstring)."""
+        toks = self.toks
         # open constructs, innermost last: ("(", token, spine head before
         # it, None), or a binder or ρ waiting for its body
         stack: list[tuple] = []
         head: Optional[Term] = None  # the application spine read so far
         while True:
-            if len(stack) > _MAX_DEPTH:
-                raise ParseError(f"term nested more than {_MAX_DEPTH} levels deep", stack[-1][1].span)
-            tok = self.toks[self.i]
+            tok = toks[self.i]
             kind = tok.kind
+            if kind == "IDENT" and tok.lexeme != "_" and toks[self.i + 1].kind not in _PROJ:
+                self.i += 1
+                atom = Var(tok.lexeme, span=tok.span)
+                head = atom if head is None else App(head, atom, span=tok.span)
+                continue
             if kind == "LPAREN":
                 self.i += 1
-                stack.append(("(", tok, head, None))
+                frame = ("(", tok, head, None)
                 head = None
-                continue
-            if head is not None:
+            elif head is not None:
                 if kind in _TERM_ATOM_START:
                     head = App(head, self.parse_term_atom(), span=tok.span)
                     continue
@@ -473,36 +486,45 @@ class Parser:
                     self.i += 1
                     head = EApp(head, self.parse_erased_arg(), span=tok.span)
                     continue
-                t = head
+                t, frame = head, None
             elif kind not in _TERM_PREFIX or not (prefixes or stack):
                 head = self.parse_term_atom()
                 continue
             else:
                 self.i += 1
                 if kind == "LAM" or kind == "ELAM":
-                    binders, ann = self._lam_binder_group()
-                    self.expect("DOT", "λ binder" if kind == "LAM" else "Λ binder")
-                    stack.append((kind, tok, binders, ann))
-                    continue
-                proof = self.parse_proof_spine()
-                if kind == "SIGMA":
-                    t = Sym(proof, span=tok.span)
-                elif kind == "PHI":
-                    self.expect("DASH", "φ")
-                    main = self.parse_term_app()
-                    self.expect("LBRACE", "φ")
-                    t = Phi(proof, main, self.parse_term(), span=tok.span)
-                    self.expect("RBRACE", "φ")
-                else:  # RHO
-                    guide = (None, None)
-                    if self.eat("LBRACE"):
-                        hole = self.expect("IDENT", "ρ guide").lexeme
-                        self.expect("DOT", "ρ guide")
-                        guide = (hole, self.parse_type())
-                        self.expect("RBRACE", "ρ guide")
-                    self.expect("DASH", "ρ")
-                    stack.append((kind, tok, proof, guide))
-                    continue
+                    if toks[self.i].kind == "IDENT" and toks[self.i + 1].kind == "DOT":
+                        binders, ann = [toks[self.i].lexeme], None
+                        self.i += 2
+                    else:
+                        binders, ann = self._lam_binder_group()
+                        self.expect("DOT", "λ binder" if kind == "LAM" else "Λ binder")
+                    frame = (kind, tok, binders, ann)
+                else:
+                    proof = self.parse_proof_spine()
+                    frame = None
+                    if kind == "SIGMA":
+                        t = Sym(proof, span=tok.span)
+                    elif kind == "PHI":
+                        self.expect("DASH", "φ")
+                        main = self.parse_term_app()
+                        self.expect("LBRACE", "φ")
+                        t = Phi(proof, main, self.parse_term(), span=tok.span)
+                        self.expect("RBRACE", "φ")
+                    else:  # RHO
+                        guide = (None, None)
+                        if self.eat("LBRACE"):
+                            hole = self.expect("IDENT", "ρ guide").lexeme
+                            self.expect("DOT", "ρ guide")
+                            guide = (hole, self.parse_type())
+                            self.expect("RBRACE", "ρ guide")
+                        self.expect("DASH", "ρ")
+                        frame = (kind, tok, proof, guide)
+            if frame is not None:
+                stack.append(frame)
+                if len(stack) > _MAX_DEPTH:
+                    raise ParseError(f"term nested more than {_MAX_DEPTH} levels deep", tok.span)
+                continue
             # t is a whole term: the body of each binder and ρ on top of
             # the stack, then the contents of the innermost "("
             while stack:
@@ -557,7 +579,7 @@ class Parser:
         raise ParseError(f"unexpected {kind} {tok.lexeme!r} in term", tok.span)
 
     def _postfix_proj(self, t: Term) -> Term:
-        while (tok := self.toks[self.i]).kind in ("PROJ1", "PROJ2"):
+        while (tok := self.toks[self.i]).kind in _PROJ:
             t = Proj(t, 1 if tok.kind == "PROJ1" else 2, span=tok.span)
             self.i += 1
         return t

@@ -234,10 +234,10 @@ def change_leaf(x, k):
     return _rebuild(x, fields), k
 
 
-def corpus_mutants(corpus: str, rng: random.Random, count: int):
+def corpus_mutants(corpus: str, rng: random.Random, count: int, sep: str = " "):
     """``count`` seeded one-token mutants of the modules in ``corpus``: a
     token deleted, duplicated, or swapped with another, written out as
-    the module's lexemes joined by blanks."""
+    the module's lexemes joined by ``sep``."""
     sources = []
     for path in sorted(glob.glob(os.path.join(corpus, "*.cdl"))):
         with open(path, encoding="utf-8") as fh:
@@ -253,4 +253,4 @@ def corpus_mutants(corpus: str, rng: random.Random, count: int):
         else:
             j = rng.randrange(len(toks))
             toks[i], toks[j] = toks[j], toks[i]
-        yield " ".join(toks) + "\n"
+        yield sep.join(toks) + "\n"
