@@ -36,33 +36,32 @@ def load_program(paths: list[str], root: Optional[str] = None) -> list[tuple[str
     """Load the given module files (and their imports, depth-first) and
     return the ordered list of (display-path, definition) pairs."""
     loaded: dict[str, SourceModule] = {}
-    visiting: list[str] = []
-
-    def visit(path: str):
-        apath = os.path.abspath(path)
-        if apath in loaded:
-            return
-        if apath in visiting:
-            cycle = " -> ".join(os.path.basename(p) for p in visiting + [apath])
-            raise LoadError(f"import cycle: {cycle}")
-        visiting.append(apath)
-        try:
-            with open(apath, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as e:
-            raise LoadError(f"cannot read {path}: {e.strerror}")
-        except UnicodeDecodeError as e:
-            raise LoadError(f"cannot read {path}: not UTF-8 ({e.reason} at byte {e.start})")
-        entry = _modules.get(apath)
-        if entry is None or entry[:2] != (path, text):
-            entry = _modules[apath] = (path, text, parse_module(text, path))
-        # an import is displayed relative to the importer's display path
-        base = root if root is not None else os.path.dirname(path)
-        for imp in entry[2].imports:
-            visit(os.path.join(base, imp + ".cdl"))
-        visiting.pop()
-        loaded[apath] = entry[2]
-
     for p in paths:
-        visit(p)
+        _visit(p, root, loaded, [])
     return [(mod.path, d) for mod in loaded.values() for d in mod.defs]
+
+
+def _visit(path: str, root: Optional[str], loaded: dict[str, SourceModule], visiting: list[str]):
+    apath = os.path.abspath(path)
+    if apath in loaded:
+        return
+    if apath in visiting:
+        cycle = " -> ".join(os.path.basename(p) for p in visiting + [apath])
+        raise LoadError(f"import cycle: {cycle}")
+    visiting.append(apath)
+    try:
+        with open(apath, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise LoadError(f"cannot read {path}: {e.strerror}")
+    except UnicodeDecodeError as e:
+        raise LoadError(f"cannot read {path}: not UTF-8 ({e.reason} at byte {e.start})")
+    entry = _modules.get(apath)
+    if entry is None or entry[:2] != (path, text):
+        entry = _modules[apath] = (path, text, parse_module(text, path))
+    # an import is displayed relative to the importer's display path
+    base = root if root is not None else os.path.dirname(path)
+    for imp in entry[2].imports:
+        _visit(os.path.join(base, imp + ".cdl"), root, loaded, visiting)
+    visiting.pop()
+    loaded[apath] = entry[2]

@@ -1,10 +1,10 @@
 """Normalization of pure terms with fuel and exact step accounting.
 
-The normalizer is a call-by-name environment machine (closures and
-neutral spines, no memoized thunks).  Because thunks are re-evaluated at
-every use, the number of closure applications it performs is exactly the
-number of beta-contractions a textual leftmost-outermost (normal-order)
-reducer would perform, which is the counting convention reported in
+The normalizer is a call-by-name environment machine.  A thunk, a pair
+``(term, env)``, is re-evaluated at every use (no memoization), so the
+number of closure applications it performs is exactly the number of
+beta-contractions a textual leftmost-outermost (normal-order) reducer
+would perform, which is the counting convention reported in
 ``NormalizeOutcome``: beta-reduce to beta-normal form in normal order,
 then eta-contract exhaustively (``λx. t x → t`` when ``x`` is not free
 in ``t``).  Readback contracts eta-redexes bottom-up as it rebuilds each
@@ -14,11 +14,12 @@ pass is exhaustive.  Eta steps are charged against the fuel after every
 beta step, as the textual reducer spends them.
 
 Readback is one pass: ``_quote`` builds each node of the normal form
-once.  It gives every binder one shared ``PVar`` node and a record, and
-names the surviving binders at the end, over those records alone, once
-the normal form's free variables (the heads it emitted but did not bind)
-and the eta-contracted binders are known.  So readback takes time linear
-in the size of the normal form however deeply its binders nest.
+once, reads what is already normal from syntax, and gives every binder
+one shared ``PVar`` node and a record.  It names the surviving binders
+at the end, over those records alone, once the normal form's free
+variables (the heads it emitted but did not bind) and the eta-contracted
+binders are known.  So readback takes time linear in the size of the
+normal form however deeply its binders nest.
 
 Top-level definitions unfold on lookup: ``normalize`` and
 ``beta_eta_eq`` take an optional ``defs`` table of pure terms (the
@@ -98,53 +99,22 @@ class _Counter:
         self.defs = defs
 
 
-# --- machine values ---------------------------------------------------------
-
-
-class _Thunk:
-    """Unevaluated argument; re-evaluated at each use (no memoization, to
-    keep counts equal to textual normal-order reduction)."""
-
-    __slots__ = ("term", "env")
-
-    def __init__(self, term, env):
-        self.term = term
-        self.env = env
-
-
-class _VLam:
-    __slots__ = ("name", "body", "env")
-
-    def __init__(self, name, body, env):
-        self.name = name
-        self.body = body
-        self.env = env
-
-
-class _VNeutral:
-    __slots__ = ("head", "spine")
-
-    def __init__(self, head: int | str, spine: list):
-        # head: a free name, or the id of a binder that quote opened
-        self.head = head
-        self.spine = spine  # thunks in application order
-
-
 def _eval(term: PureTerm, env, ctr: _Counter):
     """Weak-head evaluation, iterative over application spines.
 
-    Environments are persistent chains ``(name, value, parent)`` or
-    ``None``; a value is a thunk, or the spine-less neutral that quote
-    binds to a fresh variable."""
-    args: list[_Thunk] = []
+    Environments are persistent chains ``(name, bound, parent)`` or
+    ``None``, binding a name to a thunk or to the id of a binder that
+    quote opened.  Returns a value, a pair: a λ and its environment (a
+    thunk), or a neutral's head (a free name or binder id) and spine."""
+    args: list = []  # thunks, last argument first
     while True:
         cls = type(term)
         if cls is PApp:
-            args.append(_Thunk(term.arg, env))
+            args.append((term.arg, env))
             term = term.fn
         elif cls is PLam:
             if not args:
-                return _VLam(term.name, term.body, env)
+                return term, env
             # eta is charged only after readback, so beta has the whole budget
             if ctr.beta >= ctr.limit:
                 raise FuelExhaustedError(ctr.beta, 0)
@@ -162,23 +132,30 @@ def _eval(term: PureTerm, env, ctr: _Counter):
             else:
                 body = ctr.defs.get(name)
                 if body is None:
-                    return _VNeutral(name, args[::-1])
+                    return name, args
                 # a global, in the empty environment: nothing here binds its free names
                 term, env = body, None
                 continue
-            if type(th) is _VNeutral:
-                return _VNeutral(th.head, args[::-1]) if args else th
-            term, env = th.term, th.env
+            if type(th) is int:
+                return th, args
+            term, env = th
 
 
-def _quote(v, ctr: _Counter) -> tuple[PureTerm, dict[str, int]]:
-    """Read a value back as a beta-eta-normal term, iteratively; arguments
-    of neutral spines are evaluated left to right, matching leftmost-
+def _quote(t: PureTerm, ctr: _Counter) -> tuple[PureTerm, dict[str, int]]:
+    """Read ``t`` back as a beta-eta-normal term, iteratively; arguments
+    of neutral spines are read left to right, matching leftmost-
     outermost normalization order.
 
+    Readback starts from the thunk ``(t, None)`` and reads the syntax of
+    each thunk it pops: a λ opens a binder, a variable bound to a binder
+    id is emitted, one bound to a thunk is followed, and an application
+    whose head is a binder id or a free name not in ``ctr.defs`` pushes
+    its argument thunks.  Only a redex, a global, or a thunk-bound head
+    with arguments enters ``_eval``, which takes every beta step.
+
     Every node of the result is built once, in this walk.  Each binder
-    quote opens gets an integer id, which the neutral it binds carries as
-    its head, and one ``PVar`` node that all its occurrences share.  Each
+    quote opens gets an integer id, which the environment binds its name
+    to, and one ``PVar`` node that all its occurrences share.  Each
     abstraction is eta-contracted as it is rebuilt, after its body, and
     tallied in ``ctr.eta`` without a fuel check: ``λx. t x`` contracts
     exactly when ``x`` is emitted once, as that very argument node.
@@ -204,34 +181,52 @@ def _quote(v, ctr: _Counter) -> tuple[PureTerm, dict[str, int]]:
     lams: list[Optional[PLam]] = []
     pvars: list[PVar] = []
     innermost: dict[str, int] = {}  # per base: the open binder, or -1
-    # values and thunks to read back, a binder id to close an
-    # abstraction, or (head node, arity) to close a neutral spine
-    work: list = [v]
+    # thunks to read back, a binder id to close an abstraction, or
+    # [head node, arity] to close a neutral spine
+    work: list = [(t, None)]
     while work:
         item = work.pop()
         cls = type(item)
-        if cls is _Thunk:
-            item = _eval(item.term, item.env, ctr)
-            cls = type(item)
-        if cls is _VNeutral:
-            head, spine = item.head, item.spine
-            uses[head] = uses.get(head, 0) + 1
-            node = pvars[head] if type(head) is int else PVar(head)
+        if cls is tuple:
+            term, env = item
+            if type(term) is PLam:
+                i = len(bases)
+                base = base_name(term.name)
+                bases.append(base)
+                parents.append(innermost.get(base, -1))
+                innermost[base] = i
+                lams.append(None)
+                pvars.append(PVar(base))
+                work.append(i)
+                work.append((term.body, (term.name, i, env)))
+                continue
+            spine = []  # thunks, last argument first
+            head = term
+            while type(head) is PApp:
+                spine.append((head.arg, env))
+                head = head.fn
+            val = None  # a binder id, a thunk, or a free name not in defs
+            if type(head) is PVar:
+                name, link = head.name, env
+                while link is not None and link[0] != name:
+                    link = link[2]
+                val = link[1] if link is not None else None if name in ctr.defs else name
+            if type(val) is tuple and not spine:
+                work.append(val)  # a variable alone, bound to a thunk: read that thunk
+                continue
+            # a redex, a global, or a thunk-bound head with arguments
+            if val is None or type(val) is tuple:
+                val, spine = v = _eval(term, env, ctr)
+                if type(val) is PLam:
+                    work.append(v)
+                    continue
+            uses[val] = uses.get(val, 0) + 1
+            node = pvars[val] if type(val) is int else PVar(val)
             if spine:
-                work.append((node, len(spine)))
-                work.extend(reversed(spine))
+                work.append([node, len(spine)])
+                work.extend(spine)
             else:
                 out.append(node)
-        elif cls is _VLam:
-            i = len(bases)
-            base = base_name(item.name)
-            bases.append(base)
-            parents.append(innermost.get(base, -1))
-            innermost[base] = i
-            lams.append(None)
-            pvars.append(PVar(base))
-            work.append(i)
-            work.append(_eval(item.body, (item.name, _VNeutral(i, []), item.env), ctr))
         elif cls is int:
             body = out.pop()
             innermost[bases[item]] = parents[item]
@@ -241,7 +236,7 @@ def _quote(v, ctr: _Counter) -> tuple[PureTerm, dict[str, int]]:
             else:
                 lams[item] = lam = PLam(bases[item], body)
                 out.append(lam)
-        else:  # (head node, arity): the spine's arguments are the last outputs
+        else:  # [head node, arity]: the spine's arguments are the last outputs
             t, arity = item
             first = len(out) - arity
             for a in out[first:]:
@@ -296,7 +291,7 @@ def normalize(t: PureTerm, fuel: Fuel = Fuel(), defs: Mapping[str, PureTerm] = _
     _ensure_recursion_room()
     ctr = _Counter(fuel.max_steps, defs)
     try:
-        nf, _ = _quote(_eval(t, None, ctr), ctr)
+        nf, _ = _quote(t, ctr)
     except FuelExhaustedError as e:
         return NormalizeOutcome(None, e.beta_steps, e.eta_steps)
     if ctr.beta + ctr.eta > ctr.limit:

@@ -672,7 +672,10 @@ def subst_syntax(x, env: dict[str, Union[PureTerm, Term, Type]]):
             return cur
         return cls(*[new[f] if f in new else getattr(cur, f) for f in cls.__slots__])
 
-    return go(x, top)
+    try:
+        return go(x, top)
+    finally:
+        del go  # go -> its own cell -> go: break the cycle, so the call's garbage goes at once
 
 
 def subst1(x, name: str, value: Union[PureTerm, Term, Type]):

@@ -782,7 +782,10 @@ class Checker:
             counter[0] += n
             return rewritten
 
-        return go_ty(T)
+        try:
+            return go_ty(T)
+        finally:
+            del go_ty  # go_ty -> its own cell -> go_ty: break the cycle, so the call's garbage goes at once
 
 
 def _rebind(ren: dict, name: str, value):

@@ -8,7 +8,8 @@ corpus shows up as a disagreement with the frozen row.
 
 import pytest
 
-from cdle.corpus import synth_input_nf
+from cdle import reduction
+from cdle.corpus import COST_CLASSES, synth_input_nf
 from cdle.reduction import apply_and_count, normalize
 from cdle.syntax import App, PApp, Var, alpha_eq
 
@@ -93,3 +94,29 @@ def test_zero_cost_conversions_one_step_at_4096(name, kind, checked_corpus):
     out = apply_and_count(normalize(ck.pure_env[name]).result, [inp])
     assert (out.beta_steps, out.eta_steps) == (1, 0)
     assert alpha_eq(out.result, inp)
+
+
+def test_readback_enters_the_machine_only_at_redexes(checked_corpus, monkeypatch):
+    """A counted run enters ``reduction._eval`` only where readback meets
+    a redex, a global or a thunk-bound head with arguments: a packaged
+    conversion once at every size, ``v2l`` and ``l2v`` n + 1 times.  The
+    input's constructors, already normal, are read from syntax (readback
+    entered the machine 3n + 3 times when it evaluated every thunk)."""
+    ck, _ = checked_corpus
+    entries = [0]
+    machine = reduction._eval
+
+    def counted(term, env, ctr):
+        entries[0] += 1
+        return machine(term, env, ctr)
+
+    monkeypatch.setattr(reduction, "_eval", counted)
+    for name, (cls, kind) in COST_CLASSES.items():
+        fn = normalize(ck.pure_env[name]).result
+        constant = cls == "constant"
+        for n in (8, 64, 512, 4096) if constant else (8, 64, 512):
+            inp = synth_input_nf(ck, kind, n)
+            entries[0] = 0
+            out = apply_and_count(fn, [inp])
+            want = (1, 1) if constant else (n + 1, 10 * n + 9)
+            assert (entries[0], out.beta_steps) == want, f"{name}@{n}"

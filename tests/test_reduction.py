@@ -14,9 +14,6 @@ from cdle.reduction import (
     _Counter,
     _eval,
     _quote,
-    _Thunk,
-    _VLam,
-    _VNeutral,
     apply_and_count,
     beta_eta_eq,
     normalize,
@@ -239,35 +236,37 @@ def test_fuel_boundaries_around_eta_phase(oracle_samples):
 # --- binder naming against the two-pass reference -------------------------
 
 
-def reference_quote(v, ctr):
-    """Readback as it was before quote named binders itself: every binder
-    gets a name ``base%qN``, numbered from 1 in each call, and eta is
-    tested on names.  A free name of that form could pass for a binder;
-    the samples' one such name, ``y%q7``, never meets a binder so named.
-    Returns the term and its free names counted as heads."""
+def reference_quote(t, ctr):
+    """Readback as it was before quote named binders itself or read any
+    syntax: every thunk is evaluated by ``_eval``, every binder gets a
+    name ``base%qN``, numbered from 1 in each call, bound as the thunk of
+    that free name, and eta is tested on names.  A free name of that form
+    could pass for a binder; the samples' one such name, ``y%q7``, never
+    meets a binder so named.  Returns the term and its free names counted
+    as heads."""
     out = []
     uses = {}
     made = 0
-    work = [v]
+    work = [(t, None)]
     while work:
         item = work.pop()
         cls = type(item)
-        if cls is _Thunk:
-            item = _eval(item.term, item.env, ctr)
-            cls = type(item)
-        if cls is _VNeutral:
-            head, spine = item.head, item.spine
-            uses[head] = uses.get(head, 0) + 1
-            if spine:
-                work.append((head, len(spine)))
-                work.extend(reversed(spine))
-            else:
-                out.append(PVar(head))
-        elif cls is _VLam:
-            made += 1
-            fresh = f"{item.name.split('%')[0].rstrip('0123456789') or 'x'}%q{made}"
-            work.append(fresh)
-            work.append(_eval(item.body, (item.name, _VNeutral(fresh, []), item.env), ctr))
+        if cls is tuple:
+            value = _eval(item[0], item[1], ctr)
+            if type(value[0]) is PLam:  # a λ and its environment
+                term, env = value
+                made += 1
+                fresh = f"{term.name.split('%')[0].rstrip('0123456789') or 'x'}%q{made}"
+                work.append(fresh)
+                work.append((term.body, (term.name, (PVar(fresh), None), env)))
+            else:  # a neutral's head and spine
+                head, spine = value
+                uses[head] = uses.get(head, 0) + 1
+                if spine:
+                    work.append([head, len(spine)])
+                    work.extend(spine)
+                else:
+                    out.append(PVar(head))
         elif cls is str:
             body = out.pop()
             if uses.pop(item, 0) == 1 and type(body) is PApp and body.arg == PVar(item):
@@ -275,7 +274,7 @@ def reference_quote(v, ctr):
                 out.append(body.fn)
             else:
                 out.append(PLam(item, body))
-        else:
+        else:  # [head, arity]
             head, arity = item
             first = len(out) - arity
             t = PVar(head)
@@ -365,12 +364,12 @@ def reference_tidy_names(t):
     return out[0]
 
 
-def reference_readback(t, limit=10_000, quadratic=True):
+def reference_readback(t, limit=10_000, quadratic=True, defs={}):
     """The normal form of ``t`` as the two-pass readback names it, with
     its eta count.  With ``quadratic``, the one-walk naming pass is
     checked against the probing one on the way."""
-    ctr = _Counter(limit, {})
-    raw, free = reference_quote(_eval(t, None, ctr), ctr)
+    ctr = _Counter(limit, defs)
+    raw, free = reference_quote(t, ctr)
     assert set(free) == free_names(raw)
     named = reference_tidy_names_linear(raw, free)
     if quadratic:
@@ -387,16 +386,16 @@ def same_term(a, b):
     return True
 
 
-def assert_named_as_reference(t, limit=10_000, quadratic=True):
+def assert_named_as_reference(t, limit=10_000, quadratic=True, defs={}):
     """``normalize`` gives ``t`` the normal form, names included, and the
     eta count that the two-pass readback gives, and quote reports exactly
     that normal form's free names."""
-    out = normalize(t, Fuel(limit))
+    out = normalize(t, Fuel(limit), defs)
     assert not out.fuel_exhausted
-    named, eta = reference_readback(t, limit, quadratic)
+    named, eta = reference_readback(t, limit, quadratic, defs)
     assert same_term(out.result, named) and out.eta_steps == eta
-    ctr = _Counter(limit, {})
-    nf, free = _quote(_eval(t, None, ctr), ctr)
+    ctr = _Counter(limit, defs)
+    nf, free = _quote(t, ctr)
     assert same_term(nf, out.result) and set(free) == free_names(nf)
     return out
 
@@ -495,6 +494,81 @@ def test_naming_matches_reference_on_cost_rows(checked_corpus):
         for n in (8, 512, 4096):
             t = PApp(fn, synth_input_nf(ck, kind, n))
             assert_named_as_reference(t, 1_000_000)
+
+
+# --- readback reads normal syntax itself; the rest goes to the machine -----
+
+
+def assert_agrees_with_oracle(t, limits, defs={}):
+    """At each fuel, ``normalize`` and the oracle, run on ``t`` with
+    ``defs`` substituted, agree on exhaustion, both tallies and the
+    normal form."""
+    for limit in limits:
+        out = normalize(t, Fuel(limit), defs)
+        nf_o, b, e = oracle_normalize(subst_syntax(t, defs), limit)
+        assert (out.fuel_exhausted, out.beta_steps, out.eta_steps) == (nf_o is None, b, e), limit
+        assert nf_o is None or alpha_eq(out.result, nf_o)
+
+
+def test_readback_reads_a_free_heads_arguments_in_order():
+    """A free-name head's spine is read from syntax, its arguments left to
+    right: a redex in an earlier argument is contracted before a later
+    argument diverges, and every fuel runs out where the oracle's does."""
+    diverges = ap(v("f"), ap(IDENT, v("y")), lam("z", ap(v("z"), OMEGA)), ap(IDENT, v("w")))
+    assert_agrees_with_oracle(diverges, (1, 2, 3, 10, 101))
+    assert normalize(diverges, Fuel(10)).beta_steps == 10
+    t = ap(v("f"), ap(IDENT, v("y")), lam("z", ap(v("g"), ap(IDENT, v("z")), v("z"))))
+    assert_agrees_with_oracle(t, (1, 2, 3))
+    out = assert_named_as_reference(t)
+    assert out.result == ap(v("f"), v("y"), lam("z", ap(v("g"), v("z"), v("z")))) and out.beta_steps == 2
+
+
+def test_readback_unfolds_a_head_that_defs_names():
+    """A head that ``defs`` names is a global, not a free name, inside a
+    neutral spine and under a binder too: its spine goes to the machine,
+    which unfolds it."""
+    t = lam("y", ap(v("y"), ap(v("k"), v("y"), v("w")), ap(v("id"), v("y")), v("id")))
+    out = assert_named_as_reference(t, defs=DEFS)
+    assert out.result == lam("y", ap(v("y"), v("y"), v("y"), IDENT)) and out.beta_steps == 3
+    assert_agrees_with_oracle(t, (1, 2, 3, 4), DEFS)
+    assert normalize(t).result == t  # without defs the names are free and t is normal
+
+
+def test_readback_follows_a_variable_bound_to_a_thunk():
+    """A variable bound to a thunk is read through it: alone, the thunk's
+    syntax is read back; applied to arguments, the thunk evaluates to a λ
+    that the machine applies."""
+    swap = lam("a", lam("b", ap(v("b"), v("a"))))
+    cases = [
+        # (λf. λy. f y (f y)) swap  →  λy. y y
+        (ap(lam("f", lam("y", ap(v("f"), v("y"), ap(v("f"), v("y"))))), swap), lam("y", ap(v("y"), v("y")))),
+        # a chain of two thunks: (λf. (λg. λy. y g (g y)) f) swap  →  λy. y swap (λb. b y)
+        (
+            ap(lam("f", ap(lam("g", lam("y", ap(v("y"), v("g"), ap(v("g"), v("y"))))), v("f"))), swap),
+            lam("y", ap(v("y"), swap, lam("b", ap(v("b"), v("y"))))),
+        ),
+        # alone, and eta-contracted as it is read: (λf. λy. f) (λa. λb. a b)  →  λy. λa. a
+        (ap(lam("f", lam("y", v("f"))), lam("a", lam("b", ap(v("a"), v("b"))))), lam("y", lam("a", v("a")))),
+    ]
+    for t, nf in cases:
+        assert_agrees_with_oracle(t, (1, 2, 3, 1000))
+        assert assert_named_as_reference(t).result == nf
+
+
+def test_readback_eta_contracts_a_spine_read_from_syntax():
+    """An eta-redex whose body is a neutral spine that readback reads
+    from syntax, with a free head, a binder head, or under a contracted
+    redex; and one whose variable occurs again, which stays."""
+    cases = [
+        (lam("x", lam("z", ap(v("f"), v("x"), v("z")))), v("f"), 0, 2),
+        (lam("y", lam("x", ap(v("y"), v("x")))), lam("y", v("y")), 0, 1),
+        (ap(lam("g", lam("x", ap(v("w"), v("x")))), v("q")), v("w"), 1, 1),
+        (lam("x", ap(v("f"), v("x"), v("x"))), lam("x", ap(v("f"), v("x"), v("x"))), 0, 0),
+    ]
+    for t, nf, beta, eta in cases:
+        assert_agrees_with_oracle(t, (1, 2, 3, 100))
+        out = assert_named_as_reference(t)
+        assert (out.result, out.beta_steps, out.eta_steps) == (nf, beta, eta)
 
 
 # --- readback assigns names only to the nodes it builds --------------------

@@ -1,13 +1,14 @@
 """Typechecker behavior: kind/type synthesis and checking examples, the
 rewrite primitive, the negative suite, weakening, and determinism."""
 
+import gc
 import json
 import os
 from contextlib import contextmanager
 
 import pytest
 
-from cdle.corpus import negative_expectations
+from cdle.corpus import corpus_paths, negative_expectations
 from cdle.loader import load_program
 from cdle.surface import parse_term
 from cdle.syntax import Bind, Eq, Kind, Pi, Star, TVar, free_names
@@ -368,6 +369,25 @@ def test_check_module_determinism(corpus_defs):
     n1 = check_defs(defs, Checker())[1].render()
     n2 = check_defs(reparsed(defs), Checker())[1].render()
     assert n1 == n2
+
+
+def test_a_corpus_check_leaves_no_cycles_to_the_collector(corpus_defs):
+    """Loading the corpus and checking it, replaying nothing, leaves
+    almost nothing for the cyclic collector: the recursive inner
+    functions of the loader, of substitution and of ρ's rewrite do not
+    keep their closures, and what those reached, in reference cycles."""
+    defs = reparsed(corpus_defs)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        load_program(corpus_paths(CORPUS))
+        ok = check_defs(defs, Checker())[1].ok
+        left = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert ok and left < 100, left
 
 
 def test_expansion_avoids_capturing_a_free_parameter():
