@@ -11,8 +11,9 @@ An ``ascii_only`` rendering replaces every Unicode token by its ASCII
 alias so the two renditions of one AST can be compared for lexer-alias
 invariance.
 
-The rules recurse once per nesting level: three frames (``term_atom``,
-``term``, ``term_app``) per application level of a pure term.  The
+The rules read an application spine by a loop, as the parser does, and
+recurse once per nesting level: three frames (``term_atom``, ``term``,
+``term_app``) per application level of a pure term.  The
 benchmark pins that depth from both sides, and
 ``test_printing_depth_is_pinned`` guards it: at the recursion limit that
 ``normalize`` sets, the normal form of ``mul 40 40`` (1,600 levels)
@@ -99,11 +100,16 @@ class _Printer:
 
     def term_app(self, t) -> str:
         cls = type(t)
-        if cls is PApp or cls is App:
-            return f"{self.term_app(t.fn)} {self.term_atom(t.arg)}"
-        if cls is EApp:
-            return f"{self.term_app(t.fn)} -{self.erased_arg(t.arg)}"
-        return self.term_atom(t)
+        if cls is not PApp and cls is not App and cls is not EApp:
+            return self.term_atom(t)
+        words = []  # the arguments, last first, then the head
+        while cls is PApp or cls is App or cls is EApp:
+            words.append("-" + self.erased_arg(t.arg) if cls is EApp else self.term_atom(t.arg))
+            t = t.fn
+            cls = type(t)
+        words.append(self.term_atom(t))
+        words.reverse()
+        return " ".join(words)
 
     def erased_arg(self, a) -> str:
         if isinstance(a, (Var, TVar)):
@@ -163,12 +169,13 @@ class _Printer:
         return f"({self.classifier(c)})"
 
     def class_spine(self, c) -> str:
-        match c:
-            case TAppT(fn=f, arg=a):
-                return f"{self.class_spine(f)} {self.sym['CDOT']} {self.class_atom(a)}"
-            case TAppE(fn=f, arg=a):
-                return f"{self.class_spine(f)} {self.term_atom(a)}"
-        return self.class_atom(c)
+        words = []  # the arguments, last first, then the head
+        while (cls := type(c)) is TAppT or cls is TAppE:
+            words.append(f"{self.sym['CDOT']} {self.class_atom(c.arg)}" if cls is TAppT else self.term_atom(c.arg))
+            c = c.fn
+        words.append(self.class_atom(c))
+        words.reverse()
+        return " ".join(words)
 
     def class_atom(self, c) -> str:
         if isinstance(c, TVar):

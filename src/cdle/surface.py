@@ -7,14 +7,17 @@ tokens from it too:
     ★ Star   Π Pi    ∀ All    λ \\    Λ /\\   ι iota   ➔ ->   ➾ =>
     ≃ ==     ◂ <|    ρ rho    φ phi   β beta  ς sigma-sym      · @
 
-The lexer reads each token with one match of one regular expression,
-which also skips the blanks and the comments (``//`` to end of line)
-before it; a dictionary of fixed lexemes and keywords gives its kind.
-A token's position comes from its offset: the lexer keeps the current
-line, the offset that line begins at and the offset of the next
-newline, and counts lines again only when a token starts past that
-newline.  It builds each ``Token`` and ``Span`` with ``tuple.__new__``,
-so lexing makes no Python-level call per token.
+The lexer splits the text with one regular expression, whose every
+match is the blanks and comments (``//`` to end of line) before a token
+and then the token.  It returns the tokens as parallel lists
+(``Tokens``): the kinds, read off a dictionary of fixed lexemes and
+keywords; the lexemes; and the offsets they begin at, summed from the
+lengths of the strings before them; with a table of the offsets the
+lines end at.  Each list is built by C-level ``map`` and ``accumulate``
+passes, so lexing makes no Python-level call per token and builds no
+token or position object.  The parser reads the lists by index and
+builds a ``Span`` only for a node it builds or an error it raises,
+bisecting the table for the line.
 
 A module is a sequence of ``import name.`` declarations followed by
 definitions ``name ◂ classifier = body .`` (parameters omit ``= body``).
@@ -44,6 +47,9 @@ draws no ``fresh_name``.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
+from itertools import accumulate, count, repeat
+from operator import add
 from typing import NamedTuple, Optional, Union
 
 from .syntax import (
@@ -79,6 +85,9 @@ from .syntax import (
 )
 
 
+_new = tuple.__new__  # builds a Span with no Python-level call
+
+
 class ParseError(Exception):
     def __init__(self, message: str, span: Span, expected: Optional[set[str]] = None):
         loc = f"{span.file}:{span.line}:{span.col}"
@@ -89,10 +98,32 @@ class ParseError(Exception):
         self.expected = expected or set()
 
 
-class Token(NamedTuple):
-    kind: str
-    lexeme: str
-    span: Span
+class Tokens:
+    """What ``lex`` read, as parallel lists: token ``i`` is of kind
+    ``kinds[i]``, spelled ``lexemes[i]``, and begins at offset
+    ``starts[i]`` of ``file``.  ``eols`` is -1, then the offset each line
+    ends at (its newline, or the end of the text).  The last token is
+    EOF."""
+
+    __slots__ = ("file", "kinds", "lexemes", "starts", "eols")
+
+    def __init__(self, file: str, kinds: list[str], lexemes: list[str], starts: list[int], eols: list[int]):
+        self.file = file
+        self.kinds = kinds
+        self.lexemes = lexemes
+        self.starts = starts
+        self.eols = eols
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def span(self, i: int) -> Span:
+        """Token ``i``'s position: its line is the number of line ends
+        before its offset, and its column is its offset less the last of
+        them."""
+        start = self.starts[i]
+        line = bisect_left(self.eols, start)
+        return _new(Span, (self.file, line, start - self.eols[line - 1]))
 
 
 # The spellings of the primary tokens, by kind: (Unicode, ASCII alias).
@@ -132,50 +163,48 @@ _FIXED = {
     "(": "LPAREN", ")": "RPAREN", "[": "LBRACK", "]": "RBRACK", "{": "LBRACE", "}": "RBRACE",
 }
 
-_KINDS = {**_FIXED, **_KEYWORDS}
+# The kind of every lexeme but an identifier's; the empty lexeme is the
+# end of the input.
+_KINDS = {**_FIXED, **_KEYWORDS, "": "EOF"}
 
-_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
-
-# One match per token: the blanks and comments before it, then the token
-# itself in the only group.  A comment must end at a line end, so that
-# backtracking cannot cut it short and lex its tail as tokens.  Of two
-# fixed lexemes one of which extends the other (".1" and ".", "->" and
-# "-", "sigma-sym" and an identifier) the longer is tried first.  The
-# group is empty at the end of the input and holds a single character
-# that starts no token.
+# One match per token: the blanks and comments (``//`` to end of line)
+# before it, then the token, empty at the end of the input, or else a
+# character that starts no token, in a group of its own.  Taken whole,
+# the blanks and comments are always followed by one of those, so no
+# match backtracks into them (and cuts a comment short), and each match
+# begins where the last one ended.  The fixed lexemes of two or more
+# characters are tried first, longest first, then an identifier, then
+# the one-character lexemes as one class, so that of two lexemes one of
+# which extends the other (".1" and ".", "->" and "-", "sigma-sym" and
+# an identifier) the longer is taken.
 _TOKEN_RE = re.compile(
-    r"(?:[ \t\r\n]|//[^\n]*(?![^\n]))*("
-    + "|".join(re.escape(lx) for lx in sorted(_FIXED, key=len, reverse=True))
-    + "|" + _IDENT + r"|\Z|.)"
+    r"([ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*)(?:("
+    + "".join(re.escape(lx) + "|" for lx in sorted(_FIXED, key=len, reverse=True) if len(lx) > 1)
+    + _IDENT + "|[" + "".join(re.escape(lx) for lx in _FIXED if len(lx) == 1) + r"]|\Z)|(.))"
 )
 
 
-def lex(text: str, filename: str = "<input>") -> list[Token]:
-    tokens: list[Token] = []
-    new = tuple.__new__
-    line, bol = 1, 0  # the current line, and the offset it begins at
-    nl = text.find("\n")  # the first newline not yet counted
-    if nl < 0:
-        nl = len(text)
-    for m in _TOKEN_RE.finditer(text):
-        start = m.start(1)
-        if start > nl:
-            line += text.count("\n", nl, start)
-            bol = text.rfind("\n", nl, start) + 1
-            nl = text.find("\n", start)
-            if nl < 0:
-                nl = len(text)
-        lexeme = m.group(1)
-        kind = _KINDS.get(lexeme)
-        if kind is None:
-            if not lexeme:
-                break
-            if lexeme[0] not in _IDENT_START:
-                raise ParseError(f"unexpected character {lexeme!r}", Span(filename, line, start - bol + 1))
-            kind = "IDENT"
-        tokens.append(new(Token, (kind, lexeme, new(Span, (filename, line, start - bol + 1)))))
-    tokens.append(Token("EOF", "", Span(filename, line, start - bol + 1)))
-    return tokens
+def lex(text: str, filename: str = "<input>") -> Tokens:
+    """The tokens of ``text`` (module docstring)."""
+    # per match the text before it (empty), its blanks, its token and the
+    # character that starts no token (None but at an error), then the
+    # rest of the text (empty)
+    parts = _TOKEN_RE.split(text)
+    # -1, then the offset each line ends at (its newline, or the end of
+    # the text): a token's line is the number of these before its offset,
+    # and its column is its offset less the one before that
+    eols = [-1, *map(add, accumulate(map(len, text.split("\n"))), count())]
+    if any(parts[3::4]):
+        bad = next(j for j in range(3, len(parts), 4) if parts[j])
+        at = len("".join(filter(None, parts[:bad])))
+        line = bisect_left(eols, at)
+        raise ParseError(f"unexpected character {text[at]!r}", Span(filename, line, at - eols[line - 1]))
+    del parts[3::4]
+    if len(parts) > 4 and not parts[-5]:
+        del parts[-4:-1]  # a second, empty match at the end of the text
+    lexemes = parts[2::3]
+    starts = list(accumulate(map(len, parts)))[1::3]
+    return Tokens(filename, list(map(_KINDS.get, lexemes, repeat("IDENT"))), lexemes, starts, eols)
 
 
 # ---------------------------------------------------------------------------
@@ -199,54 +228,61 @@ class SourceModule(NamedTuple):
 _TERM_ATOM_START = {"IDENT", "LPAREN", "LBRACK", "BETA"}
 _TERM_PREFIX = {"LAM", "ELAM", "RHO", "PHI", "SIGMA"}
 _PROJ = {"PROJ1", "PROJ2"}
+_LAMS = {"LAM", "ELAM"}
 
 # How deep a term may nest binders, ρ and parentheses (`exp 3 7`'s normal form: 2,188)
 _MAX_DEPTH = 2_500
 
 
-class Parser:
-    def __init__(self, tokens: list[Token]):
-        self.toks = tokens
+class Parser(Tokens):
+    """A parser: the tokens of one text, and the index of the next one.
+    Rules read the token lists directly and build a node's ``Span`` from
+    its token's index when they build the node (or raise a
+    ``ParseError`` at it).  Nodes get their span as a positional
+    argument, a cheaper call than a keyword one."""
+
+    __slots__ = ("i",)
+
+    def __init__(self, tokens: Tokens):
+        self.file = tokens.file
+        self.kinds = tokens.kinds
+        self.lexemes = tokens.lexemes
+        self.starts = tokens.starts
+        self.eols = tokens.eols
         self.i = 0
 
     # -- token plumbing ------------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.toks[self.i]
-
-    def next(self) -> Token:
-        t = self.toks[self.i]
-        if t.kind != "EOF":
-            self.i += 1
-        return t
-
     def at(self, kind: str) -> bool:
-        return self.toks[self.i].kind == kind
+        return self.kinds[self.i] == kind
 
-    def eat(self, kind: str) -> Optional[Token]:
-        return self.next() if self.toks[self.i].kind == kind else None
-
-    def expect(self, kind: str, what: str = "") -> Token:
-        t = self.toks[self.i]
-        if t.kind != kind:
-            raise ParseError(
-                f"unexpected {t.kind} {t.lexeme!r}" + (f" while parsing {what}" if what else ""),
-                t.span,
-                expected={kind},
-            )
-        if kind != "EOF":
+    def eat(self, kind: str) -> bool:
+        if self.kinds[self.i] == kind:
             self.i += 1
-        return t
+            return True
+        return False
+
+    def expect(self, kind: str, what: str = "") -> int:
+        i = self.i
+        if self.kinds[i] != kind:
+            raise self.unexpected(i, f" while parsing {what}" if what else "", expected={kind})
+        if kind != "EOF":
+            self.i = i + 1
+        return i
+
+    def unexpected(self, i: int, where: str, expected: Optional[set[str]] = None) -> ParseError:
+        return ParseError(f"unexpected {self.kinds[i]} {self.lexemes[i]!r}{where}", self.span(i), expected)
+
+    def ident(self, what: str) -> str:
+        return self.lexemes[self.expect("IDENT", what)]
 
     # -- module --------------------------------------------------------------
 
     def parse_module(self, path: str) -> SourceModule:
         mod = SourceModule(path, [], [])
-        while self.at("IMPORT"):
-            self.next()
-            name = self.expect("IDENT", "import").lexeme
+        while self.eat("IMPORT"):
+            mod.imports.append(self.ident("import"))
             self.expect("DOT", "import")
-            mod.imports.append(name)
         seen: set[str] = set()
         while not self.at("EOF"):
             d = self.parse_definition()
@@ -256,23 +292,24 @@ class Parser:
             mod.defs.append(d)
         return mod
 
-    def reference(self, tok: Token) -> str:
-        """The name an identifier token uses (not binds): ``_`` only
+    def reference(self, i: int) -> str:
+        """The name identifier token ``i`` uses (not binds): ``_`` only
         binds, so no arrow's ``_`` can capture it."""
-        if tok.lexeme == "_":
-            raise ParseError("'_' can only be a binder", tok.span)
-        return tok.lexeme
+        name = self.lexemes[i]
+        if name == "_":
+            raise ParseError("'_' can only be a binder", self.span(i))
+        return name
 
     def parse_definition(self) -> RawDef:
-        name_tok = self.expect("IDENT", "definition")
-        self.reference(name_tok)
+        i = self.expect("IDENT", "definition")
+        name = self.reference(i)
         self.expect("ASCRIBE", "definition")
         classifier = self.parse_classifier()
         body: Optional[Union[Term, Type]] = None
         if self.eat("EQUALS"):
             body = self.parse_type() if isinstance(classifier, Kind) else self.parse_term()
-        self.expect("DOT", f"end of definition {name_tok.lexeme}")
-        return RawDef(name_tok.lexeme, classifier, body, name_tok.span)
+        self.expect("DOT", f"end of definition {name}")
+        return RawDef(name, classifier, body, self.span(i))
 
     # -- classifiers (types or kinds, one grammar) ----------------------------
     #
@@ -283,21 +320,23 @@ class Parser:
 
     def parse_classifier(self) -> Union[Type, Kind]:
         lhs = self._class_binder()
-        tok = self.peek()
-        if tok.kind == "ARROW":
-            self.next()
+        i = self.i
+        kind = self.kinds[i]
+        if kind == "ARROW":
+            self.i = i + 1
             rhs = self.parse_classifier()
+            span = self.span(i)
             if isinstance(rhs, Kind):
-                return (KPiK if isinstance(lhs, Kind) else KPi)("_", lhs, rhs, span=tok.span)
+                return (KPiK if isinstance(lhs, Kind) else KPi)("_", lhs, rhs, span)
             if isinstance(lhs, Kind):
-                raise ParseError("a kind cannot be the domain of a type arrow", tok.span)
-            return Pi("_", lhs, rhs, span=tok.span)
-        if tok.kind == "EARROW":
-            self.next()
+                raise ParseError("a kind cannot be the domain of a type arrow", span)
+            return Pi("_", lhs, rhs, span)
+        if kind == "EARROW":
+            self.i = i + 1
             rhs = self.parse_classifier()
             if isinstance(lhs, Kind) or isinstance(rhs, Kind):
-                raise ParseError("➾ connects types", tok.span)
-            return All("_", lhs, rhs, span=tok.span)
+                raise ParseError("➾ connects types", self.span(i))
+            return All("_", lhs, rhs, self.span(i))
         return lhs
 
     def parse_type(self) -> Type:
@@ -307,122 +346,131 @@ class Parser:
         return node
 
     def _span_of(self, node) -> Span:
-        return getattr(node, "span", None) or self.peek().span
+        return getattr(node, "span", None) or self.span(self.i)
 
     def _class_binder(self) -> Union[Type, Kind]:
-        tok = self.peek()
-        if tok.kind == "PI":
-            self.next()
+        i = self.i
+        kind = self.kinds[i]
+        if kind == "PI":
+            self.i = i + 1
             binders, dom = self._binder_group()
             self.expect("DOT", "Π binder")
             body = self.parse_classifier()
+            span = self.span(i)
             for name in reversed(binders):
                 if isinstance(body, Kind):
-                    body = (KPiK if isinstance(dom, Kind) else KPi)(name, dom, body, span=tok.span)
+                    body = (KPiK if isinstance(dom, Kind) else KPi)(name, dom, body, span)
                 elif isinstance(dom, Kind):
-                    raise ParseError("Π over a kind must end in a kind (use ∀ for types)", tok.span)
+                    raise ParseError("Π over a kind must end in a kind (use ∀ for types)", span)
                 else:
-                    body = Pi(name, dom, body, span=tok.span)
+                    body = Pi(name, dom, body, span)
             return body
-        if tok.kind == "ALL":
-            self.next()
+        if kind == "ALL":
+            self.i = i + 1
             binders, dom = self._binder_group()
             self.expect("DOT", "∀ binder")
             body = self.parse_classifier()
+            span = self.span(i)
             if isinstance(body, Kind):
-                raise ParseError("∀ body must be a type", tok.span)
+                raise ParseError("∀ body must be a type", span)
             for name in reversed(binders):
-                body = (AllK if isinstance(dom, Kind) else All)(name, dom, body, span=tok.span)
+                body = (AllK if isinstance(dom, Kind) else All)(name, dom, body, span)
             return body
-        if tok.kind == "IOTA":
-            self.next()
-            name = self.expect("IDENT", "ι binder").lexeme
+        if kind == "IOTA":
+            self.i = i + 1
+            name = self.ident("ι binder")
             self.expect("COLON", "ι binder")
             fst = self.parse_type()
             self.expect("DOT", "ι binder")
             snd = self.parse_type()
-            return Iota(name, fst, snd, span=tok.span)
-        if tok.kind == "LAM":
-            self.next()
+            return Iota(name, fst, snd, self.span(i))
+        if kind == "LAM":
+            self.i = i + 1
             binders, ann = self._lam_binder_group()
             self.expect("DOT", "type-level λ")
             body = self.parse_type()
+            span = self.span(i)
             for name in reversed(binders):
-                body = TLam(name, body, ann, span=tok.span)
+                body = TLam(name, body, ann, span)
             return body
         return self._class_eq()
 
     def _binder_group(self) -> tuple[list[str], Union[Type, Kind]]:
-        names = [self.expect("IDENT", "binder").lexeme]
+        names = [self.ident("binder")]
         while self.eat("COMMA"):
-            names.append(self.expect("IDENT", "binder").lexeme)
+            names.append(self.ident("binder"))
         self.expect("COLON", "binder")
         return names, self.parse_classifier()
 
     def _lam_binder_group(self) -> tuple[list[str], Optional[Union[Type, Kind]]]:
-        names = [self.expect("IDENT", "binder").lexeme]
+        names = [self.ident("binder")]
         while self.eat("COMMA"):
-            names.append(self.expect("IDENT", "binder").lexeme)
+            names.append(self.ident("binder"))
         return names, self.parse_classifier() if self.eat("COLON") else None
 
     def _class_eq(self) -> Union[Type, Kind]:
         lhs = self._class_spine()
-        if self.at("SIMEQ"):
-            tok = self.next()
-            lhs_term = self._as_term(lhs, tok.span)
+        i = self.i
+        if self.kinds[i] == "SIMEQ":
+            self.i = i + 1
+            span = self.span(i)
+            lhs_term = self._as_term(lhs, span)
             rhs = self.parse_term()
-            return Eq(lhs_term, rhs, span=tok.span)
+            return Eq(lhs_term, rhs, span)
         if isinstance(lhs, Term):
             # a bare name / application skeleton in type position
             return self._as_type(lhs, self._span_of(lhs))
         return lhs
 
     def _class_spine(self) -> Union[Type, Kind, Term]:
-        tok = self.peek()
-        if tok.kind == "STAR":
-            self.next()
-            return Star(span=tok.span)
+        kinds = self.kinds
+        i = self.i
+        if kinds[i] == "STAR":
+            self.i = i + 1
+            return Star(self.span(i))
         head = self._class_atom()
         while True:
-            nxt = self.peek()
-            if nxt.kind == "CDOT":
-                self.next()
+            i = self.i
+            kind = kinds[i]
+            if kind == "CDOT":
+                self.i = i + 1
                 arg = self._class_atom()
-                head = TAppT(self._as_type(head, nxt.span), self._as_type(arg, nxt.span), span=nxt.span)
-            elif nxt.kind in ("IDENT", "LPAREN", "LBRACK", "BETA"):
+                span = self.span(i)
+                head = TAppT(self._as_type(head, span), self._as_type(arg, span), span)
+            elif kind in _TERM_ATOM_START:
                 arg = self.parse_term_atom()
+                span = self.span(i)
                 if isinstance(head, Term):
-                    head = App(head, arg, span=nxt.span)
+                    head = App(head, arg, span)
                 else:
-                    head = TAppE(self._as_type(head, nxt.span), arg, span=nxt.span)
+                    head = TAppE(self._as_type(head, span), arg, span)
             else:
                 return head
 
     def _class_atom(self) -> Union[Type, Kind, Term]:
-        tok = self.peek()
-        if tok.kind == "STAR":
-            self.next()
-            return Star(span=tok.span)
-        if tok.kind == "IDENT":
-            self.next()
-            return TVar(self.reference(tok), span=tok.span)
-        if tok.kind in ("PI", "ALL", "IOTA", "LAM"):
+        i = self.i
+        kind = self.kinds[i]
+        if kind == "STAR":
+            self.i = i + 1
+            return Star(self.span(i))
+        if kind == "IDENT":
+            self.i = i + 1
+            return TVar(self.reference(i), self.span(i))
+        if kind in ("PI", "ALL", "IOTA", "LAM"):
             return self._class_binder()
-        if tok.kind == "LPAREN":
+        if kind == "LPAREN":
             # try a classifier first, then a term
-            save = self.i
+            self.i = i + 1
             try:
-                self.next()
                 inner = self.parse_classifier()
                 self.expect("RPAREN")
                 return inner
             except ParseError:
-                self.i = save
-            self.next()
+                self.i = i + 1
             inner_t = self.parse_term()
             self.expect("RPAREN", "parenthesized term")
             return self._postfix_proj(inner_t)
-        raise ParseError(f"unexpected {tok.kind} {tok.lexeme!r} in type", tok.span)
+        raise self.unexpected(i, " in type")
 
     # -- sort coercions ------------------------------------------------------
 
@@ -449,100 +497,117 @@ class Parser:
     # -- terms ----------------------------------------------------------------
 
     def parse_term(self) -> Term:
-        return self._term(prefixes=True)
+        return self._term(True)
 
     def parse_term_app(self) -> Term:
         """An application spine: a term without a leading binder, ρ, φ
         or ς (those may still occur inside its parentheses)."""
-        return self._term(prefixes=False)
+        return self._term(False)
 
     def _term(self, prefixes: bool) -> Term:
         """Binder chains and parenthesized sub-terms nest on an explicit
         stack, not on Python's, so a term may nest ``_MAX_DEPTH`` levels
         whatever the interpreter's recursion limit.  Names and
-        single-name binders are read inline (module docstring)."""
-        toks = self.toks
-        # open constructs, innermost last: ("(", token, spine head before
-        # it, None), or a binder or ρ waiting for its body
+        single-name binders are read inline (module docstring), with the
+        index of the next token in a local, stored back to ``self.i``
+        around each call of another rule."""
+        file, kinds, lexemes, starts, eols = self.file, self.kinds, self.lexemes, self.starts, self.eols
+        # open constructs, innermost last, each with the index of the
+        # token that opens it: ("(", i, spine head before it, None), or a
+        # binder or ρ waiting for its body
         stack: list[tuple] = []
         head: Optional[Term] = None  # the application spine read so far
+        i = self.i
         while True:
-            tok = toks[self.i]
-            kind = tok.kind
-            if kind == "IDENT" and tok.lexeme != "_" and toks[self.i + 1].kind not in _PROJ:
-                self.i += 1
-                atom = Var(tok.lexeme, span=tok.span)
-                head = atom if head is None else App(head, atom, span=tok.span)
+            kind = kinds[i]
+            if kind == "IDENT" and kinds[i + 1] not in _PROJ and (name := lexemes[i]) != "_":
+                span = _new(Span, (file, (ln := bisect_left(eols, s := starts[i])), s - eols[ln - 1]))
+                atom = Var(name, span)
+                head = atom if head is None else App(head, atom, span)
+                i += 1
                 continue
             if kind == "LPAREN":
-                self.i += 1
-                frame = ("(", tok, head, None)
+                frame = ("(", i, head, None)
                 head = None
+                i += 1
             elif head is not None:
                 if kind in _TERM_ATOM_START:
-                    head = App(head, self.parse_term_atom(), span=tok.span)
+                    self.i = i
+                    head = App(head, self.parse_term_atom(), self.span(i))
+                    i = self.i
                     continue
                 if kind == "DASH":
-                    self.i += 1
-                    head = EApp(head, self.parse_erased_arg(), span=tok.span)
+                    self.i = i + 1
+                    head = EApp(head, self.parse_erased_arg(), self.span(i))
+                    i = self.i
                     continue
                 t, frame = head, None
             elif kind not in _TERM_PREFIX or not (prefixes or stack):
+                self.i = i
                 head = self.parse_term_atom()
+                i = self.i
                 continue
+            elif kind in _LAMS and kinds[i + 1] == "IDENT" and kinds[i + 2] == "DOT":
+                frame = (kind, i, [lexemes[i + 1]], None)
+                i += 3
             else:
-                self.i += 1
-                if kind == "LAM" or kind == "ELAM":
-                    if toks[self.i].kind == "IDENT" and toks[self.i + 1].kind == "DOT":
-                        binders, ann = [toks[self.i].lexeme], None
-                        self.i += 2
-                    else:
-                        binders, ann = self._lam_binder_group()
-                        self.expect("DOT", "λ binder" if kind == "LAM" else "Λ binder")
-                    frame = (kind, tok, binders, ann)
+                self.i = i + 1
+                if kind in _LAMS:
+                    binders, ann = self._lam_binder_group()
+                    self.expect("DOT", "λ binder" if kind == "LAM" else "Λ binder")
+                    frame = (kind, i, binders, ann)
                 else:
                     proof = self.parse_proof_spine()
                     frame = None
                     if kind == "SIGMA":
-                        t = Sym(proof, span=tok.span)
+                        t = Sym(proof, self.span(i))
                     elif kind == "PHI":
                         self.expect("DASH", "φ")
                         main = self.parse_term_app()
                         self.expect("LBRACE", "φ")
-                        t = Phi(proof, main, self.parse_term(), span=tok.span)
+                        t = Phi(proof, main, self.parse_term(), self.span(i))
                         self.expect("RBRACE", "φ")
                     else:  # RHO
                         guide = (None, None)
                         if self.eat("LBRACE"):
-                            hole = self.expect("IDENT", "ρ guide").lexeme
+                            hole = self.ident("ρ guide")
                             self.expect("DOT", "ρ guide")
                             guide = (hole, self.parse_type())
                             self.expect("RBRACE", "ρ guide")
                         self.expect("DASH", "ρ")
-                        frame = (kind, tok, proof, guide)
+                        frame = (kind, i, proof, guide)
+                i = self.i
             if frame is not None:
                 stack.append(frame)
                 if len(stack) > _MAX_DEPTH:
-                    raise ParseError(f"term nested more than {_MAX_DEPTH} levels deep", tok.span)
+                    raise ParseError(f"term nested more than {_MAX_DEPTH} levels deep", self.span(frame[1]))
                 continue
             # t is a whole term: the body of each binder and ρ on top of
             # the stack, then the contents of the innermost "("
             while stack:
-                kind, tok, a, b = stack.pop()
+                kind, j, a, b = stack.pop()
+                if kind != "(" or a is not None:
+                    span = _new(Span, (file, (ln := bisect_left(eols, s := starts[j])), s - eols[ln - 1]))
                 if kind == "(":
-                    self.expect("RPAREN", "parenthesized term")
-                    t = self._postfix_proj(t)
-                    head = t if a is None else App(a, t, span=tok.span)
+                    if kinds[i] != "RPAREN":
+                        raise self.unexpected(i, " while parsing parenthesized term", expected={"RPAREN"})
+                    i += 1
+                    if kinds[i] in _PROJ:
+                        self.i = i
+                        t = self._postfix_proj(t)
+                        i = self.i
+                    head = t if a is None else App(a, t, span)
                     break
                 if kind == "RHO":
-                    t = Rho(a, t, *b, span=tok.span)
+                    t = Rho(a, t, *b, span)
                     continue
                 if kind == "LAM" and isinstance(b, Kind):
-                    raise ParseError("explicit λ binder annotation must be a type", tok.span)
+                    raise ParseError("explicit λ binder annotation must be a type", span)
                 node = Lam if kind == "LAM" else ELam
                 for name in reversed(a):
-                    t = node(name, t, b, span=tok.span)
+                    t = node(name, t, b, span)
             else:
+                self.i = i
                 return t
 
     def parse_proof_spine(self) -> Term:
@@ -550,66 +615,66 @@ class Parser:
         following ``-`` separator is unambiguous.  Parenthesize proofs
         that use erased application."""
         head = self.parse_term_atom()
-        while self.toks[self.i].kind in _TERM_ATOM_START:
+        while self.kinds[self.i] in _TERM_ATOM_START:
             arg = self.parse_term_atom()
-            head = App(head, arg, span=self._span_of(arg))
+            head = App(head, arg, self._span_of(arg))
         return head
 
     def parse_term_atom(self) -> Term:
-        tok = self.toks[self.i]
-        kind = tok.kind
+        i = self.i
+        kind = self.kinds[i]
         if kind == "IDENT":
-            self.i += 1
-            return self._postfix_proj(Var(self.reference(tok), span=tok.span))
+            self.i = i + 1
+            return self._postfix_proj(Var(self.reference(i), self.span(i)))
         if kind == "BETA":
-            self.i += 1
-            return self._postfix_proj(Beta(span=tok.span))
+            self.i = i + 1
+            return self._postfix_proj(Beta(self.span(i)))
         if kind == "LBRACK":
-            self.i += 1
+            self.i = i + 1
             fst = self.parse_term()
             self.expect("COMMA", "intersection pair")
             snd = self.parse_term()
             self.expect("RBRACK", "intersection pair")
-            return self._postfix_proj(IotaPair(fst, snd, span=tok.span))
+            return self._postfix_proj(IotaPair(fst, snd, self.span(i)))
         if kind == "LPAREN":
-            self.i += 1
+            self.i = i + 1
             inner = self.parse_term()
             self.expect("RPAREN", "parenthesized term")
             return self._postfix_proj(inner)
-        raise ParseError(f"unexpected {kind} {tok.lexeme!r} in term", tok.span)
+        raise self.unexpected(i, " in term")
 
     def _postfix_proj(self, t: Term) -> Term:
-        while (tok := self.toks[self.i]).kind in _PROJ:
-            t = Proj(t, 1 if tok.kind == "PROJ1" else 2, span=tok.span)
-            self.i += 1
+        kinds = self.kinds
+        while (kind := kinds[i := self.i]) in _PROJ:
+            t = Proj(t, 1 if kind == "PROJ1" else 2, self.span(i))
+            self.i = i + 1
         return t
 
     def parse_erased_arg(self) -> Union[Term, Type]:
         """The argument after ``-``: a term, or a type.  A name, and a
         parenthesized term, stay terms, so that an argument that could be
         read at either sort is its term skeleton (module docstring)."""
-        tok = self.peek()
-        if tok.kind == "BETA":
-            self.next()
-            return Beta(span=tok.span)
-        if tok.kind == "IDENT":
-            self.next()
-            return self._postfix_proj(Var(self.reference(tok), span=tok.span))
-        if tok.kind == "LPAREN":
-            save = self.i
+        i = self.i
+        kind = self.kinds[i]
+        if kind == "BETA":
+            self.i = i + 1
+            return Beta(self.span(i))
+        if kind == "IDENT":
+            self.i = i + 1
+            return self._postfix_proj(Var(self.reference(i), self.span(i)))
+        if kind == "LPAREN":
             # a term first, then a type
+            self.i = i + 1
             try:
-                self.next()
                 inner = self.parse_term()
                 self.expect("RPAREN")
                 return inner
             except ParseError:
-                self.i = save
-            self.next()
+                self.i = i + 1
             ty = self.parse_type()
             self.expect("RPAREN", "erased type argument")
             return ty
-        raise ParseError(f"unexpected {tok.kind} {tok.lexeme!r} after '-'", tok.span)
+        raise self.unexpected(i, " after '-'")
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +690,7 @@ def _parse(text: str, path: str, what: str, rule):
         node = rule(parser)
         parser.expect("EOF", what)
     except RecursionError:
-        raise ParseError("nested too deeply", parser.peek().span) from None
+        raise ParseError("nested too deeply", parser.span(parser.i)) from None
     return node
 
 

@@ -241,7 +241,7 @@ def corpus_mutants(corpus: str, rng: random.Random, count: int, sep: str = " "):
     sources = []
     for path in sorted(glob.glob(os.path.join(corpus, "*.cdl"))):
         with open(path, encoding="utf-8") as fh:
-            sources.append([tok.lexeme for tok in lex(fh.read())[:-1]])
+            sources.append(lex(fh.read()).lexemes[:-1])
     for _ in range(count):
         toks = list(rng.choice(sources))
         i = rng.randrange(len(toks))

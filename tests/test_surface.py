@@ -1,6 +1,7 @@
 """Surface syntax: parse/pretty round-trips, lexer alias invariance, the
 lexer against a reference lexer, and positioned parse errors."""
 
+import gc
 import glob
 import hashlib
 import os
@@ -11,13 +12,14 @@ import sys
 
 import pytest
 
+from cdle.erasure import erase
 from cdle.pretty import pretty
+from cdle.reduction import normalize
 from cdle.surface import (
     _KEYWORDS,
     ParseError,
     RawDef,
     SourceModule,
-    Token,
     lex,
     parse_classifier,
     parse_module,
@@ -220,6 +222,17 @@ for op, m, n in ((mul, 40, 40), (exp, 2, 10), (exp, 3, 7)):
     assert proc.stdout.split() == ["True", "True", "RecursionError"]
 
 
+def test_long_spines_print_by_a_loop():
+    """The printer reads an application spine by a loop: a term spine of
+    10,000 arguments, annotated and as a normal form, and a type spine of
+    10,000 arguments print and re-parse α-equal."""
+    text = "f" + " x" * 10_000
+    t = parse_term(text)
+    assert pretty(t) == pretty(normalize(erase(t)).result) == text
+    ty = parse_type_expr("F" + " · A x" * 5_000)
+    assert alpha_eq(parse_type_expr(pretty(ty)), ty)
+
+
 def test_underscore_binds_everywhere_and_round_trips():
     """``_`` may be written as any binder, and what it binds prints and
     re-parses α-equal: a Π over ``_`` is printed as an arrow, and since
@@ -301,8 +314,9 @@ _REFERENCE_SPEC = [
 _REFERENCE_RE = re.compile("|".join(f"(?P<{name}>{pat})" for name, pat in _REFERENCE_SPEC))
 
 
-def reference_lex(text: str, filename: str = "<input>") -> list[Token]:
-    tokens = []
+def reference_lex(text: str, filename: str = "<input>") -> list[tuple[str, str, int, int]]:
+    """Each token's row: kind, lexeme, line and column, EOF last."""
+    rows = []
     line, col = 1, 1
     pos = 0
     while pos < len(text):
@@ -314,7 +328,7 @@ def reference_lex(text: str, filename: str = "<input>") -> list[Token]:
         if kind == "IDENT" and lexeme in _KEYWORDS:
             kind = _KEYWORDS[lexeme]
         if kind not in ("WS", "COMMENT"):
-            tokens.append(Token(kind, lexeme, Span(filename, line, col)))
+            rows.append((kind, lexeme, line, col))
         newlines = lexeme.count("\n")
         if newlines:
             line += newlines
@@ -322,14 +336,25 @@ def reference_lex(text: str, filename: str = "<input>") -> list[Token]:
         else:
             col += len(lexeme)
         pos = m.end()
-    tokens.append(Token("EOF", "", Span(filename, line, col)))
-    return tokens
+    rows.append(("EOF", "", line, col))
+    return rows
 
 
-def _lexed(lexer, text):
-    """The tokens, or the error message when ``text`` does not lex."""
+def _lexed(text):
+    """``lex``'s token rows for ``text``, or its error message."""
     try:
-        return lexer(text, "<f>")
+        toks = lex(text, "<f>")
+    except ParseError as e:
+        return str(e)
+    assert len(toks) == len(toks.kinds) == len(toks.lexemes) == len(toks.starts)
+    spans = [toks.span(i) for i in range(len(toks))]
+    assert {span.file for span in spans} == {"<f>"}
+    return [(kind, lexeme, span.line, span.col) for kind, lexeme, span in zip(toks.kinds, toks.lexemes, spans)]
+
+
+def _reference_lexed(text):
+    try:
+        return reference_lex(text, "<f>")
     except ParseError as e:
         return str(e)
 
@@ -384,8 +409,27 @@ def _lexer_inputs():
 def test_lexer_matches_reference_lexer():
     texts = list(_lexer_inputs())
     assert len(texts) == 10 + NEGATIVE_FILES + 600 + len(LEXER_EDGE_CASES)
+    # and a bad character after a comment, after blanks, and as the last
+    # character after a comment
+    texts += ["x // a b\n%", "x  \n  %", "x // a\n// b\né"]
     for text in texts:
-        assert _lexed(lex, text) == _lexed(reference_lex, text), repr(text)
+        assert _lexed(text) == _reference_lexed(text), repr(text)
+
+
+def test_lex_builds_nothing_per_token():
+    """``lex`` returns parallel lists of strings and integers: nothing
+    reachable from its result is a tuple (a token or a position)."""
+    toks = lex(" ".join(text for _, text in _source_files()))
+    assert len(toks) > 10_000
+    tuples, todo, seen = 0, [toks], set()
+    while todo:
+        x = todo.pop()
+        if id(x) in seen or isinstance(x, type):
+            continue
+        seen.add(id(x))
+        tuples += isinstance(x, tuple)
+        todo.extend(gc.get_referents(x))
+    assert tuples == 0
 
 
 def test_lex_makes_no_python_call_per_token():
