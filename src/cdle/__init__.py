@@ -9,6 +9,12 @@ zero-cost conversions (coercions whose erasure is the identity function)
 expressible.
 """
 
+import sys
+
+# the same room for every recursive layer (parser, checker, printer) from its first call
+if sys.getrecursionlimit() < 5_000:
+    sys.setrecursionlimit(5_000)
+
 from .reduction import Fuel, NormalizeOutcome, apply_and_count, beta_eta_eq, normalize
 from .erasure import erase
 from .typecheck import CheckError, Checker, CheckReport, ErrorCode, check_defs

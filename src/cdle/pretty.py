@@ -16,7 +16,7 @@ recurse once per nesting level: three frames (``term_atom``, ``term``,
 ``term_app``) per application level of a pure term.  The
 benchmark pins that depth from both sides, and
 ``test_printing_depth_is_pinned`` guards it: at the recursion limit that
-``normalize`` sets, the normal form of ``mul 40 40`` (1,600 levels)
+importing ``cdle`` sets, the normal form of ``mul 40 40`` (1,600 levels)
 prints and that of ``exp 3 7`` (2,187 levels) raises RecursionError.
 """
 

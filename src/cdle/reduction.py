@@ -31,16 +31,16 @@ counted in neither tally and charges no fuel: the counts equal those of
 normalizing the term with every such name substituted by its entry.
 
 Step tallies live in a per-call counter and binder records in the
-quote call, so the functions share no mutable state (beyond the recursion
-limit that ``normalize`` raises) and are safe to run concurrently; the
-names quote writes go only into nodes that call built.  The one global
-counter left in the kernel is the ``itertools.count`` behind
-``syntax.fresh_name``, whose names need only be distinct.
+quote call, so the functions share no mutable state and are safe to run
+concurrently; the names quote writes go only into nodes that call built.
+The kernel's module-level state lies elsewhere: the ``itertools.count``
+behind ``syntax.fresh_name``, whose names need only be distinct, and the
+loader's and checker's tables (``loader._modules`` and
+``typecheck._checked``).
 """
 
 from __future__ import annotations
 
-import sys
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -270,13 +270,6 @@ def _quote(t: PureTerm, ctr: _Counter) -> tuple[PureTerm, dict[str, int]]:
 # --- public operations ------------------------------------------------------
 
 
-def _ensure_recursion_room():
-    # the machine itself is iterative; this headroom covers recursive
-    # helpers elsewhere (parser, checker, printers) on deep corpus terms
-    if sys.getrecursionlimit() < 5_000:
-        sys.setrecursionlimit(5_000)
-
-
 def normalize(t: PureTerm, fuel: Fuel = Fuel(), defs: Mapping[str, PureTerm] = _NO_DEFS) -> NormalizeOutcome:
     """Normal-order beta-normalization followed by exhaustive
     eta-contraction, with exact step tallies.  Deterministic for a fixed
@@ -288,7 +281,6 @@ def normalize(t: PureTerm, fuel: Fuel = Fuel(), defs: Mapping[str, PureTerm] = _
     up, without charging fuel, so the outcome equals that of ``t`` with
     those names substituted (capture-avoiding); other free variables
     stay neutral.  The table is only read."""
-    _ensure_recursion_room()
     ctr = _Counter(fuel.max_steps, defs)
     try:
         nf, _ = _quote(t, ctr)

@@ -90,10 +90,9 @@ _new = tuple.__new__  # builds a Span with no Python-level call
 
 class ParseError(Exception):
     def __init__(self, message: str, span: Span, expected: Optional[set[str]] = None):
-        loc = f"{span.file}:{span.line}:{span.col}"
         if expected:
             message = f"{message} (expected one of: {', '.join(sorted(expected))})"
-        super().__init__(f"{loc}: {message}")
+        super().__init__(f"{span}: {message}")
         self.span = span
         self.expected = expected or set()
 

@@ -31,7 +31,8 @@ deep (spines of a few thousand applications occur in the cost harness).
 ``subst_syntax`` goes down an application spine by a loop and recurses
 once per binder scope and argument; the skeleton coercions recurse once
 per nesting level, as do the checker (bar its spine loops) and the
-printer, so Python's recursion limit bounds the depth they reach.
+printer, so the recursion limit that importing ``cdle`` sets bounds the
+depth they reach.
 """
 
 from __future__ import annotations

@@ -1,6 +1,9 @@
 """The kernel's classes: syntax nodes and records compare by value, and
-importing the kernel loads no class-generating machinery."""
+importing the kernel loads no class-generating machinery and sets the
+recursion limit once."""
 
+import ast
+import glob
 import os
 import subprocess
 import sys
@@ -32,6 +35,27 @@ def test_importing_the_kernel_loads_no_dataclasses():
     where, loaded = out.splitlines()
     assert where == os.path.join(src, "cdle", "__init__.py")
     assert loaded == "[]"
+
+
+def test_the_recursion_limit_is_set_once_at_import():
+    """Importing ``cdle`` in a fresh isolated interpreter raises the
+    recursion limit to at least 5,000, and the kernel sets it in one
+    place: a module-level statement of ``__init__.py``, outside any
+    function, so no later call changes it."""
+    src = os.path.join(REPO, "src")
+    code = f"import sys\nsys.path.insert(0, {src!r})\nimport cdle\nprint(sys.getrecursionlimit())\n"
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True).stdout
+    assert int(out) >= 5_000
+    calls = []
+    for path in sorted(glob.glob(os.path.join(src, "cdle", "*.py"))):
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+        nested = {id(m) for fn in functions for m in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("setrecursionlimit"):
+                calls.append((os.path.basename(path), id(node) in nested))
+    assert calls == [("__init__.py", False)]
 
 
 def test_nodes_and_records_compare_by_value():

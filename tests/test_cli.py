@@ -232,20 +232,38 @@ def test_check_mutated_corpus_modules_end_with_a_message(capsys, tmp_path):
         assert "Traceback" not in out + err, text
 
 
-def test_check_deep_well_typed_term_exit_two(tmp_path):
+DEEP_TERM = "c ◂ ∀ A : ★. (A ➔ A) ➔ A ➔ A = Λ A. λ f. λ x. " + "f (" * 1999 + "f x" + ")" * 1999 + ".\n"
+
+
+def test_check_deep_well_typed_term_exit_two(capsys, tmp_path):
     """The checker recurses once per nesting level, so a well-typed term
-    2,000 levels deep outruns the default recursion limit.  It runs in a
-    fresh interpreter: in this one, an earlier ``normalize`` may have
-    raised the limit."""
+    2,000 levels deep outruns a recursion limit of 1,000."""
     path = tmp_path / "deep.cdl"
-    body = "f (" * 1999 + "f x" + ")" * 1999
-    path.write_text(f"c ◂ ∀ A : ★. (A ➔ A) ➔ A ➔ A = Λ A. λ f. λ x. {body}.\n", encoding="utf-8")
+    path.write_text(DEEP_TERM, encoding="utf-8")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        code, out, err = run(capsys, "check", str(path))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}:1:1: definition 'c' is nested too deeply to check\n"
+
+
+def test_check_deep_term_whatever_runs_before_it(tmp_path):
+    """The recursion limit is set once, when ``cdle`` is imported, so
+    whether a definition is too deep to check does not depend on what
+    ran before it.  In a fresh interpreter, the 2,000-level term checks
+    alone, after a definition whose check normalizes, and before one."""
+    other = "id ◂ ∀ X : ★. X ➔ X = Λ X. λ x. x.\np ◂ id ≃ id = β.\n"
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "cdle.cli", "check", str(path)], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 2
-    assert proc.stderr == f"error: {path}:1:1: definition 'c' is nested too deeply to check\n"
+    for name, text in (("alone", DEEP_TERM), ("after", other + DEEP_TERM), ("before", DEEP_TERM + other)):
+        path = tmp_path / f"{name}.cdl"
+        path.write_text(text, encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "cdle.cli", "check", str(path)], capture_output=True, text=True, env=env
+        )
+        assert (name, proc.returncode, proc.stderr) == (name, 0, "")
 
 
 def test_python_dash_m_cdle_runs_the_cli():

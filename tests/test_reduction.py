@@ -3,6 +3,7 @@ naive substitution-based oracle."""
 
 import itertools
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import gen
@@ -190,6 +191,18 @@ def test_normalize_without_defs_leaves_free_names_neutral():
         nf_o, b, e = oracle_normalize(t, 2000)
         assert (out.fuel_exhausted, out.beta_steps, out.eta_steps) == (nf_o is None, b, e)
         assert nf_o is None or alpha_eq(out.result, nf_o)
+
+
+def test_normalize_leaves_the_recursion_limit_as_it_found_it():
+    """``normalize`` changes no interpreter state: a caller that lowers
+    the recursion limit keeps its limit through the call."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert normalize(ap(lam("x", v("x")), v("y"))).result == v("y")
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_oracle_agreement_1000_terms(oracle_samples):

@@ -189,7 +189,7 @@ def test_printing_depth_is_pinned():
     """The printer recurses three frames per application level of a pure
     term, and the benchmark pins that depth from both sides.  In a fresh
     interpreter, as each benchmark sample runs, at the recursion limit
-    that ``normalize`` sets, the normal forms of reduce-stress's
+    that importing ``cdle`` sets, the normal forms of reduce-stress's
     ``mul 40 40`` (1,600 levels) and ``exp 2 10`` (1,024 levels) print
     and re-parse α-equal, and that of ``exp 3 7`` (2,187 levels) raises
     RecursionError.  A printer that takes more frames per level breaks
@@ -220,6 +220,34 @@ for op, m, n in ((mul, 40, 40), (exp, 2, 10), (exp, 3, 7)):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.split() == ["True", "True", "RecursionError"]
+
+
+def test_classifier_depth_does_not_depend_on_normalize():
+    """The classifier rules recurse once per nesting level, under the
+    recursion limit that importing ``cdle`` sets.  In a fresh
+    interpreter, ``∀ A : ★.`` over 600 nested ``(A ➔ …)`` parses as a
+    type both before and after a ``normalize`` call has run."""
+    script = r"""
+from cdle.reduction import normalize
+from cdle.surface import ParseError, parse_classifier
+from cdle.syntax import PVar
+
+text = "∀ A : ★. " + "(A ➔ " * 600 + "A" + ")" * 600
+
+def outcome():
+    try:
+        return type(parse_classifier(text)).__name__
+    except ParseError:
+        return "ParseError"
+
+before = outcome()
+normalize(PVar("x"))
+print(before, outcome())
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split() == ["AllK", "AllK"]
 
 
 def test_long_spines_print_by_a_loop():
