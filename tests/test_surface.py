@@ -487,13 +487,29 @@ def test_lex_makes_no_python_call_per_token():
     assert fewer == more
 
 
+def _digest_inputs():
+    """The parser and path for each input that the parse digests cover:
+    the corpus and negative files, the lexer's edge cases, the printed
+    terms of ``_lexer_inputs`` and 400 seeded one-token corpus mutants
+    written with blanks and one token per line."""
+    for path, text in _source_files():
+        yield parse_module, text, path
+    for text in LEXER_EDGE_CASES:
+        yield parse_module, text, "<edge>"
+    for text in _printed_terms():
+        yield parse_term, text, "<term>"
+    for sep in (" ", "\n"):
+        for text in corpus_mutants(CORPUS, random.Random(27), 400, sep):
+            yield parse_module, text, "<mutant>"
+
+
 def _parse_outcome(parse, text, path):
     """The parse of ``text`` written out with every node's class, fields
-    and span and every definition's span, or the ParseError's text."""
+    and span and every definition's span, or the ParseError."""
     try:
         x = parse(text, path)
     except ParseError as e:
-        return "error " + str(e)
+        return e
     out = []
 
     def write(v):
@@ -514,27 +530,24 @@ def _parse_outcome(parse, text, path):
     return "ok " + "".join(out)
 
 
-# sha256 of the outcomes below, NUL-separated, from the parser as it was
-# before its lexer stopped calling the Token and Span constructors and its
-# term loop read names and single-name binders inline
-PARSE_DIGEST = "4f44521a7597065517c45a7086a7a6ed7f8dec4b38ce999481a21a30d8d7f196"
+# sha256 of the verdicts and parses below, NUL-separated, and of the
+# error messages, from the parser as it was before its classifier rules
+# moved onto the term loop's explicit stack
+PARSE_DIGEST = "19eab711cbd800b29f741e544cd622feb9260266d2c5aacbda1360ea0c91bb36"
+PARSE_ERROR_DIGEST = "11ad8d199f4c036f9898b1915c804dcc2be6fa51e9a7940e41a700bd7a1cf4b9"
 
 
 def test_parses_and_parse_errors_are_unchanged():
-    """Every span and every ParseError message, over the corpus and
-    negative files, the lexer's edge cases, the printed terms of
-    ``_lexer_inputs`` and 400 seeded one-token corpus mutants written
-    with blanks and one token per line, hashes to ``PARSE_DIGEST``.  An
-    edit to those files or generators changes the digest too."""
-    outcomes = [_parse_outcome(parse_module, text, path) for path, text in _source_files()]
-    outcomes += [_parse_outcome(parse_module, text, "<edge>") for text in LEXER_EDGE_CASES]
-    outcomes += [_parse_outcome(parse_term, text, "<term>") for text in _printed_terms()]
-    for sep in (" ", "\n"):
-        for text in corpus_mutants(CORPUS, random.Random(27), 400, sep):
-            outcomes.append(_parse_outcome(parse_module, text, "<mutant>"))
+    """For each of ``_digest_inputs``, its verdict and, for a parse, every
+    node, field and span hash to ``PARSE_DIGEST``; the error messages, in
+    order, hash to ``PARSE_ERROR_DIGEST``.  An edit to those files or
+    generators changes the digests too."""
+    outcomes = [_parse_outcome(*args) for args in _digest_inputs()]
     assert len(outcomes) == 10 + NEGATIVE_FILES + len(LEXER_EDGE_CASES) + 600 + 800
-    digest = hashlib.sha256("\0".join(outcomes).encode()).hexdigest()
-    assert digest == PARSE_DIGEST
+    verdicts = ["error" if isinstance(x, ParseError) else x for x in outcomes]
+    errors = [str(x) for x in outcomes if isinstance(x, ParseError)]
+    assert hashlib.sha256("\0".join(verdicts).encode()).hexdigest() == PARSE_DIGEST
+    assert hashlib.sha256("\0".join(errors).encode()).hexdigest() == PARSE_ERROR_DIGEST
 
 
 def test_unexpected_character_is_positioned():
