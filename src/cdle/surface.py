@@ -24,18 +24,30 @@ definitions ``name ◂ classifier = body .`` (parameters omit ``= body``).
 Bodies are parsed as terms or types according to the sort of the
 classifier.  Application binds tighter than ➔/➾; erased application
 ``-`` binds like application; ``·`` marks explicit type arguments while
-juxtaposed arguments of a type are terms.  Binders and parentheses in a
-term nest on an explicit stack, up to a fixed depth, checked as each is
-pushed.  The term loop reads the commonest atoms itself: a name with
-no ``.1``/``.2`` after it, and a λ or Λ over one unannotated name; other
-atoms and binder groups go through their own rules.
+juxtaposed arguments of a type are terms.
 
-Grammar corner: an erased argument whose sort the tokens do not decide
-(a name, or a parenthesized application or λ over names, such as ``-x``
-or ``-(F x)``) is its term skeleton, a ``Var``, ``App`` or ``Lam``.  The
-checker reads it at the sort the implicit product it instantiates asks
-for, promoting it to a type where that is a type; every node the parser
-builds has its sort in its class.
+Terms and classifiers are read by one loop, with no recursion and no
+backtracking.  Each construct that nests (parentheses, a pair, a binder,
+an erased argument, ρ, φ, ς, ≃) pushes a frame on one explicit stack, at
+most ``_MAX_DEPTH`` deep, and opens a level: the expression it contains,
+read as a term ("T"), a term with no leading binder ("A", φ's middle), a
+proof ("P": atoms only), a classifier ("C") or a skeleton ("S").  A level
+keeps its application spine and arrow chain and folds them when it ends,
+so only nesting counts against the depth.  The loop reads the commonest
+term atoms itself: a name with no ``.1``/``.2`` after it, and a λ or Λ
+over one unannotated name.
+
+The same text can stand at two sorts.  A parenthesized group at the head
+of a classifier or after ``·`` or ``-`` is sorted by its first token where
+that decides (Π, ∀, ι or ★: a classifier; Λ, ρ, φ, ς, ``[`` or β: a
+term).  Otherwise it is read once as a skeleton, a ``Var``, ``App`` or
+``Lam`` that reads both ways, until a token sorts it: ``·``, ➔, ➾ or ≃
+make it a classifier, and ``-`` or a projection a term; a group whose
+head is a term ("L") is one unless ≃ follows it.  At its ``)``, a
+skeleton is a type in a classifier, and a term after ``-``: the checker
+reads such an erased argument at the sort the implicit product it
+instantiates asks for, promoting it to a type where that is a type.
+Every node the parser builds has its sort in its class.
 
 Parsing distinct files may proceed concurrently.  A parsed module is
 immutable, and this is load-bearing: ``loader`` hands one
@@ -80,8 +92,7 @@ from .syntax import (
     Term,
     Type,
     Var,
-    demote_skeleton,
-    promote_skeleton,
+    recast_skeleton,
 )
 
 
@@ -224,36 +235,57 @@ class SourceModule(NamedTuple):
     defs: list[RawDef]
 
 
-_TERM_ATOM_START = {"IDENT", "LPAREN", "LBRACK", "BETA"}
-_TERM_PREFIX = {"LAM", "ELAM", "RHO", "PHI", "SIGMA"}
+_ATOMS = {"IDENT", "LPAREN", "LBRACK", "BETA"}  # what a term atom begins with
 _PROJ = {"PROJ1", "PROJ2"}
 _LAMS = {"LAM", "ELAM"}
+_PREFIXES = {"LAM", "ELAM", "RHO", "PHI", "SIGMA"}
+_ARROWS = {"ARROW", "EARROW"}
+_SORTING = {"CDOT", "ARROW", "EARROW", "SIMEQ"}  # what makes a skeleton a type
 
-# How deep a term may nest binders, ρ and parentheses (`exp 3 7`'s normal form: 2,188)
+# The frame tag of each classifier binder's token
+_CLASS_BINDERS = {"PI": "PI", "ALL": "ALL", "IOTA": "IOTA", "LAM": "TLAM"}
+
+# The level a parenthesized group is, by its first token where that token
+# decides: a classifier or a term.  Any other group is a skeleton.
+_GROUP = {
+    **dict.fromkeys(("PI", "ALL", "IOTA", "STAR"), "C"),
+    **dict.fromkeys(("ELAM", "RHO", "PHI", "SIGMA", "LBRACK", "BETA"), "T"),
+}
+
+# A construct's next part, by the tag of the frame whose part just ended:
+# the token that must end that part (and the rule a missing one names),
+# the frame tag of the next part and the level it is read at.
+_NEXT = {
+    "[": ("COMMA", "intersection pair", "]", "T"),
+    "PI": ("DOT", "Π binder", "PI.", "C"),
+    "ALL": ("DOT", "∀ binder", "ALL.", "C"),
+    "IOTA": ("DOT", "ι binder", "IOTA.", "C"),
+    "PHI": ("DASH", "φ", "PHI-", "A"),
+    "PHI-": ("LBRACE", "φ", "PHI{", "T"),
+    # a λ's annotation, then its body: a term under λ or Λ, a type under a
+    # type-level λ, and either in a skeleton
+    ":LAM": ("DOT", "λ binder", "LAM", "T"),
+    ":ELAM": ("DOT", "Λ binder", "ELAM", "T"),
+    ":TLAM": ("DOT", "type-level λ", "TLAM", "C"),
+    ":SLAM": ("DOT", "type-level λ", "SLAM", "S"),
+}
+
+# How deep constructs may nest (`exp 3 7`'s normal form: 2,188 levels)
 _MAX_DEPTH = 2_500
 
 
 class Parser(Tokens):
     """A parser: the tokens of one text, and the index of the next one.
-    Rules read the token lists directly and build a node's ``Span`` from
-    its token's index when they build the node (or raise a
-    ``ParseError`` at it).  Nodes get their span as a positional
-    argument, a cheaper call than a keyword one."""
+    It builds a node's ``Span`` from its token's index when it builds the
+    node (or raises a ``ParseError`` at it), as a positional argument."""
 
     __slots__ = ("i",)
 
     def __init__(self, tokens: Tokens):
-        self.file = tokens.file
-        self.kinds = tokens.kinds
-        self.lexemes = tokens.lexemes
-        self.starts = tokens.starts
-        self.eols = tokens.eols
+        super().__init__(tokens.file, tokens.kinds, tokens.lexemes, tokens.starts, tokens.eols)
         self.i = 0
 
     # -- token plumbing ------------------------------------------------------
-
-    def at(self, kind: str) -> bool:
-        return self.kinds[self.i] == kind
 
     def eat(self, kind: str) -> bool:
         if self.kinds[self.i] == kind:
@@ -261,12 +293,15 @@ class Parser(Tokens):
             return True
         return False
 
-    def expect(self, kind: str, what: str = "") -> int:
-        i = self.i
+    def want(self, i: int, kind: str, what: str) -> int:
+        """The index after token ``i``, which must be of ``kind``."""
         if self.kinds[i] != kind:
-            raise self.unexpected(i, f" while parsing {what}" if what else "", expected={kind})
-        if kind != "EOF":
-            self.i = i + 1
+            raise self.unexpected(i, f" while parsing {what}", expected={kind})
+        return i + 1
+
+    def expect(self, kind: str, what: str) -> int:
+        i = self.i
+        self.i = self.want(i, kind, what)
         return i
 
     def unexpected(self, i: int, where: str, expected: Optional[set[str]] = None) -> ParseError:
@@ -283,7 +318,7 @@ class Parser(Tokens):
             mod.imports.append(self.ident("import"))
             self.expect("DOT", "import")
         seen: set[str] = set()
-        while not self.at("EOF"):
+        while self.kinds[self.i] != "EOF":
             d = self.parse_definition()
             if d.name in seen:
                 raise ParseError(f"duplicate definition {d.name!r}", d.span)
@@ -306,374 +341,339 @@ class Parser(Tokens):
         classifier = self.parse_classifier()
         body: Optional[Union[Term, Type]] = None
         if self.eat("EQUALS"):
-            body = self.parse_type() if isinstance(classifier, Kind) else self.parse_term()
+            body = self._as(self.parse_classifier(), Type) if isinstance(classifier, Kind) else self.parse_term()
         self.expect("DOT", f"end of definition {name}")
         return RawDef(name, classifier, body, self.span(i))
 
-    # -- classifiers (types or kinds, one grammar) ----------------------------
-    #
-    # Each rule returns the node it parsed, whose class is its sort.
-    # ``_class_spine`` and ``_class_atom`` may also return a term (a
-    # parenthesized term, or an application spine over one), which
-    # ``_class_eq`` takes as the left side of ≃ or promotes to a type.
-
-    def parse_classifier(self) -> Union[Type, Kind]:
-        lhs = self._class_binder()
-        i = self.i
-        kind = self.kinds[i]
-        if kind == "ARROW":
-            self.i = i + 1
-            rhs = self.parse_classifier()
-            span = self.span(i)
-            if isinstance(rhs, Kind):
-                return (KPiK if isinstance(lhs, Kind) else KPi)("_", lhs, rhs, span)
-            if isinstance(lhs, Kind):
-                raise ParseError("a kind cannot be the domain of a type arrow", span)
-            return Pi("_", lhs, rhs, span)
-        if kind == "EARROW":
-            self.i = i + 1
-            rhs = self.parse_classifier()
-            if isinstance(lhs, Kind) or isinstance(rhs, Kind):
-                raise ParseError("➾ connects types", self.span(i))
-            return All("_", lhs, rhs, self.span(i))
-        return lhs
-
-    def parse_type(self) -> Type:
-        node = self.parse_classifier()
-        if isinstance(node, Kind):
-            raise ParseError("expected a type, found a kind", self._span_of(node))
-        return node
-
-    def _span_of(self, node) -> Span:
-        return getattr(node, "span", None) or self.span(self.i)
-
-    def _class_binder(self) -> Union[Type, Kind]:
-        i = self.i
-        kind = self.kinds[i]
-        if kind == "PI":
-            self.i = i + 1
-            binders, dom = self._binder_group()
-            self.expect("DOT", "Π binder")
-            body = self.parse_classifier()
-            span = self.span(i)
-            for name in reversed(binders):
-                if isinstance(body, Kind):
-                    body = (KPiK if isinstance(dom, Kind) else KPi)(name, dom, body, span)
-                elif isinstance(dom, Kind):
-                    raise ParseError("Π over a kind must end in a kind (use ∀ for types)", span)
-                else:
-                    body = Pi(name, dom, body, span)
-            return body
-        if kind == "ALL":
-            self.i = i + 1
-            binders, dom = self._binder_group()
-            self.expect("DOT", "∀ binder")
-            body = self.parse_classifier()
-            span = self.span(i)
-            if isinstance(body, Kind):
-                raise ParseError("∀ body must be a type", span)
-            for name in reversed(binders):
-                body = (AllK if isinstance(dom, Kind) else All)(name, dom, body, span)
-            return body
-        if kind == "IOTA":
-            self.i = i + 1
-            name = self.ident("ι binder")
-            self.expect("COLON", "ι binder")
-            fst = self.parse_type()
-            self.expect("DOT", "ι binder")
-            snd = self.parse_type()
-            return Iota(name, fst, snd, self.span(i))
-        if kind == "LAM":
-            self.i = i + 1
-            binders, ann = self._lam_binder_group()
-            self.expect("DOT", "type-level λ")
-            body = self.parse_type()
-            span = self.span(i)
-            for name in reversed(binders):
-                body = TLam(name, body, ann, span)
-            return body
-        return self._class_eq()
-
-    def _binder_group(self) -> tuple[list[str], Union[Type, Kind]]:
-        names = [self.ident("binder")]
-        while self.eat("COMMA"):
-            names.append(self.ident("binder"))
-        self.expect("COLON", "binder")
-        return names, self.parse_classifier()
-
-    def _lam_binder_group(self) -> tuple[list[str], Optional[Union[Type, Kind]]]:
-        names = [self.ident("binder")]
-        while self.eat("COMMA"):
-            names.append(self.ident("binder"))
-        return names, self.parse_classifier() if self.eat("COLON") else None
-
-    def _class_eq(self) -> Union[Type, Kind]:
-        lhs = self._class_spine()
-        i = self.i
-        if self.kinds[i] == "SIMEQ":
-            self.i = i + 1
-            span = self.span(i)
-            lhs_term = self._as_term(lhs, span)
-            rhs = self.parse_term()
-            return Eq(lhs_term, rhs, span)
-        if isinstance(lhs, Term):
-            # a bare name / application skeleton in type position
-            return self._as_type(lhs, self._span_of(lhs))
-        return lhs
-
-    def _class_spine(self) -> Union[Type, Kind, Term]:
-        kinds = self.kinds
-        i = self.i
-        if kinds[i] == "STAR":
-            self.i = i + 1
-            return Star(self.span(i))
-        head = self._class_atom()
-        while True:
-            i = self.i
-            kind = kinds[i]
-            if kind == "CDOT":
-                self.i = i + 1
-                arg = self._class_atom()
-                span = self.span(i)
-                head = TAppT(self._as_type(head, span), self._as_type(arg, span), span)
-            elif kind in _TERM_ATOM_START:
-                arg = self.parse_term_atom()
-                span = self.span(i)
-                if isinstance(head, Term):
-                    head = App(head, arg, span)
-                else:
-                    head = TAppE(self._as_type(head, span), arg, span)
-            else:
-                return head
-
-    def _class_atom(self) -> Union[Type, Kind, Term]:
-        i = self.i
-        kind = self.kinds[i]
-        if kind == "STAR":
-            self.i = i + 1
-            return Star(self.span(i))
-        if kind == "IDENT":
-            self.i = i + 1
-            return TVar(self.reference(i), self.span(i))
-        if kind in ("PI", "ALL", "IOTA", "LAM"):
-            return self._class_binder()
-        if kind == "LPAREN":
-            # try a classifier first, then a term
-            self.i = i + 1
-            try:
-                inner = self.parse_classifier()
-                self.expect("RPAREN")
-                return inner
-            except ParseError:
-                self.i = i + 1
-            inner_t = self.parse_term()
-            self.expect("RPAREN", "parenthesized term")
-            return self._postfix_proj(inner_t)
-        raise self.unexpected(i, " in type")
-
-    # -- sort coercions ------------------------------------------------------
-
-    def _as_type(self, node, span: Span) -> Type:
-        if isinstance(node, Type):
-            return node
-        if isinstance(node, Kind):
-            raise ParseError("expected a type, found a kind", span)
-        try:
-            return promote_skeleton(node)
-        except TypeError:
-            raise ParseError("this expression is not usable as a type", span) from None
-
-    def _as_term(self, node, span: Span) -> Term:
-        if isinstance(node, Term):
-            return node
-        if isinstance(node, Kind):
-            raise ParseError("expected a term, found a kind", span)
-        try:
-            return demote_skeleton(node, span)
-        except TypeError:
-            raise ParseError("this type is not usable as a term", span) from None
-
-    # -- terms ----------------------------------------------------------------
+    # -- expressions ---------------------------------------------------------
 
     def parse_term(self) -> Term:
-        return self._term(True)
+        return self._expr("T")
 
-    def parse_term_app(self) -> Term:
-        """An application spine: a term without a leading binder, ρ, φ
-        or ς (those may still occur inside its parentheses)."""
-        return self._term(False)
+    def parse_classifier(self) -> Union[Type, Kind]:
+        return self._expr("C")
 
-    def _term(self, prefixes: bool) -> Term:
-        """Binder chains and parenthesized sub-terms nest on an explicit
-        stack, not on Python's, so a term may nest ``_MAX_DEPTH`` levels
-        whatever the interpreter's recursion limit.  Names and
-        single-name binders are read inline (module docstring), with the
-        index of the next token in a local, stored back to ``self.i``
-        around each call of another rule."""
+    def _expr(self, lv: str):
+        """The expression at ``self.i``, read as level ``lv`` (module
+        docstring), with the index of the next token in a local, stored
+        back to ``self.i`` around each call of a rule that reads tokens."""
         file, kinds, lexemes, starts, eols = self.file, self.kinds, self.lexemes, self.starts, self.eols
-        # open constructs, innermost last, each with the index of the
-        # token that opens it: ("(", i, spine head before it, None), or a
-        # binder or ρ waiting for its body
+        # open frames, innermost last: (tag, token index, two fields, and
+        # the level, head and chain of the level the frame interrupted)
         stack: list[tuple] = []
-        head: Optional[Term] = None  # the application spine read so far
+        head = chain = None
+        closed = False  # a classifier's head is whole: only ➔ or ➾ may follow
         i = self.i
         while True:
             kind = kinds[i]
-            if kind == "IDENT" and kinds[i + 1] not in _PROJ and (name := lexemes[i]) != "_":
+            if kind == "IDENT" and lv != "C" and kinds[i + 1] not in _PROJ and (name := lexemes[i]) != "_":
                 span = _new(Span, (file, (ln := bisect_left(eols, s := starts[i])), s - eols[ln - 1]))
                 atom = Var(name, span)
                 head = atom if head is None else App(head, atom, span)
                 i += 1
                 continue
-            if kind == "LPAREN":
-                frame = ("(", i, head, None)
-                head = None
-                i += 1
-            elif head is not None:
-                if kind in _TERM_ATOM_START:
-                    self.i = i
-                    head = App(head, self.parse_term_atom(), self.span(i))
-                    i = self.i
-                    continue
-                if kind == "DASH":
-                    self.i = i + 1
-                    head = EApp(head, self.parse_erased_arg(), self.span(i))
-                    i = self.i
-                    continue
-                t, frame = head, None
-            elif kind not in _TERM_PREFIX or not (prefixes or stack):
-                self.i = i
-                head = self.parse_term_atom()
-                i = self.i
-                continue
-            elif kind in _LAMS and kinds[i + 1] == "IDENT" and kinds[i + 2] == "DOT":
-                frame = (kind, i, [lexemes[i + 1]], None)
-                i += 3
-            else:
-                self.i = i + 1
-                if kind in _LAMS:
-                    binders, ann = self._lam_binder_group()
-                    self.expect("DOT", "λ binder" if kind == "LAM" else "Λ binder")
-                    frame = (kind, i, binders, ann)
-                else:
-                    proof = self.parse_proof_spine()
-                    frame = None
-                    if kind == "SIGMA":
-                        t = Sym(proof, self.span(i))
-                    elif kind == "PHI":
-                        self.expect("DASH", "φ")
-                        main = self.parse_term_app()
-                        self.expect("LBRACE", "φ")
-                        t = Phi(proof, main, self.parse_term(), self.span(i))
-                        self.expect("RBRACE", "φ")
-                    else:  # RHO
-                        guide = (None, None)
-                        if self.eat("LBRACE"):
-                            hole = self.ident("ρ guide")
-                            self.expect("DOT", "ρ guide")
-                            guide = (hole, self.parse_type())
-                            self.expect("RBRACE", "ρ guide")
-                        self.expect("DASH", "ρ")
-                        frame = (kind, i, proof, guide)
-                i = self.i
-            if frame is not None:
-                stack.append(frame)
-                if len(stack) > _MAX_DEPTH:
-                    raise ParseError(f"term nested more than {_MAX_DEPTH} levels deep", self.span(frame[1]))
-                continue
-            # t is a whole term: the body of each binder and ρ on top of
-            # the stack, then the contents of the innermost "("
-            while stack:
-                kind, j, a, b = stack.pop()
-                if kind != "(" or a is not None:
-                    span = _new(Span, (file, (ln := bisect_left(eols, s := starts[j])), s - eols[ln - 1]))
-                if kind == "(":
-                    if kinds[i] != "RPAREN":
-                        raise self.unexpected(i, " while parsing parenthesized term", expected={"RPAREN"})
+            frame = None
+            if lv == "C" and (head is None or closed or kind not in _ATOMS):
+                if head is None or (kind == "CDOT" and not closed):
+                    # a classifier atom: the operand's head, or after ·
+                    j = i if head is None else i + 1
+                    k = kinds[j]
+                    if k == "IDENT" or k == "STAR":
+                        atom = TVar(self.reference(j), self.span(j)) if k == "IDENT" else Star(self.span(j))
+                        if head is not None:
+                            head = self._cdot(head, atom, i)
+                        elif k == "STAR" and kinds[j + 1] == "SIMEQ":
+                            raise ParseError("expected a term, found a kind", self.span(j + 1))
+                        else:
+                            head, closed = atom, k == "STAR"
+                        i = j + 1
+                        continue
+                    if k == "LPAREN":
+                        frame, sub, i = ("(c", j, None, None, lv, head, chain), _GROUP.get(kinds[j + 1], "S"), j + 1
+                    elif k in _CLASS_BINDERS:
+                        start, sub = self._open(_CLASS_BINDERS[k], j)
+                        frame, i = start + (lv, head, chain), self.i
+                    else:
+                        raise self.unexpected(j, " in type")
+                elif kind == "SIMEQ" and not closed:
+                    frame, sub = ("EQ", i, self._as(head, Term, self.span(i)), None, lv, None, chain), "T"
                     i += 1
-                    if kinds[i] in _PROJ:
-                        self.i = i
-                        t = self._postfix_proj(t)
-                        i = self.i
-                    head = t if a is None else App(a, t, span)
-                    break
-                if kind == "RHO":
-                    t = Rho(a, t, *b, span)
+                else:
+                    # the operand is whole
+                    if isinstance(head, Term):
+                        head = self._as(head, Type)
+                    if kind in _ARROWS:
+                        if chain is None:
+                            chain = []
+                        chain.append((head, i))
+                        head, closed = None, False
+                        i += 1
+                        continue
+                    t = self._fold(chain, head)
+            elif kind == "LPAREN" or kind == "LBRACK":
+                if head is None and lv == "S":
+                    if kind == "LPAREN":
+                        frame, sub = ("(c", i, None, None, lv, head, chain), _GROUP.get(kinds[i + 1], "S")
+                    else:
+                        lv = "T"
+                if frame is None:
+                    frame, sub = ("(" if kind == "LPAREN" else "[", i, None, None, lv, head, chain), "T"
+                i += 1
+            elif head is None:
+                if lv == "S":
+                    if kind == "LAM":
+                        start, sub = self._open("SLAM", i)
+                        frame, i = start + (lv, head, chain), self.i
+                    else:
+                        lv = _GROUP.get(kind) or ("T" if kind == "IDENT" else "")
+                        if not lv:
+                            group = next(f[0] for f in reversed(stack) if f[0] != "SLAM")
+                            raise self.unexpected(i, " in type" if group == "(e" else " in term")
+                        continue
+                elif kind in _PREFIXES and lv == "T":
+                    if kind in _LAMS and kinds[i + 1] == "IDENT" and kinds[i + 2] == "DOT":
+                        frame, sub, i = (kind, i, [lexemes[i + 1]], None, lv, None, None), "T", i + 3
+                    elif kind in _LAMS:
+                        start, sub = self._open(kind, i)
+                        frame, i = start + (lv, head, chain), self.i
+                    else:
+                        frame, sub, i = (kind, i, None, None, lv, None, None), "P", i + 1
+                else:
+                    head, i = self._atom(i)
                     continue
-                if kind == "LAM" and isinstance(b, Kind):
-                    raise ParseError("explicit λ binder annotation must be a type", span)
-                node = Lam if kind == "LAM" else ELam
-                for name in reversed(a):
-                    t = node(name, t, b, span)
+            elif kind == "IDENT" or kind == "BETA":
+                atom, j = self._atom(i)
+                head, i = self._attach(lv, head, atom, i), j
+                continue
+            elif kind == "DASH" and lv != "P":
+                lv = "A" if lv == "A" else "T"
+                k = kinds[i + 1]
+                if k == "LPAREN":
+                    frame, sub, i = ("(e", i + 1, None, None, lv, head, chain), _GROUP.get(kinds[i + 2], "S"), i + 2
+                else:
+                    if k == "BETA":
+                        arg, j = Beta(self.span(i + 1)), i + 2
+                    elif k == "IDENT":
+                        arg, j = self._proj(Var(self.reference(i + 1), self.span(i + 1)), i + 2)
+                    else:
+                        raise self.unexpected(i + 1, " after '-'")
+                    head, i = EApp(head, arg, self.span(i)), j
+                    continue
+            elif lv == "S" and kind in _SORTING:
+                head, lv = recast_skeleton(head), "C"
+                continue
+            elif lv == "L" and kind == "SIMEQ":
+                lv = "C"
+                continue
             else:
-                self.i = i
-                return t
+                t = head
+            if frame is None:
+                # the level is whole, with value t: hand it to the frame
+                # above, which gives the level it interrupted a value or
+                # opens its own next part
+                while stack:
+                    srt = lv
+                    tag, j, a, b, lv, head, chain = stack.pop()
+                    closed = False
+                    if tag == "(":
+                        if kinds[i] != "RPAREN":
+                            raise self.unexpected(i, " while parsing parenthesized term", expected={"RPAREN"})
+                        i += 1
+                        if kinds[i] in _PROJ:
+                            t, i = self._proj(t, i)
+                        head = self._attach(lv, head, t, j)
+                        break
+                    if tag == "LAM" or tag == "ELAM" or (tag == "SLAM" and srt != "C"):
+                        # a term's λ or Λ, or a skeleton's λ over a term or a skeleton
+                        if tag == "LAM" and isinstance(b, Kind):
+                            raise ParseError("explicit λ binder annotation must be a type", self.span(j))
+                        node = ELam if tag == "ELAM" else Lam
+                        span = _new(Span, (file, (ln := bisect_left(eols, s := starts[j])), s - eols[ln - 1]))
+                        for name in reversed(a):
+                            t = node(name, t, b, span)
+                        if lv == "S" and srt != "S":
+                            lv = "T"
+                        continue
+                    if tag == "(c":
+                        i = self.want(i, "RPAREN", "parenthesized type" if srt == "C" else "parenthesized term")
+                        if srt == "S" and lv != "S":
+                            t = recast_skeleton(t)  # read in a classifier, a skeleton is a type
+                        elif srt == "C" or (srt == "S" and kinds[i] not in _PROJ):
+                            lv = srt if lv == "S" else lv
+                        else:
+                            # a term, or a skeleton made one by a projection
+                            t, i = self._proj(t, i)
+                            lv = ("T" if srt == "S" else "L") if lv == "S" else lv
+                        head = t if head is None else self._cdot(head, t, j - 1)
+                        break
+                    if tag == "(e":
+                        t = self._as(t, Type) if srt == "C" else t
+                        i = self.want(i, "RPAREN", "erased type argument" if srt in "CS" else "parenthesized term")
+                        head = EApp(head, t, self.span(j - 1))
+                        break
+                    if tag in _NEXT:
+                        if tag == ":SLAM" and isinstance(t, Kind):
+                            tag = ":TLAM"  # a skeleton's λ over a kind is a type's
+                        elif tag == "IOTA":
+                            t = self._as(t, Type)
+                        close, what, tag, sub = _NEXT[tag]
+                        i = self.want(i, close, what)
+                        frame = (tag, j, a, t if b is None else (b, t), lv, head, chain)
+                        break
+                    if tag == "]":
+                        i = self.want(i, "RBRACK", "intersection pair")
+                        t, i = self._proj(IotaPair(b, t, self.span(j)), i)
+                        head = self._attach(lv, head, t, j)
+                        break
+                    if tag == "EQ":
+                        head, closed = Eq(a, t, self.span(j)), True
+                        break
+                    if tag == "RHO":
+                        if kinds[i] == "LBRACE":  # a guide: { hole . type }
+                            i = self.want(self.want(i + 1, "IDENT", "ρ guide"), "DOT", "ρ guide")
+                            frame, sub = ("RHO{", j, lexemes[i - 2], t, lv, head, chain), "C"
+                        else:
+                            i = self.want(i, "DASH", "ρ")
+                            frame, sub = ("RHO-", j, (None, None), t, lv, head, chain), "T"
+                        break
+                    if tag == "RHO{":
+                        t = self._as(t, Type)
+                        i = self.want(self.want(i, "RBRACE", "ρ guide"), "DASH", "ρ")
+                        frame, sub = ("RHO-", j, (a, t), b, lv, head, chain), "T"
+                        break
+                    if tag == "RHO-":
+                        t = Rho(b, t, *a, self.span(j))
+                    elif tag == "PHI{":
+                        t = Phi(*b, t, self.span(j))
+                        i = self.want(i, "RBRACE", "φ")
+                    elif tag == "SIGMA":
+                        t = Sym(t, self.span(j))
+                    else:
+                        # a classifier binder
+                        t = self._binder(tag, j, a, b, t)
+                        if head is not None:
+                            head = self._cdot(head, t, j - 1)
+                        else:
+                            lv, head, closed = "C", t, True
+                        break
+                else:
+                    self.i = i
+                    return t
+                if frame is None:
+                    continue
+            stack.append(frame)
+            if len(stack) > _MAX_DEPTH:
+                raise ParseError(f"nested more than {_MAX_DEPTH} levels deep", self.span(frame[1]))
+            lv, head, chain, closed = sub, None, None, False
 
-    def parse_proof_spine(self) -> Term:
-        """Proof argument of ρ/φ/ς: a spine of atoms, so that the
-        following ``-`` separator is unambiguous.  Parenthesize proofs
-        that use erased application."""
-        head = self.parse_term_atom()
-        while self.kinds[self.i] in _TERM_ATOM_START:
-            arg = self.parse_term_atom()
-            head = App(head, arg, self._span_of(arg))
-        return head
+    def _open(self, tag: str, i: int) -> tuple[tuple, str]:
+        """The binder whose token is ``i``, read up to the first level it
+        opens: the start of its frame (its tag, ``i`` and the names it
+        binds), and that level."""
+        self.i = i + 1
+        if tag == "IOTA":
+            name = self.ident("ι binder")
+            self.expect("COLON", "ι binder")
+            return (tag, i, name, None), "C"
+        names = [self.ident("binder")]
+        while self.eat("COMMA"):
+            names.append(self.ident("binder"))
+        if tag == "PI" or tag == "ALL":
+            self.expect("COLON", "binder")
+            return (tag, i, names, None), "C"
+        if self.eat("COLON"):
+            return (":" + tag, i, names, None), "C"
+        _, what, _, level = _NEXT[":" + tag]
+        self.expect("DOT", what)
+        return (tag, i, names, None), level
 
-    def parse_term_atom(self) -> Term:
-        i = self.i
+    def _binder(self, tag: str, j: int, names, dom, body):
+        """The classifier binder of frame ``tag`` at token ``j``: Π, ∀ or ι
+        over ``body``, or a type-level λ annotated ``dom``."""
+        span = self.span(j)
+        if tag == "ALL." and isinstance(body, Kind):
+            raise ParseError("∀ body must be a type", span)
+        if tag != "PI.":
+            body = self._as(body, Type)
+        if tag == "IOTA.":
+            return Iota(names, dom, body, span)
+        for name in reversed(names):
+            if tag == "ALL.":
+                body = (AllK if isinstance(dom, Kind) else All)(name, dom, body, span)
+            elif tag != "PI.":
+                body = TLam(name, body, dom, span)
+            elif isinstance(body, Kind):
+                body = (KPiK if isinstance(dom, Kind) else KPi)(name, dom, body, span)
+            elif isinstance(dom, Kind):
+                raise ParseError("Π over a kind must end in a kind (use ∀ for types)", span)
+            else:
+                body = Pi(name, dom, body, span)
+        return body
+
+    def _fold(self, chain: Optional[list], rhs):
+        """``rhs`` under the arrows of ``chain``, the last one innermost."""
+        for lhs, j in reversed(chain or ()):
+            span = self.span(j)
+            if self.kinds[j] == "EARROW":
+                if isinstance(lhs, Kind) or isinstance(rhs, Kind):
+                    raise ParseError("➾ connects types", span)
+                rhs = All("_", lhs, rhs, span)
+            elif isinstance(rhs, Kind):
+                rhs = (KPiK if isinstance(lhs, Kind) else KPi)("_", lhs, rhs, span)
+            elif isinstance(lhs, Kind):
+                raise ParseError("a kind cannot be the domain of a type arrow", span)
+            else:
+                rhs = Pi("_", lhs, rhs, span)
+        return rhs
+
+    def _atom(self, i: int) -> tuple[Term, int]:
+        """The name or β at token ``i``, with its projections, and the index
+        after them."""
         kind = self.kinds[i]
         if kind == "IDENT":
-            self.i = i + 1
-            return self._postfix_proj(Var(self.reference(i), self.span(i)))
-        if kind == "BETA":
-            self.i = i + 1
-            return self._postfix_proj(Beta(self.span(i)))
-        if kind == "LBRACK":
-            self.i = i + 1
-            fst = self.parse_term()
-            self.expect("COMMA", "intersection pair")
-            snd = self.parse_term()
-            self.expect("RBRACK", "intersection pair")
-            return self._postfix_proj(IotaPair(fst, snd, self.span(i)))
-        if kind == "LPAREN":
-            self.i = i + 1
-            inner = self.parse_term()
-            self.expect("RPAREN", "parenthesized term")
-            return self._postfix_proj(inner)
-        raise self.unexpected(i, " in term")
+            atom = Var(self.reference(i), self.span(i))
+        elif kind == "BETA":
+            atom = Beta(self.span(i))
+        else:
+            raise self.unexpected(i, " in term")
+        return self._proj(atom, i + 1)
 
-    def _postfix_proj(self, t: Term) -> Term:
-        kinds = self.kinds
-        while (kind := kinds[i := self.i]) in _PROJ:
+    def _proj(self, t: Term, i: int) -> tuple[Term, int]:
+        while (kind := self.kinds[i]) in _PROJ:
             t = Proj(t, 1 if kind == "PROJ1" else 2, self.span(i))
-            self.i = i + 1
-        return t
+            i += 1
+        return t, i
 
-    def parse_erased_arg(self) -> Union[Term, Type]:
-        """The argument after ``-``: a term, or a type.  A name, and a
-        parenthesized term, stay terms, so that an argument that could be
-        read at either sort is its term skeleton (module docstring)."""
-        i = self.i
-        kind = self.kinds[i]
-        if kind == "BETA":
-            self.i = i + 1
-            return Beta(self.span(i))
-        if kind == "IDENT":
-            self.i = i + 1
-            return self._postfix_proj(Var(self.reference(i), self.span(i)))
-        if kind == "LPAREN":
-            # a term first, then a type
-            self.i = i + 1
-            try:
-                inner = self.parse_term()
-                self.expect("RPAREN")
-                return inner
-            except ParseError:
-                self.i = i + 1
-            ty = self.parse_type()
-            self.expect("RPAREN", "erased type argument")
-            return ty
-        raise self.unexpected(i, " after '-'")
+    def _attach(self, lv: str, head, atom: Term, j: int):
+        """``atom``, read from token ``j``, as the next argument of the
+        spine ``head`` of a level ``lv`` (or as its head)."""
+        if head is None:
+            return atom
+        if lv == "P":
+            return App(head, atom, atom.span)
+        span = self.span(j)
+        if lv == "C" and not isinstance(head, Term):
+            return TAppE(self._as(head, Type, span), atom, span)
+        return App(head, atom, span)
+
+    def _cdot(self, head, arg, j: int) -> Type:
+        """``head · arg``, the · being token ``j``."""
+        span = self.span(j)
+        return TAppT(self._as(head, Type, span), self._as(arg, Type, span), span)
+
+    def _as(self, node, sort: type, span: Optional[Span] = None):
+        """``node`` read as a ``Term`` or a ``Type`` (``sort``): a skeleton
+        of the other sort is recast, and anything else is an error at
+        ``span``, or at the node."""
+        if isinstance(node, sort):
+            return node
+        span = span or node.span
+        if isinstance(node, Kind):
+            raise ParseError(f"expected a {'type' if sort is Type else 'term'}, found a kind", span)
+        recast = recast_skeleton(node)
+        if recast is None:
+            raise ParseError("this expression is not usable as a type" if sort is Type else "this type is not usable as a term", span)
+        return recast
 
 
 # ---------------------------------------------------------------------------
@@ -682,14 +682,10 @@ class Parser(Tokens):
 
 
 def _parse(text: str, path: str, what: str, rule):
-    """``rule`` applied to a parser over all of ``text``.  Types and the
-    rarer term forms are parsed by recursion: too deep, it is a ParseError."""
+    """``rule`` applied to a parser over ``text``, which it must read whole."""
     parser = Parser(lex(text, path))
-    try:
-        node = rule(parser)
-        parser.expect("EOF", what)
-    except RecursionError:
-        raise ParseError("nested too deeply", parser.span(parser.i)) from None
+    node = rule(parser)
+    parser.want(parser.i, "EOF", what)
     return node
 
 

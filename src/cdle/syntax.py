@@ -28,11 +28,11 @@ substitution (``subst_syntax``) serve every sort of syntax.  The first
 two are iterative, as are erasure, the normalizer and rho's rewrite of a
 normal form (``typecheck._rewrite_nf``), because erased terms can be
 deep (spines of a few thousand applications occur in the cost harness).
-``subst_syntax`` goes down an application spine by a loop and recurses
-once per binder scope and argument; the skeleton coercions recurse once
-per nesting level, as do the checker (bar its spine loops) and the
-printer, so the recursion limit that importing ``cdle`` sets bounds the
-depth they reach.
+``subst_syntax`` and the skeleton coercions (``recast_skeleton``) go
+down an application spine by a loop; ``subst_syntax`` recurses once per
+binder scope and argument, as do the checker (bar its spine loops) and
+the printer, so the recursion limit that importing ``cdle`` sets bounds
+the depth they reach.
 """
 
 from __future__ import annotations
@@ -737,25 +737,38 @@ def alpha_eq(a, b) -> bool:
     return True
 
 
+def recast_skeleton(node):
+    """A var/application/λ skeleton read at the other sort: a ``Var``,
+    ``App`` and ``Lam`` term as a ``TVar``, ``TAppE`` and ``TLam`` type
+    (juxtaposed application arguments stay terms), or back, though a
+    ``TLam`` over a kind has no term reading; None if ``node`` is no
+    skeleton.  The spine and the λ bodies are walked by a loop, so their
+    length costs no recursion."""
+    if isinstance(node, Term):
+        var, app, lam, new_var, new_app, new_lam = Var, App, Lam, TVar, TAppE, TLam
+    else:
+        var, app, lam, new_var, new_app, new_lam = TVar, TAppE, TLam, Var, App, Lam
+    path = []
+    while type(node) is app or (type(node) is lam and not (lam is TLam and isinstance(node.ann, Kind))):
+        path.append(node)
+        node = node.fn if type(node) is app else node.body
+    if type(node) is not var:
+        return None
+    out = new_var(node.name, node.span)
+    for n in reversed(path):
+        if type(n) is app:
+            out = new_app(out, n.arg, n.span)
+        else:
+            out = new_lam(n.name, out, n.ann, n.span)
+    return out
+
+
 def promote_skeleton(t: Term) -> Type:
     """Reinterpret a sort-ambiguous var/application/λ skeleton as a type
-    (juxtaposed application arguments stay terms)."""
-    if isinstance(t, Var):
-        return TVar(t.name, t.span)
-    if isinstance(t, App):
-        return TAppE(promote_skeleton(t.fn), t.arg, t.span)
-    if isinstance(t, Lam):
-        return TLam(t.name, promote_skeleton(t.body), t.ann, t.span)
-    raise TypeError(f"not a promotable skeleton: {t!r}")
+    (``recast_skeleton``)."""
+    ty = recast_skeleton(t) if isinstance(t, Term) else None
+    if ty is None:
+        raise TypeError(f"not a promotable skeleton: {t!r}")
+    return ty
 
 
-def demote_skeleton(ty: Type, span: Optional[Span] = None) -> Term:
-    """Reinterpret a type var/application/λ skeleton as a term, the inverse
-    of :func:`promote_skeleton`; ``span`` stands in for a missing one."""
-    if isinstance(ty, TVar):
-        return Var(ty.name, ty.span or span)
-    if isinstance(ty, TAppE):
-        return App(demote_skeleton(ty.fn, span), ty.arg, ty.span or span)
-    if isinstance(ty, TLam) and not isinstance(ty.ann, Kind):
-        return Lam(ty.name, demote_skeleton(ty.body, span), ty.ann, ty.span or span)
-    raise TypeError(f"not a demotable skeleton: {ty!r}")

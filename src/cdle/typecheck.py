@@ -104,10 +104,9 @@ from .syntax import (
     Type,
     Var,
     alpha_eq,
-    demote_skeleton,
     free_names,
     fresh_name,
-    promote_skeleton,
+    recast_skeleton,
     subst1,
     subst_syntax,
 )
@@ -577,18 +576,18 @@ class Checker:
     def _resolve_term_arg(self, a, sp) -> Term:
         if isinstance(a, Term):
             return a
-        try:
-            return demote_skeleton(a)
-        except TypeError:
-            raise CheckError(ErrorCode.TypeMismatch, "expected an erased term argument, found a type", sp) from None
+        t = recast_skeleton(a)
+        if t is None:
+            raise CheckError(ErrorCode.TypeMismatch, "expected an erased term argument, found a type", sp)
+        return t
 
     def _resolve_type_arg(self, a, sp) -> Type:
         if isinstance(a, Type):
             return a
-        try:
-            return promote_skeleton(a)
-        except TypeError:
-            raise CheckError(ErrorCode.TypeMismatch, "expected an erased type argument, found a term", sp) from None
+        ty = recast_skeleton(a)
+        if ty is None:
+            raise CheckError(ErrorCode.TypeMismatch, "expected an erased type argument, found a term", sp)
+        return ty
 
     def _phi_conditions(self, q: Term, main: Term, target: Term, sp) -> None:
         s1, s2 = self._eq_sides(q, sp)

@@ -148,7 +148,7 @@ def test_normalize_term(capsys):
 def test_normalize_term_nested_too_deeply_exit_two(capsys):
     code, _, err = run(capsys, "normalize", "--term", "(" * 10_000 + "x" + ")" * 10_000)
     assert code == 2
-    assert err.startswith("error: <input>:1:2501: term nested more than 2500 levels deep")
+    assert err.startswith("error: <input>:1:2501: nested more than 2500 levels deep")
 
 
 def test_normalize_deep_normal_form_exit_two(capsys):
@@ -164,7 +164,7 @@ def test_check_lambda_chain_nested_too_deeply_exit_two(capsys, tmp_path):
     path.write_text("x ◂ T = " + "λ x. " * 10_000 + "x.\n", encoding="utf-8")
     code, _, err = run(capsys, "check", str(path))
     assert code == 2
-    assert err.startswith(f"error: {path}:1:12509: term nested more than 2500 levels deep")
+    assert err.startswith(f"error: {path}:1:12509: nested more than 2500 levels deep")
 
 
 def test_check_duplicate_name_across_modules_exit_two(capsys, tmp_path):

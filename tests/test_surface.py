@@ -1,6 +1,7 @@
 """Surface syntax: parse/pretty round-trips, lexer alias invariance, the
 lexer against a reference lexer, and positioned parse errors."""
 
+import ast
 import gc
 import glob
 import hashlib
@@ -12,6 +13,7 @@ import sys
 
 import pytest
 
+from cdle import surface
 from cdle.erasure import erase
 from cdle.pretty import pretty
 from cdle.reduction import normalize
@@ -25,7 +27,21 @@ from cdle.surface import (
     parse_module,
     parse_term,
 )
-from cdle.syntax import Kind, Node, Span, Term, Type, alpha_eq
+from cdle.syntax import (
+    App,
+    Eq,
+    Kind,
+    Node,
+    Span,
+    TAppE,
+    Term,
+    TVar,
+    Type,
+    Var,
+    alpha_eq,
+    promote_skeleton,
+    recast_skeleton,
+)
 from conftest import CORPUS, NEGATIVE, NEGATIVE_FILES, REPO, parse_type_expr
 from gen import corpus_mutants, gen_kind, gen_term, gen_type
 
@@ -220,34 +236,6 @@ for op, m, n in ((mul, 40, 40), (exp, 2, 10), (exp, 3, 7)):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.split() == ["True", "True", "RecursionError"]
-
-
-def test_classifier_depth_does_not_depend_on_normalize():
-    """The classifier rules recurse once per nesting level, under the
-    recursion limit that importing ``cdle`` sets.  In a fresh
-    interpreter, ``∀ A : ★.`` over 600 nested ``(A ➔ …)`` parses as a
-    type both before and after a ``normalize`` call has run."""
-    script = r"""
-from cdle.reduction import normalize
-from cdle.surface import ParseError, parse_classifier
-from cdle.syntax import PVar
-
-text = "∀ A : ★. " + "(A ➔ " * 600 + "A" + ")" * 600
-
-def outcome():
-    try:
-        return type(parse_classifier(text)).__name__
-    except ParseError:
-        return "ParseError"
-
-before = outcome()
-normalize(PVar("x"))
-print(before, outcome())
-"""
-    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout.split() == ["AllK", "AllK"]
 
 
 def test_long_spines_print_by_a_loop():
@@ -534,7 +522,7 @@ def _parse_outcome(parse, text, path):
 # error messages, from the parser as it was before its classifier rules
 # moved onto the term loop's explicit stack
 PARSE_DIGEST = "19eab711cbd800b29f741e544cd622feb9260266d2c5aacbda1360ea0c91bb36"
-PARSE_ERROR_DIGEST = "11ad8d199f4c036f9898b1915c804dcc2be6fa51e9a7940e41a700bd7a1cf4b9"
+PARSE_ERROR_DIGEST = "dfe222751442721ea68bb50a4b68a646de25fcd26365286e11b634a55545e13d"
 
 
 def test_parses_and_parse_errors_are_unchanged():
@@ -564,11 +552,94 @@ def test_deep_term_nesting_is_a_positioned_error():
     parse_term("λ x. " * 2000 + "x")
     with pytest.raises(ParseError) as exc:
         parse_term("(" * 10_000 + "x" + ")" * 10_000)
-    assert str(exc.value).startswith("<input>:1:2501: term nested more than 2500 levels deep")
+    assert str(exc.value).startswith("<input>:1:2501: nested more than 2500 levels deep")
 
 
-def test_deep_type_nesting_is_a_positioned_error():
-    with pytest.raises(ParseError) as exc:
-        parse_type_expr("(" * 10_000 + "A" + ")" * 10_000)
-    assert str(exc.value).startswith("<input>:1:")
-    assert "nested too deeply" in str(exc.value)
+# Every construct that nests: the text of n levels of it, and the index of
+# the token that opens level k (from 0), or of its frame, where the lead
+# opens frames of its own.
+NESTINGS = {
+    "term parentheses": (parse_term, lambda n: "(" * n + "x" + ")" * n, lambda k: k),
+    "λ binders": (parse_term, lambda n: "λ x. " * n + "x", lambda k: 5 * k),
+    "annotated λ": (parse_term, lambda n: "λ x : A. " * n + "x", lambda k: 9 * k),
+    "Λ binders": (parse_term, lambda n: "Λ X. " * n + "x", lambda k: 5 * k),
+    "ρ": (parse_term, lambda n: "ρ q - " * n + "x", lambda k: 6 * k),
+    "pairs": (parse_term, lambda n: "[x, " * n + "x" + "]" * n, lambda k: 4 * k),
+    "erased arguments": (parse_term, lambda n: "f -(" * n + "x" + ")" * n, lambda k: 4 * k + 3),
+    "parenthesized types": (parse_classifier, lambda n: "(" * n + "A" + ")" * n, lambda k: k),
+    "nested arrows": (parse_classifier, lambda n: "∀ A : ★. " + "(A ➔ " * n + "A" + ")" * n, lambda k: 9 + 5 * (k - 1)),
+    "Π chains": (parse_classifier, lambda n: "Π x : A. " * n + "A", lambda k: 9 * k),
+    "∀ chains": (parse_classifier, lambda n: "∀ X : ★. " * n + "X", lambda k: 9 * k),
+    "type-level λ": (parse_classifier, lambda n: "λ X. " * n + "X", lambda k: 5 * k),
+}
+
+
+def test_every_construct_nests_to_one_cap():
+    """Each construct that nests parses 2,000 levels deep and, 10,000
+    levels deep, is the one positioned error at the level past the cap;
+    an arrow chain of 10,000 arrows is no nesting and parses.  All of it
+    runs under a recursion limit of 1,000, so no rule recurses per
+    level."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for name, (parse, text, at) in NESTINGS.items():
+            parse(text(2_000))
+            with pytest.raises(ParseError) as exc:
+                parse(text(10_000))
+            assert str(exc.value) == f"<input>:1:{at(2_500) + 1}: nested more than 2500 levels deep", name
+        ty = parse_classifier("A ➔ " * 10_000 + "A")
+        for _ in range(10_000):
+            ty = ty.cod
+        assert ty == parse_type_expr("A")
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_skeletons_recast_long_spines():
+    """A 10,000-argument skeleton spine is recast both ways by a loop, and
+    a classifier with such a spine on either side of ≃ parses."""
+    def walk(x):  # each node down the spine: its class, span and argument
+        while hasattr(x, "fn"):
+            yield type(x), x.span, x.arg
+            x = x.fn
+        yield type(x), x.span, x.name
+
+    spine = "F" + " a" * 10_000
+    t = parse_term(spine)
+    ty = recast_skeleton(t)
+    assert alpha_eq(promote_skeleton(t), ty) and alpha_eq(recast_skeleton(ty), t)
+    recast = {App: TAppE, Var: TVar, TAppE: App, TVar: Var}
+    assert [(recast[c], *rest) for c, *rest in walk(t)] == list(walk(ty)) == [(recast[c], *rest) for c, *rest in walk(recast_skeleton(ty))]
+    for text in (spine + " ≃ x", "x ≃ " + spine):
+        assert type(parse_classifier(text)) is Eq
+    assert recast_skeleton(parse_term("f -x " + "a " * 10_000)) is None
+
+
+def test_the_parser_raises_no_error_it_catches(monkeypatch):
+    """The parser decides each construct by its tokens, with no trial
+    parse: parsing the corpus and negative files constructs no
+    ParseError, and each digest input that fails constructs exactly one."""
+    made = []
+    init = ParseError.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ParseError, "__init__", counted)
+    for path, text in _source_files():
+        parse_module(text, path)
+    assert made == []
+    for args in _digest_inputs():
+        del made[:]
+        outcome = _parse_outcome(*args)
+        assert len(made) == isinstance(outcome, ParseError), args[1]
+
+
+def test_the_parser_has_no_try_statement():
+    """No error is caught in the parser: ``surface.py`` has no ``try``."""
+    with open(surface.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    tries = (ast.Try, getattr(ast, "TryStar", ast.Try))
+    assert [n.lineno for n in ast.walk(tree) if isinstance(n, tries)] == []
