@@ -11,7 +11,7 @@ expressible.
 
 import sys
 
-# the same room for every recursive layer (parser, checker, printer) from its first call
+# the same room for every recursive layer (checker, printer) from its first call
 if sys.getrecursionlimit() < 5_000:
     sys.setrecursionlimit(5_000)
 

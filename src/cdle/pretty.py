@@ -1,7 +1,7 @@
 """Deterministic pretty-printer for all syntax sorts.
 
-The printer mirrors the parser's two grammars (``surface.Parser``): one
-rule set prints terms, pure or annotated (``term``, ``term_app``,
+The printer mirrors the parser's grammar (``surface.Parser``) with two
+rule sets: one prints terms, pure or annotated (``term``, ``term_app``,
 ``term_atom``), and one prints classifiers, types or kinds
 (``classifier``, ``arrow_lhs``, ``class_spine``, ``class_atom``).  One
 product rule serves Π, ∀ and kind Π: an unused binder resugars to ➔, or

@@ -409,28 +409,25 @@ class Parser(Tokens):
                         head, closed = None, False
                         i += 1
                         continue
-                    t = self._fold(chain, head)
+                    t, closed = head if chain is None else self._fold(chain, head), False
+            elif kind == "RPAREN" and head is not None:
+                t = head
+            elif head is None and lv == "S":
+                if kind == "LPAREN":
+                    frame, sub, i = ("(c", i, None, None, lv, head, chain), _GROUP.get(kinds[i + 1], "S"), i + 1
+                elif kind == "LAM":
+                    start, sub = self._open("SLAM", i)
+                    frame, i = start + (lv, head, chain), self.i
+                else:
+                    lv = _GROUP.get(kind) or ("T" if kind == "IDENT" else "")
+                    if not lv:
+                        group = next(f[0] for f in reversed(stack) if f[0] != "SLAM")
+                        raise self.unexpected(i, " in type" if group == "(e" else " in term")
+                    continue
             elif kind == "LPAREN" or kind == "LBRACK":
-                if head is None and lv == "S":
-                    if kind == "LPAREN":
-                        frame, sub = ("(c", i, None, None, lv, head, chain), _GROUP.get(kinds[i + 1], "S")
-                    else:
-                        lv = "T"
-                if frame is None:
-                    frame, sub = ("(" if kind == "LPAREN" else "[", i, None, None, lv, head, chain), "T"
-                i += 1
+                frame, sub, i = ("(" if kind == "LPAREN" else "[", i, None, None, lv, head, chain), "T", i + 1
             elif head is None:
-                if lv == "S":
-                    if kind == "LAM":
-                        start, sub = self._open("SLAM", i)
-                        frame, i = start + (lv, head, chain), self.i
-                    else:
-                        lv = _GROUP.get(kind) or ("T" if kind == "IDENT" else "")
-                        if not lv:
-                            group = next(f[0] for f in reversed(stack) if f[0] != "SLAM")
-                            raise self.unexpected(i, " in type" if group == "(e" else " in term")
-                        continue
-                elif kind in _PREFIXES and lv == "T":
+                if kind in _PREFIXES and lv == "T":
                     if kind in _LAMS and kinds[i + 1] == "IDENT" and kinds[i + 2] == "DOT":
                         frame, sub, i = (kind, i, [lexemes[i + 1]], None, lv, None, None), "T", i + 3
                     elif kind in _LAMS:
@@ -459,10 +456,8 @@ class Parser(Tokens):
                         raise self.unexpected(i + 1, " after '-'")
                     head, i = EApp(head, arg, self.span(i)), j
                     continue
-            elif lv == "S" and kind in _SORTING:
-                head, lv = recast_skeleton(head), "C"
-                continue
-            elif lv == "L" and kind == "SIMEQ":
+            elif kind in _SORTING and (lv == "S" or (lv == "L" and kind == "SIMEQ")):
+                head = recast_skeleton(head) if lv == "S" else head
                 lv = "C"
                 continue
             else:
@@ -474,14 +469,18 @@ class Parser(Tokens):
                 while stack:
                     srt = lv
                     tag, j, a, b, lv, head, chain = stack.pop()
-                    closed = False
                     if tag == "(":
                         if kinds[i] != "RPAREN":
                             raise self.unexpected(i, " while parsing parenthesized term", expected={"RPAREN"})
                         i += 1
                         if kinds[i] in _PROJ:
                             t, i = self._proj(t, i)
-                        head = self._attach(lv, head, t, j)
+                        if head is None:
+                            head = t
+                        elif lv == "T":
+                            head = App(head, t, _new(Span, (file, (ln := bisect_left(eols, s := starts[j])), s - eols[ln - 1])))
+                        else:
+                            head = self._attach(lv, head, t, j)
                         break
                     if tag == "LAM" or tag == "ELAM" or (tag == "SLAM" and srt != "C"):
                         # a term's λ or Λ, or a skeleton's λ over a term or a skeleton
@@ -564,7 +563,7 @@ class Parser(Tokens):
             stack.append(frame)
             if len(stack) > _MAX_DEPTH:
                 raise ParseError(f"nested more than {_MAX_DEPTH} levels deep", self.span(frame[1]))
-            lv, head, chain, closed = sub, None, None, False
+            lv, head, chain = sub, None, None
 
     def _open(self, tag: str, i: int) -> tuple[tuple, str]:
         """The binder whose token is ``i``, read up to the first level it
@@ -610,9 +609,9 @@ class Parser(Tokens):
                 body = Pi(name, dom, body, span)
         return body
 
-    def _fold(self, chain: Optional[list], rhs):
+    def _fold(self, chain: list, rhs):
         """``rhs`` under the arrows of ``chain``, the last one innermost."""
-        for lhs, j in reversed(chain or ()):
+        for lhs, j in reversed(chain):
             span = self.span(j)
             if self.kinds[j] == "EARROW":
                 if isinstance(lhs, Kind) or isinstance(rhs, Kind):
