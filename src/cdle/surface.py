@@ -358,8 +358,8 @@ class Parser(Tokens):
         docstring), with the index of the next token in a local, stored
         back to ``self.i`` around each call of a rule that reads tokens."""
         file, kinds, lexemes, starts, eols = self.file, self.kinds, self.lexemes, self.starts, self.eols
-        # open frames, innermost last: (tag, token index, two fields, and
-        # the level, head and chain of the level the frame interrupted)
+        # open frames, innermost last: (tag, token index, two fields of the
+        # construct, and the level, head and chain the frame interrupted)
         stack: list[tuple] = []
         head = chain = None
         closed = False  # a classifier's head is whole: only ➔ or ➾ may follow
@@ -507,7 +507,7 @@ class Parser(Tokens):
                         break
                     if tag == "(e":
                         t = self._as(t, Type) if srt == "C" else t
-                        i = self.want(i, "RPAREN", "erased type argument" if srt in "CS" else "parenthesized term")
+                        i = self.want(i, "RPAREN", "parenthesized term" if srt in ("T", "L") else "erased type argument")
                         head = EApp(head, t, self.span(j - 1))
                         break
                     if tag in _NEXT:

@@ -770,5 +770,3 @@ def promote_skeleton(t: Term) -> Type:
     if ty is None:
         raise TypeError(f"not a promotable skeleton: {t!r}")
     return ty
-
-
