@@ -235,10 +235,10 @@ class SourceModule(NamedTuple):
     defs: list[RawDef]
 
 
-_ATOMS = {"IDENT", "LPAREN", "LBRACK", "BETA"}  # what a term atom begins with
+_TERM_ATOM_START = {"IDENT", "LPAREN", "LBRACK", "BETA"}
+_TERM_PREFIX = {"LAM", "ELAM", "RHO", "PHI", "SIGMA"}
 _PROJ = {"PROJ1", "PROJ2"}
 _LAMS = {"LAM", "ELAM"}
-_PREFIXES = {"LAM", "ELAM", "RHO", "PHI", "SIGMA"}
 _ARROWS = {"ARROW", "EARROW"}
 _SORTING = {"CDOT", "ARROW", "EARROW", "SIMEQ"}  # what makes a skeleton a type
 
@@ -373,7 +373,7 @@ class Parser(Tokens):
                 i += 1
                 continue
             frame = None
-            if lv == "C" and (head is None or closed or kind not in _ATOMS):
+            if lv == "C" and (head is None or closed or kind not in _TERM_ATOM_START):
                 if head is None or (kind == "CDOT" and not closed):
                     # a classifier atom: the operand's head, or after ·
                     j = i if head is None else i + 1
@@ -427,7 +427,7 @@ class Parser(Tokens):
             elif kind == "LPAREN" or kind == "LBRACK":
                 frame, sub, i = ("(" if kind == "LPAREN" else "[", i, None, None, lv, head, chain), "T", i + 1
             elif head is None:
-                if kind in _PREFIXES and lv == "T":
+                if kind in _TERM_PREFIX and lv == "T":
                     if kind in _LAMS and kinds[i + 1] == "IDENT" and kinds[i + 2] == "DOT":
                         frame, sub, i = (kind, i, [lexemes[i + 1]], None, lv, None, None), "T", i + 3
                     elif kind in _LAMS:

@@ -518,9 +518,9 @@ def _parse_outcome(parse, text, path):
     return "ok " + "".join(out)
 
 
-# sha256 of the verdicts and parses below, NUL-separated, and of the
-# error messages, from the parser as it was before its classifier rules
-# moved onto the term loop's explicit stack
+# sha256 of the verdicts and parses below, NUL-separated, from the parser
+# as it was before its classifier rules moved onto the term loop's
+# explicit stack; and of the error messages, from the one parse loop
 PARSE_DIGEST = "19eab711cbd800b29f741e544cd622feb9260266d2c5aacbda1360ea0c91bb36"
 PARSE_ERROR_DIGEST = "dfe222751442721ea68bb50a4b68a646de25fcd26365286e11b634a55545e13d"
 
@@ -555,9 +555,9 @@ def test_deep_term_nesting_is_a_positioned_error():
     assert str(exc.value).startswith("<input>:1:2501: nested more than 2500 levels deep")
 
 
-# Every construct that nests: the text of n levels of it, and the index of
-# the token that opens level k (from 0), or of its frame, where the lead
-# opens frames of its own.
+# Each construct that nests: its parser, its text n levels deep, and the
+# offset of the token that opens frame k, from 0 (in "nested arrows" the
+# ∀ opens frame 0).
 NESTINGS = {
     "term parentheses": (parse_term, lambda n: "(" * n + "x" + ")" * n, lambda k: k),
     "λ binders": (parse_term, lambda n: "λ x. " * n + "x", lambda k: 5 * k),
