@@ -411,7 +411,7 @@ class Parser(Tokens):
                         continue
                     t, closed = head if chain is None else self._fold(chain, head), False
             elif kind == "RPAREN" and head is not None:
-                t = head
+                t = head  # the commonest end of a level, ahead of the rules below
             elif head is None and lv == "S":
                 if kind == "LPAREN":
                     frame, sub, i = ("(c", i, None, None, lv, head, chain), _GROUP.get(kinds[i + 1], "S"), i + 1
@@ -477,8 +477,9 @@ class Parser(Tokens):
                             t, i = self._proj(t, i)
                         if head is None:
                             head = t
-                        elif lv == "T":
-                            head = App(head, t, _new(Span, (file, (ln := bisect_left(eols, s := starts[j])), s - eols[ln - 1])))
+                        elif lv == "T":  # _attach's term case, inline
+                            span = _new(Span, (file, (ln := bisect_left(eols, s := starts[j])), s - eols[ln - 1]))
+                            head = App(head, t, span)
                         else:
                             head = self._attach(lv, head, t, j)
                         break
@@ -671,7 +672,8 @@ class Parser(Tokens):
             raise ParseError(f"expected a {'type' if sort is Type else 'term'}, found a kind", span)
         recast = recast_skeleton(node)
         if recast is None:
-            raise ParseError("this expression is not usable as a type" if sort is Type else "this type is not usable as a term", span)
+            what = "this expression is not usable as a type" if sort is Type else "this type is not usable as a term"
+            raise ParseError(what, span)
         return recast
 
 

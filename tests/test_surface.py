@@ -567,7 +567,11 @@ NESTINGS = {
     "pairs": (parse_term, lambda n: "[x, " * n + "x" + "]" * n, lambda k: 4 * k),
     "erased arguments": (parse_term, lambda n: "f -(" * n + "x" + ")" * n, lambda k: 4 * k + 3),
     "parenthesized types": (parse_classifier, lambda n: "(" * n + "A" + ")" * n, lambda k: k),
-    "nested arrows": (parse_classifier, lambda n: "∀ A : ★. " + "(A ➔ " * n + "A" + ")" * n, lambda k: 9 + 5 * (k - 1)),
+    "nested arrows": (
+        parse_classifier,
+        lambda n: "∀ A : ★. " + "(A ➔ " * n + "A" + ")" * n,
+        lambda k: 9 + 5 * (k - 1),
+    ),
     "Π chains": (parse_classifier, lambda n: "Π x : A. " * n + "A", lambda k: 9 * k),
     "∀ chains": (parse_classifier, lambda n: "∀ X : ★. " * n + "X", lambda k: 9 * k),
     "type-level λ": (parse_classifier, lambda n: "λ X. " * n + "X", lambda k: 5 * k),
@@ -609,8 +613,9 @@ def test_skeletons_recast_long_spines():
     t = parse_term(spine)
     ty = recast_skeleton(t)
     assert alpha_eq(promote_skeleton(t), ty) and alpha_eq(recast_skeleton(ty), t)
-    recast = {App: TAppE, Var: TVar, TAppE: App, TVar: Var}
-    assert [(recast[c], *rest) for c, *rest in walk(t)] == list(walk(ty)) == [(recast[c], *rest) for c, *rest in walk(recast_skeleton(ty))]
+    other = {App: TAppE, Var: TVar, TAppE: App, TVar: Var}
+    for x, y in ((t, ty), (ty, recast_skeleton(ty))):
+        assert [(other[c], *rest) for c, *rest in walk(x)] == list(walk(y))
     for text in (spine + " ≃ x", "x ≃ " + spine):
         assert type(parse_classifier(text)) is Eq
     assert recast_skeleton(parse_term("f -x " + "a " * 10_000)) is None
